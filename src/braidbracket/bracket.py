@@ -8,6 +8,8 @@ in the free Z[A, A^-1]-module on plane configurations, where d(s) counts
 the circles whose half break-point count is odd and c(s) is the nesting
 configuration of the remaining (h-type) circles.  The sum is not
 normalized; multiplying by (-A)^(-3w) gives the Jones-style version.
+Closures of braid words get the same element from a Temperley-Lieb sweep
+(``_bracket_sweep``); every other diagram runs through all 2^n states.
 
 ``kauffman_oracle`` recomputes the classical unnormalized Kauffman bracket
 by an independent route (its own dart pairing and plain circle counting,
@@ -17,10 +19,9 @@ through the chi = -A^2 - A^-2 specialization.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from .diagram import OrientedDiagram, SIDE_R
+from .diagram import BraidWord, OrientedDiagram, SIDE_R
 from .laurent import DELTA, Laurent, lp_add, lp_mul, lp_pow, lp_scale, lp_shift
 from .states import (
     Configuration,
@@ -42,56 +43,105 @@ def bracket_br(
     cap: int = DEFAULT_CAP,
     threads: int = 1,
 ) -> BracketElement:
-    """Exact refined bracket as a map {configuration: Laurent polynomial}."""
+    """Exact refined bracket as a map {configuration: Laurent polynomial}.
+
+    Closures built by ``braid_closure`` take the Temperley-Lieb sweep
+    (``_bracket_sweep``); every other diagram takes the 2^n state sum.
+    ``threads`` is accepted and ignored.
+    """
     n = len(diagram.active_crossings)
     if n > cap:
         raise SizeCapError(n, cap)
-    total = 1 << n
-    if threads <= 1 or total < 64:
-        return _bracket_range(diagram, 0, total, n)
-    chunk = (total + threads - 1) // threads
-    parts: List[Optional[BracketElement]] = [None] * threads
-    workers = []
-    for w in range(threads):
-        lo, hi = w * chunk, min((w + 1) * chunk, total)
+    if diagram.braid_word is not None:
+        return _bracket_sweep(diagram.braid_word)
+    return _bracket_range(diagram)
 
-        def run(w=w, lo=lo, hi=hi):
-            parts[w] = _bracket_range(diagram, lo, hi, n)
 
-        th = threading.Thread(target=run)
-        th.start()
-        workers.append(th)
-    for th in workers:
-        th.join()
+def _add_into(out: dict, key, poly: Laurent) -> None:
+    """``out[key] += poly``, dropping the key when the sum vanishes."""
+    merged = lp_add(out.get(key, {}), poly)
+    if merged:
+        out[key] = merged
+    elif key in out:
+        del out[key]
+
+
+def _bracket_range(diagram: OrientedDiagram) -> BracketElement:
+    """The state sum over all 2^n smoothings of the active crossings."""
+    n = len(diagram.active_crossings)
     out: BracketElement = {}
-    for part in parts:  # merge in chunk order: associative, deterministic
-        if part:
-            for key, poly in part.items():
-                merged = lp_add(out.get(key, {}), poly)
-                if merged:
-                    out[key] = merged
-                elif key in out:
-                    del out[key]
-    return out
-
-
-def _bracket_range(diagram, lo: int, hi: int, n: int) -> BracketElement:
-    out: BracketElement = {}
-    for bits in range(lo, hi):
+    for bits in range(1 << n):
         state = resolve(diagram, Smoothing(bits, n))
         d_count = sum(1 for c in state.circles if c.circle_type == "d")
         key = configuration_of(state).canonical
-        term = lp_shift(lp_pow(DELTA, d_count), sigma(state))
-        merged = lp_add(out.get(key, {}), term)
-        if merged:
-            out[key] = merged
-        elif key in out:
-            del out[key]
+        _add_into(out, key, lp_shift(lp_pow(DELTA, d_count), sigma(state)))
     return out
 
 
-def bracket_equal(a: BracketElement, b: BracketElement) -> bool:
-    return a == b
+def _bracket_sweep(word: BraidWord) -> BracketElement:
+    """Refined bracket of the closure of ``word``, in time linear in its length.
+
+    On a braid closure a state circle is a simple closed curve in the
+    annulus around the braid axis, so its winding number is 0 or +-1, and
+    it is of type d exactly when its winding is 0 (acceptance criterion
+    04).  The h-circles therefore all go once around the axis: they are
+    concentric, and the configuration of a state with m of them is the
+    chain ``"(" * m + ")" * m``.  The bracket is then the annular Kauffman
+    bracket, which a Temperley-Lieb state model computes letter by letter.
+
+    A sweep state is a perfect matching of the 2k boundary points of the
+    part of the braid read so far, as a tuple of partners: point j < k is
+    track j + 1 where the word starts, point k + j is track j + 1 at the
+    current level.  Each matching carries a Laurent coefficient.  Letter
+    g at tracks i, i + 1 is A^s * 1 + A^-s * e_i with s = sign(g): the
+    identity smoothing is the oriented one, the A-smoothing of a positive
+    crossing.  A loop closed by e_i lies inside the braid's strip, winds
+    0 times and contributes DELTA.  The closure joins point j to point
+    k + j; a loop's winding is the number of closure arcs it runs from
+    the current level to the start minus the number it runs back.
+    """
+    k = word.strands
+    identity = tuple(range(k, 2 * k)) + tuple(range(k))
+    states: Dict[Tuple[int, ...], Laurent] = {identity: {0: 1}}
+    for g in word.letters:
+        s = 1 if g > 0 else -1
+        a = k + abs(g) - 1
+        b = a + 1
+        swept: Dict[Tuple[int, ...], Laurent] = {}
+        for m, poly in states.items():
+            _add_into(swept, m, lp_shift(poly, s))
+            if m[a] == b:
+                _add_into(swept, m, lp_shift(lp_mul(poly, DELTA), -s))
+            else:
+                e = list(m)
+                e[m[a]], e[m[b]] = m[b], m[a]
+                e[a], e[b] = b, a
+                _add_into(swept, tuple(e), lp_shift(poly, -s))
+        states = swept
+    out: BracketElement = {}
+    for m, poly in states.items():
+        d_loops = h_loops = 0
+        seen = [False] * (2 * k)
+        for p0 in range(2 * k):
+            if seen[p0]:
+                continue
+            p, winding = p0, 0
+            while True:
+                q = m[p]
+                seen[p] = seen[q] = True
+                if q < k:
+                    p, winding = q + k, winding - 1
+                else:
+                    p, winding = q - k, winding + 1
+                if p == p0:
+                    break
+            if winding:
+                h_loops += 1
+            else:
+                d_loops += 1
+        key = "(" * h_loops + ")" * h_loops
+        _add_into(out, key, lp_mul(poly, lp_pow(DELTA, d_loops)))
+    return out
 
 
 def bracket_to_json(b: BracketElement) -> dict:

@@ -54,13 +54,11 @@ class EnhancedState:
 class _StateTable:
     """Per-smoothing structure shared by the complex routines."""
 
-    def __init__(self, diagram: OrientedDiagram, cap: int):
+    def __init__(self, diagram: OrientedDiagram):
         if diagram.fused:
             raise ValueError("chain complex is defined for undecorated diagrams")
         self.diagram = diagram
         self.n = diagram.n
-        if self.n > cap:
-            raise SizeCapError(self.n, cap)
         self.w = diagram.writhe()
         self._cache: Dict[int, Tuple[Tuple[int, ...], Tuple[str, ...]]] = {}
 
@@ -91,10 +89,16 @@ class _StateTable:
 
 
 def _get_table(diagram: OrientedDiagram, cap: int) -> _StateTable:
-    """Structure tables are cached on the diagram (it is immutable)."""
+    """Structure tables are cached on the diagram (it is immutable).
+
+    The cap is checked on every call, because the cached table outlives
+    the call that built it.
+    """
+    if diagram.n > cap:
+        raise SizeCapError(diagram.n, cap)
     table = diagram.__dict__.get("_state_table")
     if table is None:
-        table = _StateTable(diagram, max(cap, diagram.n))
+        table = _StateTable(diagram)
         diagram.__dict__["_state_table"] = table
     return table
 
@@ -207,8 +211,6 @@ def enhanced_states(
 ) -> Dict[Grading, List[EnhancedState]]:
     """All enhanced states bucketed by (i, j, k), in canonical basis order."""
     table = _get_table(diagram, cap)
-    if table.n > cap:
-        raise SizeCapError(table.n, cap)
     out: Dict[Grading, List[EnhancedState]] = {}
     for bits in range(1 << table.n):
         _, types = table.structure(bits)

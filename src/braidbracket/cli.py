@@ -59,7 +59,6 @@ class RunConfig:
     cap: int
     seed: int
     moves: int
-    threads: int
     fmt: str
     verify: bool
     dump_matrices: bool
@@ -79,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="allow caps above 24 crossings")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--moves", type=int, default=10)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; has no effect")
         sp.add_argument("--format", dest="fmt", default="pretty",
                         choices=("json", "csv", "pretty"))
         sp.add_argument("--verify", action="store_true",
@@ -105,7 +105,7 @@ def _poly_json(poly) -> dict:
 
 def cmd_bracket(cfg: RunConfig) -> int:
     diagram = _load_diagram(cfg)
-    b = bracket_br(diagram, cap=cfg.cap, threads=cfg.threads)
+    b = bracket_br(diagram, cap=cfg.cap)
     light = lighten(b)
     norm = normalize(diagram, b)
     if cfg.fmt == "json":
@@ -196,14 +196,13 @@ def _verify_battery(cfg: RunConfig) -> list:
         ("homology equality",
          homology_groups(d1, cap=cfg.cap) == homology_groups(d2, cap=cfg.cap))
     )
-    for name, d in (("base", d1), ("moved", d2)):
-        lhs = specialize_chi_to_delta(lighten(bracket_br(d, cap=cfg.cap)))
+    for name, d, b in (("base", d1, b1), ("moved", d2, b2)):
+        lhs = specialize_chi_to_delta(lighten(b))
         checks.append((f"oracle identity ({name})", lhs == kauffman_oracle(d, cap=cfg.cap)))
     skein_ok = True
     from .laurent import lp_add, lp_shift
     for v in d1.active_crossings:
         d0, drest = skein_expand(d1, v)
-        lhs = bracket_br(d1, cap=cfg.cap)
         rhs = {}
         for cfg_str, poly in bracket_br(d0, cap=cfg.cap).items():
             rhs[cfg_str] = lp_add(rhs.get(cfg_str, {}), lp_shift(poly, 1))
@@ -213,7 +212,7 @@ def _verify_battery(cfg: RunConfig) -> list:
                 rhs[cfg_str] = s
             elif cfg_str in rhs:
                 del rhs[cfg_str]
-        if rhs != lhs:
+        if rhs != b1:
             skein_ok = False
     checks.append(("skein identity", skein_ok))
     try:
@@ -272,7 +271,6 @@ def main(argv=None) -> int:
         cap=cap,
         seed=args.seed,
         moves=args.moves,
-        threads=max(1, args.threads),
         fmt=args.fmt,
         verify=args.verify,
         dump_matrices=args.dump_matrices,

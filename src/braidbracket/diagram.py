@@ -208,6 +208,10 @@ class OrientedDiagram:
     Construction validates the combinatorial map: in/out pattern at every
     crossing, sign consistency, Euler's formula per connected component, and
     that placements form a spanning tree over the components.
+
+    ``braid_word`` is the word a diagram was made from by ``braid_closure``
+    and ``None`` otherwise.  ``to_builder`` does not carry it over, so a
+    diagram rebuilt from a closure (decorated, reversed, moved) has none.
     """
 
     def __init__(
@@ -230,6 +234,7 @@ class OrientedDiagram:
         self.placements = placements
         self.outer_ref = outer_ref
         self.from_braid = from_braid
+        self.braid_word: Optional[BraidWord] = None
         self.fused = dict(fused or {})
         self.anchor_bp = dict(anchor_bp or {})
         self.ndarts = 4 * self.n + 2 * nanchors
@@ -306,9 +311,6 @@ class OrientedDiagram:
         if d < 4 * self.n:
             return d >> 2
         return self.n + ((d - 4 * self.n) >> 1)
-
-    def is_anchor_dart(self, d: int) -> bool:
-        return d >= 4 * self.n
 
     def _ref_face(self, ref: FaceRef) -> int:
         e, side = ref
@@ -621,7 +623,9 @@ def braid_closure(word: BraidWord) -> OrientedDiagram:
         b.placements.append(((arc[min(nxt)], SIDE_L), (arc[max(prev)], SIDE_R)))
     if k:
         b.outer = (arc[k], SIDE_R)
-    return b.build()
+    diagram = b.build()
+    diagram.braid_word = word
+    return diagram
 
 
 def writhe(diagram: OrientedDiagram) -> int:

@@ -104,23 +104,6 @@ def lp_str(p: Laurent, var: str = "A") -> str:
     return out
 
 
-def lp2_add_term(r: Laurent2, key: Tuple[int, int], c: int) -> None:
-    """In-place add of a single monomial to a two-variable polynomial."""
-    if not c:
-        return
-    s = r.get(key, 0) + c
-    if s:
-        r[key] = s
-    elif key in r:
-        del r[key]
-
-
-def lp2_scale(p: Laurent2, factor: int) -> Laurent2:
-    if factor == 0:
-        return {}
-    return {k: c * factor for k, c in p.items()}
-
-
 def lp2_str(p: Laurent2, v1: str = "A", v2: str = "H") -> str:
     if not p:
         return "0"

@@ -282,20 +282,22 @@ def _remap_dying_refs(
     diagram: OrientedDiagram,
     builder: DiagramBuilder,
     dying_edges: set,
-    fallback: Optional[FaceRef],
+    fallback: FaceRef,
 ) -> None:
-    """Re-express outer/placement refs that point at edges about to die."""
-    face_darts = _global_face_darts(diagram)
+    """Re-express outer/placement refs that point at edges about to die.
+
+    A ref is renamed through a surviving edge of its own component's face,
+    or to ``fallback`` when every edge of that face dies.  The global face
+    would also offer edges of components placed in it, and a placement
+    renamed that way glues a component to itself.
+    """
 
     def fix(ref: FaceRef) -> FaceRef:
         if ref[0] not in dying_edges:
             return ref
-        gf = diagram.global_face_of_ref(ref)
-        for d in face_darts.get(gf, ()):
+        for d in diagram.faces[diagram._ref_face(ref)]:
             if diagram.edge_of[d] not in dying_edges:
                 return _side_ref_of_dart(diagram, d)
-        if fallback is None:
-            raise SiteInvalidError("face reference lost by the surgery")
         return fallback
 
     if builder.outer is not None:
@@ -501,25 +503,9 @@ def _apply_iii(diagram: OrientedDiagram, anchor) -> OrientedDiagram:
         else:
             eid = b.add_edge(("x", w[j], 1), ("x", w[(j + 1) % 3], 0), seams[j])
         new_edges.append(eid)
+    # only the triangle's own face has no surviving edge; it becomes the new one
     new_tri_ref: FaceRef = (new_edges[0], SIDE_L if dirs[0] else SIDE_R)
-
-    face_darts = _global_face_darts(diagram)
-    tri_face = diagram.global_face_of_dart(orbit[0])
-
-    def fix(ref: FaceRef) -> FaceRef:
-        if ref[0] not in set(es):
-            return ref
-        gf = diagram.global_face_of_ref(ref)
-        if gf == tri_face:
-            return new_tri_ref
-        for d in face_darts.get(gf, ()):
-            if diagram.edge_of[d] not in set(es):
-                return _side_ref_of_dart(diagram, d)
-        raise SiteInvalidError("face reference lost by the triangle slide")
-
-    if b.outer is not None:
-        b.outer = fix(b.outer)
-    b.placements = [(fix(p), fix(q)) for p, q in b.placements]
+    _remap_dying_refs(diagram, b, set(es), new_tri_ref)
     for v in vs:
         b.remove_crossing(v)
     for e in es:

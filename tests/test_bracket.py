@@ -1,9 +1,18 @@
+import itertools
 import random
 
 import pytest
 
-from braidbracket.diagram import parse_braid_word, reverse_orientation
+from braidbracket import bracket as bracket_module
+from braidbracket.diagram import (
+    BraidWord,
+    braid_closure,
+    parse_braid_word,
+    parse_pd,
+    reverse_orientation,
+)
 from braidbracket.bracket import (
+    _bracket_range,
     add_marked_circle,
     bracket_br,
     kauffman_oracle,
@@ -14,6 +23,7 @@ from braidbracket.bracket import (
     specialize_chi_to_delta,
 )
 from braidbracket.laurent import DELTA, lp_mul
+from braidbracket.moves import apply_move, find_sites
 from braidbracket.states import SizeCapError
 
 from helpers import bracket_combination
@@ -145,3 +155,63 @@ def test_empty_diagram_pipeline():
     cfg, coeff = seifert_leading_term(d)
     assert cfg.canonical == "" and coeff == {0: 1}
     assert kauffman_oracle(d) == {0: 1}
+
+
+def _mirror(b):
+    return {cfg: {-e: c for e, c in poly.items()} for cfg, poly in b.items()}
+
+
+@pytest.mark.parametrize("k, maxlen", [(1, 0), (2, 7), (3, 7), (4, 5)])
+def test_sweep_equals_state_sum_on_all_short_words(k, maxlen):
+    # A cyclic rotation of a word has the same closure diagram, and the
+    # mirror word swaps the two smoothings at every crossing, which maps
+    # A to A^-1.  So the state sum runs once per class of words, and the
+    # sweep is compared with it on every word of the class.
+    letters = [g for g in range(-k + 1, k) if g]
+    sums = {}
+    for length in range(maxlen + 1):
+        for w in itertools.product(letters, repeat=length):
+            rotations = [w[i:] + w[:i] for i in range(length)] or [w]
+            own = min(rotations)
+            rep = min(own, min(tuple(-g for g in r) for r in rotations))
+            if rep not in sums:
+                sums[rep] = _bracket_range(braid_closure(BraidWord(k, rep)))
+            want = sums[rep] if rep == own else _mirror(sums[rep])
+            assert bracket_br(braid_closure(BraidWord(k, w))) == want, (k, w)
+
+
+def test_sweep_on_empty_and_free_strands():
+    for word in ("B0", "B1", "B3", "B4 2 -2"):
+        d = parse_braid_word(word)
+        assert bracket_br(d) == _bracket_range(d), word
+    assert bracket_br(parse_braid_word("B3")) == {"((()))": {0: 1}}
+
+
+def test_only_braid_closures_take_the_sweep(monkeypatch):
+    d = parse_braid_word("B3 1 -2 1 2")
+    moved = apply_move(d, find_sites(d, "IIa_insert")[0])
+    rebuilt = list(skein_expand(d, 1)) + [
+        add_marked_circle(d, 2), reverse_orientation(d), moved, parse_pd(d.to_pd_json())
+    ]
+    assert d.braid_word == BraidWord(3, (1, -2, 1, 2))
+    want = {x: bracket_br(x) for x in [d] + rebuilt}
+    assert all(x.braid_word is None for x in rebuilt)
+
+    def refuse(*args):
+        raise AssertionError("unexpected path")
+
+    monkeypatch.setattr(bracket_module, "_bracket_sweep", refuse)
+    for x in rebuilt:
+        assert bracket_br(x) == want[x]
+    monkeypatch.undo()
+    monkeypatch.setattr(bracket_module, "_bracket_range", refuse)
+    assert bracket_br(d) == want[d]
+
+
+@pytest.mark.parametrize("word", [
+    "B4 1 2 3 -1 2 -3 1 2", "B5 1 -2 3 -4 2 1 3", "B4 -3 -3 2 1 -2 3 3 1 -1 2",
+    "B3 1 2 -1 2 1 2 -1 2 1 2 -1 2",
+])
+def test_sweep_oracle_identity(word):
+    d = parse_braid_word(word)
+    assert specialize_chi_to_delta(lighten(bracket_br(d))) == kauffman_oracle(d)

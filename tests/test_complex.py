@@ -10,6 +10,8 @@ from braidbracket.chain_complex import (
     verify_anticommute,
 )
 
+from braidbracket.states import SizeCapError
+
 from helpers import incidence_operator, rule_table_operator
 
 import pytest
@@ -146,3 +148,11 @@ def test_sparse_matrix_dump_shape():
     assert dump == [
         {"i": 0, "j": -1, "k": 0, "rows": 1, "cols": 2, "entries": [[0, 0, 1], [0, 1, 1]]}
     ]
+
+
+@pytest.mark.parametrize("entry", [enhanced_states, differential_matrices, verify_anticommute])
+def test_cap_enforced_with_cached_table(entry):
+    d = parse_braid_word("B2 1 1 1 1 1")
+    enhanced_states(d)  # caches the structure table under the default cap
+    with pytest.raises(SizeCapError):
+        entry(d, cap=3)

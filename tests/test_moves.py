@@ -1,6 +1,6 @@
 import pytest
 
-from braidbracket.diagram import BraidWord, parse_braid_word
+from braidbracket.diagram import BraidWord, braid_closure, parse_braid_word, parse_pd
 from braidbracket.bracket import bracket_br
 from braidbracket.homology import homology_groups
 from braidbracket.moves import (
@@ -171,3 +171,24 @@ def test_move_script_round_trip():
     assert replayed.canonical_code() == end.canonical_code()
     with pytest.raises(SiteInvalidError):
         apply_move_script(end, script)
+
+
+def test_iia_remove_keeps_placement_of_split_link_component():
+    # a bigon removal on a link component placed inside a face of another
+    # one used to rename that placement through the host's edges
+    base = BraidWord(4, (2, -2, 3, -1))
+    d1, d2 = random_equivalent_pair(861703, 100, base, max_crossings=14)
+    assert d2.ncomponents == 2 and len(d2.placements) == 1
+    assert d2.writhe() == d1.writhe()
+    assert parse_pd(d2.to_pd_json()).canonical_code() == d2.canonical_code()
+    assert bracket_br(d2) == bracket_br(d1)
+
+
+def test_triangle_slide_keeps_placement_of_link_component():
+    d = braid_closure(BraidWord(5, (-4, -3, -1, -3)))
+    sites = find_sites(d, "III")
+    assert sites
+    for site in sites:
+        moved = apply_move(d, site)
+        assert moved.ncomponents == d.ncomponents == 2
+        assert bracket_br(moved) == bracket_br(d)
