@@ -28,10 +28,13 @@ from .states import (
     DEFAULT_CAP,
     SizeCapError,
     Smoothing,
+    _circle_type,
+    _configuration_key,
+    _nesting_forest,
+    _tau,
+    _trace_circles,
     configuration_of,
-    resolve,
     seifert_state,
-    sigma,
 )
 
 BracketElement = Dict[str, Laurent]          # canonical configuration -> coefficient
@@ -71,10 +74,13 @@ def _bracket_range(diagram: OrientedDiagram) -> BracketElement:
     n = len(diagram.active_crossings)
     out: BracketElement = {}
     for bits in range(1 << n):
-        state = resolve(diagram, Smoothing(bits, n))
-        d_count = sum(1 for c in state.circles if c.circle_type == "d")
-        key = configuration_of(state).canonical
-        _add_into(out, key, lp_shift(lp_pow(DELTA, d_count), sigma(state)))
+        tau = _tau(diagram, Smoothing(bits, n))
+        circ_of, bps = _trace_circles(diagram, tau)
+        types = [_circle_type(bp) for bp in bps]
+        nesting = _nesting_forest(diagram, tau, circ_of, len(bps)) if bps else {}
+        key = _configuration_key(types, nesting)
+        poly = lp_shift(lp_pow(DELTA, types.count("d")), n - 2 * bits.bit_count())
+        _add_into(out, key, poly)
     return out
 
 

@@ -27,7 +27,9 @@ from .states import (
     DEFAULT_CAP,
     SizeCapError,
     Smoothing,
-    resolve,
+    _circle_type,
+    _tau,
+    _trace_circles,
 )
 
 Grading = Tuple[int, int, int]
@@ -67,10 +69,9 @@ class _StateTable:
         hit = self._cache.get(bits)
         if hit is not None:
             return hit
-        n = self.n
-        state = resolve(self.diagram, Smoothing(bits, n), with_nesting=False)
-        types = tuple(c.circle_type for c in state.circles)
-        out = (state.circle_of_dart, types)
+        tau = _tau(self.diagram, Smoothing(bits, self.n))
+        circ_of, bps = _trace_circles(self.diagram, tau)
+        out = (tuple(circ_of), tuple(_circle_type(bp) for bp in bps))
         self._cache[bits] = out
         return out
 
@@ -372,8 +373,8 @@ def differential_matrices(
                     continue
                 sgn = _koszul_sign(bits, v)
                 for tkey in _dv_terms(table, bits, mask, v):
-                    ti, tj, tk = table.gradings(*tkey)
-                    assert (ti, tj, tk) == (i - 1, j, k), "differential degree drift"
+                    if table.gradings(*tkey) != (i - 1, j, k):
+                        raise AssertionError("differential degree drift")
                     row = tgt[tkey]
                     val = block.get((row, col), 0) + sgn
                     if val:

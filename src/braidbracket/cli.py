@@ -14,10 +14,9 @@ for a fixed input, seed and version.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .diagram import DiagramError, OrientedDiagram, parse_braid_word, parse_pd
 from .laurent import lp_str, lp2_str
@@ -51,20 +50,7 @@ EXIT_VERIFY = 5
 HARD_CAP = 24
 
 
-@dataclass
-class RunConfig:
-    command: str
-    word: Optional[str]
-    path: Optional[str]
-    cap: int
-    seed: int
-    moves: int
-    fmt: str
-    verify: bool
-    dump_matrices: bool
-    negative_control: Optional[str]
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="braidbracket", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -89,26 +75,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_diagram(cfg: RunConfig) -> OrientedDiagram:
-    if cfg.word is not None:
-        return parse_braid_word(cfg.word)
-    path = cfg.path
+def _load_diagram(args: argparse.Namespace) -> OrientedDiagram:
+    if args.word is not None:
+        return parse_braid_word(args.word)
+    path = args.file if args.file is not None else args.input
     if path is None:
         raise DiagramError("no input: give -w WORD, -f FILE, or a file path")
-    data = sys.stdin.read() if path == "-" else open(path, "rb").read()
-    return parse_pd(data)
+    if path == "-":
+        return parse_pd(sys.stdin.read())
+    with open(path, "rb") as fh:
+        return parse_pd(fh.read())
 
 
 def _poly_json(poly) -> dict:
     return {str(e): str(c) for e, c in sorted(poly.items())}
 
 
-def cmd_bracket(cfg: RunConfig) -> int:
-    diagram = _load_diagram(cfg)
-    b = bracket_br(diagram, cap=cfg.cap)
+def cmd_bracket(args: argparse.Namespace) -> int:
+    diagram = _load_diagram(args)
+    b = bracket_br(diagram, cap=args.cap)
     light = lighten(b)
     norm = normalize(diagram, b)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         obj = {
             "writhe": diagram.writhe(),
             "bracket": bracket_to_json(b),
@@ -119,7 +107,7 @@ def cmd_bracket(cfg: RunConfig) -> int:
             "normalized": bracket_to_json(norm),
         }
         print(json.dumps(obj, sort_keys=True))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print("section,config,exponent,coefficient")
         for cfg_str, poly in sorted(b.items()):
             for e, c in sorted(poly.items()):
@@ -144,27 +132,27 @@ def cmd_bracket(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_homology(cfg: RunConfig) -> int:
-    diagram = _load_diagram(cfg)
-    dm = differential_matrices(diagram, cap=cfg.cap)
-    table = homology_groups(diagram, cap=cfg.cap, matrices=dm)
+def cmd_homology(args: argparse.Namespace) -> int:
+    diagram = _load_diagram(args)
+    dm = differential_matrices(diagram, cap=args.cap)
+    table = homology_groups(diagram, cap=args.cap, matrices=dm)
     euler = euler_characteristic(table)
     verify_lines = []
     failed = False
-    if cfg.verify:
-        euler_ok = lightened_in_h(diagram, cap=cfg.cap) == euler
+    if args.verify:
+        euler_ok = lightened_in_h(diagram, cap=args.cap) == euler
         d2_ok = dm.check_d_squared()
         verify_lines = [f"euler: {'OK' if euler_ok else 'FAIL'}",
                         f"d2: {'OK' if d2_ok else 'FAIL'}"]
         failed = not (euler_ok and d2_ok)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         obj = homology_to_json(table, euler)
-        if cfg.dump_matrices:
+        if args.dump_matrices:
             obj["matrices"] = dm.to_sparse_json()
         if verify_lines:
             obj["verify"] = verify_lines
         print(json.dumps(obj, sort_keys=True))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print("i,j,k,betti,torsion")
         for (i, j, k), (betti, torsion) in sorted(table.items()):
             print(f"{i},{j},{k},{betti},{';'.join(map(str, torsion))}")
@@ -177,36 +165,36 @@ def cmd_homology(cfg: RunConfig) -> int:
         print(f"euler: {lp2_str(euler)}")
         for line in verify_lines:
             print(line)
-        if cfg.dump_matrices:
+        if args.dump_matrices:
             print(json.dumps(dm.to_sparse_json(), sort_keys=True))
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def _verify_battery(cfg: RunConfig) -> list:
-    word = cfg.word
+def _verify_battery(args: argparse.Namespace) -> list:
+    word = args.word
     if word is None:
         raise DiagramError("verify needs a braid word (-w)")
     tokens = word.split()
     base = BraidWord(int(tokens[0][1:]), tuple(int(t) for t in tokens[1:]))
-    d1, d2 = random_equivalent_pair(cfg.seed, cfg.moves, base)
+    d1, d2 = random_equivalent_pair(args.seed, args.moves, base)
     checks = []
-    b1, b2 = bracket_br(d1, cap=cfg.cap), bracket_br(d2, cap=cfg.cap)
+    b1, b2 = bracket_br(d1, cap=args.cap), bracket_br(d2, cap=args.cap)
     checks.append(("bracket equality", b1 == b2))
     checks.append(
         ("homology equality",
-         homology_groups(d1, cap=cfg.cap) == homology_groups(d2, cap=cfg.cap))
+         homology_groups(d1, cap=args.cap) == homology_groups(d2, cap=args.cap))
     )
     for name, d, b in (("base", d1, b1), ("moved", d2, b2)):
         lhs = specialize_chi_to_delta(lighten(b))
-        checks.append((f"oracle identity ({name})", lhs == kauffman_oracle(d, cap=cfg.cap)))
+        checks.append((f"oracle identity ({name})", lhs == kauffman_oracle(d, cap=args.cap)))
     skein_ok = True
     from .laurent import lp_add, lp_shift
     for v in d1.active_crossings:
         d0, drest = skein_expand(d1, v)
         rhs = {}
-        for cfg_str, poly in bracket_br(d0, cap=cfg.cap).items():
+        for cfg_str, poly in bracket_br(d0, cap=args.cap).items():
             rhs[cfg_str] = lp_add(rhs.get(cfg_str, {}), lp_shift(poly, 1))
-        for cfg_str, poly in bracket_br(drest, cap=cfg.cap).items():
+        for cfg_str, poly in bracket_br(drest, cap=args.cap).items():
             s = lp_add(rhs.get(cfg_str, {}), lp_shift(poly, -1))
             if s:
                 rhs[cfg_str] = s
@@ -216,12 +204,12 @@ def _verify_battery(cfg: RunConfig) -> list:
             skein_ok = False
     checks.append(("skein identity", skein_ok))
     try:
-        seifert_leading_term(d1, cap=cfg.cap)
+        seifert_leading_term(d1, cap=args.cap)
         checks.append(("seifert leading term", True))
     except AssertionError:
         checks.append(("seifert leading term", False))
     wind_ok = True
-    for state in enumerate_states(d1, cap=cfg.cap, with_nesting=False):
+    for state in enumerate_states(d1, cap=args.cap, with_nesting=False):
         for c in state.circles:
             if (c.winding == 0) != (c.circle_type == "d") or abs(c.winding) > 1:
                 wind_ok = False
@@ -229,27 +217,27 @@ def _verify_battery(cfg: RunConfig) -> list:
     return checks
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.negative_control:
-        diagram = _load_diagram(cfg)
-        kind = "RI_insert" if cfg.negative_control == "RI" else "IIb_insert"
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.negative_control:
+        diagram = _load_diagram(args)
+        kind = "RI_insert" if args.negative_control == "RI" else "IIb_insert"
         sites = find_sites(diagram, kind)
         if not sites:
             raise GenerationError(f"no {kind} site available")
-        moved = apply_move(diagram, sites[cfg.seed % len(sites)])
-        differs = bracket_br(moved, cap=cfg.cap) != bracket_br(diagram, cap=cfg.cap)
-        if cfg.fmt == "json":
-            print(json.dumps({"control": cfg.negative_control,
+        moved = apply_move(diagram, sites[args.seed % len(sites)])
+        differs = bracket_br(moved, cap=args.cap) != bracket_br(diagram, cap=args.cap)
+        if args.fmt == "json":
+            print(json.dumps({"control": args.negative_control,
                               "bracket_differs": differs}, sort_keys=True))
         else:
             print(
-                f"negative control {cfg.negative_control}: bracket "
+                f"negative control {args.negative_control}: bracket "
                 f"{'differs (expected difference found)' if differs else 'UNCHANGED'}"
             )
         return EXIT_OK if differs else EXIT_VERIFY
-    checks = _verify_battery(cfg)
+    checks = _verify_battery(args)
     ok = all(flag for _, flag in checks)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         print(json.dumps({name: bool(flag) for name, flag in checks}, sort_keys=True))
     else:
         for name, flag in checks:
@@ -264,24 +252,12 @@ def main(argv=None) -> int:
     if cap > HARD_CAP and not args.unsafe_cap:
         print(f"cap {cap} above {HARD_CAP} needs --unsafe-cap", file=sys.stderr)
         return EXIT_PARSE
-    cfg = RunConfig(
-        command=args.command,
-        word=args.word,
-        path=args.file if args.file is not None else args.input,
-        cap=cap,
-        seed=args.seed,
-        moves=args.moves,
-        fmt=args.fmt,
-        verify=args.verify,
-        dump_matrices=args.dump_matrices,
-        negative_control=args.negative_control,
-    )
     try:
-        if cfg.command == "bracket":
-            return cmd_bracket(cfg)
-        if cfg.command == "homology":
-            return cmd_homology(cfg)
-        return cmd_verify(cfg)
+        if args.command == "bracket":
+            return cmd_bracket(args)
+        if args.command == "homology":
+            return cmd_homology(args)
+        return cmd_verify(args)
     except SizeCapError as exc:
         print(f"size cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -290,11 +290,17 @@ class OrientedDiagram:
         self.comp_of_vertex = [labels[r] for r in comp_of]
         self.ncomponents = len(labels)
 
-        # global faces: per-component orbits merged through placements
+        # global faces: per-component orbits merged through placements.
+        # _face_root maps each face to its global root; _global_faces maps
+        # each root to the darts of its global face, ascending.
         gparent = list(range(len(faces)))
         for (ra, rb) in self.placements:
             _uf_union(gparent, self._ref_face(ra), self._ref_face(rb))
-        self._gparent = gparent
+        self._face_root = [_uf_find(gparent, f) for f in range(len(faces))]
+        global_faces: Dict[int, List[int]] = {}
+        for d in range(nd):
+            global_faces.setdefault(self._face_root[face_of[d]], []).append(d)
+        self._global_faces = {r: tuple(ds) for r, ds in global_faces.items()}
         self.outer_face = (
             self.global_face(self._ref_face(self.outer_ref))
             if self.outer_ref is not None
@@ -318,13 +324,13 @@ class OrientedDiagram:
         return self.face_of[t if side == SIDE_R else h]
 
     def global_face(self, face: int) -> int:
-        return _uf_find(self._gparent, face)
+        return self._face_root[face]
 
     def global_face_of_dart(self, d: int) -> int:
-        return self.global_face(self.face_of[d])
+        return self._face_root[self.face_of[d]]
 
     def global_face_of_ref(self, ref: FaceRef) -> int:
-        return self.global_face(self._ref_face(ref))
+        return self._face_root[self._ref_face(ref)]
 
     # -- validation --------------------------------------------------------
 
@@ -438,66 +444,30 @@ class OrientedDiagram:
     def canonical_code(self, with_seam: bool = False) -> str:
         """Canonical encoding up to relabelling (plane isomorphism).
 
-        Runs a deterministic traversal from every dart and keeps the
-        lexicographically smallest transcript.  Orientation of the plane is
-        preserved (no mirror identification).
+        Runs a deterministic traversal from every dart and keeps, per
+        connected component, the lexicographically smallest transcript;
+        the code is the sorted join of those.  A transcript records the
+        crossing data, fused bits, anchor break points and (with
+        ``with_seam``) seam marks, but not which face a component sits in.
+        Orientation of the plane is preserved (no mirror identification).
         """
-        best = None
         nd = self.ndarts
+        if nd == 0:
+            return "empty"
+        tags = []
+        for d in range(nd):
+            v = self.vertex_of(d)
+            if d < 4 * self.n:
+                rel = (d & 3) - self.over_parity[v]
+                tag = (f"x{self.signs[v]}o{rel & 1}t{int(self.is_tail[d])}"
+                       f"f{self.fused.get(v, -1)}")
+            else:
+                tag = f"A{self.anchor_bp.get(v - self.n, 0)}t{int(self.is_tail[d])}"
+            if with_seam:
+                tag += f",m{self.edges[self.edge_of[d]][2]}"
+            tags.append(tag)
+        best: Dict[int, str] = {}
         for start in range(nd):
-            ids: Dict[int, int] = {}
-            queue = [start]
-            ids[start] = 0
-            rec: List[str] = []
-            qi = 0
-            while qi < len(queue):
-                d = queue[qi]
-                qi += 1
-                for nxt_name, nxt in (("s", self.sigma(d)), ("a", self.alpha[d])):
-                    if nxt not in ids:
-                        ids[nxt] = len(ids)
-                        queue.append(nxt)
-                    rec.append(f"{nxt_name}{ids[nxt]}")
-                v = self.vertex_of(d)
-                if d < 4 * self.n:
-                    rel = (d & 3) - self.over_parity[v]
-                    rec.append(
-                        f"x{self.signs[v]}"
-                        f"o{rel & 1}"
-                        f"t{int(self.is_tail[d])}"
-                        f"f{self.fused.get(v, -1)}"
-                    )
-                else:
-                    rec.append(f"A{self.anchor_bp.get(v - self.n, 0)}"
-                               f"t{int(self.is_tail[d])}")
-                if with_seam:
-                    rec.append(f"m{self.edges[self.edge_of[d]][2]}")
-            if len(ids) == nd:
-                code = ",".join(rec)
-                if best is None or code < best:
-                    best = code
-        if best is None:
-            best = "empty" if nd == 0 else ",".join(
-                sorted(self.canonical_code_component(d) for d in self._component_reps())
-            )
-        return best
-
-    def _component_reps(self) -> List[int]:
-        seen = set()
-        reps = []
-        for d in range(self.ndarts):
-            c = self.comp_of_vertex[self.vertex_of(d)]
-            if c not in seen:
-                seen.add(c)
-                reps.append(d)
-        return reps
-
-    def canonical_code_component(self, start_any: int) -> str:
-        comp = self.comp_of_vertex[self.vertex_of(start_any)]
-        best = None
-        for start in range(self.ndarts):
-            if self.comp_of_vertex[self.vertex_of(start)] != comp:
-                continue
             ids = {start: 0}
             queue = [start]
             rec: List[str] = []
@@ -510,16 +480,12 @@ class OrientedDiagram:
                         ids[nxt] = len(ids)
                         queue.append(nxt)
                     rec.append(f"{nxt_name}{ids[nxt]}")
-                v = self.vertex_of(d)
-                if d < 4 * self.n:
-                    rel = (d & 3) - self.over_parity[v]
-                    rec.append(f"x{self.signs[v]}o{rel & 1}t{int(self.is_tail[d])}")
-                else:
-                    rec.append(f"At{int(self.is_tail[d])}")
+                rec.append(tags[d])
+            comp = self.comp_of_vertex[self.vertex_of(start)]
             code = ",".join(rec)
-            if best is None or code < best:
-                best = code
-        return best or ""
+            if comp not in best or code < best[comp]:
+                best[comp] = code
+        return ",".join(sorted(best.values()))
 
     # -- serialization -----------------------------------------------------
 
@@ -676,6 +642,25 @@ def parse_pd(data) -> OrientedDiagram:
             raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("top-level PD value must be an object")
+    try:
+        b, outer = _pd_builder(data)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed PD field ({type(exc).__name__}: {exc})") from exc
+    diagram = b.build()
+    for ei, side in outer:
+        if not 0 <= ei < len(diagram.edges) or (
+            diagram.global_face_of_ref((ei, side)) != diagram.outer_face
+        ):
+            raise FormatError("outer_face edge ends do not bound a single face")
+    return diagram
+
+
+def _pd_builder(data: dict) -> Tuple[DiagramBuilder, List[FaceRef]]:
+    """Builder for a parsed PD object, plus its outer-face references.
+
+    Fields of the wrong type surface as the TypeError, KeyError, ...
+    that ``parse_pd`` turns into ``FormatError``.
+    """
     for key in ("crossings", "edges"):
         if key not in data:
             raise FormatError(f"missing {key!r}")
@@ -752,18 +737,12 @@ def parse_pd(data) -> OrientedDiagram:
         (ea, sa), (eb, sb) = pair
         b.placements.append(((int(ea), "RL".index(sa)), (int(eb), "RL".index(sb))))
 
-    outer = data["outer_face"]
+    outer: List[FaceRef] = []
     if n + len(anchors) > 0:
-        if not outer:
+        if not data["outer_face"]:
             raise FormatError("missing outer-face marker")
-        ei, role = end_of(outer[0])
-        b.outer = (ei, SIDE_R if role == "tail" else SIDE_L)
-    diagram = b.build()
-    if outer and n + len(anchors) > 0:
-        want = diagram.global_face_of_ref(diagram.outer_ref)
-        for ref in outer:
+        for ref in data["outer_face"]:
             ei, role = end_of(ref)
-            got = diagram.global_face_of_ref((ei, SIDE_R if role == "tail" else SIDE_L))
-            if got != want:
-                raise FormatError("outer_face edge ends do not bound a single face")
-    return diagram
+            outer.append((ei, SIDE_R if role == "tail" else SIDE_L))
+        b.outer = outer[0]
+    return b, outer

@@ -242,7 +242,8 @@ def homology_groups(
         incoming = factors_at((i + 1, j, k))
         betti = dim - rank_out - len(incoming)
         torsion = tuple(f for f in incoming if f > 1)
-        assert betti >= 0
+        if betti < 0:
+            raise AssertionError(f"negative Betti number {betti} at {g}")
         if betti or torsion:
             table[g] = (betti, torsion)
     return table

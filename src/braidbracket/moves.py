@@ -38,6 +38,8 @@ from .diagram import (
     OrientedDiagram,
     SIDE_L,
     SIDE_R,
+    _uf_find,
+    _uf_union,
     braid_closure,
     parse_braid_word,
 )
@@ -81,13 +83,6 @@ def _fingerprint(diagram: OrientedDiagram) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _global_face_darts(diagram: OrientedDiagram) -> Dict[int, List[int]]:
-    out: Dict[int, List[int]] = {}
-    for d in range(diagram.ndarts):
-        out.setdefault(diagram.global_face_of_dart(d), []).append(d)
-    return out
-
-
 def _is_over_at(diagram: OrientedDiagram, dart: int) -> bool:
     v = dart >> 2
     return (dart & 3) % 2 == diagram.over_parity[v]
@@ -99,8 +94,7 @@ def _check_iia_remove(diagram: OrientedDiagram, anchor) -> bool:
     u0, u1 = anchor
     if not (0 <= u0 < diagram.ndarts and 0 <= u1 < diagram.ndarts):
         return False
-    darts = _global_face_darts(diagram).get(diagram.global_face_of_dart(u0))
-    if sorted(darts or ()) != sorted((u0, u1)):
+    if diagram._global_faces[diagram.global_face_of_dart(u0)] != tuple(sorted((u0, u1))):
         return False
     v0, v1 = diagram.vertex_of(u0), diagram.vertex_of(u1)
     if v0 >= diagram.n or v1 >= diagram.n or v0 == v1:
@@ -166,8 +160,7 @@ def _check_iii(diagram: OrientedDiagram, anchor) -> Optional[str]:
         return None
     if diagram.sigma(diagram.alpha[orbit[2]]) != u0:
         return None
-    darts = _global_face_darts(diagram).get(diagram.global_face_of_dart(u0))
-    if sorted(darts or ()) != sorted(orbit):
+    if diagram._global_faces[diagram.global_face_of_dart(u0)] != tuple(sorted(orbit)):
         return None
     vs = [diagram.vertex_of(u) for u in orbit]
     if len(set(vs)) != 3 or any(v >= diagram.n for v in vs):
@@ -209,16 +202,12 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
     fp = _fingerprint(diagram)
     sites: List[MoveSite] = []
     if kind == "IIa_remove":
-        for root, darts in sorted(_global_face_darts(diagram).items()):
-            if len(darts) != 2:
-                continue
-            anchor = tuple(sorted(darts))
-            if _check_iia_remove(diagram, anchor):
-                sites.append(MoveSite(kind, anchor, fp))
+        for darts in diagram._global_faces.values():
+            if len(darts) == 2 and _check_iia_remove(diagram, darts):
+                sites.append(MoveSite(kind, darts, fp))
     elif kind in ("IIa_insert", "IIb_insert"):
         coherent = kind == "IIa_insert"
-        for root, darts in sorted(_global_face_darts(diagram).items()):
-            ds = sorted(darts)
+        for ds in diagram._global_faces.values():
             for i in range(len(ds)):
                 for j in range(i + 1, len(ds)):
                     x, y = ds[i], ds[j]
@@ -240,10 +229,10 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
                 for over_first in (False, True):
                     sites.append(MoveSite(kind, (e, side, over_first), fp))
     elif kind == "III" or kind in III_VARIANTS:
-        for root, darts in sorted(_global_face_darts(diagram).items()):
+        for darts in diagram._global_faces.values():
             if len(darts) != 3:
                 continue
-            u0 = min(darts)
+            u0 = darts[0]
             orbit = (
                 u0,
                 diagram.sigma(diagram.alpha[u0]),
@@ -311,22 +300,10 @@ def _builder_components(builder: DiagramBuilder) -> Dict[Tuple[str, int], int]:
     verts += [("a", i) for i in range(builder.nanchors)]
     idx = {v: i for i, v in enumerate(verts)}
     parent = list(range(len(verts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for rec in builder.edges.values():
-        if rec is None:
-            continue
-        a = idx[rec["tail"][:2]]
-        b = idx[rec["head"][:2]]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    return {v: find(i) for v, i in idx.items()}
+        if rec is not None:
+            _uf_union(parent, idx[rec["tail"][:2]], idx[rec["head"][:2]])
+    return {v: _uf_find(parent, i) for v, i in idx.items()}
 
 
 def _edge_vertex(builder: DiagramBuilder, eid: int) -> Tuple[str, int]:

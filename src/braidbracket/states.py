@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .diagram import OrientedDiagram
+from .diagram import NonPlanarError, OrientedDiagram, _uf_find, _uf_union
 
 
 class SizeCapError(Exception):
@@ -119,34 +119,43 @@ def _tau(diagram: OrientedDiagram, smoothing: Smoothing) -> List[int]:
     return tau
 
 
-def circle_classes(diagram: OrientedDiagram, tau: List[int]) -> Tuple[List[int], int]:
-    """Union darts over ``tau`` and ``alpha``; returns (class id per dart, count).
+def _trace_circles(diagram: OrientedDiagram, tau: List[int]) -> Tuple[List[int], List[int]]:
+    """Walk each circle once; returns (circle id per dart, break points per circle).
 
-    Class ids are assigned by increasing minimal dart, so they are stable.
+    A circle alternates ``tau`` (smoothing arc) and ``alpha`` (edge) steps.
+    Circles are walked in order of their least dart, so ids are stable.  A
+    smoothing arc joining two tails or two heads is one break point; an
+    anchor adds its decorative marks.
     """
     nd = diagram.ndarts
-    parent = list(range(nd))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    n4 = 4 * diagram.n
     alpha = diagram.alpha
-    for d in range(nd):
-        for e in (tau[d], alpha[d]):
-            ra, rb = find(d), find(e)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    ids: Dict[int, int] = {}
-    out = [0] * nd
-    for d in range(nd):
-        r = find(d)
-        if r not in ids:
-            ids[r] = len(ids)
-        out[d] = ids[r]
-    return out, len(ids)
+    is_tail = diagram.is_tail
+    anchor_bp = diagram.anchor_bp
+    circ_of = [-1] * nd
+    bps: List[int] = []
+    for d0 in range(nd):
+        if circ_of[d0] != -1:
+            continue
+        cid = len(bps)
+        bp = 0
+        d = d0
+        while True:
+            x = tau[d]
+            circ_of[d] = circ_of[x] = cid
+            if x >= n4:
+                bp += anchor_bp.get((x - n4) >> 1, 0)
+            elif is_tail[d] == is_tail[x]:
+                bp += 1
+            d = alpha[x]
+            if d == d0:
+                break
+        bps.append(bp)
+    return circ_of, bps
+
+
+def _circle_type(break_points: int) -> str:
+    return "d" if (break_points // 2) % 2 == 1 else "h"
 
 
 def resolve(
@@ -158,49 +167,42 @@ def resolve(
 
     Break points are counted along each circle (one per orientation-
     reversing smoothing arc, plus any decorative marks riding on anchors).
-    Winding numbers are filled in for diagrams built from braid words.
+    Edge cycles start at the tail of the circle's lowest edge and follow
+    its flow.  Winding numbers are filled in for diagrams built from braid
+    words.
     """
     tau = _tau(diagram, smoothing)
-    circ_of, ncirc = circle_classes(diagram, tau)
+    circ_of, bps = _trace_circles(diagram, tau)
+    ncirc = len(bps)
     is_tail = diagram.is_tail
     alpha = diagram.alpha
     edges = diagram.edges
     edge_of = diagram.edge_of
-    n4 = 4 * diagram.n
 
-    # lowest tail dart of the lowest edge per circle fixes the traversal
     start_of: List[int] = [-1] * ncirc
-    for ei, (t, _, _) in enumerate(edges):
+    for (t, _, _) in edges:
         c = circ_of[t]
         if start_of[c] == -1:
             start_of[c] = t
     circles: List[StateCircle] = []
     for cid in range(ncirc):
         t0 = start_of[cid]
-        d = tau[t0]  # walking from here first traverses edge(t0) with its flow
-        bp = 0
+        x = t0
         wind = 0
         cycle: List[int] = []
         while True:
-            x = tau[d]
-            if x >= n4:
-                a = (x - n4) >> 1
-                bp += diagram.anchor_bp.get(a, 0)
-            elif is_tail[d] == is_tail[x]:
-                bp += 1
             seam = edges[edge_of[x]][2]
             if seam:
                 wind += seam if is_tail[x] else -seam
             cycle.append(x)
-            d = alpha[x]
-            if d == tau[t0]:
+            x = tau[alpha[x]]
+            if x == t0:
                 break
-        ctype = "d" if (bp // 2) % 2 == 1 else "h"
         circles.append(
             StateCircle(
                 id=cid,
-                break_points=bp,
-                circle_type=ctype,
+                break_points=bps[cid],
+                circle_type=_circle_type(bps[cid]),
                 edge_cycle=tuple(cycle),
                 winding=wind if diagram.from_braid else None,
             )
@@ -224,27 +226,15 @@ def _nesting_forest(
     circ_of: List[int],
     ncirc: int,
 ) -> Dict[int, Optional[int]]:
-    nfaces = len(diagram.faces)
-    parent = [diagram.global_face(i) for i in range(nfaces)]
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    parent = list(diagram._face_root)
     face_of = diagram.face_of
     for c in range(diagram.n):
         b = 4 * c
         if tau[b] == b + 1:  # pairing {0,1},{2,3}: channel joins corners at 2 and 0
-            union(face_of[b + 2], face_of[b])
+            _uf_union(parent, face_of[b + 2], face_of[b])
         else:                # pairing {3,0},{1,2}: channel joins corners at 1 and 3
-            union(face_of[b + 1], face_of[b + 3])
+            _uf_union(parent, face_of[b + 1], face_of[b + 3])
+    face = [_uf_find(parent, f) for f in face_of]  # smoothed face per dart
 
     adj: Dict[int, List[Tuple[int, int]]] = {}
 
@@ -253,19 +243,19 @@ def _nesting_forest(
         adj.setdefault(fb, []).append((fa, circle))
 
     for (t, h, _) in diagram.edges:
-        add_adj(find(face_of[t]), find(face_of[h]), circ_of[t])
+        add_adj(face[t], face[h], circ_of[t])
     for c in range(diagram.n):
         b = 4 * c
         if tau[b] == b + 1:
-            channel = find(face_of[b])
-            add_adj(find(face_of[b + 1]), channel, circ_of[b + 1])
-            add_adj(find(face_of[b + 3]), channel, circ_of[b + 3])
+            channel = face[b]
+            add_adj(face[b + 1], channel, circ_of[b + 1])
+            add_adj(face[b + 3], channel, circ_of[b + 3])
         else:
-            channel = find(face_of[b + 1])
-            add_adj(find(face_of[b]), channel, circ_of[b])
-            add_adj(find(face_of[b + 2]), channel, circ_of[b + 2])
+            channel = face[b + 1]
+            add_adj(face[b], channel, circ_of[b])
+            add_adj(face[b + 2], channel, circ_of[b + 2])
 
-    outer = find(diagram.outer_face)
+    outer = _uf_find(parent, diagram.outer_face)
     parity: Dict[int, frozenset] = {outer: frozenset()}
     queue = [outer]
     qi = 0
@@ -275,7 +265,8 @@ def _nesting_forest(
         for (g, circle) in adj.get(f, ()):
             p = parity[f] ^ {circle}
             if g in parity:
-                assert parity[g] == p, "inconsistent face parity (embedding bug)"
+                if parity[g] != p:
+                    raise NonPlanarError("inconsistent face parity (embedding bug)")
             else:
                 parity[g] = p
                 queue.append(g)
@@ -284,11 +275,12 @@ def _nesting_forest(
     ancestors: Dict[int, frozenset] = {}
     for (t, h, _) in diagram.edges:
         circle = circ_of[t]
-        for f in (find(face_of[t]), find(face_of[h])):
+        for f in (face[t], face[h]):
             p = parity[f]
             if circle not in p:
                 if circle in ancestors:
-                    assert ancestors[circle] == p, "ambiguous outside face"
+                    if ancestors[circle] != p:
+                        raise NonPlanarError("ambiguous outside face (embedding bug)")
                 else:
                     ancestors[circle] = p
     nesting: Dict[int, Optional[int]] = {}
@@ -317,13 +309,19 @@ def seifert_state(diagram: OrientedDiagram) -> KauffmanState:
 
 def configuration_of(state: KauffmanState) -> Configuration:
     """Nesting forest of the h-circles only; d-circles are skipped over."""
-    h_ids = [c.id for c in state.circles if c.circle_type == "h"]
+    types = [c.circle_type for c in state.circles]
+    return Configuration(_configuration_key(types, state.nesting))
+
+
+def _configuration_key(types: List[str], nesting: Dict[int, Optional[int]]) -> str:
+    """Canonical string of the h-circle forest, given circle types and nesting."""
+    h_ids = [cid for cid, t in enumerate(types) if t == "h"]
     hset = set(h_ids)
 
     def h_parent(cid: int) -> Optional[int]:
-        p = state.nesting[cid]
+        p = nesting[cid]
         while p is not None and p not in hset:
-            p = state.nesting[p]
+            p = nesting[p]
         return p
 
     children: Dict[Optional[int], List[int]] = {}
@@ -333,7 +331,7 @@ def configuration_of(state: KauffmanState) -> Configuration:
     def canon(cid: int) -> str:
         return "(" + "".join(sorted(canon(ch) for ch in children.get(cid, ()))) + ")"
 
-    return Configuration("".join(sorted(canon(r) for r in children.get(None, ()))))
+    return "".join(sorted(canon(r) for r in children.get(None, ())))
 
 
 def enumerate_states(

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from braidbracket.cli import main
 from braidbracket.diagram import parse_braid_word
 
@@ -119,3 +121,18 @@ def test_pd_file_input(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["writhe"] == 3
+
+
+@pytest.mark.parametrize(
+    "pd",
+    [
+        {"crossings": [{"id": 0}], "edges": [], "outer_face": []},
+        {"crossings": "x", "edges": [], "outer_face": []},
+        {"crossings": [], "edges": [{"id": 0, "from": [0, 0]}], "outer_face": []},
+    ],
+)
+def test_pd_malformed_field_exit_2(tmp_path, capsys, pd):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(pd))
+    code, _, err = run(capsys, "bracket", str(path))
+    assert code == 2 and "input error" in err

@@ -177,3 +177,24 @@ def test_nested_components_need_placements():
         b = d.to_builder()
         b.placements = []
         b.build()
+
+
+def _marked_trefoil(break_points):
+    from braidbracket.bracket import add_marked_circle
+
+    return add_marked_circle(parse_braid_word("B2 1 1 1"), break_points)
+
+
+@pytest.mark.parametrize(
+    "d1, seam1, d2, seam2",
+    [
+        # a split component's anchor break points are part of its code
+        (_marked_trefoil(0), False, _marked_trefoil(2), False),
+        # and so are its seam marks
+        (parse_braid_word("B3 1 1"), False, parse_braid_word("B3 1 1"), True),
+    ],
+    ids=["marked-circle", "split-seams"],
+)
+def test_canonical_code_of_split_diagram_keeps_decorations(d1, seam1, d2, seam2):
+    assert d1.ncomponents == d2.ncomponents == 2
+    assert d1.canonical_code(with_seam=seam1) != d2.canonical_code(with_seam=seam2)

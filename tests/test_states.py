@@ -1,6 +1,6 @@
 import pytest
 
-from braidbracket.diagram import parse_braid_word, reverse_orientation
+from braidbracket.diagram import NonPlanarError, parse_braid_word, reverse_orientation
 from braidbracket.states import (
     Smoothing,
     SizeCapError,
@@ -157,3 +157,14 @@ def test_seifert_maximizes_h_circles(corpus_small):
             assert h <= h_max
             if configuration_of(s).canonical == sei_cfg:
                 assert s.smoothing.bits == sei.smoothing.bits
+
+
+def test_nesting_forest_rejects_a_circle_map_that_contradicts_the_embedding():
+    from braidbracket.states import _nesting_forest, _tau, _trace_circles
+
+    d = parse_braid_word("B2 1")
+    tau = _tau(d, Smoothing(0, 1))
+    assert _trace_circles(d, tau) == ([0, 0, 1, 1], [0, 0])
+    # darts 1 and 3 swap circles: the faces' parities no longer agree
+    with pytest.raises(NonPlanarError):
+        _nesting_forest(d, tau, [0, 1, 1, 0], 2)
