@@ -15,6 +15,11 @@ against the incidence-number definition (``incidence`` /
 ``partial_differential_oracle``), which enumerates target labelings and
 filters by the grading conditions.  The sign of the partial differential
 at crossing v is (-1)^(number of A^-1-smoothed crossings with label > v).
+
+A labeling is a bit mask over circle ids (1 = plus).  Everything about
+d_v that does not depend on the labels is computed once per (smoothing,
+crossing) by ``_StateTable.rule``; applying it to one labeling is a few integer
+operations.
 """
 
 from __future__ import annotations
@@ -53,6 +58,10 @@ class EnhancedState:
         return (self.smoothing.bits, mask)
 
 
+# (bits2, x, y, img, extra): see ``_StateTable.rule``
+_Rule = Tuple[int, int, int, Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
+
+
 class _StateTable:
     """Per-smoothing structure shared by the complex routines."""
 
@@ -63,6 +72,10 @@ class _StateTable:
         self.n = diagram.n
         self.w = diagram.writhe()
         self._cache: Dict[int, Tuple[Tuple[int, ...], Tuple[str, ...]]] = {}
+        self._masks: Dict[int, Tuple[int, int]] = {}
+        # rules for ``_dv_terms``, which asks for each one once per labeling
+        self.rules: Dict[Tuple[int, int], _Rule] = {}
+        self._orders: Dict[int, Tuple[List[int], List[Tuple[int, ...]]]] = {}
 
     def structure(self, bits: int) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
         """(circle id per dart, circle types) for one smoothing."""
@@ -71,22 +84,86 @@ class _StateTable:
             return hit
         tau = _tau(self.diagram, Smoothing(bits, self.n))
         circ_of, bps = _trace_circles(self.diagram, tau)
-        out = (tuple(circ_of), tuple(_circle_type(bp) for bp in bps))
+        types = tuple(_circle_type(bp) for bp in bps)
+        dmask = sum(1 << idx for idx, t in enumerate(types) if t == "d")
+        self._masks[bits] = (dmask, ((1 << len(types)) - 1) ^ dmask)
+        out = (tuple(circ_of), types)
         self._cache[bits] = out
         return out
 
+    def masks(self, bits: int) -> Tuple[int, int]:
+        """(d-circle mask, h-circle mask) of one smoothing."""
+        if bits not in self._masks:
+            self.structure(bits)
+        return self._masks[bits]
+
     def gradings(self, bits: int, labelmask: int) -> Grading:
-        n = self.n
-        sig = n - 2 * bits.bit_count()
-        _, types = self.structure(bits)
-        tau_d = tau_h = 0
-        for idx, t in enumerate(types):
-            s = 1 if (labelmask >> idx) & 1 else -1
-            if t == "d":
-                tau_d += s
-            else:
-                tau_h += s
+        sig = self.n - 2 * bits.bit_count()
+        dmask, hmask = self.masks(bits)
+        tau_d = 2 * (labelmask & dmask).bit_count() - dmask.bit_count()
+        tau_h = 2 * (labelmask & hmask).bit_count() - hmask.bit_count()
         return ((sig - self.w) // 2, (sig - 3 * self.w + 2 * tau_d) // 2, tau_h)
+
+    def label_order(self, ncirc: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        """Label masks of ``ncirc`` circles in canonical basis order, and the
+        label tuple of every mask."""
+        hit = self._orders.get(ncirc)
+        if hit is None:
+            labels = [
+                tuple(1 if (m >> idx) & 1 else -1 for idx in range(ncirc))
+                for m in range(1 << ncirc)
+            ]
+            hit = (sorted(range(1 << ncirc), key=labels.__getitem__), labels)
+            self._orders[ncirc] = hit
+        return hit
+
+    def rule(self, bits: int, v: int) -> _Rule:
+        """d_v on every labeling of the smoothing ``bits`` (v A-smoothed).
+
+        Returns ``(bits2, x, y, img, extra)``.  The circles touching v are
+        ``x`` and ``y`` (``y == x`` for a split).  Every other circle keeps
+        its dart set and its label; ``img[c]`` is its bit in the target
+        (0 for the touched circles).  The touched labels give the key
+        ``(mask >> x & 1) | (mask >> y & 1) << 1``, and ``extra[key]``
+        lists the target bits of the new circles, one entry per term of
+        d_v (0, 1 or 2 of them).
+        """
+        circ_of, types = self.structure(bits)
+        bits2 = bits | (1 << v)
+        circ_of2, types2 = self.structure(bits2)
+        base = 4 * v
+        at_v = sorted({circ_of[base + p] for p in range(4)})
+        at_v2 = sorted({circ_of2[base + p] for p in range(4)})
+
+        # circles away from v keep their dart sets; match them by least dart
+        img = [1 << circ_of2[circ_of.index(c)] for c in range(len(types))]
+        for c in at_v:
+            img[c] = 0
+
+        extra: List[Tuple[int, ...]] = [()] * 4
+        if len(at_v) == 2:
+            x, y = at_v
+            if len(at_v2) != 1 or len(types2) != len(types) - 1:
+                raise AssertionError(f"crossing {v}: a merge must leave one circle")
+            z = at_v2[0]
+            for key in range(4):
+                lz = _merge_label(
+                    types[x], 1 if key & 1 else -1, types[y], 1 if key & 2 else -1,
+                    types2[z],
+                )
+                if lz is not None:
+                    extra[key] = (1 << z if lz > 0 else 0,)
+        else:
+            x = y = at_v[0]
+            if len(at_v2) != 2 or len(types2) != len(types) + 1:
+                raise AssertionError(f"crossing {v}: a split must leave two circles")
+            y2, z = at_v2
+            for key, lx in ((0, -1), (3, 1)):
+                extra[key] = tuple(
+                    (1 << y2 if ly > 0 else 0) | (1 << z if lz > 0 else 0)
+                    for ly, lz in _split_labels(types[x], lx, types2[y2], types2[z])
+                )
+        return (bits2, x, y, tuple(img), tuple(extra))
 
 
 def _get_table(diagram: OrientedDiagram, cap: int) -> _StateTable:
@@ -107,15 +184,18 @@ def _get_table(diagram: OrientedDiagram, cap: int) -> _StateTable:
 def _merge_label(tx: str, lx: int, ty: str, ly: int, tz: str) -> Optional[int]:
     """Label of the merged circle, or None when the incidence number is 0."""
     if tx == "d" and ty == "d":
-        assert tz == "d"
+        if tz != "d":
+            raise AssertionError("two d-circles merge into a d-circle")
         if lx == 1 and ly == 1:
             return None
         return 1 if lx != ly else -1
     if tx == "h" and ty == "h":
-        assert tz == "d"
+        if tz != "d":
+            raise AssertionError("two h-circles merge into a d-circle")
         return 1 if lx != ly else None
     # one d, one h: the merge keeps the h label and needs the d labelled minus
-    assert tz == "h"
+    if tz != "h":
+        raise AssertionError("a d-circle and an h-circle merge into an h-circle")
     ld, lh = (lx, ly) if tx == "d" else (ly, lx)
     return lh if ld == -1 else None
 
@@ -123,11 +203,13 @@ def _merge_label(tx: str, lx: int, ty: str, ly: int, tz: str) -> Optional[int]:
 def _split_labels(tx: str, lx: int, ty: str, tz: str) -> List[Tuple[int, int]]:
     """Label pairs (for the two offspring, in circle-id order) of a split."""
     if tx == "d":
-        assert ty == tz, "d-circle splits into two circles of one type"
+        if ty != tz:
+            raise AssertionError("d-circle splits into two circles of one type")
         if lx == -1:
             return [(1, -1), (-1, 1)]
         return [(1, 1)] if ty == "d" else []
-    assert {ty, tz} == {"d", "h"}, "h-circle splits into a d and an h circle"
+    if {ty, tz} != {"d", "h"}:
+        raise AssertionError("h-circle splits into a d and an h circle")
     if ty == "d":
         return [(1, lx)]
     return [(lx, 1)]
@@ -137,61 +219,16 @@ def _dv_terms(
     table: _StateTable, bits: int, labelmask: int, v: int
 ) -> List[Tuple[int, int]]:
     """Unsigned targets of d_v on one enhanced state, as (bits', labelmask')."""
-    circ_of, types = table.structure(bits)
-    bits2 = bits | (1 << v)
-    circ_of2, types2 = table.structure(bits2)
-    base = 4 * v
-    at_v = sorted({circ_of[base + p] for p in range(4)})
-    at_v2 = sorted({circ_of2[base + p] for p in range(4)})
-
-    # circles away from v keep their dart sets; match them by least dart
-    ncirc = len(types)
-    ncirc2 = len(types2)
-    min_dart = [-1] * ncirc
-    for d, c in enumerate(circ_of):
-        if min_dart[c] == -1:
-            min_dart[c] = d
-
-    def label(idx: int) -> int:
-        return 1 if (labelmask >> idx) & 1 else -1
-
-    out: List[Tuple[int, int]] = []
-    if len(at_v) == 2:
-        x, y = at_v
-        assert len(at_v2) == 1 and ncirc2 == ncirc - 1
-        z = at_v2[0]
-        lz = _merge_label(types[x], label(x), types[y], label(y), types2[z])
-        if lz is None:
-            return out
-        mask2 = 0
-        for c in range(ncirc):
-            if c in (x, y):
-                continue
-            c2 = circ_of2[min_dart[c]]
-            if (labelmask >> c) & 1:
-                mask2 |= 1 << c2
-        if lz > 0:
-            mask2 |= 1 << z
-        out.append((bits2, mask2))
-    else:
-        x = at_v[0]
-        assert len(at_v2) == 2 and ncirc2 == ncirc + 1
-        y, z = at_v2
-        mask_common = 0
-        for c in range(ncirc):
-            if c == x:
-                continue
-            c2 = circ_of2[min_dart[c]]
-            if (labelmask >> c) & 1:
-                mask_common |= 1 << c2
-        for ly, lz in _split_labels(types[x], label(x), types2[y], types2[z]):
-            mask2 = mask_common
-            if ly > 0:
-                mask2 |= 1 << y
-            if lz > 0:
-                mask2 |= 1 << z
-            out.append((bits2, mask2))
-    return out
+    rule = table.rules.get((bits, v))
+    if rule is None:
+        rule = table.rules[(bits, v)] = table.rule(bits, v)
+    bits2, x, y, img, extra = rule
+    common = 0
+    for c, bit in enumerate(img):
+        if (labelmask >> c) & 1:
+            common |= bit
+    key = ((labelmask >> x) & 1) | ((labelmask >> y) & 1) << 1
+    return [(bits2, common | e) for e in extra[key]]
 
 
 def _koszul_sign(bits: int, v: int) -> int:
@@ -200,11 +237,65 @@ def _koszul_sign(bits: int, v: int) -> int:
 
 def _make_enhanced(table: _StateTable, bits: int, labelmask: int) -> EnhancedState:
     _, types = table.structure(bits)
-    labels = tuple(
-        1 if (labelmask >> idx) & 1 else -1 for idx in range(len(types))
-    )
+    labels = table.label_order(len(types))[1][labelmask]
     i, j, k = table.gradings(bits, labelmask)
     return EnhancedState(Smoothing(bits, table.n), labels, i, j, k)
+
+
+def _basis(table: _StateTable) -> Tuple[
+    Dict[Grading, List[EnhancedState]],
+    Dict[Grading, Dict[StateKey, int]],
+    List[Grading],
+    List[List[int]],
+    List[List[int]],
+]:
+    """The enhanced-state basis, and where every state sits in it.
+
+    Returns ``(states, index, gradings, gid, pos)``.  ``states`` and
+    ``index`` are keyed by tridegree, in order of first appearance, which
+    is also the order of ``gradings``.  ``gid[bits][mask]`` is the position
+    in ``gradings`` of a state's tridegree and ``pos[bits][mask]`` its
+    column there.  Columns follow smoothings in order, then labelings in
+    canonical order.
+    """
+    ids: Dict[Grading, int] = {}
+    gradings: List[Grading] = []
+    states: List[List[EnhancedState]] = []
+    keys: List[Dict[StateKey, int]] = []
+    gid_of: List[List[int]] = []
+    pos_of: List[List[int]] = []
+    for bits in range(1 << table.n):
+        smoothing = Smoothing(bits, table.n)
+        dmask, hmask = table.masks(bits)
+        order, labels = table.label_order((dmask | hmask).bit_length())
+        width = hmask.bit_count() + 1
+        cell = [-1] * ((dmask.bit_count() + 1) * width)
+        gids = [0] * len(order)
+        poss = [0] * len(order)
+        for m in order:
+            # the grading depends only on the numbers of plus d- and h-circles
+            c = (m & dmask).bit_count() * width + (m & hmask).bit_count()
+            g = cell[c]
+            if g < 0:
+                grading = table.gradings(bits, m)
+                g = ids.get(grading, -1)
+                if g < 0:
+                    g = ids[grading] = len(gradings)
+                    gradings.append(grading)
+                    states.append([])
+                    keys.append({})
+                cell[c] = g
+            i, j, k = gradings[g]
+            col = len(states[g])
+            states[g].append(EnhancedState(smoothing, labels[m], i, j, k))
+            keys[g][(bits, m)] = col
+            gids[m] = g
+            poss[m] = col
+        gid_of.append(gids)
+        pos_of.append(poss)
+    return (
+        dict(zip(gradings, states)), dict(zip(gradings, keys)), gradings, gid_of, pos_of
+    )
 
 
 def enhanced_states(
@@ -212,18 +303,7 @@ def enhanced_states(
 ) -> Dict[Grading, List[EnhancedState]]:
     """All enhanced states bucketed by (i, j, k), in canonical basis order."""
     table = _get_table(diagram, cap)
-    out: Dict[Grading, List[EnhancedState]] = {}
-    for bits in range(1 << table.n):
-        _, types = table.structure(bits)
-        ncirc = len(types)
-        keys = sorted(
-            range(1 << ncirc),
-            key=lambda m: tuple(1 if (m >> idx) & 1 else -1 for idx in range(ncirc)),
-        )
-        for mask in keys:
-            s = _make_enhanced(table, bits, mask)
-            out.setdefault((s.i, s.j, s.k), []).append(s)
-    return out
+    return _basis(table)[0]
 
 
 def incidence(
@@ -336,15 +416,18 @@ class DifferentialMatrix:
             m0 = self.matrices.get((i - 1, j, k))
             if not m0:
                 continue
+            # m0 by column: the middle basis index of the product
+            m0_cols: Dict[int, List[Tuple[int, int]]] = {}
+            for (r0, mid), v0 in m0.items():
+                m0_cols.setdefault(mid, []).append((r0, v0))
             by_col: Dict[int, List[Tuple[int, int]]] = {}
-            for (r, c), v in m1.items():
-                by_col.setdefault(c, []).append((r, v))
-            for c, col in by_col.items():
+            for (mid, c), v1 in m1.items():
+                by_col.setdefault(c, []).append((mid, v1))
+            for col in by_col.values():
                 acc: Dict[int, int] = {}
-                for (mid, v1) in col:
-                    for (r0, cc), v0 in m0.items():
-                        if cc == mid:
-                            acc[r0] = acc.get(r0, 0) + v0 * v1
+                for mid, v1 in col:
+                    for r0, v0 in m0_cols.get(mid, ()):
+                        acc[r0] = acc.get(r0, 0) + v0 * v1
                 if any(acc.values()):
                     return False
         return True
@@ -353,36 +436,42 @@ class DifferentialMatrix:
 def differential_matrices(
     diagram: OrientedDiagram, cap: int = DEFAULT_CAP
 ) -> DifferentialMatrix:
-    """Assemble the full differential, one sparse block per tridegree."""
+    """Assemble the full differential, one sparse block per tridegree.
+
+    Each (smoothing, A-smoothed crossing) rule is applied to all labelings
+    at once: the images of the untouched circles come from a table over
+    all masks, and the touched labels pick the new circles' bits.
+    """
     table = _get_table(diagram, cap)
-    basis = enhanced_states(diagram, cap)
-    index = {
-        g: {s.key: col for col, s in enumerate(states)} for g, states in basis.items()
-    }
-    matrices: Dict[Grading, Dict[Tuple[int, int], int]] = {}
-    for g, states in basis.items():
-        i, j, k = g
-        tgt = index.get((i - 1, j, k))
-        if tgt is None:
-            continue
-        block: Dict[Tuple[int, int], int] = {}
-        for col, s in enumerate(states):
-            bits, mask = s.key
-            for v in range(table.n):
-                if (bits >> v) & 1:
+    basis, index, gradings, gid_of, pos_of = _basis(table)
+    ids = {g: gi for gi, g in enumerate(gradings)}
+    down = [ids.get((i - 1, j, k), -1) for (i, j, k) in gradings]
+    blocks: List[Dict[Tuple[int, int], int]] = [{} for _ in gradings]
+    for bits, (gsrc, psrc) in enumerate(zip(gid_of, pos_of)):
+        for v in range(table.n):
+            if (bits >> v) & 1:
+                continue
+            bits2, x, y, img, extra = table.rule(bits, v)
+            gtgt, ptgt = gid_of[bits2], pos_of[bits2]
+            sgn = _koszul_sign(bits, v)
+            remap = [0]  # untouched labels of each mask, as target bits
+            for bit in img:
+                remap += [r | bit for r in remap]
+            for m, common in enumerate(remap):
+                terms = extra[((m >> x) & 1) | ((m >> y) & 1) << 1]
+                if not terms:
                     continue
-                sgn = _koszul_sign(bits, v)
-                for tkey in _dv_terms(table, bits, mask, v):
-                    if table.gradings(*tkey) != (i - 1, j, k):
+                g = gsrc[m]
+                col = psrc[m]
+                block = blocks[g]
+                for e in terms:
+                    t = common | e
+                    if gtgt[t] != down[g]:
                         raise AssertionError("differential degree drift")
-                    row = tgt[tkey]
-                    val = block.get((row, col), 0) + sgn
-                    if val:
-                        block[(row, col)] = val
-                    else:
-                        block.pop((row, col), None)
-        if block:
-            matrices[g] = block
+                    # the target's smoothing fixes v, and the terms of one
+                    # rule are distinct: no entry is reached twice
+                    block[(ptgt[t], col)] = sgn
+    matrices = {g: block for g, block in zip(gradings, blocks) if block}
     return DifferentialMatrix(diagram, basis, index, matrices)
 
 

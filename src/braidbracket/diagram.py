@@ -611,6 +611,13 @@ def reverse_orientation(diagram: OrientedDiagram) -> OrientedDiagram:
     return b.build()
 
 
+def _pd_int(value, what: str) -> int:
+    """A PD integer field: a JSON integer, never a float or a boolean."""
+    if type(value) is not int:
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_port(obj, n: int) -> Port:
     if (
         isinstance(obj, list)
@@ -618,10 +625,10 @@ def _parse_port(obj, n: int) -> Port:
         and isinstance(obj[0], list)
         and obj[0] and obj[0][0] == "a"
     ):
-        return ("a", int(obj[0][1]), int(obj[1]))
+        return ("a", _pd_int(obj[0][1], "anchor id"), _pd_int(obj[1], "port"))
     if not (isinstance(obj, list) and len(obj) == 2):
         raise FormatError(f"bad port reference {obj!r}")
-    return ("x", int(obj[0]), int(obj[1]))
+    return ("x", _pd_int(obj[0], "crossing id"), _pd_int(obj[1], "port"))
 
 
 def parse_pd(data) -> OrientedDiagram:
@@ -667,22 +674,30 @@ def _pd_builder(data: dict) -> Tuple[DiagramBuilder, List[FaceRef]]:
     if "outer_face" not in data:
         raise FormatError("missing outer-face marker")
 
-    crossings = sorted(data["crossings"], key=lambda r: r["id"])
+    crossings = sorted(
+        data["crossings"], key=lambda r: _pd_int(r["id"], "crossing id")
+    )
     if [r["id"] for r in crossings] != list(range(len(crossings))):
         raise FormatError("crossing ids must be 0..n-1")
-    anchors = sorted(data.get("anchors", ()), key=lambda r: r["id"])
+    anchors = sorted(
+        data.get("anchors", ()), key=lambda r: _pd_int(r["id"], "anchor id")
+    )
     if [r["id"] for r in anchors] != list(range(len(anchors))):
         raise FormatError("anchor ids must be 0..m-1")
     n = len(crossings)
 
-    edges_in = sorted(data["edges"], key=lambda r: r["id"])
+    edges_in = sorted(data["edges"], key=lambda r: _pd_int(r["id"], "edge id"))
     if [r["id"] for r in edges_in] != list(range(len(edges_in))):
         raise FormatError("edge ids must be 0..e-1")
-    seams = {int(k): int(v) for k, v in data.get("closure_arcs", {}).items()}
+    seams = {}
+    for k, v in data.get("closure_arcs", {}).items():
+        if not (isinstance(k, str) and k.isdigit()):
+            raise FormatError(f"closure_arcs key must be an edge id, got {k!r}")
+        seams[int(k)] = _pd_int(v, "closure_arcs value")
 
     b = DiagramBuilder()
     for rec in crossings:
-        b.add_crossing(int(rec["sign"]), 0)  # over parity fixed after directions known
+        b.add_crossing(_pd_int(rec["sign"], "sign"), 0)  # over parity fixed later
     for _ in anchors:
         b.add_anchor()
     port_used: Dict[Port, Tuple[int, str]] = {}
@@ -702,7 +717,7 @@ def _pd_builder(data: dict) -> Tuple[DiagramBuilder, List[FaceRef]]:
     def end_of(ref) -> Tuple[int, str]:
         if not (isinstance(ref, list) and len(ref) == 2 and ref[1] in ("tail", "head")):
             raise FormatError(f"bad edge-end reference {ref!r}")
-        return int(ref[0]), ref[1]
+        return _pd_int(ref[0], "edge id"), ref[1]
 
     for rec in crossings:
         rot = rec.get("rotation")
@@ -730,12 +745,15 @@ def _pd_builder(data: dict) -> Tuple[DiagramBuilder, List[FaceRef]]:
         x, y = outs
         if (y - x) % 4 != 1:
             x, y = y, x
-        over_out = x if int(rec["sign"]) == 1 else y
+        over_out = x if rec["sign"] == 1 else y
         b.crossings[ci]["over_parity"] = over_out % 2
 
     for pair in data.get("placements", ()):
         (ea, sa), (eb, sb) = pair
-        b.placements.append(((int(ea), "RL".index(sa)), (int(eb), "RL".index(sb))))
+        b.placements.append((
+            (_pd_int(ea, "placement edge"), "RL".index(sa)),
+            (_pd_int(eb, "placement edge"), "RL".index(sb)),
+        ))
 
     outer: List[FaceRef] = []
     if n + len(anchors) > 0:

@@ -111,7 +111,8 @@ def smith_normal_form(matrix: List[List[int]]) -> List[int]:
         factors.append(abs(p))
         t += 1
     for a, b in zip(factors, factors[1:]):
-        assert b % a == 0, "invariant factors out of divisibility order"
+        if b % a:
+            raise AssertionError("invariant factors out of divisibility order")
     return factors
 
 
@@ -121,58 +122,56 @@ def _sparse_invariant_factors(entries: Dict[Tuple[int, int], int]) -> List[int]:
     Differential blocks are overwhelmingly eliminable on unit pivots, so
     rows with a +-1 entry are pivoted away sparsely (each contributing an
     invariant factor 1) and only the small remainder goes through the
-    dense Smith reduction.
+    dense Smith reduction.  Each pass visits the remaining rows shortest
+    first; a row pivots on its +-1 entry in the column with the fewest
+    rows, which keeps fill-in low.  A row with no unit waits for the next
+    pass, and elimination stops when a pass pivots nothing.
     """
     rows: Dict[int, Dict[int, int]] = {}
+    col_rows: Dict[int, set] = {}
     for (r, c), v in entries.items():
         if v:
             rows.setdefault(r, {})[c] = v
-    col_rows: Dict[int, set] = {}
-    for r, row in rows.items():
-        for c in row:
             col_rows.setdefault(c, set()).add(r)
-    queue = [(r, c) for r, row in rows.items() for c, v in row.items() if v in (1, -1)]
     units = 0
-    qi = 0
-    while qi < len(queue):
-        r, c = queue[qi]
-        qi += 1
-        row = rows.get(r)
-        if row is None:
-            continue
-        piv = row.get(c)
-        if piv not in (1, -1):
-            continue
-        for r2 in list(col_rows.get(c, ())):
-            if r2 == r:
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for r in sorted(rows, key=lambda r: len(rows[r])):
+            row = rows.get(r)
+            if row is None:
+                continue  # eliminated to zero earlier in this pass
+            c = None
+            fewest = 0
+            for cc, v in row.items():
+                if (v == 1 or v == -1) and (c is None or len(col_rows[cc]) < fewest):
+                    c, fewest = cc, len(col_rows[cc])
+            if c is None:
                 continue
-            row2 = rows.get(r2)
-            if row2 is None:
-                col_rows[c].discard(r2)
-                continue
-            coef = row2.get(c)
-            if not coef:
-                col_rows[c].discard(r2)
-                continue
-            mult = coef * piv
-            for cc, vv in row.items():
-                nv = row2.get(cc, 0) - mult * vv
-                if nv:
-                    row2[cc] = nv
-                    col_rows.setdefault(cc, set()).add(r2)
-                    if nv in (1, -1):
-                        queue.append((r2, cc))
-                elif cc in row2:
-                    del row2[cc]
-            if not row2:
-                del rows[r2]
-        for cc in row:
-            s = col_rows.get(cc)
-            if s is not None:
-                s.discard(r)
-        del rows[r]
-        col_rows.pop(c, None)
-        units += 1
+            piv = row[c]
+            for r2 in col_rows.pop(c):
+                if r2 == r:
+                    continue
+                row2 = rows[r2]
+                mult = row2[c] * piv
+                for cc, vv in row.items():
+                    nv = row2.get(cc, 0) - mult * vv
+                    if nv:
+                        if cc not in row2:
+                            col_rows[cc].add(r2)
+                        row2[cc] = nv
+                    else:
+                        del row2[cc]
+                        if cc != c:
+                            col_rows[cc].discard(r2)
+                if not row2:
+                    del rows[r2]
+            for cc in row:
+                if cc != c:
+                    col_rows[cc].discard(r)
+            del rows[r]
+            units += 1
+            pivoted = True
     rest: List[int] = []
     if rows:
         rids = sorted(rows)

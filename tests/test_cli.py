@@ -136,3 +136,38 @@ def test_pd_malformed_field_exit_2(tmp_path, capsys, pd):
     path.write_text(json.dumps(pd))
     code, _, err = run(capsys, "bracket", str(path))
     assert code == 2 and "input error" in err
+
+
+def _pd_with(word, field, value):
+    """PD JSON of ``word`` with the value at the key path ``field`` replaced."""
+    obj = json.loads(parse_braid_word(word).to_pd_json())
+    node = obj
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "word, field, value",
+    [
+        ("B2 1", ("crossings", 0, "sign"), 1.9),
+        ("B2 1", ("crossings", 0, "sign"), True),
+        ("B2 1", ("crossings", 0, "id"), 0.0),
+        ("B2 1", ("edges", 0, "from"), [0.7, 0]),
+        ("B2 1", ("edges", 0, "to", 1), 1.0),
+        ("B2 1", ("edges", 1, "id"), True),
+        ("B2 1", ("crossings", 0, "rotation", 0, 0), 0.0),
+        ("B2 1", ("outer_face", 0, 0), 1.5),
+        ("B2 1", ("closure_arcs", "0"), 1.0),
+        ("B2 1", ("closure_arcs", "0.5"), 1),
+        ("B2", ("anchors", 1, "id"), 1.0),
+        ("B2", ("edges", 0, "from", 0, 1), False),
+        ("B2", ("placements", 0, 0, 0), 1.0),
+    ],
+)
+def test_pd_non_integer_field_exit_2(tmp_path, capsys, word, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_pd_with(word, field, value)))
+    code, _, err = run(capsys, "bracket", str(path))
+    assert code == 2 and "input error" in err

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from braidbracket.diagram import parse_braid_word
 from braidbracket.chain_complex import (
@@ -156,3 +160,71 @@ def test_cap_enforced_with_cached_table(entry):
     enhanced_states(d)  # caches the structure table under the default cap
     with pytest.raises(SizeCapError):
         entry(d, cap=3)
+
+
+def test_matrices_equal_incidence_oracle_blocks(corpus_small):
+    # every block rebuilt from the brute-force incidence operator (which
+    # carries the Koszul sign), placed by the enhanced-state basis order
+    for d in corpus_small:
+        basis = enhanced_states(d)
+        where = {
+            s.key: (g, col)
+            for g, states in basis.items()
+            for col, s in enumerate(states)
+        }
+        expected = {}
+        for bits in range(1 << d.n):
+            for v in range(d.n):
+                if (bits >> v) & 1:
+                    continue
+                for mask, terms in incidence_operator(d, bits, v).items():
+                    g, col = where[(bits, mask)]
+                    for tkey, coef in terms.items():
+                        g2, row = where[tkey]
+                        assert g2 == (g[0] - 1, g[1], g[2])
+                        block = expected.setdefault(g, {})
+                        block[(row, col)] = block.get((row, col), 0) + coef
+        expected = {
+            g: {rc: c for rc, c in block.items() if c} for g, block in expected.items()
+        }
+        expected = {g: block for g, block in expected.items() if block}
+        assert differential_matrices(d).matrices == expected
+
+
+def test_d_squared_detects_one_flipped_sign():
+    dm = differential_matrices(parse_braid_word("B2 1 1 1"))
+    assert dm.check_d_squared()
+    flipped = 0
+    for (i, j, k), m1 in dm.matrices.items():
+        m0 = dm.matrices.get((i - 1, j, k))
+        if not m0:
+            continue
+        mids = {mid for (_, mid) in m0}
+        for (row, col), val in sorted(m1.items()):
+            if row in mids:
+                m1[(row, col)] = -val
+                assert not dm.check_d_squared()
+                m1[(row, col)] = val
+                flipped += 1
+    assert flipped and dm.check_d_squared()
+
+
+def test_rule_guards_survive_optimize():
+    script = (
+        "import sys\n"
+        "from braidbracket.chain_complex import _merge_label\n"
+        "if __debug__:\n"
+        "    sys.exit('not optimized')\n"
+        "try:\n"
+        "    _merge_label('d', 1, 'd', 1, 'h')\n"
+        "except AssertionError:\n"
+        "    print('raised')\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"

@@ -35,6 +35,31 @@ def test_snf_matches_sparse_fast_path():
         assert _sparse_invariant_factors(entries) == smith_normal_form(m)
 
 
+def test_snf_sparse_fast_path_on_larger_sparse_matrices():
+    # mostly +-1 entries with a few 2s and 3s: unit pivots fill in, and a
+    # remainder with torsion is left for the dense reduction
+    rnd = random.Random(29)
+    torsion = 0
+    for _ in range(60):
+        rows, cols = rnd.randrange(5, 31), rnd.randrange(5, 31)
+        density = rnd.uniform(0.05, 0.25)
+        m = [[0] * cols for _ in range(rows)]
+        for r in range(rows):
+            for c in range(cols):
+                if rnd.random() < density:
+                    m[r][c] = rnd.choice((1, -1, 1, -1, 1, -1, 2, -2, 3))
+        entries = {
+            (r, c): m[r][c] for r in range(rows) for c in range(cols) if m[r][c]
+        }
+        factors = smith_normal_form(m)
+        assert _sparse_invariant_factors(entries) == factors
+        torsion += any(f > 1 for f in factors)
+    assert torsion
+    # row 0 has no unit until row 1 is pivoted away, so it waits a pass
+    deferred = {(0, 0): 2, (0, 1): 3, (1, 0): 1, (1, 1): 1}
+    assert _sparse_invariant_factors(deferred) == [1, 1]
+
+
 def test_rank_bareiss_examples():
     assert rank_bareiss([[2, 0], [0, 3]]) == 2
     assert rank_bareiss([[1, 1], [1, 1]]) == 1
