@@ -39,7 +39,6 @@ from .homology import (
     lightened_in_h,
 )
 from .moves import GenerationError, apply_move, find_sites, random_equivalent_pair
-from .diagram import BraidWord
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -171,11 +170,9 @@ def cmd_homology(args: argparse.Namespace) -> int:
 
 
 def _verify_battery(args: argparse.Namespace) -> list:
-    word = args.word
-    if word is None:
+    if args.word is None:
         raise DiagramError("verify needs a braid word (-w)")
-    tokens = word.split()
-    base = BraidWord(int(tokens[0][1:]), tuple(int(t) for t in tokens[1:]))
+    base = parse_braid_word(args.word).braid_word
     d1, d2 = random_equivalent_pair(args.seed, args.moves, base)
     checks = []
     b1, b2 = bracket_br(d1, cap=args.cap), bracket_br(d2, cap=args.cap)

@@ -238,6 +238,7 @@ class OrientedDiagram:
         self.fused = dict(fused or {})
         self.anchor_bp = dict(anchor_bp or {})
         self.ndarts = 4 * self.n + 2 * nanchors
+        self._site_fingerprint: Optional[str] = None  # kept by moves._fingerprint
         self._index()
         self._validate()
 
@@ -245,6 +246,7 @@ class OrientedDiagram:
 
     def _index(self) -> None:
         nd = self.ndarts
+        n, n4 = self.n, 4 * self.n
         alpha = [-1] * nd
         edge_of = [-1] * nd
         is_tail = [False] * nd
@@ -257,50 +259,74 @@ class OrientedDiagram:
             alpha[t], alpha[h] = h, t
             edge_of[t] = edge_of[h] = ei
             is_tail[t] = True
-        for d in range(nd):
-            if edge_of[d] == -1:
-                raise FormatError(f"dart {d} not covered by any edge")
+        if -1 in edge_of:
+            raise FormatError(f"dart {edge_of.index(-1)} not covered by any edge")
         self.alpha = alpha
         self.edge_of = edge_of
         self.is_tail = is_tail
+        # dart -> vertex, as vertex_of computes it
+        dart_vertex = [d >> 2 for d in range(n4)]
+        dart_vertex += [n + (a >> 1) for a in range(nd - n4)]
+        self._dart_vertex = dart_vertex
 
-        # faces: orbits of sigma o alpha
+        # faces: orbits of sigma o alpha, through one successor table
+        sig = [d ^ 1 if d >= n4 else (d & ~3) | ((d + 1) & 3) for d in range(nd)]
+        succ = [sig[a] for a in alpha]
         face_of = [-1] * nd
         faces: List[Tuple[int, ...]] = []
         for d0 in range(nd):
             if face_of[d0] != -1:
                 continue
+            f = len(faces)
             orbit = []
             d = d0
             while face_of[d] == -1:
-                face_of[d] = len(faces)
+                face_of[d] = f
                 orbit.append(d)
-                d = self.sigma(alpha[d])
+                d = succ[d]
             faces.append(tuple(orbit))
         self.faces = faces
         self.face_of = face_of
+        self._face_next = succ  # sigma(alpha(d)): the next dart of d's face
 
-        # connected components over vertices
-        nv = self.n + self.nanchors
+        # connected components over vertices (the _uf_union rule, inlined:
+        # the root of the tail's vertex becomes the root of the union)
+        nv = n + self.nanchors
         parent = list(range(nv))
         for (t, h, _) in self.edges:
-            _uf_union(parent, self.vertex_of(t), self.vertex_of(h))
-        comp_of = [_uf_find(parent, v) for v in range(nv)]
+            a, b = dart_vertex[t], dart_vertex[h]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[b] = a
+        comp_of = []
+        for v in range(nv):
+            while parent[v] != v:
+                v = parent[v]
+            comp_of.append(v)
         labels = {r: i for i, r in enumerate(sorted(set(comp_of)))}
         self.comp_of_vertex = [labels[r] for r in comp_of]
         self.ncomponents = len(labels)
 
         # global faces: per-component orbits merged through placements.
         # _face_root maps each face to its global root; _global_faces maps
-        # each root to the darts of its global face, ascending.
-        gparent = list(range(len(faces)))
-        for (ra, rb) in self.placements:
-            _uf_union(gparent, self._ref_face(ra), self._ref_face(rb))
-        self._face_root = [_uf_find(gparent, f) for f in range(len(faces))]
-        global_faces: Dict[int, List[int]] = {}
-        for d in range(nd):
-            global_faces.setdefault(self._face_root[face_of[d]], []).append(d)
-        self._global_faces = {r: tuple(ds) for r, ds in global_faces.items()}
+        # each root to the darts of its global face, ascending.  Faces are
+        # numbered in order of their least dart, so without placements the
+        # roots are the faces themselves, in that order.
+        if not self.placements:
+            self._face_root = list(range(len(faces)))
+            self._global_faces = {f: tuple(sorted(orbit)) for f, orbit in enumerate(faces)}
+        else:
+            gparent = list(range(len(faces)))
+            for (ra, rb) in self.placements:
+                _uf_union(gparent, self._ref_face(ra), self._ref_face(rb))
+            self._face_root = [_uf_find(gparent, f) for f in range(len(faces))]
+            global_faces: Dict[int, List[int]] = {}
+            for d in range(nd):
+                global_faces.setdefault(self._face_root[face_of[d]], []).append(d)
+            self._global_faces = {r: tuple(ds) for r, ds in global_faces.items()}
         self.outer_face = (
             self.global_face(self._ref_face(self.outer_ref))
             if self.outer_ref is not None
@@ -335,56 +361,53 @@ class OrientedDiagram:
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
-        for c in range(self.n):
-            if self.signs[c] not in (1, -1):
+        is_tail = self.is_tail
+        for c, (sign, q) in enumerate(zip(self.signs, self.over_parity)):
+            if sign not in (1, -1):
                 raise FormatError(f"crossing {c}: sign must be +1 or -1")
-            if self.over_parity[c] not in (0, 1):
+            if q not in (0, 1):
                 raise FormatError(f"crossing {c}: bad over data")
-            outs = [p for p in range(4) if self.is_tail[4 * c + p]]
+            b = 4 * c
             for p in (0, 1):
-                if self.is_tail[4 * c + p] == self.is_tail[4 * c + p + 2]:
+                if is_tail[b + p] == is_tail[b + p + 2]:
                     raise OrientationError(
                         f"crossing {c}: strand line {p},{p+2} not oriented through"
                     )
             # outs now sit at cyclically adjacent positions; check the sign
-            q = self.over_parity[c]
-            over_out = q if self.is_tail[4 * c + q] else q + 2
-            under_out = (
-                q + 1 if self.is_tail[4 * c + ((q + 1) & 3)] else q + 3
-            )
+            over_out = q if is_tail[b + q] else q + 2
+            under_out = q + 1 if is_tail[b + ((q + 1) & 3)] else q + 3
             want = 1 if (under_out - over_out) % 4 == 1 else -1
-            if want != self.signs[c]:
+            if want != sign:
                 raise OrientationError(
-                    f"crossing {c}: sign {self.signs[c]} inconsistent with "
+                    f"crossing {c}: sign {sign} inconsistent with "
                     f"orientation and over/under data"
                 )
-            assert len(outs) == 2
+            outs = is_tail[b] + is_tail[b + 1] + is_tail[b + 2] + is_tail[b + 3]
+            if outs != 2:
+                raise OrientationError(f"crossing {c}: {outs} outgoing ends, not 2")
         # Euler per component: V - E + F = 2 on the sphere
         nv = self.n + self.nanchors
         if nv:
-            v_cnt = [0] * self.ncomponents
-            e_cnt = [0] * self.ncomponents
-            f_cnt = [0] * self.ncomponents
-            for v in range(nv):
-                v_cnt[self.comp_of_vertex[v]] += 1
+            comp = self.comp_of_vertex
+            dart_vertex = self._dart_vertex
+            chi = [0] * self.ncomponents
+            for k in comp:
+                chi[k] += 1
             for (t, _, _) in self.edges:
-                e_cnt[self.comp_of_vertex[self.vertex_of(t)]] += 1
+                chi[comp[dart_vertex[t]]] -= 1
             for orbit in self.faces:
-                f_cnt[self.comp_of_vertex[self.vertex_of(orbit[0])]] += 1
-            for k in range(self.ncomponents):
-                if v_cnt[k] - e_cnt[k] + f_cnt[k] != 2:
-                    raise NonPlanarError(
-                        f"component {k}: V-E+F = "
-                        f"{v_cnt[k] - e_cnt[k] + f_cnt[k]} != 2"
-                    )
+                chi[comp[dart_vertex[orbit[0]]]] += 1
+            for k, x in enumerate(chi):
+                if x != 2:
+                    raise NonPlanarError(f"component {k}: V-E+F = {x} != 2")
             if self.outer_ref is None:
                 raise FormatError("missing outer-face marker")
             # placements must glue the components into one plane picture
             cparent = list(range(self.ncomponents))
             cross = 0
             for (ra, rb) in self.placements:
-                ca = self.comp_of_vertex[self.vertex_of(self.faces[self._ref_face(ra)][0])]
-                cb = self.comp_of_vertex[self.vertex_of(self.faces[self._ref_face(rb)][0])]
+                ca = comp[dart_vertex[self.faces[self._ref_face(ra)][0]]]
+                cb = comp[dart_vertex[self.faces[self._ref_face(rb)][0]]]
                 if ca == cb:
                     if self._ref_face(ra) != self._ref_face(rb):
                         raise NonPlanarError(
@@ -450,14 +473,19 @@ class OrientedDiagram:
         crossing data, fused bits, anchor break points and (with
         ``with_seam``) seam marks, but not which face a component sits in.
         Orientation of the plane is preserved (no mirror identification).
+
+        A traversal stops as soon as its transcript so far is greater than
+        the component's best, which cannot change the minimum.  Transcripts
+        are compared with their "," separators, as whole strings are.
         """
         nd = self.ndarts
         if nd == 0:
             return "empty"
+        n4 = 4 * self.n
         tags = []
         for d in range(nd):
             v = self.vertex_of(d)
-            if d < 4 * self.n:
+            if d < n4:
                 rel = (d & 3) - self.over_parity[v]
                 tag = (f"x{self.signs[v]}o{rel & 1}t{int(self.is_tail[d])}"
                        f"f{self.fused.get(v, -1)}")
@@ -465,27 +493,43 @@ class OrientedDiagram:
                 tag = f"A{self.anchor_bp.get(v - self.n, 0)}t{int(self.is_tail[d])}"
             if with_seam:
                 tag += f",m{self.edges[self.edge_of[d]][2]}"
-            tags.append(tag)
+            tags.append("," + tag)
+        alpha = self.alpha
+        # best[comp] is "," + the component's least transcript so far
         best: Dict[int, str] = {}
         for start in range(nd):
+            comp = self.comp_of_vertex[self._dart_vertex[start]]
+            bound = best.get(comp)
+            # the transcript so far equals bound[:pos]; pos is None once it is below
+            pos = None if bound is None else 0
+            above = False
             ids = {start: 0}
             queue = [start]
             rec: List[str] = []
-            qi = 0
-            while qi < len(queue):
-                d = queue[qi]
-                qi += 1
-                for nxt_name, nxt in (("s", self.sigma(d)), ("a", self.alpha[d])):
-                    if nxt not in ids:
-                        ids[nxt] = len(ids)
-                        queue.append(nxt)
-                    rec.append(f"{nxt_name}{ids[nxt]}")
-                rec.append(tags[d])
-            comp = self.comp_of_vertex[self.vertex_of(start)]
-            code = ",".join(rec)
-            if comp not in best or code < best[comp]:
-                best[comp] = code
-        return ",".join(sorted(best.values()))
+            for d in queue:
+                s, a = self.sigma(d), alpha[d]
+                if s not in ids:
+                    ids[s] = len(ids)
+                    queue.append(s)
+                if a not in ids:
+                    ids[a] = len(ids)
+                    queue.append(a)
+                for piece in (f",s{ids[s]}", f",a{ids[a]}", tags[d]):
+                    rec.append(piece)
+                    if pos is None:
+                        continue
+                    if bound.startswith(piece, pos):
+                        pos += len(piece)
+                    elif piece < bound[pos:pos + len(piece)]:
+                        pos = None
+                    else:
+                        above = True
+                        break
+                if above:
+                    break
+            if not above and (pos is None or pos < len(bound)):
+                best[comp] = "".join(rec)
+        return ",".join(sorted(code[1:] for code in best.values()))
 
     # -- serialization -----------------------------------------------------
 

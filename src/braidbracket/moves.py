@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .diagram import (
     BraidWord,
@@ -57,8 +56,7 @@ BRAID_LIKE_KINDS = ("IIa_remove", "IIa_insert", "III")
 III_VARIANTS = ("IIIa", "IIIb", "IIIc", "IIId", "IIIe", "IIIf")
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(NamedTuple):
     kind: str
     anchor: Tuple
     fingerprint: str
@@ -68,19 +66,23 @@ class MoveSite:
 
 
 def _fingerprint(diagram: OrientedDiagram) -> str:
-    blob = repr(
-        (
-            diagram.signs,
-            diagram.over_parity,
-            diagram.nanchors,
-            diagram.edges,
-            diagram.placements,
-            diagram.outer_ref,
-            sorted(diagram.fused.items()),
-            sorted(diagram.anchor_bp.items()),
-        )
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """Content hash of the diagram, computed once and kept on it."""
+    fp = diagram._site_fingerprint
+    if fp is None:
+        blob = repr(
+            (
+                diagram.signs,
+                diagram.over_parity,
+                diagram.nanchors,
+                diagram.edges,
+                diagram.placements,
+                diagram.outer_ref,
+                sorted(diagram.fused.items()),
+                sorted(diagram.anchor_bp.items()),
+            )
+        ).encode()
+        fp = diagram._site_fingerprint = hashlib.sha256(blob).hexdigest()[:16]
+    return fp
 
 
 def _is_over_at(diagram: OrientedDiagram, dart: int) -> bool:
@@ -151,18 +153,17 @@ def _check_iii(diagram: OrientedDiagram, anchor) -> Optional[str]:
     u0 = anchor[0]
     if not 0 <= u0 < diagram.ndarts:
         return None
-    orbit = [u0]
-    d = u0
-    for _ in range(2):
-        d = diagram.sigma(diagram.alpha[d])
-        orbit.append(d)
-    if tuple(orbit) != tuple(anchor):
+    face_next = diagram._face_next
+    u1 = face_next[u0]
+    u2 = face_next[u1]
+    orbit = (u0, u1, u2)
+    if orbit != tuple(anchor):
         return None
-    if diagram.sigma(diagram.alpha[orbit[2]]) != u0:
+    if face_next[u2] != u0:
         return None
     if diagram._global_faces[diagram.global_face_of_dart(u0)] != tuple(sorted(orbit)):
         return None
-    vs = [diagram.vertex_of(u) for u in orbit]
+    vs = [diagram._dart_vertex[u] for u in orbit]
     if len(set(vs)) != 3 or any(v >= diagram.n for v in vs):
         return None
     if any(v in diagram.fused for v in vs):
@@ -206,23 +207,23 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
             if len(darts) == 2 and _check_iia_remove(diagram, darts):
                 sites.append(MoveSite(kind, darts, fp))
     elif kind in ("IIa_insert", "IIb_insert"):
+        # the distinct-edge and same-component tests of _check_pair_insert;
+        # two darts of one global face always pass its face test
         coherent = kind == "IIa_insert"
+        is_tail, edge_of = diagram.is_tail, diagram.edge_of
+        comp = diagram.comp_of_vertex
+        dart_vertex = diagram._dart_vertex
         for ds in diagram._global_faces.values():
-            for i in range(len(ds)):
-                for j in range(i + 1, len(ds)):
-                    x, y = ds[i], ds[j]
-                    if coherent:
-                        if diagram.is_tail[x] == diagram.is_tail[y]:
-                            continue
-                        a, b = (x, y) if not diagram.is_tail[x] else (y, x)
-                    else:
-                        if diagram.is_tail[x] != diagram.is_tail[y]:
-                            continue
-                        a, b = x, y
-                    for flag in (False, True):
-                        anchor = (a, b, flag)
-                        if _check_pair_insert(diagram, anchor, coherent):
-                            sites.append(MoveSite(kind, anchor, fp))
+            for i, x in enumerate(ds):
+                tx, ex, cx = is_tail[x], edge_of[x], comp[dart_vertex[x]]
+                for y in ds[i + 1:]:
+                    if (is_tail[y] != tx) != coherent:
+                        continue
+                    if edge_of[y] == ex or comp[dart_vertex[y]] != cx:
+                        continue
+                    a, b = (y, x) if coherent and tx else (x, y)
+                    sites.append(MoveSite(kind, (a, b, False), fp))
+                    sites.append(MoveSite(kind, (a, b, True), fp))
     elif kind == "RI_insert":
         for e in range(len(diagram.edges)):
             for side in (0, 1):
@@ -233,11 +234,8 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
             if len(darts) != 3:
                 continue
             u0 = darts[0]
-            orbit = (
-                u0,
-                diagram.sigma(diagram.alpha[u0]),
-                diagram.sigma(diagram.alpha[diagram.sigma(diagram.alpha[u0])]),
-            )
+            u1 = diagram._face_next[u0]
+            orbit = (u0, u1, diagram._face_next[u1])
             variant = _check_iii(diagram, orbit)
             if variant is None:
                 continue
@@ -245,7 +243,7 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
                 sites.append(MoveSite(variant, orbit, fp))
     else:
         raise ValueError(f"unknown move kind {kind!r}")
-    sites.sort(key=lambda s: (s.kind, s.anchor))
+    sites.sort()  # by (kind, anchor): the fingerprint is shared
     return sites
 
 
@@ -368,7 +366,10 @@ def _apply_iia_remove(diagram: OrientedDiagram, anchor) -> OrientedDiagram:
         v = diagram.vertex_of(u)
         bigon_positions = {u & 3, diagram.alpha[u1 if u == u0 else u0] & 3}
         outs = [4 * v + p for p in range(4) if p not in bigon_positions]
-        assert len(outs) == 2
+        if len(outs) != 2:
+            raise AssertionError(
+                f"bigon leaves {len(outs)} outside ends at crossing {v}, not 2"
+            )
         x1, x2 = outs
         y = x2 if ((x2 & 3) - (x1 & 3)) % 4 == 1 else x1
         corridor_refs.append(_side_ref_of_dart(diagram, y))
@@ -378,7 +379,8 @@ def _apply_iia_remove(diagram: OrientedDiagram, anchor) -> OrientedDiagram:
             o = 4 * diagram.vertex_of(q) + (((q & 3) + 2) & 3)
             if diagram.is_tail[x]:
                 continue  # record each strand once, from its entering end
-            assert diagram.is_tail[o], "strand orientation broken through bigon"
+            if not diagram.is_tail[o]:
+                raise AssertionError("strand orientation broken through bigon")
             # seam marks on the dying bigon edge stay with the strand
             splices.append(
                 (
@@ -387,7 +389,8 @@ def _apply_iia_remove(diagram: OrientedDiagram, anchor) -> OrientedDiagram:
                     diagram.edges[diagram.edge_of[partner_bigon]][2],
                 )
             )
-    assert len(splices) == 2
+    if len(splices) != 2:
+        raise AssertionError(f"bigon removal spliced {len(splices)} strands, not 2")
     _remap_dying_refs(diagram, b, {e0, e1}, corridor_refs[0])
     for e_in, e_out, seam in splices:
         ai = b.add_anchor()
@@ -461,9 +464,10 @@ def _apply_iii(diagram: OrientedDiagram, anchor) -> OrientedDiagram:
         r, u, o1, o2 = frames[j]
         if (u & 3) % 2 == diagram.over_parity[vs[j]]:
             over_slots.append("u")
-        else:
-            assert (r & 3) % 2 == diagram.over_parity[vs[j]]
+        elif (r & 3) % 2 == diagram.over_parity[vs[j]]:
             over_slots.append("r")
+        else:
+            raise AssertionError(f"no over strand at triangle crossing {vs[j]}")
     w = [
         b.add_crossing(diagram.signs[vs[j]], 0 if over_slots[j] == "r" else 1)
         for j in range(3)

@@ -351,5 +351,7 @@ def winding_number(diagram: OrientedDiagram, circle: StateCircle) -> int:
     """Net signed seam crossings along the circle (braid closures only)."""
     if not diagram.from_braid:
         raise ValueError("winding numbers need a diagram built from a braid word")
-    assert circle.winding is not None
+    if circle.winding is None:
+        raise ValueError("the circle carries no winding: it was resolved on a "
+                         "diagram not built from a braid word")
     return circle.winding

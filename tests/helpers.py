@@ -3,7 +3,8 @@
 ``relabel_crossings`` exists only here: crossing labels are assigned at
 parse time and never renumbered by the library itself, so ordering
 independence can be tested as a theorem rather than hidden by a
-normalization.
+normalization.  ``canonical_code_oracle`` is the exhaustive search that
+``OrientedDiagram.canonical_code`` prunes, kept as its cross-check.
 """
 
 from typing import Dict, List, Sequence, Tuple
@@ -123,3 +124,43 @@ def incidence_operator(diagram, bits: int, v: int) -> Dict[int, Dict[Tuple[int, 
             acc[(bits2, mask2)] = acc.get((bits2, mask2), 0) + sign
         out[mask] = {k: c for k, c in acc.items() if c}
     return out
+
+
+def canonical_code_oracle(diagram: OrientedDiagram, with_seam: bool = False) -> str:
+    """Canonical code by the exhaustive search: a full transcript from
+    every dart, the least per component, the sorted join of those."""
+    nd = diagram.ndarts
+    if nd == 0:
+        return "empty"
+    tags = []
+    for d in range(nd):
+        v = diagram.vertex_of(d)
+        if d < 4 * diagram.n:
+            rel = (d & 3) - diagram.over_parity[v]
+            tag = (f"x{diagram.signs[v]}o{rel & 1}t{int(diagram.is_tail[d])}"
+                   f"f{diagram.fused.get(v, -1)}")
+        else:
+            tag = f"A{diagram.anchor_bp.get(v - diagram.n, 0)}t{int(diagram.is_tail[d])}"
+        if with_seam:
+            tag += f",m{diagram.edges[diagram.edge_of[d]][2]}"
+        tags.append(tag)
+    best: Dict[int, str] = {}
+    for start in range(nd):
+        ids = {start: 0}
+        queue = [start]
+        rec: List[str] = []
+        qi = 0
+        while qi < len(queue):
+            d = queue[qi]
+            qi += 1
+            for nxt_name, nxt in (("s", diagram.sigma(d)), ("a", diagram.alpha[d])):
+                if nxt not in ids:
+                    ids[nxt] = len(ids)
+                    queue.append(nxt)
+                rec.append(f"{nxt_name}{ids[nxt]}")
+            rec.append(tags[d])
+        comp = diagram.comp_of_vertex[diagram.vertex_of(start)]
+        code = ",".join(rec)
+        if comp not in best or code < best[comp]:
+            best[comp] = code
+    return ",".join(sorted(best.values()))

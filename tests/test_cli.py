@@ -106,6 +106,14 @@ def test_verify_generation_error_exit_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("word", ["", "   ", "X2 1 1 1"],
+                         ids=["empty", "blank", "bad-prefix"])
+def test_verify_malformed_word_exit_2(capsys, word):
+    code, out, err = run(capsys, "verify", "-w", word)
+    assert code == 2
+    assert err.startswith("input error:") and not out
+
+
 def test_output_deterministic(capsys):
     args = ("homology", "-w", "B3 1 2 1", "--format", "json")
     _, out1, _ = run(capsys, *args)

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from braidbracket.diagram import (
+    SIDE_R,
     BraidWord,
+    DiagramBuilder,
     FormatError,
     MalformedWordError,
     NonPlanarError,
@@ -14,6 +16,9 @@ from braidbracket.diagram import (
     reverse_orientation,
     writhe,
 )
+from braidbracket.moves import random_equivalent_pair
+
+from helpers import canonical_code_oracle
 
 
 def test_empty_braid_closure_is_empty_diagram():
@@ -198,3 +203,62 @@ def _marked_trefoil(break_points):
 def test_canonical_code_of_split_diagram_keeps_decorations(d1, seam1, d2, seam2):
     assert d1.ncomponents == d2.ncomponents == 2
     assert d1.canonical_code(with_seam=seam1) != d2.canonical_code(with_seam=seam2)
+
+
+def _split_closures():
+    from braidbracket.bracket import add_marked_circle
+
+    words = [(0, ()), (1, ()), (3, ()), (3, (1, 1)), (4, (1, -1, 3)),
+             (4, (3, 1, -3)), (5, (-4, -3, -1, -3)), (5, (1, 1, 4, -4, 4))]
+    return [braid_closure(BraidWord(k, w)) for k, w in words] + [
+        _marked_trefoil(0), _marked_trefoil(2),
+        add_marked_circle(parse_braid_word("B3 1 -2 1"), 4),
+    ]
+
+
+def _moved_diagrams():
+    bases = [BraidWord(2, (1, 1, 1)), BraidWord(3, (1, -2, 1, -2)),
+             BraidWord(4, (2, -2, 3, -1)), BraidWord(3, (1, 2, -1, 2, 1, 2))]
+    out = [random_equivalent_pair(861703, 100, bases[2], max_crossings=14)[1]]
+    for seed in range(12):
+        _, d = random_equivalent_pair(seed, 10 + 7 * seed, bases[seed % 4],
+                                      max_crossings=14)
+        out += [d, reverse_orientation(d)]
+    return out
+
+
+def _two_anchor_circle(seam0, seam1):
+    # with seams 1 and 10 the transcripts of the two starts first differ at
+    # ",m1," against ",m10,": the "," separators decide which one is less
+    b = DiagramBuilder()
+    a0, a1 = b.add_anchor(), b.add_anchor()
+    b.add_edge(("a", a0, 0), ("a", a1, 1), seam0)
+    b.add_edge(("a", a1, 0), ("a", a0, 1), seam1)
+    b.outer = (0, SIDE_R)
+    return b.build()
+
+
+def test_canonical_code_matches_exhaustive_search(corpus):
+    diagrams = corpus + _split_closures() + _moved_diagrams()
+    diagrams += [_two_anchor_circle(1, 10), _two_anchor_circle(10, 1)]
+    assert any(d.ncomponents > 1 for d in diagrams)
+    assert max(d.ndarts for d in diagrams) > 40  # dart ids reach two digits
+    for d in diagrams:
+        for with_seam in (False, True):
+            assert d.canonical_code(with_seam=with_seam) == canonical_code_oracle(
+                d, with_seam
+            )
+
+
+def test_component_labels_follow_the_union_find(corpus):
+    # labels rank the roots that _uf_union leaves, edge by edge, tail first
+    from braidbracket.diagram import _uf_find, _uf_union
+
+    diagrams = corpus + _split_closures() + _moved_diagrams()
+    for d in diagrams:
+        parent = list(range(d.n + d.nanchors))
+        for t, h, _ in d.edges:
+            _uf_union(parent, d.vertex_of(t), d.vertex_of(h))
+        roots = [_uf_find(parent, v) for v in range(len(parent))]
+        rank = {r: i for i, r in enumerate(sorted(set(roots)))}
+        assert d.comp_of_vertex == [rank[r] for r in roots]

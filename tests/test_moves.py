@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from braidbracket.diagram import BraidWord, braid_closure, parse_braid_word, parse_pd
@@ -192,3 +194,93 @@ def test_triangle_slide_keeps_placement_of_link_component():
         moved = apply_move(d, site)
         assert moved.ncomponents == d.ncomponents == 2
         assert bracket_br(moved) == bracket_br(d)
+
+
+# Walks are pinned by the sha256 of the moved diagram's PD JSON: a change in
+# site order or surgery shows here, not only in benchmark digests.
+WALK_PINS = [
+    # (seed, strands, letters, crossings, components, digest)
+    (11, 2, (1, 1, 1), 11, 1, "52a20895ecc5361e"),
+    (12, 3, (1, -2, 1, -2), 12, 1, "75afdc11404650bf"),
+    (13, 4, (1, 2, 3, -1, 2), 13, 1, "b9c4a76f58ff9c23"),
+    (14, 2, (1, 1, -1, 1), 12, 1, "86301d5b4af467b6"),
+    (15, 3, (1, 2, -1, 2, 1, 2), 12, 1, "97cb50f4f99194c8"),
+    (16, 4, (2, -2, 3, -1), 14, 1, "38f0669a2621c440"),
+    (861703, 4, (2, -2, 3, -1), 12, 2, "14ab6bc9de38687b"),
+]
+
+
+@pytest.mark.parametrize("seed, strands, letters, n, ncomp, digest", WALK_PINS)
+def test_walk_is_pinned(seed, strands, letters, n, ncomp, digest):
+    _, d = random_equivalent_pair(seed, 100, BraidWord(strands, letters), max_crossings=14)
+    assert (d.n, d.ncomponents) == (n, ncomp)
+    assert hashlib.sha256(d.to_pd_json().encode()).hexdigest()[:16] == digest
+
+
+ALL_KINDS = ("IIa_remove", "IIa_insert", "IIb_insert", "RI_insert", "III",
+             "IIIa", "IIIb", "IIIc", "IIId", "IIIe", "IIIf")
+
+# per diagram: the number of sites of each kind in ALL_KINDS, and the sha256
+# of the repr of the (kind, anchor) lists in find_sites order
+SITE_PINS = {
+    "moved-3-strand": ((1, 40, 70, 80, 3, 1, 0, 1, 0, 1, 0), "d214514aa3a058e4"),
+    "moved-2-strand-link": ((4, 18, 144, 72, 0, 0, 0, 0, 0, 0, 0), "d3a8d19907f37152"),
+    "moved-4-strand": ((4, 62, 114, 96, 1, 1, 0, 0, 0, 0, 0), "e51102263ad84d86"),
+    "moved-split": ((6, 24, 220, 96, 0, 0, 0, 0, 0, 0, 0), "79c965c33c37b467"),
+    "split-closure": ((0, 14, 10, 32, 1, 0, 0, 1, 0, 0, 0), "c1ca1eb60e5e1f5e"),
+    "free-strand": ((2, 6, 12, 28, 0, 0, 0, 0, 0, 0, 0), "d6cdf7f3eae61236"),
+}
+
+
+def _site_pin_diagram(name):
+    if name == "moved-3-strand":
+        return random_equivalent_pair(21, 30, BraidWord(3, (1, 2, -1, 2)), max_crossings=12)[1]
+    if name == "moved-2-strand-link":
+        return random_equivalent_pair(
+            22, 30, BraidWord(2, (1, -1, 1, 1, 1)), max_crossings=12)[1]
+    if name == "moved-4-strand":
+        return random_equivalent_pair(23, 30, BraidWord(4, (1, 3, -2, 1)), max_crossings=12)[1]
+    if name == "moved-split":
+        return random_equivalent_pair(
+            861703, 100, BraidWord(4, (2, -2, 3, -1)), max_crossings=14)[1]
+    if name == "split-closure":
+        return braid_closure(BraidWord(5, (-4, -3, -1, -3)))
+    return braid_closure(BraidWord(3, (1, 1, -1)))  # strand 3 is a free loop
+
+
+@pytest.mark.parametrize("name", sorted(SITE_PINS))
+def test_site_lists_are_pinned(name):
+    d = _site_pin_diagram(name)
+    lists = [[(s.kind, s.anchor) for s in find_sites(d, kind)] for kind in ALL_KINDS]
+    counts, digest = SITE_PINS[name]
+    assert tuple(map(len, lists)) == counts
+    assert hashlib.sha256(repr(lists).encode()).hexdigest()[:16] == digest
+
+
+def test_sites_are_sorted_and_share_the_fingerprint():
+    d = _site_pin_diagram("moved-4-strand")
+    for kind in ALL_KINDS:
+        sites = find_sites(d, kind)
+        assert [(s.kind, s.anchor) for s in sites] == sorted((s.kind, s.anchor) for s in sites)
+        assert len({s.fingerprint for s in sites}) <= 1
+        assert all(repr(s) == f"MoveSite({s.kind}, {s.anchor})" for s in sites)
+
+
+def test_pair_insert_sites_pass_the_full_check():
+    from braidbracket.moves import _check_pair_insert
+
+    for name in ("moved-2-strand-link", "moved-split", "split-closure"):
+        d = _site_pin_diagram(name)
+        for kind in ("IIa_insert", "IIb_insert"):
+            for s in find_sites(d, kind):
+                assert _check_pair_insert(d, s.anchor, kind == "IIa_insert")
+
+
+def test_fingerprint_is_kept_and_content_based():
+    from braidbracket.moves import _fingerprint
+
+    d = parse_braid_word("B3 1 2 1")
+    fp = _fingerprint(d)
+    assert _fingerprint(d) is fp
+    assert _fingerprint(parse_braid_word("B3 1 2 1")) == fp
+    assert _fingerprint(parse_braid_word("B3 2 1 2")) != fp

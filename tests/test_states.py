@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from braidbracket.diagram import NonPlanarError, parse_braid_word, reverse_orientation
@@ -168,3 +173,28 @@ def test_nesting_forest_rejects_a_circle_map_that_contradicts_the_embedding():
     # darts 1 and 3 swap circles: the faces' parities no longer agree
     with pytest.raises(NonPlanarError):
         _nesting_forest(d, tau, [0, 1, 1, 0], 2)
+
+
+def test_winding_guard_survives_optimize():
+    # a circle without a winding, on a closure, must raise under python -O
+    script = (
+        "import dataclasses, sys\n"
+        "from braidbracket.diagram import parse_braid_word\n"
+        "from braidbracket.states import Smoothing, resolve, winding_number\n"
+        "if __debug__:\n"
+        "    sys.exit('not optimized')\n"
+        "d = parse_braid_word('B2 1')\n"
+        "circle = dataclasses.replace(resolve(d, Smoothing(0, 1)).circles[0], winding=None)\n"
+        "try:\n"
+        "    winding_number(d, circle)\n"
+        "except ValueError:\n"
+        "    print('raised')\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
