@@ -44,13 +44,11 @@ LightenedBracket = Dict[Tuple[int, int], int]  # (A exponent, chi exponent) -> c
 def bracket_br(
     diagram: OrientedDiagram,
     cap: int = DEFAULT_CAP,
-    threads: int = 1,
 ) -> BracketElement:
     """Exact refined bracket as a map {configuration: Laurent polynomial}.
 
     Closures built by ``braid_closure`` take the Temperley-Lieb sweep
     (``_bracket_sweep``); every other diagram takes the 2^n state sum.
-    ``threads`` is accepted and ignored.
     """
     n = len(diagram.active_crossings)
     if n > cap:

@@ -25,6 +25,7 @@ operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .diagram import OrientedDiagram
@@ -58,6 +59,8 @@ class EnhancedState:
         return (self.smoothing.bits, mask)
 
 
+# (circ_of, types, dmask, hmask): see ``_StateTable.structure``
+_Smoothing = Tuple[Tuple[int, ...], Tuple[str, ...], int, int]
 # (bits2, x, y, img, extra): see ``_StateTable.rule``
 _Rule = Tuple[int, int, int, Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
@@ -71,35 +74,27 @@ class _StateTable:
         self.diagram = diagram
         self.n = diagram.n
         self.w = diagram.writhe()
-        self._cache: Dict[int, Tuple[Tuple[int, ...], Tuple[str, ...]]] = {}
-        self._masks: Dict[int, Tuple[int, int]] = {}
+        self._smoothings: Dict[int, _Smoothing] = {}
         # rules for ``_dv_terms``, which asks for each one once per labeling
         self.rules: Dict[Tuple[int, int], _Rule] = {}
         self._orders: Dict[int, Tuple[List[int], List[Tuple[int, ...]]]] = {}
 
-    def structure(self, bits: int) -> Tuple[Tuple[int, ...], Tuple[str, ...]]:
-        """(circle id per dart, circle types) for one smoothing."""
-        hit = self._cache.get(bits)
-        if hit is not None:
-            return hit
-        tau = _tau(self.diagram, Smoothing(bits, self.n))
-        circ_of, bps = _trace_circles(self.diagram, tau)
-        types = tuple(_circle_type(bp) for bp in bps)
-        dmask = sum(1 << idx for idx, t in enumerate(types) if t == "d")
-        self._masks[bits] = (dmask, ((1 << len(types)) - 1) ^ dmask)
-        out = (tuple(circ_of), types)
-        self._cache[bits] = out
-        return out
-
-    def masks(self, bits: int) -> Tuple[int, int]:
-        """(d-circle mask, h-circle mask) of one smoothing."""
-        if bits not in self._masks:
-            self.structure(bits)
-        return self._masks[bits]
+    def structure(self, bits: int) -> _Smoothing:
+        """(circle id per dart, circle types, d-circle mask, h-circle mask)
+        of one smoothing."""
+        hit = self._smoothings.get(bits)
+        if hit is None:
+            tau = _tau(self.diagram, Smoothing(bits, self.n))
+            circ_of, bps = _trace_circles(self.diagram, tau)
+            types = tuple(_circle_type(bp) for bp in bps)
+            dmask = sum(1 << idx for idx, t in enumerate(types) if t == "d")
+            hmask = ((1 << len(types)) - 1) ^ dmask
+            hit = self._smoothings[bits] = (tuple(circ_of), types, dmask, hmask)
+        return hit
 
     def gradings(self, bits: int, labelmask: int) -> Grading:
         sig = self.n - 2 * bits.bit_count()
-        dmask, hmask = self.masks(bits)
+        _, _, dmask, hmask = self.structure(bits)
         tau_d = 2 * (labelmask & dmask).bit_count() - dmask.bit_count()
         tau_h = 2 * (labelmask & hmask).bit_count() - hmask.bit_count()
         return ((sig - self.w) // 2, (sig - 3 * self.w + 2 * tau_d) // 2, tau_h)
@@ -128,9 +123,9 @@ class _StateTable:
         lists the target bits of the new circles, one entry per term of
         d_v (0, 1 or 2 of them).
         """
-        circ_of, types = self.structure(bits)
+        circ_of, types, _, _ = self.structure(bits)
         bits2 = bits | (1 << v)
-        circ_of2, types2 = self.structure(bits2)
+        circ_of2, types2, _, _ = self.structure(bits2)
         base = 4 * v
         at_v = sorted({circ_of[base + p] for p in range(4)})
         at_v2 = sorted({circ_of2[base + p] for p in range(4)})
@@ -236,38 +231,31 @@ def _koszul_sign(bits: int, v: int) -> int:
 
 
 def _make_enhanced(table: _StateTable, bits: int, labelmask: int) -> EnhancedState:
-    _, types = table.structure(bits)
+    types = table.structure(bits)[1]
     labels = table.label_order(len(types))[1][labelmask]
     i, j, k = table.gradings(bits, labelmask)
     return EnhancedState(Smoothing(bits, table.n), labels, i, j, k)
 
 
-def _basis(table: _StateTable) -> Tuple[
-    Dict[Grading, List[EnhancedState]],
-    Dict[Grading, Dict[StateKey, int]],
-    List[Grading],
-    List[List[int]],
-    List[List[int]],
-]:
-    """The enhanced-state basis, and where every state sits in it.
+def _basis(
+    table: _StateTable,
+) -> Tuple[List[Grading], List[int], List[List[int]], List[List[int]]]:
+    """Where every enhanced state sits in the basis.
 
-    Returns ``(states, index, gradings, gid, pos)``.  ``states`` and
-    ``index`` are keyed by tridegree, in order of first appearance, which
-    is also the order of ``gradings``.  ``gid[bits][mask]`` is the position
-    in ``gradings`` of a state's tridegree and ``pos[bits][mask]`` its
-    column there.  Columns follow smoothings in order, then labelings in
-    canonical order.
+    Returns ``(gradings, dims, gid, pos)``.  ``gradings`` lists the
+    tridegrees in order of first appearance and ``dims`` their sizes.
+    ``gid[bits][mask]`` is the position in ``gradings`` of a state's
+    tridegree and ``pos[bits][mask]`` its column there.  Columns follow
+    smoothings in order, then labelings in canonical order.
     """
     ids: Dict[Grading, int] = {}
     gradings: List[Grading] = []
-    states: List[List[EnhancedState]] = []
-    keys: List[Dict[StateKey, int]] = []
+    dims: List[int] = []
     gid_of: List[List[int]] = []
     pos_of: List[List[int]] = []
     for bits in range(1 << table.n):
-        smoothing = Smoothing(bits, table.n)
-        dmask, hmask = table.masks(bits)
-        order, labels = table.label_order((dmask | hmask).bit_length())
+        _, types, dmask, hmask = table.structure(bits)
+        order = table.label_order(len(types))[0]
         width = hmask.bit_count() + 1
         cell = [-1] * ((dmask.bit_count() + 1) * width)
         gids = [0] * len(order)
@@ -282,20 +270,14 @@ def _basis(table: _StateTable) -> Tuple[
                 if g < 0:
                     g = ids[grading] = len(gradings)
                     gradings.append(grading)
-                    states.append([])
-                    keys.append({})
+                    dims.append(0)
                 cell[c] = g
-            i, j, k = gradings[g]
-            col = len(states[g])
-            states[g].append(EnhancedState(smoothing, labels[m], i, j, k))
-            keys[g][(bits, m)] = col
             gids[m] = g
-            poss[m] = col
+            poss[m] = dims[g]
+            dims[g] += 1
         gid_of.append(gids)
         pos_of.append(poss)
-    return (
-        dict(zip(gradings, states)), dict(zip(gradings, keys)), gradings, gid_of, pos_of
-    )
+    return gradings, dims, gid_of, pos_of
 
 
 def enhanced_states(
@@ -303,7 +285,13 @@ def enhanced_states(
 ) -> Dict[Grading, List[EnhancedState]]:
     """All enhanced states bucketed by (i, j, k), in canonical basis order."""
     table = _get_table(diagram, cap)
-    return _basis(table)[0]
+    gradings, _, gid_of, _ = _basis(table)
+    buckets: List[List[EnhancedState]] = [[] for _ in gradings]
+    for bits, gids in enumerate(gid_of):
+        ncirc = len(table.structure(bits)[1])
+        for m in table.label_order(ncirc)[0]:
+            buckets[gids[m]].append(_make_enhanced(table, bits, m))
+    return dict(zip(gradings, buckets))
 
 
 def incidence(
@@ -320,8 +308,8 @@ def incidence(
     if bits2 ^ bits != 1 << v:
         return 0
     table = _get_table(diagram, diagram.n)
-    circ_of, _ = table.structure(bits)
-    circ_of2, _ = table.structure(bits2)
+    circ_of = table.structure(bits)[0]
+    circ_of2 = table.structure(bits2)[0]
     darts1: Dict[int, set] = {}
     darts2: Dict[int, set] = {}
     for d, c in enumerate(circ_of):
@@ -346,13 +334,9 @@ def partial_differential(
     if (bits >> v) & 1:
         raise ValueError(f"crossing {v} is not A-smoothed in this state")
     table = _get_table(diagram, diagram.n)
-    mask = 0
-    for idx, sign in enumerate(s.labels):
-        if sign > 0:
-            mask |= 1 << idx
     sign = _koszul_sign(bits, v)
     out: Dict[EnhancedState, int] = {}
-    for (bits2, mask2) in _dv_terms(table, bits, mask, v):
+    for (bits2, mask2) in _dv_terms(table, bits, s.key[1], v):
         t = _make_enhanced(table, bits2, mask2)
         out[t] = out.get(t, 0) + sign
     return {t: c for t, c in out.items() if c}
@@ -367,7 +351,7 @@ def partial_differential_oracle(
         raise ValueError(f"crossing {v} is not A-smoothed in this state")
     table = _get_table(diagram, diagram.n)
     bits2 = bits | (1 << v)
-    _, types2 = table.structure(bits2)
+    types2 = table.structure(bits2)[1]
     sign = _koszul_sign(bits, v)
     out: Dict[EnhancedState, int] = {}
     for mask2 in range(1 << len(types2)):
@@ -379,17 +363,24 @@ def partial_differential_oracle(
 
 @dataclass
 class DifferentialMatrix:
-    """Sparse integer differentials per tridegree, columns in degree i."""
+    """Sparse integer differentials per tridegree, columns in degree i.
+
+    ``dims`` holds the size of every tridegree of the basis; ``basis``
+    lists its enhanced states, built on first read.
+    """
 
     diagram: OrientedDiagram
-    basis: Dict[Grading, List[EnhancedState]]
-    index: Dict[Grading, Dict[StateKey, int]]
+    dims: Dict[Grading, int]
     matrices: Dict[Grading, Dict[Tuple[int, int], int]]  # (row in i-1, col in i)
+
+    @cached_property
+    def basis(self) -> Dict[Grading, List[EnhancedState]]:
+        return enhanced_states(self.diagram, self.diagram.n)
 
     def matrix_dense(self, g: Grading) -> List[List[int]]:
         i, j, k = g
-        rows = len(self.basis.get((i - 1, j, k), ()))
-        cols = len(self.basis.get(g, ()))
+        rows = self.dims.get((i - 1, j, k), 0)
+        cols = self.dims.get(g, 0)
         m = [[0] * cols for _ in range(rows)]
         for (r, c), val in self.matrices.get(g, {}).items():
             m[r][c] = val
@@ -404,8 +395,8 @@ class DifferentialMatrix:
                     "i": i,
                     "j": j,
                     "k": k,
-                    "rows": len(self.basis.get((i - 1, j, k), ())),
-                    "cols": len(self.basis.get((i, j, k), ())),
+                    "rows": self.dims.get((i - 1, j, k), 0),
+                    "cols": self.dims.get((i, j, k), 0),
                     "entries": [[r, c, v] for (r, c), v in sorted(ent.items())],
                 }
             )
@@ -443,7 +434,7 @@ def differential_matrices(
     all masks, and the touched labels pick the new circles' bits.
     """
     table = _get_table(diagram, cap)
-    basis, index, gradings, gid_of, pos_of = _basis(table)
+    gradings, dims, gid_of, pos_of = _basis(table)
     ids = {g: gi for gi, g in enumerate(gradings)}
     down = [ids.get((i - 1, j, k), -1) for (i, j, k) in gradings]
     blocks: List[Dict[Tuple[int, int], int]] = [{} for _ in gradings]
@@ -472,7 +463,7 @@ def differential_matrices(
                     # rule are distinct: no entry is reached twice
                     block[(ptgt[t], col)] = sgn
     matrices = {g: block for g, block in zip(gradings, blocks) if block}
-    return DifferentialMatrix(diagram, basis, index, matrices)
+    return DifferentialMatrix(diagram, dict(zip(gradings, dims)), matrices)
 
 
 def verify_anticommute(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> dict:
@@ -489,7 +480,7 @@ def verify_anticommute(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> dict
         a_sm = [v for v in range(n) if not (bits >> v) & 1]
         if len(a_sm) < 2:
             continue
-        circ_of, types = table.structure(bits)
+        circ_of, types, _, _ = table.structure(bits)
         ncirc = len(types)
         for ui in range(len(a_sm)):
             for vi in range(ui + 1, len(a_sm)):

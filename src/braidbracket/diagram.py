@@ -440,10 +440,6 @@ class OrientedDiagram:
     def writhe(self) -> int:
         return sum(self.signs[c] for c in self.active_crossings)
 
-    def over_out_dart(self, c: int) -> int:
-        q = self.over_parity[c]
-        return 4 * c + (q if self.is_tail[4 * c + q] else q + 2)
-
     def to_builder(self) -> DiagramBuilder:
         b = DiagramBuilder()
         for c in range(self.n):
@@ -672,7 +668,10 @@ def _parse_port(obj, n: int) -> Port:
         return ("a", _pd_int(obj[0][1], "anchor id"), _pd_int(obj[1], "port"))
     if not (isinstance(obj, list) and len(obj) == 2):
         raise FormatError(f"bad port reference {obj!r}")
-    return ("x", _pd_int(obj[0], "crossing id"), _pd_int(obj[1], "port"))
+    ci, pos = _pd_int(obj[0], "crossing id"), _pd_int(obj[1], "port")
+    if not (0 <= ci < n and 0 <= pos < 4):
+        raise FormatError(f"port {obj!r} is not a port of a declared crossing")
+    return ("x", ci, pos)
 
 
 def parse_pd(data) -> OrientedDiagram:

@@ -234,9 +234,8 @@ def homology_groups(
             snf_cache[g] = _sparse_invariant_factors(block) if block else []
         return snf_cache[g]
 
-    for g, states in dm.basis.items():
+    for g, dim in dm.dims.items():
         i, j, k = g
-        dim = len(states)
         rank_out = len(factors_at(g))
         incoming = factors_at((i + 1, j, k))
         betti = dim - rank_out - len(incoming)

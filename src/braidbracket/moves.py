@@ -250,12 +250,6 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
 # -- surgeries -----------------------------------------------------------
 
 
-def _port_of(diagram: OrientedDiagram, dart: int):
-    if dart < 4 * diagram.n:
-        return ("x", dart >> 2, dart & 3)
-    return ("a", (dart - 4 * diagram.n) >> 1, dart & 1)
-
-
 def _end_role(diagram: OrientedDiagram, dart: int) -> str:
     return "tail" if diagram.is_tail[dart] else "head"
 

@@ -94,9 +94,6 @@ class Configuration:
         return self.canonical
 
 
-EMPTY_CONFIGURATION = Configuration("")
-
-
 def _tau(diagram: OrientedDiagram, smoothing: Smoothing) -> List[int]:
     """Dart pairing of the smoothed diagram (smoothing arcs + anchor passes)."""
     tau = [0] * diagram.ndarts

@@ -1,7 +1,8 @@
 """Test-harness utilities kept out of the library surface.
 
 ``relabel_crossings`` exists only here: crossing labels are assigned at
-parse time and never renumbered by the library itself, so ordering
+parse time, and the library renumbers them only to close the gaps that
+deleted crossings leave, keeping their relative order.  So ordering
 independence can be tested as a theorem rather than hidden by a
 normalization.  ``canonical_code_oracle`` is the exhaustive search that
 ``OrientedDiagram.canonical_code`` prunes, kept as its cross-check.
@@ -48,7 +49,7 @@ def bracket_combination(parts) -> dict:
 def rule_table_operator(diagram, bits: int, v: int) -> Dict[int, Dict[Tuple[int, int], int]]:
     """The rule-table d_v on every labeling of the state ``bits``."""
     table = _get_table(diagram, diagram.n)
-    _, types = table.structure(bits)
+    types = table.structure(bits)[1]
     sign = _koszul_sign(bits, v)
     out = {}
     for mask in range(1 << len(types)):
@@ -68,9 +69,9 @@ def incidence_operator(diagram, bits: int, v: int) -> Dict[int, Dict[Tuple[int, 
     per-pair checks cheap, but every pair is genuinely tested.
     """
     table = _get_table(diagram, diagram.n)
-    circ_of, types = table.structure(bits)
+    circ_of, types, _, _ = table.structure(bits)
     bits2 = bits | (1 << v)
-    circ_of2, types2 = table.structure(bits2)
+    circ_of2, types2, _, _ = table.structure(bits2)
     nc, nc2 = len(types), len(types2)
 
     darts1: Dict[int, frozenset] = {}

@@ -202,7 +202,7 @@ def test_criterion_12_performance_floor():
     d12 = parse_braid_word(word)
     assert d12.n == 12
     t0 = time.perf_counter()
-    bracket_br(d12, threads=1)
+    bracket_br(d12)
     bracket_time = time.perf_counter() - t0
     _report(12, "trefoil homology < 1 s and 12-crossing bracket < 10 s",
             trefoil_time < 1.0 and bracket_time < 10.0,

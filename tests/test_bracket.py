@@ -43,11 +43,6 @@ def test_bracket_hopf_closure():
     assert b == {"(())": {2: 1}, "": {-6: 1, 2: -1}}
 
 
-def test_bracket_threads_deterministic():
-    d = parse_braid_word("B3 1 2 -1 2 1")
-    assert bracket_br(d, threads=4) == bracket_br(d)
-
-
 def test_bracket_cap():
     with pytest.raises(SizeCapError):
         bracket_br(parse_braid_word("B2" + " 1" * 6), cap=5)

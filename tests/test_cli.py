@@ -121,6 +121,13 @@ def test_output_deterministic(capsys):
     assert out1 == out2
 
 
+def test_bracket_threads_flag_keeps_output(capsys):
+    args = ("bracket", "--format", "json", "-w", "B3 1 2 -1 2 1")
+    _, plain, _ = run(capsys, *args)
+    code, threaded, _ = run(capsys, *args, "--threads", "2")
+    assert code == 0 and threaded == plain
+
+
 def test_pd_file_input(tmp_path, capsys):
     d = parse_braid_word("B2 1 1 1")
     path = tmp_path / "trefoil.json"
@@ -179,3 +186,13 @@ def test_pd_non_integer_field_exit_2(tmp_path, capsys, word, field, value):
     path.write_text(json.dumps(_pd_with(word, field, value)))
     code, _, err = run(capsys, "bracket", str(path))
     assert code == 2 and "input error" in err
+
+
+@pytest.mark.parametrize("end", [[7, 0], [-1, 0]])
+def test_pd_edge_to_undeclared_crossing_exit_2(tmp_path, capsys, end):
+    obj = json.loads(parse_braid_word("B2 1 1 1").to_pd_json())
+    obj["edges"].append({"id": 6, "from": end, "to": [8, 1]})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "bracket", str(path))
+    assert code == 2 and err.startswith("input error:")

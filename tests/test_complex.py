@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from braidbracket import chain_complex
 from braidbracket.diagram import parse_braid_word
 from braidbracket.chain_complex import (
     differential_matrices,
@@ -46,6 +47,25 @@ def test_enhanced_state_count(corpus_small):
 
         expected = sum(2 ** len(s.circles) for s in enumerate_states(d, with_nesting=False))
         assert total == expected
+
+
+def test_basis_built_on_read_matches_enhanced_states(corpus_small):
+    for d in corpus_small:
+        dm = differential_matrices(d)
+        assert dm.basis == enhanced_states(d)
+        assert {g: len(v) for g, v in dm.basis.items()} == dm.dims
+
+
+@pytest.mark.parametrize("word", ["B2 1 1 1", "B3 1 -2 1 -2 1 -2"])
+def test_homology_builds_no_enhanced_state(monkeypatch, word):
+    from braidbracket.homology import homology_groups
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("EnhancedState built on the homology path")
+
+    monkeypatch.setattr(chain_complex, "EnhancedState", refuse)
+    d = parse_braid_word(word)
+    assert homology_groups(d, matrices=differential_matrices(d))
 
 
 def test_incidence_basic_conditions():
