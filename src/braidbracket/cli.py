@@ -19,9 +19,10 @@ import json
 import sys
 
 from .diagram import DiagramError, OrientedDiagram, parse_braid_word, parse_pd
-from .laurent import lp_str, lp2_str
-from .states import SizeCapError, enumerate_states
+from .laurent import lp_shift, lp_str, lp2_str
+from .states import DEFAULT_CAP, SizeCapError, enumerate_states
 from .bracket import (
+    _add_into,
     bracket_br,
     bracket_to_json,
     kauffman_oracle,
@@ -46,7 +47,7 @@ EXIT_CAP = 3
 EXIT_GENERATION = 4
 EXIT_VERIFY = 5
 
-HARD_CAP = 24
+HARD_CAP = DEFAULT_CAP
 
 
 @functools.cache
@@ -58,9 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("input", nargs="?", help="oriented-PD JSON file")
         sp.add_argument("-w", "--word", help='braid word, e.g. "B2 1 1 1"')
         sp.add_argument("-f", "--file", help="oriented-PD JSON file")
-        sp.add_argument("--cap", type=int, default=24, help="state-sum size cap")
+        sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="state-sum size cap")
         sp.add_argument("--unsafe-cap", action="store_true",
-                        help="allow caps above 24 crossings")
+                        help=f"allow caps above {DEFAULT_CAP} crossings")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--moves", type=int, default=10)
         sp.add_argument("--threads", type=int, default=1,
@@ -84,10 +85,6 @@ def _load_diagram(args: argparse.Namespace) -> OrientedDiagram:
         return parse_pd(sys.stdin.read())
     with open(path, "rb") as fh:
         return parse_pd(fh.read())
-
-
-def _poly_json(poly) -> dict:
-    return {str(e): str(c) for e, c in sorted(poly.items())}
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
@@ -185,18 +182,11 @@ def _verify_battery(args: argparse.Namespace) -> list:
         lhs = specialize_chi_to_delta(lighten(b))
         checks.append((f"oracle identity ({name})", lhs == kauffman_oracle(d, cap=args.cap)))
     skein_ok = True
-    from .laurent import lp_add, lp_shift
     for v in d1.active_crossings:
-        d0, drest = skein_expand(d1, v)
         rhs = {}
-        for cfg_str, poly in bracket_br(d0, cap=args.cap).items():
-            rhs[cfg_str] = lp_add(rhs.get(cfg_str, {}), lp_shift(poly, 1))
-        for cfg_str, poly in bracket_br(drest, cap=args.cap).items():
-            s = lp_add(rhs.get(cfg_str, {}), lp_shift(poly, -1))
-            if s:
-                rhs[cfg_str] = s
-            elif cfg_str in rhs:
-                del rhs[cfg_str]
+        for shift, d in zip((1, -1), skein_expand(d1, v)):
+            for cfg_str, poly in bracket_br(d, cap=args.cap).items():
+                _add_into(rhs, cfg_str, lp_shift(poly, shift))
         if rhs != b1:
             skein_ok = False
     checks.append(("skein identity", skein_ok))

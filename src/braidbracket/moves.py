@@ -4,9 +4,9 @@ Move patterns are matched on faces of the combinatorial map:
 
 * ``IIa_remove``: a bigon face whose two crossings have opposite signs,
   whose strands run coherently (parallel), one strand passing over at both
-  crossings.  Removal splices the strands through fresh anchors, which are
-  then dissolved back into plain edges (or kept when a strand closes into
-  a free loop).
+  crossings.  Removal splices the strands through two fresh anchors, which
+  are then dissolved back into plain edges (or kept when a strand closes
+  into a free loop); anchors elsewhere in the diagram stay as they are.
 * ``IIa_insert``: any two coherently oriented strand sides of a common
   face; the band is pulled across the face and crossed twice, in either
   over/under order.
@@ -19,9 +19,10 @@ Move patterns are matched on faces of the combinatorial map:
 * ``RI_insert`` and ``IIb_insert`` are deliberately *excluded* from
   braid-like equivalence and exist as negative controls.
 
-All surgeries rebuild the diagram through the builder and revalidate the
-embedding; face references (outer face, component placements) are carried
-across the surgery by naming faces through surviving edges.
+Each surgery rewires the builder of the diagram at its own site only, and
+``apply_move`` builds and revalidates the result once; face references
+(outer face, component placements) are carried across the surgery by
+naming faces through surviving edges.
 """
 
 from __future__ import annotations
@@ -91,8 +92,6 @@ def _is_over_at(diagram: OrientedDiagram, dart: int) -> bool:
 
 
 def _check_iia_remove(diagram: OrientedDiagram, anchor) -> bool:
-    if len(anchor) != 2:
-        return False
     u0, u1 = anchor
     if not (0 <= u0 < diagram.ndarts and 0 <= u1 < diagram.ndarts):
         return False
@@ -114,12 +113,8 @@ def _check_iia_remove(diagram: OrientedDiagram, anchor) -> bool:
 
 
 def _check_pair_insert(diagram: OrientedDiagram, anchor, coherent: bool) -> bool:
-    if len(anchor) != 3:
-        return False
-    a, b, flag = anchor
+    a, b, _ = anchor
     if not (0 <= a < diagram.ndarts and 0 <= b < diagram.ndarts) or a == b:
-        return False
-    if not isinstance(flag, bool):
         return False
     if diagram.global_face_of_dart(a) != diagram.global_face_of_dart(b):
         return False
@@ -148,8 +143,6 @@ def _tri_frames(diagram: OrientedDiagram, orbit):
 
 def _check_iii(diagram: OrientedDiagram, anchor) -> Optional[str]:
     """Returns the variant letter of a braid-like triangle, or None."""
-    if len(anchor) != 3:
-        return None
     u0 = anchor[0]
     if not 0 <= u0 < diagram.ndarts:
         return None
@@ -250,10 +243,6 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
 # -- surgeries -----------------------------------------------------------
 
 
-def _end_role(diagram: OrientedDiagram, dart: int) -> str:
-    return "tail" if diagram.is_tail[dart] else "head"
-
-
 def _side_ref_of_dart(diagram: OrientedDiagram, dart: int) -> FaceRef:
     """(edge, side) naming the face to the right of the dart."""
     return (diagram.edge_of[dart], SIDE_R if diagram.is_tail[dart] else SIDE_L)
@@ -298,61 +287,8 @@ def _builder_components(builder: DiagramBuilder) -> Dict[Tuple[str, int], int]:
     return {v: _uf_find(parent, i) for v, i in idx.items()}
 
 
-def _edge_vertex(builder: DiagramBuilder, eid: int) -> Tuple[str, int]:
-    return builder.edges[eid]["tail"][:2]
-
-
-def _cleanup_anchors(builder: DiagramBuilder) -> None:
-    """Dissolve anchors that merely subdivide a strand (keep loops, marks)."""
-    changed = True
-    while changed:
-        changed = False
-        ends: Dict[int, dict] = {}
-        for eid, rec in builder.edges.items():
-            if rec is None:
-                continue
-            for role in ("tail", "head"):
-                kind, idx, _pos = rec[role]
-                if kind == "a":
-                    ends.setdefault(idx, {})[role] = eid
-        for ai, roles in ends.items():
-            if builder.anchor_bp.get(ai):
-                continue
-            e_out, e_in = roles.get("tail"), roles.get("head")
-            if e_out is None or e_in is None or e_out == e_in:
-                continue  # free loop (or half-wired during surgery)
-            rec_in, rec_out = builder.edges[e_in], builder.edges[e_out]
-            merged = builder.add_edge(
-                rec_in["tail"], rec_out["head"], rec_in["seam"] + rec_out["seam"]
-            )
-            builder.remove_edge(e_in)
-            builder.remove_edge(e_out)
-            builder._remap_refs(e_in, merged)
-            builder._remap_refs(e_out, merged)
-            _drop_anchor(builder, ai)
-            changed = True
-            break
-
-
-def _drop_anchor(builder: DiagramBuilder, ai: int) -> None:
-    last = builder.nanchors - 1
-    if ai != last:
-        for rec in builder.edges.values():
-            if rec is None:
-                continue
-            for role in ("tail", "head"):
-                kind, idx, pos = rec[role]
-                if kind == "a" and idx == last:
-                    rec[role] = ("a", ai, pos)
-        if last in builder.anchor_bp:
-            builder.anchor_bp[ai] = builder.anchor_bp.pop(last)
-    builder.nanchors -= 1
-
-
-def _apply_iia_remove(diagram: OrientedDiagram, anchor) -> OrientedDiagram:
+def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
     u0, u1 = anchor
-    b = diagram.to_builder()
-    b.from_braid = False
     e0, e1 = diagram.edge_of[u0], diagram.edge_of[u1]
     corridor_refs: List[FaceRef] = []
     splices: List[Tuple[int, int, int]] = []
@@ -386,68 +322,83 @@ def _apply_iia_remove(diagram: OrientedDiagram, anchor) -> OrientedDiagram:
     if len(splices) != 2:
         raise AssertionError(f"bigon removal spliced {len(splices)} strands, not 2")
     _remap_dying_refs(diagram, b, {e0, e1}, corridor_refs[0])
+    spliced = []  # [anchor, incoming edge, outgoing edge] per strand
     for e_in, e_out, seam in splices:
         ai = b.add_anchor()
         b.edges[e_in]["head"] = ("a", ai, 0)
         b.edges[e_out]["tail"] = ("a", ai, 1)
         b.edges[e_in]["seam"] += seam
+        spliced.append([ai, e_in, e_out])
     b.remove_crossing(diagram.vertex_of(u0))
     b.remove_crossing(diagram.vertex_of(u1))
     b.remove_edge(e0)
     b.remove_edge(e1)
     comps = _builder_components(b)
-    ra = comps[_edge_vertex(b, corridor_refs[0][0])]
-    rb = comps[_edge_vertex(b, corridor_refs[1][0])]
+    ra, rb = (comps[b.edges[ref[0]]["tail"][:2]] for ref in corridor_refs)
     if ra != rb:
         b.placements.append((corridor_refs[0], corridor_refs[1]))
-    _cleanup_anchors(b)
-    return b.build()
+    # Dissolve the two splice anchors, first the one on the lower edge id,
+    # which fixes the ids of the merged edges.  An anchor whose strand closed
+    # into a loop stays; the last anchor takes a dissolved one's number.
+    for s in sorted(spliced, key=lambda s: min(s[1:])):
+        ai, e_in, e_out = s
+        if e_in == e_out:
+            continue
+        rec_in, rec_out = b.edges[e_in], b.edges[e_out]
+        merged = b.add_edge(
+            rec_in["tail"], rec_out["head"], rec_in["seam"] + rec_out["seam"]
+        )
+        for e in (e_in, e_out):
+            b.remove_edge(e)
+            b._remap_refs(e, merged)
+        spliced.remove(s)
+        b.nanchors -= 1
+        for t in spliced:
+            t[1:] = [merged if e in (e_in, e_out) else e for e in t[1:]]
+            if t[0] == b.nanchors:
+                t[0] = ai
+                b.edges[t[1]]["head"] = ("a", ai, 0)
+                b.edges[t[2]]["tail"] = ("a", ai, 1)
 
 
-def _apply_pair_insert(
-    diagram: OrientedDiagram, anchor, coherent: bool
-) -> OrientedDiagram:
-    a, bdart, a_over = anchor
-    b = diagram.to_builder()
-    b.from_braid = False
-    e_u, e_v = diagram.edge_of[a], diagram.edge_of[bdart]
-    if coherent:
-        # u runs "down" with the face on its left, v "down" with it on the right
-        x = b.add_crossing(sign=1, over_parity=1 if a_over else 0)
-        y = b.add_crossing(sign=1, over_parity=0 if a_over else 1)
-        b.split_edge(e_u, mid_tail=("x", y, 2), mid_head=("x", x, 1))
-        b.split_edge(e_v, mid_tail=("x", y, 3), mid_head=("x", x, 0))
-        b.add_edge(("x", x, 3), ("x", y, 0))  # u through the band
-        b.add_edge(("x", x, 2), ("x", y, 1))  # v through the band
-        b.crossings[x]["sign"] = -1 if a_over else 1
-        b.crossings[y]["sign"] = 1 if a_over else -1
-    elif not diagram.is_tail[a]:
-        # anti-parallel, both face sides left of flow: u down, v up
-        x = b.add_crossing(sign=1, over_parity=1 if a_over else 0)  # upper
-        y = b.add_crossing(sign=1, over_parity=0 if a_over else 1)  # lower
-        b.split_edge(e_u, mid_tail=("x", y, 2), mid_head=("x", x, 1))
-        b.split_edge(e_v, mid_tail=("x", x, 0), mid_head=("x", y, 3))
-        b.add_edge(("x", x, 3), ("x", y, 0))  # u: x then y
-        b.add_edge(("x", y, 1), ("x", x, 2))  # v: y then x
-        b.crossings[x]["sign"] = 1 if a_over else -1
-        b.crossings[y]["sign"] = -1 if a_over else 1
-    else:
-        # anti-parallel, both sides right of flow: u up, v down
-        p = b.add_crossing(sign=1, over_parity=0 if a_over else 1)  # lower
-        q = b.add_crossing(sign=1, over_parity=1 if a_over else 0)  # upper
-        b.split_edge(e_u, mid_tail=("x", q, 1), mid_head=("x", p, 2))
-        b.split_edge(e_v, mid_tail=("x", p, 3), mid_head=("x", q, 0))
-        b.add_edge(("x", p, 0), ("x", q, 3))  # u: p then q
-        b.add_edge(("x", q, 2), ("x", p, 1))  # v: q then p
-        b.crossings[p]["sign"] = -1 if a_over else 1
-        b.crossings[q]["sign"] = 1 if a_over else -1
-    return b.build()
+# Pair insertion ports, keyed by (is_tail[u], is_tail[v]) of the anchor's
+# darts u, v: over parity and sign of crossing 0 when u passes under
+# (crossing 1 takes the other parity and sign, and u_over swaps both), then
+# the (mid_tail, mid_head) ports splitting u's edge and v's edge, then the
+# two band edges.  A port (c, p) is position p of crossing c.
+_PAIR_PORTS = {
+    # coherent: u runs "down" with the face on its left, v with it on the right
+    (False, True): (0, 1, ((1, 2), (0, 1)), ((1, 3), (0, 0)),
+                    (((0, 3), (1, 0)), ((0, 2), (1, 1)))),
+    # anti-parallel, both face sides left of flow: u down, v up
+    (False, False): (0, -1, ((1, 2), (0, 1)), ((0, 0), (1, 3)),
+                     (((0, 3), (1, 0)), ((1, 1), (0, 2)))),
+    # anti-parallel, both sides right of flow: u up, v down
+    (True, True): (1, 1, ((1, 1), (0, 2)), ((0, 3), (1, 0)),
+                   (((0, 0), (1, 3)), ((1, 2), (0, 1)))),
+}
 
 
-def _apply_iii(diagram: OrientedDiagram, anchor) -> OrientedDiagram:
+def _apply_pair_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
+    u, v, u_over = anchor
+    parity, sign, split_u, split_v, band = _PAIR_PORTS[
+        diagram.is_tail[u], diagram.is_tail[v]
+    ]
+    if u_over:
+        parity, sign = 1 - parity, -sign
+    xs = (b.add_crossing(sign, parity), b.add_crossing(-sign, 1 - parity))
+
+    def port(cp: Tuple[int, int]) -> Tuple[str, int, int]:
+        return ("x", xs[cp[0]], cp[1])
+
+    for dart, (tail, head) in ((u, split_u), (v, split_v)):
+        b.split_edge(diagram.edge_of[dart], mid_tail=port(tail), mid_head=port(head))
+    for tail, head in band:
+        b.add_edge(port(tail), port(head))
+
+
+def _apply_iii(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
     orbit = tuple(anchor)
-    b = diagram.to_builder()
-    b.from_braid = False
     frames = _tri_frames(diagram, orbit)
     vs = [diagram.vertex_of(u) for u in orbit]
     es = [diagram.edge_of[u] for u in orbit]
@@ -470,7 +421,8 @@ def _apply_iii(diagram: OrientedDiagram, anchor) -> OrientedDiagram:
     for j in range(3):
         _, _, o1, o2 = frames[j]
         for dart, target in ((o1, ("x", w[(j - 1) % 3], 3)), (o2, ("x", w[(j + 1) % 3], 2))):
-            b.edges[diagram.edge_of[dart]][_end_role(diagram, dart)] = target
+            role = "tail" if diagram.is_tail[dart] else "head"
+            b.edges[diagram.edge_of[dart]][role] = target
     new_edges = []
     for j in range(3):
         if dirs[j]:
@@ -485,50 +437,55 @@ def _apply_iii(diagram: OrientedDiagram, anchor) -> OrientedDiagram:
         b.remove_crossing(v)
     for e in es:
         b.remove_edge(e)
-    return b.build()
 
 
-def _apply_ri_insert(diagram: OrientedDiagram, anchor) -> OrientedDiagram:
+def _apply_ri_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
+    # side 0 puts the loop on the left of the flow, side 1 on the right
     e, side, over_first = anchor
-    if not 0 <= e < len(diagram.edges):
-        raise SiteInvalidError(f"edge {e} out of range")
-    b = diagram.to_builder()
-    b.from_braid = False
-    z = b.add_crossing(sign=1, over_parity=0)
-    if side == 0:  # loop on the left of the flow
-        b.split_edge(e, mid_tail=("x", z, 2), mid_head=("x", z, 1))
-        b.add_edge(("x", z, 3), ("x", z, 0))
-        b.crossings[z]["over_parity"] = 1 if over_first else 0
-        b.crossings[z]["sign"] = -1 if over_first else 1
-    else:  # loop on the right of the flow
-        b.split_edge(e, mid_tail=("x", z, 3), mid_head=("x", z, 0))
-        b.add_edge(("x", z, 2), ("x", z, 1))
-        b.crossings[z]["over_parity"] = 0 if over_first else 1
-        b.crossings[z]["sign"] = 1 if over_first else -1
-    return b.build()
+    twist = side ^ over_first
+    z = b.add_crossing(sign=1 - 2 * twist, over_parity=twist)
+    b.split_edge(e, mid_tail=("x", z, 2 + side), mid_head=("x", z, 1 - side))
+    b.add_edge(("x", z, 3 - side), ("x", z, side))
+
+
+def _anchor_ok(fields: str, anchor) -> bool:
+    """Shape of an anchor: "d" a dart or edge id, "f" a flag, "s" a side."""
+    if not isinstance(anchor, (tuple, list)) or len(anchor) != len(fields):
+        return False
+    return all(
+        type(x) is (bool if f == "f" else int) and (f != "s" or x in (0, 1))
+        for f, x in zip(fields, anchor)
+    )
+
+
+_III_MOVE = ("ddd", lambda d, a: _check_iii(d, a) is not None, _apply_iii)
+# kind -> (anchor shape, pattern check, surgery)
+_MOVES = {
+    "IIa_remove": ("dd", _check_iia_remove, _apply_iia_remove),
+    "IIa_insert": ("ddf", lambda d, a: _check_pair_insert(d, a, True), _apply_pair_insert),
+    "IIb_insert": ("ddf", lambda d, a: _check_pair_insert(d, a, False), _apply_pair_insert),
+    "RI_insert": ("dsf", lambda d, a: 0 <= a[0] < len(d.edges), _apply_ri_insert),
+    "III": _III_MOVE,
+    **{variant: _III_MOVE for variant in III_VARIANTS},
+}
 
 
 def apply_move(diagram: OrientedDiagram, site: MoveSite) -> OrientedDiagram:
-    """Apply a move found by ``find_sites``; stale sites are rejected."""
+    """Apply a move found by ``find_sites``; stale or malformed sites are rejected."""
     if site.fingerprint != _fingerprint(diagram):
         raise SiteInvalidError("site was found on a different diagram")
-    kind = site.kind
-    if kind == "IIa_remove":
-        if not _check_iia_remove(diagram, site.anchor):
-            raise SiteInvalidError("bigon pattern no longer present")
-        return _apply_iia_remove(diagram, site.anchor)
-    if kind in ("IIa_insert", "IIb_insert"):
-        coherent = kind == "IIa_insert"
-        if not _check_pair_insert(diagram, site.anchor, coherent):
-            raise SiteInvalidError("pair-insertion pattern invalid")
-        return _apply_pair_insert(diagram, site.anchor, coherent)
-    if kind in III_VARIANTS or kind == "III":
-        if _check_iii(diagram, site.anchor) is None:
-            raise SiteInvalidError("triangle pattern no longer present")
-        return _apply_iii(diagram, site.anchor)
-    if kind == "RI_insert":
-        return _apply_ri_insert(diagram, site.anchor)
-    raise ValueError(f"unknown move kind {kind!r}")
+    kind, anchor = site.kind, site.anchor
+    if kind not in _MOVES:
+        raise ValueError(f"unknown move kind {kind!r}")
+    fields, check, surgery = _MOVES[kind]
+    if not _anchor_ok(fields, anchor):
+        raise SiteInvalidError(f"malformed {kind} anchor {anchor!r}")
+    if not check(diagram, anchor):
+        raise SiteInvalidError(f"no {kind} pattern at {anchor!r}")
+    b = diagram.to_builder()
+    b.from_braid = False
+    surgery(diagram, b, anchor)
+    return b.build()
 
 
 def site_to_json(site: MoveSite) -> dict:
@@ -547,7 +504,7 @@ def apply_move_script(diagram: OrientedDiagram, script) -> OrientedDiagram:
         script = _json.loads(script)
     current = diagram
     for rec in script:
-        site = MoveSite(rec["kind"], tuple(rec["anchor"]), _fingerprint(current))
+        site = MoveSite(rec["kind"], rec["anchor"], _fingerprint(current))
         current = apply_move(current, site)
     return current
 

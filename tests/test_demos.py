@@ -1,4 +1,5 @@
-"""Smoke runs of the demo scripts: each must exit 0."""
+"""Smoke runs of the demo scripts (each must exit 0) and of the README's
+library snippet."""
 
 import os
 import subprocess
@@ -18,3 +19,11 @@ def test_demo_runs(script):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_snippet_runs():
+    readme = (ROOT / "README.md").read_text()
+    snippet = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    assert namespace["d1"].braid_word == namespace["d"].braid_word

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -9,6 +10,7 @@ from braidbracket.moves import (
     GenerationError,
     SiteInvalidError,
     apply_move,
+    apply_move_script,
     figure4_family,
     find_sites,
     random_equivalent_pair,
@@ -159,9 +161,7 @@ def test_moved_diagrams_lose_winding_support():
 
 
 def test_move_script_round_trip():
-    import json
-
-    from braidbracket.moves import apply_move_script, site_to_json
+    from braidbracket.moves import site_to_json
 
     d = parse_braid_word("B3 1 2 1")
     s1 = find_sites(d, "III")[0]
@@ -284,3 +284,74 @@ def test_fingerprint_is_kept_and_content_based():
     assert _fingerprint(d) is fp
     assert _fingerprint(parse_braid_word("B3 1 2 1")) == fp
     assert _fingerprint(parse_braid_word("B3 2 1 2")) != fp
+
+
+# Anchors that are no list, or of the wrong length or type: float or bool ids,
+# non-bool flags, a side other than 0 or 1.  A script must fail on them with
+# SiteInvalidError, neither with another error nor by applying a move.
+MALFORMED_ANCHORS = [
+    [0.0, 6.0], [None, None, None], [0, 1], [0, 7, "x"], [1, 2, "t"],
+    [0.0, 1.0, False], [True, 1, False], [0, True, False], [0, 1, 0], [], 5, None,
+]
+
+
+@pytest.mark.parametrize("anchor", MALFORMED_ANCHORS, ids=repr)
+@pytest.mark.parametrize("kind", ("IIa_remove", "IIa_insert", "IIb_insert", "RI_insert", "III"))
+def test_malformed_script_anchor_is_site_invalid(kind, anchor):
+    script = json.dumps([{"kind": kind, "anchor": anchor}])
+    with pytest.raises(SiteInvalidError):
+        apply_move_script(parse_braid_word("B3 1 -1 2"), script)
+
+
+# Per diagram and insertion kind: the number of sites, and the sha256 of the
+# PD JSON lines of the results of applying each site in find_sites order.
+# The pinned walks use only braid-like kinds, so these pin the IIb and RI
+# surgeries.
+INSERT_PINS = [
+    ("B1", "IIb_insert", 0, "e3b0c44298fc1c14"),
+    ("B1", "RI_insert", 4, "db9d3825b3f490ab"),
+    ("B2 1 1 1", "IIb_insert", 12, "e418933486015661"),
+    ("B2 1 1 1", "RI_insert", 24, "af3f45b10f6660ad"),
+    ("B3 1 2 1", "IIb_insert", 10, "6ae0fe04194cc501"),
+    ("B3 1 2 1", "RI_insert", 24, "1f5cea6c0cf89474"),
+    ("moved-3-strand", "IIb_insert", 70, "5a6510e8fb76f912"),
+    ("moved-3-strand", "RI_insert", 80, "f92db744b2bdc009"),
+]
+
+
+@pytest.mark.parametrize("name, kind, count, digest", INSERT_PINS)
+def test_insertions_are_pinned(name, kind, count, digest):
+    d = _site_pin_diagram(name) if name in SITE_PINS else parse_braid_word(name)
+    sites = find_sites(d, kind)
+    h = hashlib.sha256()
+    for site in sites:
+        h.update(apply_move(d, site).to_pd_json().encode() + b"\n")
+    assert (len(sites), h.hexdigest()[:16]) == (count, digest)
+
+
+def test_bigon_removal_keeps_anchors_away_from_its_site():
+    # a curl on the free loop of strand 3 leaves that loop's anchor between
+    # two distinct edges; removing the bigon of strands 1 and 2 dissolves
+    # only its own splice anchors, which stay here as both strands close
+    d = parse_braid_word("B3 1 -1")
+    loop = d.edge_of[4 * d.n]
+    curl = apply_move(d, next(
+        s for s in find_sites(d, "RI_insert") if s.anchor == (loop, 0, False)))
+    assert curl.nanchors == 1
+    moved = apply_move(curl, find_sites(curl, "IIa_remove")[0])
+    assert (moved.n, moved.nanchors) == (1, 3)
+    a0 = 4 * moved.n
+    assert {moved.vertex_of(moved.alpha[a0]), moved.vertex_of(moved.alpha[a0 + 1])} == {0}
+    assert parse_pd(moved.to_pd_json()).to_pd_json() == moved.to_pd_json()
+    assert bracket_br(moved) == bracket_br(curl)
+
+
+def test_bigon_removal_renumbers_the_anchor_it_keeps():
+    # after a curl on B2 -1 1 the bigon's first splice anchor dissolves and
+    # its second one, on a strand closed into a loop, stays with the freed
+    # number
+    d = parse_braid_word("B2 -1 1")
+    curl = apply_move(d, find_sites(d, "RI_insert")[0])
+    moved = apply_move(curl, find_sites(curl, "IIa_remove")[0])
+    assert (moved.n, moved.nanchors, moved.ncomponents) == (1, 1, 2)
+    assert hashlib.sha256(moved.to_pd_json().encode()).hexdigest()[:16] == "049a5d2e4d5c6b98"
