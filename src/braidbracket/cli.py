@@ -196,7 +196,7 @@ def _verify_battery(args: argparse.Namespace) -> list:
     except AssertionError:
         checks.append(("seifert leading term", False))
     wind_ok = True
-    for state in enumerate_states(d1, cap=args.cap, with_nesting=False):
+    for state in enumerate_states(d1, cap=args.cap):
         for c in state.circles:
             if (c.winding == 0) != (c.circle_type == "d") or abs(c.winding) > 1:
                 wind_ok = False

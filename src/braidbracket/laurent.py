@@ -9,7 +9,7 @@ are never stored.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 Laurent = Dict[int, int]
 Laurent2 = Dict[Tuple[int, int], int]  # (first exponent, second exponent) -> coeff
@@ -76,58 +76,33 @@ def lp_scale(p: Laurent, factor: int) -> Laurent:
     return {e: c * factor for e, c in p.items()}
 
 
+def _monomial(var: str, e: int) -> str:
+    return "" if e == 0 else var if e == 1 else f"{var}^{e}"
+
+
+def _join_terms(terms: Iterable[Tuple[int, str]]) -> str:
+    """Signed sum of (coefficient, monomial) terms; unit coefficients are
+    left out before a monomial."""
+    out = ""
+    for c, mon in terms:
+        body = mon if mon and abs(c) == 1 else f"{abs(c)}{mon}"
+        if out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
+
+
 def lp_str(p: Laurent, var: str = "A") -> str:
     """Human-readable form, highest exponent first."""
-    if not p:
-        return "0"
-    pieces = []
-    for e in sorted(p, reverse=True):
-        c = p[e]
-        if e == 0:
-            mon = ""
-        elif e == 1:
-            mon = var
-        else:
-            mon = f"{var}^{e}"
-        if mon == "":
-            term = str(c)
-        elif c == 1:
-            term = mon
-        elif c == -1:
-            term = "-" + mon
-        else:
-            term = f"{c}{mon}"
-        pieces.append(term)
-    out = pieces[0]
-    for t in pieces[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+    return _join_terms((p[e], _monomial(var, e)) for e in sorted(p, reverse=True))
 
 
 def lp2_str(p: Laurent2, v1: str = "A", v2: str = "H") -> str:
-    if not p:
-        return "0"
-    pieces = []
-    for (e1, e2) in sorted(p, reverse=True):
-        c = p[(e1, e2)]
-        mon = ""
-        if e1:
-            mon += v1 if e1 == 1 else f"{v1}^{e1}"
-        if e2:
-            mon += v2 if e2 == 1 else f"{v2}^{e2}"
-        if mon == "":
-            term = str(c)
-        elif c == 1:
-            term = mon
-        elif c == -1:
-            term = "-" + mon
-        else:
-            term = f"{c}{mon}"
-        pieces.append(term)
-    out = pieces[0]
-    for t in pieces[1:]:
-        out += " - " + t[1:] if t.startswith("-") else " + " + t
-    return out
+    """Human-readable form, highest exponent pair first."""
+    return _join_terms(
+        (p[e], _monomial(v1, e[0]) + _monomial(v2, e[1])) for e in sorted(p, reverse=True)
+    )
 
 
 # (-A^2 - A^-2), the loop value of a d-circle.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .diagram import (
     BraidWord,
@@ -38,8 +38,6 @@ from .diagram import (
     OrientedDiagram,
     SIDE_L,
     SIDE_R,
-    _uf_find,
-    _uf_union,
     braid_closure,
     parse_braid_word,
 )
@@ -275,18 +273,6 @@ def _remap_dying_refs(
     builder.placements = [(fix(a), fix(b)) for a, b in builder.placements]
 
 
-def _builder_components(builder: DiagramBuilder) -> Dict[Tuple[str, int], int]:
-    """Vertex components of the builder's current (mutated) structure."""
-    verts = [("x", i) for i, c in enumerate(builder.crossings) if c is not None]
-    verts += [("a", i) for i in range(builder.nanchors)]
-    idx = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-    for rec in builder.edges.values():
-        if rec is not None:
-            _uf_union(parent, idx[rec["tail"][:2]], idx[rec["head"][:2]])
-    return {v: _uf_find(parent, i) for v, i in idx.items()}
-
-
 def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
     u0, u1 = anchor
     e0, e1 = diagram.edge_of[u0], diagram.edge_of[u1]
@@ -333,9 +319,11 @@ def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> No
     b.remove_crossing(diagram.vertex_of(u1))
     b.remove_edge(e0)
     b.remove_edge(e1)
-    comps = _builder_components(b)
-    ra, rb = (comps[b.edges[ref[0]]["tail"][:2]] for ref in corridor_refs)
-    if ra != rb:
+    # Removing the bigon takes 2 vertices and 4 edges from its component, so
+    # by Euler it takes 2 faces (the bigon, and one corridor face merged into
+    # the other) unless both corridor ends lie on one face: then only the
+    # bigon goes, the component splits in two, and the pieces get placed.
+    if diagram._ref_face(corridor_refs[0]) == diagram._ref_face(corridor_refs[1]):
         b.placements.append((corridor_refs[0], corridor_refs[1]))
     # Dissolve the two splice anchors, first the one on the lower edge id,
     # which fixes the ids of the merged edges.  An anchor whose strand closed
@@ -458,15 +446,18 @@ def _anchor_ok(fields: str, anchor) -> bool:
     )
 
 
-_III_MOVE = ("ddd", lambda d, a: _check_iii(d, a) is not None, _apply_iii)
-# kind -> (anchor shape, pattern check, surgery)
+# kind -> (anchor shape, pattern check, surgery); a variant kind names the
+# one triangle variant it applies to, the umbrella kind "III" any of them
 _MOVES = {
     "IIa_remove": ("dd", _check_iia_remove, _apply_iia_remove),
     "IIa_insert": ("ddf", lambda d, a: _check_pair_insert(d, a, True), _apply_pair_insert),
     "IIb_insert": ("ddf", lambda d, a: _check_pair_insert(d, a, False), _apply_pair_insert),
     "RI_insert": ("dsf", lambda d, a: 0 <= a[0] < len(d.edges), _apply_ri_insert),
-    "III": _III_MOVE,
-    **{variant: _III_MOVE for variant in III_VARIANTS},
+    "III": ("ddd", lambda d, a: _check_iii(d, a) is not None, _apply_iii),
+    **{
+        variant: ("ddd", lambda d, a, v=variant: _check_iii(d, a) == v, _apply_iii)
+        for variant in III_VARIANTS
+    },
 }
 
 
@@ -501,9 +492,17 @@ def apply_move_script(diagram: OrientedDiagram, script) -> OrientedDiagram:
     import json as _json
 
     if isinstance(script, (str, bytes)):
-        script = _json.loads(script)
+        try:
+            script = _json.loads(script)
+        except ValueError as exc:  # not JSON, or bytes that are not UTF-8
+            raise SiteInvalidError(f"move script is not JSON: {exc}") from exc
+    if not isinstance(script, (list, tuple)):
+        raise SiteInvalidError("a move script is a list of records")
     current = diagram
     for rec in script:
+        if not (isinstance(rec, dict) and isinstance(rec.get("kind"), str)
+                and rec["kind"] in _MOVES and "anchor" in rec):
+            raise SiteInvalidError(f"malformed move record {rec!r}")
         site = MoveSite(rec["kind"], rec["anchor"], _fingerprint(current))
         current = apply_move(current, site)
     return current

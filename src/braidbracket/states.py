@@ -13,9 +13,10 @@ crossing makes both of its arcs reverse orientation, contributing one
 break point per arc.
 
 Circle nesting is recovered from the faces of the smoothed map: smoothing
-a crossing merges the two opposite corner faces that its channel connects,
-and a parity walk over the dual graph from the outer face tells which
-circles enclose which.
+a crossing merges the two opposite corner faces that its channel connects.
+Each circle then separates two of these regions, regions and circles form
+a tree, and a breadth-first walk of that region tree from the outer face
+tells which circles enclose which.
 """
 
 from __future__ import annotations
@@ -155,11 +156,7 @@ def _circle_type(break_points: int) -> str:
     return "d" if (break_points // 2) % 2 == 1 else "h"
 
 
-def resolve(
-    diagram: OrientedDiagram,
-    smoothing: Smoothing,
-    with_nesting: bool = True,
-) -> KauffmanState:
+def resolve(diagram: OrientedDiagram, smoothing: Smoothing) -> KauffmanState:
     """Trace the circles of one Kauffman state.
 
     Break points are counted along each circle (one per orientation-
@@ -205,9 +202,7 @@ def resolve(
             )
         )
 
-    nesting: Dict[int, Optional[int]] = {c.id: None for c in circles}
-    if with_nesting and ncirc:
-        nesting = _nesting_forest(diagram, tau, circ_of, ncirc)
+    nesting = _nesting_forest(diagram, tau, circ_of, ncirc) if ncirc else {}
     return KauffmanState(
         smoothing=smoothing,
         circles=circles,
@@ -223,6 +218,13 @@ def _nesting_forest(
     circ_of: List[int],
     ncirc: int,
 ) -> Dict[int, Optional[int]]:
+    """Parent circle of each circle, read off the tree of regions and circles.
+
+    Each circle separates exactly two regions of the smoothed diagram, and
+    the regions, joined by the circles between them, form a tree.  Walked
+    breadth-first from the outer region, a circle first met from region f
+    is a child of the circle that encloses f.
+    """
     parent = list(diagram._face_root)
     face_of = diagram.face_of
     for c in range(diagram.n):
@@ -233,61 +235,49 @@ def _nesting_forest(
             _uf_union(parent, face_of[b + 1], face_of[b + 3])
     face = [_uf_find(parent, f) for f in face_of]  # smoothed face per dart
 
-    adj: Dict[int, List[Tuple[int, int]]] = {}
-
-    def add_adj(fa: int, fb: int, circle: int) -> None:
-        adj.setdefault(fa, []).append((fb, circle))
-        adj.setdefault(fb, []).append((fa, circle))
-
+    # the regions on both sides of each circle: along its edges, and
+    # across the channel at each crossing it turns at
+    sides = [set() for _ in range(ncirc)]
     for (t, h, _) in diagram.edges:
-        add_adj(face[t], face[h], circ_of[t])
+        sides[circ_of[t]].update((face[t], face[h]))
     for c in range(diagram.n):
         b = 4 * c
         if tau[b] == b + 1:
             channel = face[b]
-            add_adj(face[b + 1], channel, circ_of[b + 1])
-            add_adj(face[b + 3], channel, circ_of[b + 3])
+            sides[circ_of[b + 1]].update((face[b + 1], channel))
+            sides[circ_of[b + 3]].update((face[b + 3], channel))
         else:
             channel = face[b + 1]
-            add_adj(face[b], channel, circ_of[b])
-            add_adj(face[b + 2], channel, circ_of[b + 2])
+            sides[circ_of[b]].update((face[b], channel))
+            sides[circ_of[b + 2]].update((face[b + 2], channel))
+    circles_at: Dict[int, List[int]] = {}
+    for circle, regions in enumerate(sides):
+        if len(regions) != 2:
+            raise NonPlanarError(
+                f"circle {circle} borders {len(regions)} regions, not 2 (embedding bug)"
+            )
+        for f in regions:
+            circles_at.setdefault(f, []).append(circle)
 
     outer = _uf_find(parent, diagram.outer_face)
-    parity: Dict[int, frozenset] = {outer: frozenset()}
-    queue = [outer]
-    qi = 0
-    while qi < len(queue):
-        f = queue[qi]
-        qi += 1
-        for (g, circle) in adj.get(f, ()):
-            p = parity[f] ^ {circle}
-            if g in parity:
-                if parity[g] != p:
-                    raise NonPlanarError("inconsistent face parity (embedding bug)")
-            else:
-                parity[g] = p
-                queue.append(g)
-
-    # each circle separates exactly two smoothed faces
-    ancestors: Dict[int, frozenset] = {}
-    for (t, h, _) in diagram.edges:
-        circle = circ_of[t]
-        for f in (face[t], face[h]):
-            p = parity[f]
-            if circle not in p:
-                if circle in ancestors:
-                    if ancestors[circle] != p:
-                        raise NonPlanarError("ambiguous outside face (embedding bug)")
-                else:
-                    ancestors[circle] = p
+    enclosing: Dict[int, Optional[int]] = {outer: None}  # region -> circle around it
     nesting: Dict[int, Optional[int]] = {}
-    for cid in range(ncirc):
-        anc = ancestors[cid]
-        if not anc:
-            nesting[cid] = None
-        else:
-            nesting[cid] = max(anc, key=lambda y: (len(ancestors[y]), -y))
-    return nesting
+    queue = [outer]
+    for f in queue:
+        for circle in circles_at.get(f, ()):
+            if circle in nesting:
+                continue  # the circle f was reached through
+            nesting[circle] = enclosing[f]
+            a, g = sides[circle]
+            if g == f:
+                g = a
+            if g in enclosing:
+                raise NonPlanarError("regions and circles form a cycle (embedding bug)")
+            enclosing[g] = circle
+            queue.append(g)
+    if len(nesting) != ncirc:
+        raise NonPlanarError("a circle is not reached from the outer region (embedding bug)")
+    return {cid: nesting[cid] for cid in range(ncirc)}
 
 
 def sigma(state: KauffmanState) -> int:
@@ -334,14 +324,13 @@ def _configuration_key(types: List[str], nesting: Dict[int, Optional[int]]) -> s
 def enumerate_states(
     diagram: OrientedDiagram,
     cap: int = DEFAULT_CAP,
-    with_nesting: bool = True,
 ) -> Iterator[KauffmanState]:
     """All 2^n states in ascending bit-vector order (bit i = crossing i)."""
     n = len(diagram.active_crossings)
     if n > cap:
         raise SizeCapError(n, cap)
     for bits in range(1 << n):
-        yield resolve(diagram, Smoothing(bits, n), with_nesting=with_nesting)
+        yield resolve(diagram, Smoothing(bits, n))
 
 
 def winding_number(diagram: OrientedDiagram, circle: StateCircle) -> int:

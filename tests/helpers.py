@@ -5,12 +5,14 @@ parse time, and the library renumbers them only to close the gaps that
 deleted crossings leave, keeping their relative order.  So ordering
 independence can be tested as a theorem rather than hidden by a
 normalization.  ``canonical_code_oracle`` is the exhaustive search that
-``OrientedDiagram.canonical_code`` prunes, kept as its cross-check.
+``OrientedDiagram.canonical_code`` prunes, and ``nesting_oracle`` the
+parity walk that ``states._nesting_forest`` replaced by the region tree;
+both are kept as cross-checks.
 """
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from braidbracket.diagram import OrientedDiagram
+from braidbracket.diagram import NonPlanarError, OrientedDiagram, _uf_find, _uf_union
 from braidbracket.chain_complex import _dv_terms, _get_table, _koszul_sign
 from braidbracket.laurent import lp_add, lp_shift
 
@@ -165,3 +167,79 @@ def canonical_code_oracle(diagram: OrientedDiagram, with_seam: bool = False) -> 
         if comp not in best or code < best[comp]:
             best[comp] = code
     return ",".join(sorted(best.values()))
+
+
+def nesting_oracle(
+    diagram: OrientedDiagram,
+    tau: List[int],
+    circ_of: List[int],
+    ncirc: int,
+) -> Dict[int, Optional[int]]:
+    """Circle nesting by the parity walk that ``states._nesting_forest``
+    replaced: each face gets the set of circles around it, and a circle's
+    parent is its deepest ancestor."""
+    parent = list(diagram._face_root)
+    face_of = diagram.face_of
+    for c in range(diagram.n):
+        b = 4 * c
+        if tau[b] == b + 1:  # pairing {0,1},{2,3}: channel joins corners at 2 and 0
+            _uf_union(parent, face_of[b + 2], face_of[b])
+        else:                # pairing {3,0},{1,2}: channel joins corners at 1 and 3
+            _uf_union(parent, face_of[b + 1], face_of[b + 3])
+    face = [_uf_find(parent, f) for f in face_of]  # smoothed face per dart
+
+    adj: Dict[int, List[Tuple[int, int]]] = {}
+
+    def add_adj(fa: int, fb: int, circle: int) -> None:
+        adj.setdefault(fa, []).append((fb, circle))
+        adj.setdefault(fb, []).append((fa, circle))
+
+    for (t, h, _) in diagram.edges:
+        add_adj(face[t], face[h], circ_of[t])
+    for c in range(diagram.n):
+        b = 4 * c
+        if tau[b] == b + 1:
+            channel = face[b]
+            add_adj(face[b + 1], channel, circ_of[b + 1])
+            add_adj(face[b + 3], channel, circ_of[b + 3])
+        else:
+            channel = face[b + 1]
+            add_adj(face[b], channel, circ_of[b])
+            add_adj(face[b + 2], channel, circ_of[b + 2])
+
+    outer = _uf_find(parent, diagram.outer_face)
+    parity: Dict[int, frozenset] = {outer: frozenset()}
+    queue = [outer]
+    qi = 0
+    while qi < len(queue):
+        f = queue[qi]
+        qi += 1
+        for (g, circle) in adj.get(f, ()):
+            p = parity[f] ^ {circle}
+            if g in parity:
+                if parity[g] != p:
+                    raise NonPlanarError("inconsistent face parity (embedding bug)")
+            else:
+                parity[g] = p
+                queue.append(g)
+
+    # each circle separates exactly two smoothed faces
+    ancestors: Dict[int, frozenset] = {}
+    for (t, h, _) in diagram.edges:
+        circle = circ_of[t]
+        for f in (face[t], face[h]):
+            p = parity[f]
+            if circle not in p:
+                if circle in ancestors:
+                    if ancestors[circle] != p:
+                        raise NonPlanarError("ambiguous outside face (embedding bug)")
+                else:
+                    ancestors[circle] = p
+    nesting: Dict[int, Optional[int]] = {}
+    for cid in range(ncirc):
+        anc = ancestors[cid]
+        if not anc:
+            nesting[cid] = None
+        else:
+            nesting[cid] = max(anc, key=lambda y: (len(ancestors[y]), -y))
+    return nesting

@@ -89,7 +89,7 @@ def test_criterion_04_winding_type_check():
         letters = list(range(1, k)) + list(range(-k + 1, 0))
         word = BraidWord(k, tuple(rnd.choice(letters) for _ in range(length)))
         d = braid_closure(word)
-        for s in enumerate_states(d, with_nesting=False):
+        for s in enumerate_states(d):
             for c in s.circles:
                 if (c.winding == 0) != (c.circle_type == "d") or abs(c.winding) > 1:
                     bad += 1

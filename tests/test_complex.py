@@ -45,7 +45,7 @@ def test_enhanced_state_count(corpus_small):
         total = sum(len(v) for v in es.values())
         from braidbracket.states import enumerate_states
 
-        expected = sum(2 ** len(s.circles) for s in enumerate_states(d, with_nesting=False))
+        expected = sum(2 ** len(s.circles) for s in enumerate_states(d))
         assert total == expected
 
 

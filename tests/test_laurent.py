@@ -1,3 +1,5 @@
+import pytest
+
 from braidbracket.laurent import (
     DELTA,
     lp,
@@ -32,3 +34,32 @@ def test_pretty_strings():
     assert lp_str({}) == "0"
     assert lp_str({1: 1, -3: -1}) == "A - A^-3"
     assert lp2_str({(0, 2): -1, (0, -2): -1}) == "-H^2 - H^-2"
+
+
+# pretty output pinned byte for byte: coefficients +-1 and +-k, constant
+# terms, and monomials in one and in two variables
+@pytest.mark.parametrize("poly, text", [
+    ({0: 1}, "1"),
+    ({0: -7}, "-7"),
+    ({1: 1}, "A"),
+    ({1: -1}, "-A"),
+    ({1: 3}, "3A"),
+    ({-1: -4}, "-4A^-1"),
+    ({3: 1, 0: 1}, "A^3 + 1"),
+    ({5: 2, 0: -3, -1: 1, -9: -1}, "2A^5 - 3 + A^-1 - A^-9"),
+])
+def test_one_variable_terms(poly, text):
+    assert lp_str(poly) == text
+    assert lp_str(poly, "q") == text.replace("A", "q")
+
+
+@pytest.mark.parametrize("poly, text", [
+    ({}, "0"),
+    ({(0, 0): -2}, "-2"),
+    ({(1, 1): 2, (0, 0): -1, (-2, 3): -1}, "2AH - 1 - A^-2H^3"),
+    ({(1, 0): 1, (0, 1): -1}, "A - H"),
+    ({(3, -1): -5, (-1, 1): 1, (2, 0): 4}, "-5A^3H^-1 + 4A^2 + A^-1H"),
+])
+def test_two_variable_terms(poly, text):
+    assert lp2_str(poly) == text
+    assert lp2_str(poly, "q", "t") == text.replace("A", "q").replace("H", "t")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from braidbracket.diagram import BraidWord, braid_closure, parse_braid_word, par
 from braidbracket.bracket import bracket_br
 from braidbracket.homology import homology_groups
 from braidbracket.moves import (
+    III_VARIANTS,
     GenerationError,
     SiteInvalidError,
     apply_move,
@@ -355,3 +357,47 @@ def test_bigon_removal_renumbers_the_anchor_it_keeps():
     moved = apply_move(curl, find_sites(curl, "IIa_remove")[0])
     assert (moved.n, moved.nanchors, moved.ncomponents) == (1, 1, 2)
     assert hashlib.sha256(moved.to_pd_json().encode()).hexdigest()[:16] == "049a5d2e4d5c6b98"
+
+
+def test_triangle_kind_must_name_its_variant():
+    d = parse_braid_word("B3 1 2 1")
+    (site,) = find_sites(d, "III")
+    assert site.kind == "IIIa"
+    for variant in III_VARIANTS[1:]:
+        with pytest.raises(SiteInvalidError):
+            apply_move(d, site._replace(kind=variant))
+    assert apply_move(d, site._replace(kind="III")).to_pd_json() == apply_move(
+        d, site).to_pd_json()
+
+
+# A record that is no {"kind", "anchor"} object of a known kind, and a script
+# that is no list or no JSON, fail with SiteInvalidError like a malformed
+# anchor does.
+@pytest.mark.parametrize("script", [
+    '[{"kind": "III"}]',
+    '[{"kind": "Zz", "anchor": [1]}]',
+    '[[1, 2]]',
+    '[5]',
+    '{"kind": "IIIa", "anchor": [0, 10, 5]}',
+    '[{"kind": "III", "anchor": [0, 10, 5]}',
+    b'\xff',
+])
+def test_malformed_script_record_is_site_invalid(script):
+    with pytest.raises(SiteInvalidError):
+        apply_move_script(parse_braid_word("B3 1 2 1"), script)
+
+
+def test_bigon_removal_places_exactly_the_pieces_it_splits_off():
+    # a placement is added iff the removal splits a component, so each
+    # component more comes with one placement more
+    splits = 0
+    for k, letters in ((2, (1, -1)), (3, (1, -1, 2, -2)), (4, (1, -1, 2, -2, 3, -3))):
+        for w in itertools.product(letters, repeat=4):
+            d = braid_closure(BraidWord(k, w))
+            for site in find_sites(d, "IIa_remove"):
+                moved = apply_move(d, site)
+                more = moved.ncomponents - d.ncomponents
+                assert more in (0, 1)
+                assert len(moved.placements) - len(d.placements) == more
+                splits += more
+    assert splits > 0

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import braidbracket.cli  # noqa: F401  (loads every library module)
@@ -21,6 +22,27 @@ def test_no_bare_assert_in_library():
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]
+    assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    # the runtime is stdlib-only: every import names the package itself
+    # (or is relative to it) or a standard-library module
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"braidbracket"}
+            ]
     assert found == []
 
 

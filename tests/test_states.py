@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from braidbracket.diagram import NonPlanarError, parse_braid_word, reverse_orientation
+from braidbracket.bracket import add_marked_circle, skein_expand
+from braidbracket.diagram import (
+    BraidWord,
+    NonPlanarError,
+    parse_braid_word,
+    reverse_orientation,
+)
+from braidbracket.moves import apply_move, find_sites, random_equivalent_pair
 from braidbracket.states import (
     Smoothing,
     SizeCapError,
@@ -16,6 +23,7 @@ from braidbracket.states import (
     sigma,
     winding_number,
 )
+from helpers import nesting_oracle
 
 
 def test_zero_crossing_circle_state():
@@ -99,7 +107,7 @@ def test_configurations_nested_vs_disjoint():
 def test_break_point_total_per_state(corpus_small):
     for d in corpus_small:
         n = len(d.active_crossings)
-        for s in enumerate_states(d, with_nesting=False):
+        for s in enumerate_states(d):
             disoriented = 0
             for i, c in enumerate(d.active_crossings):
                 bit = s.smoothing.bit(i)
@@ -111,7 +119,7 @@ def test_break_point_total_per_state(corpus_small):
 
 def test_type_from_break_points_mod_4(corpus_small):
     for d in corpus_small:
-        for s in enumerate_states(d, with_nesting=False):
+        for s in enumerate_states(d):
             for c in s.circles:
                 if c.break_points % 4 == 0:
                     assert c.circle_type == "h"
@@ -121,7 +129,7 @@ def test_type_from_break_points_mod_4(corpus_small):
 
 def test_circles_partition_edges(corpus_small):
     for d in corpus_small[:25]:
-        for s in enumerate_states(d, with_nesting=False):
+        for s in enumerate_states(d):
             covered = sorted(
                 d.edge_of[dart] for c in s.circles for dart in c.edge_cycle
             )
@@ -173,6 +181,45 @@ def test_nesting_forest_rejects_a_circle_map_that_contradicts_the_embedding():
     # darts 1 and 3 swap circles: the faces' parities no longer agree
     with pytest.raises(NonPlanarError):
         _nesting_forest(d, tau, [0, 1, 1, 0], 2)
+
+
+def _nesting_cases(corpus_small):
+    # closures, moved diagrams, split and decorated ones, fused crossings,
+    # and the results of the moves that are not braid-like
+    yield from corpus_small
+    for seed in range(6):
+        k = 2 + seed % 3
+        word = BraidWord(k, tuple((1 + i % (k - 1)) * (-1) ** i for i in range(4)))
+        moved = random_equivalent_pair(seed, 25, word, max_crossings=7)[1]
+        yield moved
+        yield reverse_orientation(moved)
+    yield parse_braid_word("B3")
+    yield parse_braid_word("B4 1 -3")
+    for d in (parse_braid_word("B2 1 -1"), parse_braid_word("B4 1 -3")):
+        yield add_marked_circle(d, 0)
+        yield add_marked_circle(add_marked_circle(d, 2), 0)
+    d = parse_braid_word("B3 1 -2 1 2")
+    yield from skein_expand(d, 1)
+    for kind in ("RI_insert", "IIb_insert"):
+        sites = find_sites(d, kind)
+        for i in (0, len(sites) // 2):
+            yield apply_move(d, sites[i])
+
+
+def test_nesting_forest_matches_the_parity_walk(corpus_small):
+    from braidbracket.states import _tau
+
+    states = split = 0
+    for d in _nesting_cases(corpus_small):
+        split += d.ncomponents > 1
+        n = len(d.active_crossings)
+        for bits in range(1 << n):
+            s = resolve(d, Smoothing(bits, n))
+            tau = _tau(d, s.smoothing)
+            expected = nesting_oracle(d, tau, list(s.circle_of_dart), len(s.circles))
+            assert s.nesting == expected, (d.to_pd_json(), bits)
+            states += 1
+    assert states > 3000 and split >= 8
 
 
 def test_winding_guard_survives_optimize():
