@@ -162,18 +162,10 @@ class _StateTable:
 
 
 def _get_table(diagram: OrientedDiagram, cap: int) -> _StateTable:
-    """Structure tables are cached on the diagram (it is immutable).
-
-    The cap is checked on every call, because the cached table outlives
-    the call that built it.
-    """
+    """A fresh structure table for ``diagram``, after the size-cap check."""
     if diagram.n > cap:
         raise SizeCapError(diagram.n, cap)
-    table = diagram.__dict__.get("_state_table")
-    if table is None:
-        table = _StateTable(diagram)
-        diagram.__dict__["_state_table"] = table
-    return table
+    return _StateTable(diagram)
 
 
 def _merge_label(tx: str, lx: int, ty: str, ly: int, tz: str) -> Optional[int]:

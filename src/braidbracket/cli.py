@@ -47,31 +47,31 @@ EXIT_CAP = 3
 EXIT_GENERATION = 4
 EXIT_VERIFY = 5
 
-HARD_CAP = DEFAULT_CAP
-
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="braidbracket", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("bracket", "homology", "verify"):
-        sp = sub.add_parser(name)
-        sp.add_argument("input", nargs="?", help="oriented-PD JSON file")
-        sp.add_argument("-w", "--word", help='braid word, e.g. "B2 1 1 1"')
-        sp.add_argument("-f", "--file", help="oriented-PD JSON file")
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="state-sum size cap")
-        sp.add_argument("--unsafe-cap", action="store_true",
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input", nargs="?", help="oriented-PD JSON file")
+    common.add_argument("-w", "--word", help='braid word, e.g. "B2 1 1 1"')
+    common.add_argument("-f", "--file", help="oriented-PD JSON file")
+    common.add_argument("--cap", type=int, default=DEFAULT_CAP, help="state-sum size cap")
+    common.add_argument("--unsafe-cap", action="store_true",
                         help=f"allow caps above {DEFAULT_CAP} crossings")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--moves", type=int, default=10)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; has no effect")
-        sp.add_argument("--format", dest="fmt", default="pretty",
+    common.add_argument("--format", dest="fmt", default="pretty",
                         choices=("json", "csv", "pretty"))
-        sp.add_argument("--verify", action="store_true",
-                        help="homology: also check the Euler identity and d^2 = 0")
-        sp.add_argument("--dump-matrices", action="store_true")
-        sp.add_argument("--negative-control", choices=("RI", "IIb"))
+    bracket = sub.add_parser("bracket", parents=[common])
+    bracket.add_argument("--threads", type=int, default=1,
+                         help="accepted for compatibility; has no effect")
+    homology = sub.add_parser("homology", parents=[common])
+    homology.add_argument("--verify", action="store_true",
+                          help="also check the Euler identity and d^2 = 0")
+    homology.add_argument("--dump-matrices", action="store_true")
+    verify = sub.add_parser("verify", parents=[common])
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--moves", type=int, default=10)
+    verify.add_argument("--negative-control", choices=("RI", "IIb"))
     return p
 
 
@@ -236,8 +236,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cap = args.cap
-    if cap > HARD_CAP and not args.unsafe_cap:
-        print(f"cap {cap} above {HARD_CAP} needs --unsafe-cap", file=sys.stderr)
+    if cap > DEFAULT_CAP and not args.unsafe_cap:
+        print(f"cap {cap} above {DEFAULT_CAP} needs --unsafe-cap", file=sys.stderr)
         return EXIT_PARSE
     try:
         if args.command == "bracket":

@@ -4,9 +4,9 @@ Move patterns are matched on faces of the combinatorial map:
 
 * ``IIa_remove``: a bigon face whose two crossings have opposite signs,
   whose strands run coherently (parallel), one strand passing over at both
-  crossings.  Removal splices the strands through two fresh anchors, which
-  are then dissolved back into plain edges (or kept when a strand closes
-  into a free loop); anchors elsewhere in the diagram stay as they are.
+  crossings.  Removal joins the edges entering and leaving each strand
+  into one edge; only a strand that closes into a free loop gets an
+  anchor.  Anchors elsewhere in the diagram stay as they are.
 * ``IIa_insert``: any two coherently oriented strand sides of a common
   face; the band is pulled across the face and crossed twice, in either
   over/under order.
@@ -89,6 +89,11 @@ def _is_over_at(diagram: OrientedDiagram, dart: int) -> bool:
     return (dart & 3) % 2 == diagram.over_parity[v]
 
 
+def _across(d: int) -> int:
+    """The dart opposite ``d`` at its crossing, where its strand goes on."""
+    return (d & ~3) | ((d + 2) & 3)
+
+
 def _check_iia_remove(diagram: OrientedDiagram, anchor) -> bool:
     u0, u1 = anchor
     if not (0 <= u0 < diagram.ndarts and 0 <= u1 < diagram.ndarts):
@@ -125,18 +130,6 @@ def _check_pair_insert(diagram: OrientedDiagram, anchor, coherent: bool) -> bool
     if coherent:
         return diagram.is_tail[a] is False and diagram.is_tail[b] is True
     return diagram.is_tail[a] == diagram.is_tail[b]
-
-
-def _tri_frames(diagram: OrientedDiagram, orbit):
-    """Per-vertex frames (r, u, o1, o2) of a triangle face walk."""
-    u0, u1, u2 = orbit
-    frames = []
-    for j, u in enumerate(orbit):
-        r = diagram.alpha[orbit[(j - 1) % 3]]
-        o1 = diagram.sigma(u)
-        o2 = diagram.sigma(o1)
-        frames.append((r, u, o1, o2))
-    return frames
 
 
 def _check_iii(diagram: OrientedDiagram, anchor) -> Optional[str]:
@@ -276,45 +269,16 @@ def _remap_dying_refs(
 def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
     u0, u1 = anchor
     e0, e1 = diagram.edge_of[u0], diagram.edge_of[u1]
-    corridor_refs: List[FaceRef] = []
-    splices: List[Tuple[int, int, int]] = []
-    for u in (u0, u1):
-        v = diagram.vertex_of(u)
-        bigon_positions = {u & 3, diagram.alpha[u1 if u == u0 else u0] & 3}
-        outs = [4 * v + p for p in range(4) if p not in bigon_positions]
-        if len(outs) != 2:
-            raise AssertionError(
-                f"bigon leaves {len(outs)} outside ends at crossing {v}, not 2"
-            )
-        x1, x2 = outs
-        y = x2 if ((x2 & 3) - (x1 & 3)) % 4 == 1 else x1
-        corridor_refs.append(_side_ref_of_dart(diagram, y))
-        for x in outs:
-            partner_bigon = 4 * v + (((x & 3) + 2) & 3)
-            q = diagram.alpha[partner_bigon]
-            o = 4 * diagram.vertex_of(q) + (((q & 3) + 2) & 3)
-            if diagram.is_tail[x]:
-                continue  # record each strand once, from its entering end
-            if not diagram.is_tail[o]:
-                raise AssertionError("strand orientation broken through bigon")
-            # seam marks on the dying bigon edge stay with the strand
-            splices.append(
-                (
-                    diagram.edge_of[x],
-                    diagram.edge_of[o],
-                    diagram.edges[diagram.edge_of[partner_bigon]][2],
-                )
-            )
-    if len(splices) != 2:
-        raise AssertionError(f"bigon removal spliced {len(splices)} strands, not 2")
+    corridor_refs = [_side_ref_of_dart(diagram, _across(u)) for u in (u0, u1)]
+    # Each bigon edge carries one strand, in across its tail and out across
+    # its head; the strands are coherent, so both tails share a crossing.
+    strands = []  # [incoming edge, outgoing edge, seam of the bigon edge]
+    bigon_edges = (diagram.edges[e0], diagram.edges[e1])
+    for x, o, seam in sorted((_across(t), _across(h), seam) for t, h, seam in bigon_edges):
+        if diagram.is_tail[x] or not diagram.is_tail[o]:
+            raise AssertionError("strand orientation broken through bigon")
+        strands.append([diagram.edge_of[x], diagram.edge_of[o], seam])
     _remap_dying_refs(diagram, b, {e0, e1}, corridor_refs[0])
-    spliced = []  # [anchor, incoming edge, outgoing edge] per strand
-    for e_in, e_out, seam in splices:
-        ai = b.add_anchor()
-        b.edges[e_in]["head"] = ("a", ai, 0)
-        b.edges[e_out]["tail"] = ("a", ai, 1)
-        b.edges[e_in]["seam"] += seam
-        spliced.append([ai, e_in, e_out])
     b.remove_crossing(diagram.vertex_of(u0))
     b.remove_crossing(diagram.vertex_of(u1))
     b.remove_edge(e0)
@@ -325,28 +289,28 @@ def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> No
     # bigon goes, the component splits in two, and the pieces get placed.
     if diagram._ref_face(corridor_refs[0]) == diagram._ref_face(corridor_refs[1]):
         b.placements.append((corridor_refs[0], corridor_refs[1]))
-    # Dissolve the two splice anchors, first the one on the lower edge id,
-    # which fixes the ids of the merged edges.  An anchor whose strand closed
-    # into a loop stays; the last anchor takes a dissolved one's number.
-    for s in sorted(spliced, key=lambda s: min(s[1:])):
-        ai, e_in, e_out = s
+    # Join each strand's two edges, the strand on the lower edge id first,
+    # which fixes the ids of the joined edges.  A strand whose two edges are
+    # one has closed into a loop: only it keeps an anchor, in strand order.
+    for s in sorted(strands, key=lambda s: min(s[:2])):
+        e_in, e_out, seam = s
         if e_in == e_out:
             continue
         rec_in, rec_out = b.edges[e_in], b.edges[e_out]
-        merged = b.add_edge(
-            rec_in["tail"], rec_out["head"], rec_in["seam"] + rec_out["seam"]
+        joined = b.add_edge(
+            rec_in["tail"], rec_out["head"], rec_in["seam"] + seam + rec_out["seam"]
         )
         for e in (e_in, e_out):
             b.remove_edge(e)
-            b._remap_refs(e, merged)
-        spliced.remove(s)
-        b.nanchors -= 1
-        for t in spliced:
-            t[1:] = [merged if e in (e_in, e_out) else e for e in t[1:]]
-            if t[0] == b.nanchors:
-                t[0] = ai
-                b.edges[t[1]]["head"] = ("a", ai, 0)
-                b.edges[t[2]]["tail"] = ("a", ai, 1)
+            b._remap_refs(e, joined)
+        strands.remove(s)
+        for t in strands:
+            t[:2] = [joined if e in (e_in, e_out) else e for e in t[:2]]
+    for e, _, seam in strands:  # the loops
+        ai = b.add_anchor()
+        rec = b.edges[e]
+        rec["head"], rec["tail"] = ("a", ai, 0), ("a", ai, 1)
+        rec["seam"] += seam
 
 
 # Pair insertion ports, keyed by (is_tail[u], is_tail[v]) of the anchor's
@@ -387,28 +351,27 @@ def _apply_pair_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> N
 
 def _apply_iii(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
     orbit = tuple(anchor)
-    frames = _tri_frames(diagram, orbit)
     vs = [diagram.vertex_of(u) for u in orbit]
     es = [diagram.edge_of[u] for u in orbit]
     dirs = [diagram.is_tail[u] for u in orbit]
     seams = [diagram.edges[e][2] for e in es]
-    over_slots = []
-    for j in range(3):
-        r, u, o1, o2 = frames[j]
-        if (u & 3) % 2 == diagram.over_parity[vs[j]]:
-            over_slots.append("u")
-        elif (r & 3) % 2 == diagram.over_parity[vs[j]]:
-            over_slots.append("r")
+    # at v_j the walk arrives on dart r = alpha(orbit[j-1]) and leaves on u
+    w = []
+    for j, u in enumerate(orbit):
+        if _is_over_at(diagram, u):
+            parity = 1
+        elif _is_over_at(diagram, diagram.alpha[orbit[j - 1]]):
+            parity = 0
         else:
             raise AssertionError(f"no over strand at triangle crossing {vs[j]}")
-    w = [
-        b.add_crossing(diagram.signs[vs[j]], 0 if over_slots[j] == "r" else 1)
-        for j in range(3)
-    ]
-    # outside edge ends move: o1 of v_j -> slot 3 of W_{j-1}, o2 -> slot 2 of W_{j+1}
-    for j in range(3):
-        _, _, o1, o2 = frames[j]
-        for dart, target in ((o1, ("x", w[(j - 1) % 3], 3)), (o2, ("x", w[(j + 1) % 3], 2))):
+        w.append(b.add_crossing(diagram.signs[vs[j]], parity))
+    # outside edge ends move: sigma(u) of v_j -> slot 3 of W_{j-1}, the end
+    # across u -> slot 2 of W_{j+1}
+    for j, u in enumerate(orbit):
+        for dart, target in (
+            (diagram.sigma(u), ("x", w[j - 1], 3)),
+            (_across(u), ("x", w[(j + 1) % 3], 2)),
+        ):
             role = "tail" if diagram.is_tail[dart] else "head"
             b.edges[diagram.edge_of[dart]][role] = target
     new_edges = []

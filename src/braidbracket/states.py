@@ -87,10 +87,6 @@ class Configuration:
 
     canonical: str
 
-    @property
-    def circle_count(self) -> int:
-        return self.canonical.count("(")
-
     def __str__(self) -> str:
         return self.canonical
 

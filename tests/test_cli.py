@@ -49,6 +49,18 @@ def test_unsafe_cap_gate(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("bracket", "-w", "B1", "--seed", "1"),
+    ("homology", "-w", "B1", "--moves", "3"),
+    ("verify", "-w", "B1", "--dump-matrices"),
+])
+def test_flag_of_another_subcommand_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_homology_single_circle(capsys):
     code, out, _ = run(capsys, "homology", "-w", "B1")
     assert code == 0

@@ -333,8 +333,8 @@ def test_insertions_are_pinned(name, kind, count, digest):
 
 def test_bigon_removal_keeps_anchors_away_from_its_site():
     # a curl on the free loop of strand 3 leaves that loop's anchor between
-    # two distinct edges; removing the bigon of strands 1 and 2 dissolves
-    # only its own splice anchors, which stay here as both strands close
+    # two distinct edges; removing the bigon of strands 1 and 2 keeps that
+    # anchor and adds one for each of its own strands, which close into loops
     d = parse_braid_word("B3 1 -1")
     loop = d.edge_of[4 * d.n]
     curl = apply_move(d, next(
@@ -349,8 +349,8 @@ def test_bigon_removal_keeps_anchors_away_from_its_site():
 
 
 def test_bigon_removal_renumbers_the_anchor_it_keeps():
-    # after a curl on B2 -1 1 the bigon's first splice anchor dissolves and
-    # its second one, on a strand closed into a loop, stays with the freed
+    # after a curl on B2 -1 1 the bigon's first strand joins into a plain
+    # edge and its second one, closed into a loop, takes the one new anchor
     # number
     d = parse_braid_word("B2 -1 1")
     curl = apply_move(d, find_sites(d, "RI_insert")[0])
@@ -401,3 +401,30 @@ def test_bigon_removal_places_exactly_the_pieces_it_splits_off():
                 assert len(moved.placements) - len(d.placements) == more
                 splits += more
     assert splits > 0
+
+
+def _removals_and_slides(d):
+    for kind in ("IIa_remove", "III"):
+        for site in find_sites(d, kind):
+            yield kind, apply_move(d, site)
+
+
+# Per move family: the number of sites, and the sha256 of the PD JSON lines
+# of the results, over every IIa_remove and III site on the closures of all
+# words with k <= 4 strands (length <= 4, <= 3 for k = 4) and on each result
+# one level deeper.  232 of the removals keep two loop anchors, 208 keep one.
+def test_removals_and_slides_are_pinned():
+    h = {"IIa_remove": hashlib.sha256(), "III": hashlib.sha256()}
+    count = {"IIa_remove": 0, "III": 0}
+    for k, length in ((2, 4), (3, 4), (4, 3)):
+        letters = [g for i in range(1, k) for g in (i, -i)]
+        for n in range(length + 1):
+            for w in itertools.product(letters, repeat=n):
+                d = braid_closure(BraidWord(k, w))
+                for x in [d] + [m for _, m in _removals_and_slides(d)]:
+                    for kind, moved in _removals_and_slides(x):
+                        h[kind].update(moved.to_pd_json().encode() + b"\n")
+                        count[kind] += 1
+    assert count == {"IIa_remove": 832, "III": 840}
+    assert h["IIa_remove"].hexdigest()[:16] == "0a3fa1381f22aa03"
+    assert h["III"].hexdigest()[:16] == "2c25ace178ece88b"

@@ -1,7 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import collections
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -59,3 +61,25 @@ def test_every_trace_target_resolves():
         assert tracer.missing == {}
     finally:
         tracer.uninstall()
+
+
+def test_every_helper_is_used():
+    # a function, method or property whose name occurs nowhere but in its
+    # own definition, across the library, the tests and the demos (the
+    # package's __all__ included), is dead code
+    texts = [
+        path.read_text()
+        for top in ("src", "tests", "demos")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+    words = collections.Counter(w for text in texts for w in re.findall(r"\w+", text))
+    defs = collections.Counter()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs.update(
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        )
+    assert sorted(name for name, n in defs.items() if words[name] <= n) == []
