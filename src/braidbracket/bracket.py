@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .diagram import BraidWord, OrientedDiagram, SIDE_R
+from .diagram import BraidWord, OrientedDiagram, SIDE_R, anchor_port
 from .laurent import DELTA, Laurent, lp_add, lp_mul, lp_pow, lp_scale, lp_shift
 from .states import (
     Configuration,
@@ -188,7 +188,7 @@ def add_marked_circle(diagram: OrientedDiagram, break_points: int = 2) -> Orient
         raise ValueError("break point count must be even and nonnegative")
     b = diagram.to_builder()
     ai = b.add_anchor()
-    loop = b.add_edge(("a", ai, 0), ("a", ai, 1), seam=0)
+    loop = b.add_edge(anchor_port(ai, 0), anchor_port(ai, 1), seam=0)
     b.anchor_bp[ai] = break_points
     if b.outer is None:
         b.outer = (loop, SIDE_R)

@@ -88,17 +88,24 @@ def _uf_union(parent: List[int], a: int, b: int) -> None:
         parent[rb] = ra
 
 
-Port = Tuple[str, int, int]  # ("x", crossing, pos 0..3) or ("a", anchor, pos 0..1)
+def anchor_port(a: int, p: int) -> int:
+    """Builder port of position ``p`` (0 or 1) of anchor ``a``."""
+    return ~(2 * a + p)
 
 
 class DiagramBuilder:
-    """Mutable construction/surgery buffer; ``build()`` freezes and validates."""
+    """Mutable construction/surgery buffer; ``build()`` freezes and validates.
+
+    A port is an ``int`` in dart numbering: ``4*c + p`` is position ``p`` of
+    crossing ``c`` and ``anchor_port(a, p)`` position ``p`` of anchor ``a``.
+    A removed crossing or edge is set to ``None``; ``build`` closes the
+    gaps, keeping the relative order, and anchors keep their numbers.
+    """
 
     def __init__(self):
-        self.crossings: List[Optional[dict]] = []   # None marks a removed crossing
+        self.crossings: List[Optional[Tuple[int, int]]] = []  # (sign, over_parity)
         self.nanchors = 0
-        self.edges: Dict[int, Optional[dict]] = {}  # id -> {tail, head, seam} or None
-        self._next_edge = 0
+        self.edges: List[Optional[list]] = []       # [tail port, head port, seam]
         self.fused: Dict[int, int] = {}             # crossing -> frozen smoothing bit
         self.anchor_bp: Dict[int, int] = {}         # anchor -> decorative break points
         self.placements: List[Tuple[FaceRef, FaceRef]] = []
@@ -106,36 +113,28 @@ class DiagramBuilder:
         self.from_braid = False
 
     def add_crossing(self, sign: int, over_parity: int) -> int:
-        self.crossings.append({"sign": sign, "over_parity": over_parity})
+        self.crossings.append((sign, over_parity))
         return len(self.crossings) - 1
 
     def add_anchor(self) -> int:
         self.nanchors += 1
         return self.nanchors - 1
 
-    def add_edge(self, tail: Port, head: Port, seam: int = 0) -> int:
-        eid = self._next_edge
-        self._next_edge += 1
-        self.edges[eid] = {"tail": tail, "head": head, "seam": seam}
-        return eid
+    def add_edge(self, tail: int, head: int, seam: int = 0) -> int:
+        self.edges.append([tail, head, seam])
+        return len(self.edges) - 1
 
-    def remove_crossing(self, ci: int) -> None:
-        self.crossings[ci] = None
-
-    def remove_edge(self, eid: int) -> None:
-        self.edges[eid] = None
-
-    def split_edge(self, eid: int, mid_tail: Port, mid_head: Port) -> Tuple[int, int]:
+    def split_edge(self, eid: int, mid_tail: int, mid_head: int) -> Tuple[int, int]:
         """Replace edge ``eid`` by two halves through a new vertex.
 
         ``mid_head`` receives the incoming half, ``mid_tail`` emits the
         outgoing half.  Face references to ``eid`` are remapped to the first
         half (either half bounds the same two faces).
         """
-        rec = self.edges[eid]
-        e1 = self.add_edge(rec["tail"], mid_head, rec["seam"])
-        e2 = self.add_edge(mid_tail, rec["head"], 0)
-        self.remove_edge(eid)
+        tail, head, seam = self.edges[eid]
+        e1 = self.add_edge(tail, mid_head, seam)
+        e2 = self.add_edge(mid_tail, head, 0)
+        self.edges[eid] = None
         self._remap_refs(eid, e1)
         return e1, e2
 
@@ -151,53 +150,50 @@ class DiagramBuilder:
         ]
 
     def build(self) -> "OrientedDiagram":
-        # Compact crossing labels, preserving relative order.
-        xmap: Dict[int, int] = {}
+        # base[c]: the first dart of crossing c once the gaps are closed
         signs: List[int] = []
         over: List[int] = []
-        for old, rec in enumerate(self.crossings):
+        base: List[Optional[int]] = []
+        for rec in self.crossings:
             if rec is None:
-                continue
-            xmap[old] = len(signs)
-            signs.append(rec["sign"])
-            over.append(rec["over_parity"])
-        fused = {}
-        for ci, bit in self.fused.items():
-            if self.crossings[ci] is not None:
-                fused[xmap[ci]] = bit
-        n = len(signs)
-
-        def dart(port: Port) -> int:
-            kind, idx, pos = port
-            if kind == "x":
-                if self.crossings[idx] is None:
-                    raise DiagramError(f"edge references removed crossing {idx}")
-                return 4 * xmap[idx] + pos
-            return 4 * n + 2 * idx + pos
-
-        emap: Dict[int, int] = {}
+                base.append(None)
+            else:
+                base.append(4 * len(signs))
+                signs.append(rec[0])
+                over.append(rec[1])
+        n4 = 4 * len(signs)
+        emap: List[Optional[int]] = []  # builder edge id -> compacted id
         edges: List[Tuple[int, int, int]] = []
-        for eid in sorted(k for k, v in self.edges.items() if v is not None):
-            rec = self.edges[eid]
-            emap[eid] = len(edges)
-            edges.append((dart(rec["tail"]), dart(rec["head"]), rec["seam"]))
+        try:
+            for rec in self.edges:
+                if rec is None:
+                    emap.append(None)
+                    continue
+                emap.append(len(edges))
+                t, h, seam = rec
+                edges.append((
+                    base[t >> 2] + (t & 3) if t >= 0 else n4 + ~t,
+                    base[h >> 2] + (h & 3) if h >= 0 else n4 + ~h,
+                    seam,
+                ))
+        except TypeError:  # None + int: the base of a removed crossing
+            raise DiagramError(
+                f"edge {len(emap) - 1} references a removed crossing") from None
 
         def ref(r: FaceRef) -> FaceRef:
-            if r[0] not in emap:
+            if not 0 <= r[0] < len(emap) or emap[r[0]] is None:
                 raise DiagramError(f"face reference to removed edge {r[0]}")
             return (emap[r[0]], r[1])
 
-        placements = tuple((ref(a), ref(b)) for a, b in self.placements)
-        outer = ref(self.outer) if self.outer is not None else None
         return OrientedDiagram(
             signs=tuple(signs),
             over_parity=tuple(over),
             nanchors=self.nanchors,
             edges=tuple(edges),
-            placements=placements,
-            outer_ref=outer,
+            placements=tuple((ref(a), ref(b)) for a, b in self.placements),
+            outer_ref=ref(self.outer) if self.outer is not None else None,
             from_braid=self.from_braid,
-            fused=dict(fused),
+            fused={base[c] >> 2: bit for c, bit in self.fused.items() if base[c] is not None},
             anchor_bp=dict(self.anchor_bp),
         )
 
@@ -442,22 +438,18 @@ class OrientedDiagram:
 
     def to_builder(self) -> DiagramBuilder:
         b = DiagramBuilder()
-        for c in range(self.n):
-            b.add_crossing(self.signs[c], self.over_parity[c])
+        b.crossings = list(zip(self.signs, self.over_parity))
         b.nanchors = self.nanchors
+        n4 = 4 * self.n  # crossing darts are their own ports
+        b.edges = [
+            [t if t < n4 else ~(t - n4), h if h < n4 else ~(h - n4), seam]
+            for t, h, seam in self.edges
+        ]
         b.fused = dict(self.fused)
         b.anchor_bp = dict(self.anchor_bp)
-        b.from_braid = self.from_braid
-
-        def port(d: int) -> Port:
-            if d < 4 * self.n:
-                return ("x", d >> 2, d & 3)
-            return ("a", (d - 4 * self.n) >> 1, d & 1)
-
-        for (t, h, seam) in self.edges:
-            b.add_edge(port(t), port(h), seam)
-        b.placements = [tuple(p) for p in self.placements]
+        b.placements = list(self.placements)
         b.outer = self.outer_ref
+        b.from_braid = self.from_braid
         return b
 
     def canonical_code(self, with_seam: bool = False) -> str:
@@ -597,8 +589,8 @@ def braid_closure(word: BraidWord) -> OrientedDiagram:
     k = word.strands
     b = DiagramBuilder()
     b.from_braid = True
-    pending: List[Optional[Port]] = [None] * (k + 1)
-    first_entry: List[Optional[Port]] = [None] * (k + 1)
+    pending: List[Optional[int]] = [None] * (k + 1)
+    first_entry: List[Optional[int]] = [None] * (k + 1)
     track_parent = list(range(k + 1))
     for g in word.letters:
         i = abs(g)
@@ -606,19 +598,19 @@ def braid_closure(word: BraidWord) -> OrientedDiagram:
         # positions: 0 = exit on track i, 1 = entry on track i, 2 = entry on
         # track i+1, 3 = exit on track i+1 (counterclockwise in the plane)
         for track, pos in ((i, 1), (i + 1, 2)):
-            head = ("x", ci, pos)
+            head = 4 * ci + pos
             if pending[track] is None:
                 first_entry[track] = head
             else:
                 b.add_edge(pending[track], head, 0)
-        pending[i] = ("x", ci, 0)
-        pending[i + 1] = ("x", ci, 3)
+        pending[i] = 4 * ci
+        pending[i + 1] = 4 * ci + 3
         _uf_union(track_parent, i, i + 1)
     arc: Dict[int, int] = {}
     for j in range(1, k + 1):
         if pending[j] is None:
             ai = b.add_anchor()
-            arc[j] = b.add_edge(("a", ai, 0), ("a", ai, 1), seam=1)
+            arc[j] = b.add_edge(anchor_port(ai, 0), anchor_port(ai, 1), seam=1)
         else:
             arc[j] = b.add_edge(pending[j], first_entry[j], seam=1)
     comps: Dict[int, List[int]] = {}
@@ -642,8 +634,8 @@ def writhe(diagram: OrientedDiagram) -> int:
 def reverse_orientation(diagram: OrientedDiagram) -> OrientedDiagram:
     """Reverse every edge; crossing signs and labels are unchanged."""
     b = diagram.to_builder()
-    for rec in b.edges.values():
-        rec["tail"], rec["head"] = rec["head"], rec["tail"]
+    for rec in b.edges:
+        rec[0], rec[1] = rec[1], rec[0]
     # a side reference names the same geometric region through the swap
     b.placements = [((a[0], 1 - a[1]), (c[0], 1 - c[1])) for a, c in b.placements]
     if b.outer is not None:
@@ -658,20 +650,19 @@ def _pd_int(value, what: str) -> int:
     return value
 
 
-def _parse_port(obj, n: int) -> Port:
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and isinstance(obj[0], list)
-        and obj[0] and obj[0][0] == "a"
-    ):
-        return ("a", _pd_int(obj[0][1], "anchor id"), _pd_int(obj[1], "port"))
+def _parse_port(obj, n: int, m: int) -> int:
+    """Builder port of ``[crossing, pos]`` or ``[["a", anchor], pos]``."""
     if not (isinstance(obj, list) and len(obj) == 2):
         raise FormatError(f"bad port reference {obj!r}")
+    if isinstance(obj[0], list) and obj[0] and obj[0][0] == "a":
+        ai, pos = _pd_int(obj[0][1], "anchor id"), _pd_int(obj[1], "port")
+        if not (0 <= ai < m and 0 <= pos < 2):
+            raise FormatError(f"port {obj!r} is not a port of a declared anchor")
+        return anchor_port(ai, pos)
     ci, pos = _pd_int(obj[0], "crossing id"), _pd_int(obj[1], "port")
     if not (0 <= ci < n and 0 <= pos < 4):
         raise FormatError(f"port {obj!r} is not a port of a declared crossing")
-    return ("x", ci, pos)
+    return 4 * ci + pos
 
 
 def parse_pd(data) -> OrientedDiagram:
@@ -734,27 +725,27 @@ def _pd_builder(data: dict) -> Tuple[DiagramBuilder, List[FaceRef]]:
         raise FormatError("edge ids must be 0..e-1")
     seams = {}
     for k, v in data.get("closure_arcs", {}).items():
-        if not (isinstance(k, str) and k.isdigit()):
+        if not (isinstance(k, str) and k.isdigit() and int(k) < len(edges_in)):
             raise FormatError(f"closure_arcs key must be an edge id, got {k!r}")
         seams[int(k)] = _pd_int(v, "closure_arcs value")
 
     b = DiagramBuilder()
     for rec in crossings:
         b.add_crossing(_pd_int(rec["sign"], "sign"), 0)  # over parity fixed later
-    for _ in anchors:
-        b.add_anchor()
-    port_used: Dict[Port, Tuple[int, str]] = {}
+    b.nanchors = m = len(anchors)
+    port_used: Dict[int, Tuple[int, str]] = {}
     for rec in edges_in:
-        t = _parse_port(rec["from"], n)
-        h = _parse_port(rec["to"], n)
-        for p, role in ((t, "tail"), (h, "head")):
+        ends = []
+        for obj, role in ((rec["from"], "tail"), (rec["to"], "head")):
+            p = _parse_port(obj, n, m)
             if p in port_used:
                 raise OrientationError(
-                    f"port {p} referenced twice (edges {port_used[p][0]} "
+                    f"port {obj!r} referenced twice (edges {port_used[p][0]} "
                     f"and {rec['id']})"
                 )
             port_used[p] = (rec["id"], role)
-        b.add_edge(t, h, seams.get(rec["id"], 0))
+            ends.append(p)
+        b.add_edge(ends[0], ends[1], seams.get(rec["id"], 0))
 
     # check the declared rotations against the edge endpoints
     def end_of(ref) -> Tuple[int, str]:
@@ -762,23 +753,26 @@ def _pd_builder(data: dict) -> Tuple[DiagramBuilder, List[FaceRef]]:
             raise FormatError(f"bad edge-end reference {ref!r}")
         return _pd_int(ref[0], "edge id"), ref[1]
 
-    for rec in crossings:
+    vertices = [(f"crossing {c}", rec, [4 * c + p for p in range(4)])
+                for c, rec in enumerate(crossings)]
+    vertices += [(f"anchor {a}", rec, [anchor_port(a, p) for p in (0, 1)])
+                 for a, rec in enumerate(anchors)]
+    for name, rec, ports in vertices:
         rot = rec.get("rotation")
-        if not isinstance(rot, list) or len(rot) != 4:
-            raise FormatError(f"crossing {rec['id']}: rotation must list 4 edge ends")
-        for pos, ref in enumerate(rot):
-            ei, role = end_of(ref)
-            want = port_used.get(("x", rec["id"], pos))
-            if want != (ei, role):
+        if not isinstance(rot, list) or len(rot) != len(ports):
+            raise FormatError(f"{name}: rotation must list {len(ports)} edge ends")
+        for pos, (port, ref) in enumerate(zip(ports, rot)):
+            end, want = end_of(ref), port_used.get(port)
+            if want != end:
                 raise OrientationError(
-                    f"crossing {rec['id']} rotation slot {pos} names edge end "
-                    f"{(ei, role)} but edges give {want}"
+                    f"{name} rotation slot {pos} names edge end {end} "
+                    f"but edges give {want}"
                 )
     # fix over parity from sign + directions
     for rec in crossings:
         ci = rec["id"]
         outs = [
-            pos for pos in range(4) if port_used[("x", ci, pos)][1] == "tail"
+            pos for pos in range(4) if port_used[4 * ci + pos][1] == "tail"
         ]
         if len(outs) != 2 or (outs[1] - outs[0]) % 4 == 2:
             raise OrientationError(
@@ -789,7 +783,7 @@ def _pd_builder(data: dict) -> Tuple[DiagramBuilder, List[FaceRef]]:
         if (y - x) % 4 != 1:
             x, y = y, x
         over_out = x if rec["sign"] == 1 else y
-        b.crossings[ci]["over_parity"] = over_out % 2
+        b.crossings[ci] = (rec["sign"], over_out % 2)
 
     for pair in data.get("placements", ()):
         (ea, sa), (eb, sb) = pair

@@ -9,6 +9,7 @@ rank (Bareiss) is provided as an oracle for the SNF-derived ranks.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Dict, List, Tuple
 
 from .diagram import OrientedDiagram
@@ -21,99 +22,49 @@ HomologyTable = Dict[Grading, Tuple[int, Tuple[int, ...]]]  # (betti, torsion)
 
 
 def smith_normal_form(matrix: List[List[int]]) -> List[int]:
-    """Nonzero invariant factors d1 | d2 | ... of an integer matrix."""
-    if not matrix or not matrix[0]:
-        return []
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
+
+    Each step pivots on an entry of least magnitude and reduces its row and
+    column by it with remainder; a nonzero remainder is smaller, so the
+    step repeats until both are clear, and then the pivot is a diagonal
+    entry and its row and column go.  Replacing two diagonal entries by
+    their gcd and lcm keeps the group they present, which puts the diagonal
+    in divisibility order.
+    """
     m = [list(row) for row in matrix]
-    rows, cols = len(m), len(m[0])
-    factors: List[int] = []
-    t = 0
-    while t < rows and t < cols:
-        # locate a minimal-magnitude nonzero entry in the remaining block
-        piv = None
-        best = None
-        for i in range(t, rows):
-            mi = m[i]
-            for j in range(t, cols):
-                v = mi[j]
-                if v:
-                    a = v if v > 0 else -v
-                    if best is None or a < best:
-                        best, piv = a, (i, j)
-                        if a == 1:
-                            break
-            if best == 1:
-                break
-        if piv is None:
+    diagonal: List[int] = []
+    while True:
+        entries = [(abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v]
+        if not entries:
             break
-        i, j = piv
-        if i != t:
-            m[t], m[i] = m[i], m[t]
-        if j != t:
-            for row in m:
-                row[t], row[j] = row[j], row[t]
-        while True:
-            p = m[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                v = m[i][t]
-                if v:
-                    q = v // p
-                    if q:
-                        mt = m[t]
-                        mi = m[i]
-                        for j in range(t, cols):
-                            mi[j] -= q * mt[j]
-                    if m[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                v = m[t][j]
-                if v:
-                    q = v // p
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[t]
-                    if m[t][j]:
-                        dirty = True
-            if not dirty:
-                break
-            # a nonzero remainder is strictly smaller than |p|: re-pivot on it
-            best = None
-            piv = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    v = m[i][j]
-                    if v:
-                        a = abs(v)
-                        if best is None or a < best:
-                            best, piv = a, (i, j)
-            i, j = piv
-            if i != t:
-                m[t], m[i] = m[i], m[t]
-            if j != t:
+        p, i, j = min(entries)
+        pivot_row = m[i]
+        for r, row in enumerate(m):
+            if r != i and row[j]:
+                q = row[j] // pivot_row[j]
+                for c, v in enumerate(pivot_row):
+                    row[c] -= q * v
+        for c, v in enumerate(pivot_row):
+            if c != j and v:
+                q = v // pivot_row[j]
                 for row in m:
-                    row[t], row[j] = row[j], row[t]
-        # the pivot must divide the rest of the block
-        p = m[t][t]
-        fixed = True
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if m[i][j] % p:
-                    mt, mi = m[t], m[i]
-                    for jj in range(t, cols):
-                        mt[jj] += mi[jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        factors.append(abs(p))
-        t += 1
-    for a, b in zip(factors, factors[1:]):
+                    row[c] -= q * row[j]
+        rest_of_column = any(row[j] for r, row in enumerate(m) if r != i)
+        rest_of_row = any(v for c, v in enumerate(pivot_row) if c != j)
+        if rest_of_column or rest_of_row:
+            continue  # a remainder is left: the next step pivots on it
+        diagonal.append(p)
+        del m[i]
+        for row in m:
+            del row[j]
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            g = gcd(diagonal[a], diagonal[b])
+            diagonal[a], diagonal[b] = g, diagonal[a] // g * diagonal[b]
+    for a, b in zip(diagonal, diagonal[1:]):
         if b % a:
             raise AssertionError("invariant factors out of divisibility order")
-    return factors
+    return diagonal
 
 
 def _sparse_invariant_factors(entries: Dict[Tuple[int, int], int]) -> List[int]:
@@ -226,19 +177,13 @@ def homology_groups(
     """Betti numbers and torsion per (i, j, k); trivial groups are omitted."""
     dm = matrices if matrices is not None else differential_matrices(diagram, cap)
     table: HomologyTable = {}
-    snf_cache: Dict[Grading, List[int]] = {}
-
-    def factors_at(g: Grading) -> List[int]:
-        if g not in snf_cache:
-            block = dm.matrices.get(g)
-            snf_cache[g] = _sparse_invariant_factors(block) if block else []
-        return snf_cache[g]
-
+    # the block at g is the differential out of g, so each is read twice:
+    # as g's outgoing map and as the incoming map of (i - 1, j, k)
+    factors = {g: _sparse_invariant_factors(block) for g, block in dm.matrices.items()}
     for g, dim in dm.dims.items():
         i, j, k = g
-        rank_out = len(factors_at(g))
-        incoming = factors_at((i + 1, j, k))
-        betti = dim - rank_out - len(incoming)
+        incoming = factors.get((i + 1, j, k), ())
+        betti = dim - len(factors.get(g, ())) - len(incoming)
         torsion = tuple(f for f in incoming if f > 1)
         if betti < 0:
             raise AssertionError(f"negative Betti number {betti} at {g}")

@@ -38,6 +38,7 @@ from .diagram import (
     OrientedDiagram,
     SIDE_L,
     SIDE_R,
+    anchor_port,
     braid_closure,
     parse_braid_word,
 )
@@ -279,10 +280,8 @@ def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> No
             raise AssertionError("strand orientation broken through bigon")
         strands.append([diagram.edge_of[x], diagram.edge_of[o], seam])
     _remap_dying_refs(diagram, b, {e0, e1}, corridor_refs[0])
-    b.remove_crossing(diagram.vertex_of(u0))
-    b.remove_crossing(diagram.vertex_of(u1))
-    b.remove_edge(e0)
-    b.remove_edge(e1)
+    b.crossings[u0 >> 2] = b.crossings[u1 >> 2] = None
+    b.edges[e0] = b.edges[e1] = None
     # Removing the bigon takes 2 vertices and 4 edges from its component, so
     # by Euler it takes 2 faces (the bigon, and one corridor face merged into
     # the other) unless both corridor ends lie on one face: then only the
@@ -296,12 +295,11 @@ def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> No
         e_in, e_out, seam = s
         if e_in == e_out:
             continue
-        rec_in, rec_out = b.edges[e_in], b.edges[e_out]
-        joined = b.add_edge(
-            rec_in["tail"], rec_out["head"], rec_in["seam"] + seam + rec_out["seam"]
-        )
+        tail, _, seam_in = b.edges[e_in]
+        _, head, seam_out = b.edges[e_out]
+        joined = b.add_edge(tail, head, seam_in + seam + seam_out)
         for e in (e_in, e_out):
-            b.remove_edge(e)
+            b.edges[e] = None
             b._remap_refs(e, joined)
         strands.remove(s)
         for t in strands:
@@ -309,8 +307,7 @@ def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> No
     for e, _, seam in strands:  # the loops
         ai = b.add_anchor()
         rec = b.edges[e]
-        rec["head"], rec["tail"] = ("a", ai, 0), ("a", ai, 1)
-        rec["seam"] += seam
+        rec[:] = [anchor_port(ai, 1), anchor_port(ai, 0), rec[2] + seam]
 
 
 # Pair insertion ports, keyed by (is_tail[u], is_tail[v]) of the anchor's
@@ -340,8 +337,8 @@ def _apply_pair_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> N
         parity, sign = 1 - parity, -sign
     xs = (b.add_crossing(sign, parity), b.add_crossing(-sign, 1 - parity))
 
-    def port(cp: Tuple[int, int]) -> Tuple[str, int, int]:
-        return ("x", xs[cp[0]], cp[1])
+    def port(cp: Tuple[int, int]) -> int:
+        return 4 * xs[cp[0]] + cp[1]
 
     for dart, (tail, head) in ((u, split_u), (v, split_v)):
         b.split_edge(diagram.edge_of[dart], mid_tail=port(tail), mid_head=port(head))
@@ -369,25 +366,24 @@ def _apply_iii(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
     # across u -> slot 2 of W_{j+1}
     for j, u in enumerate(orbit):
         for dart, target in (
-            (diagram.sigma(u), ("x", w[j - 1], 3)),
-            (_across(u), ("x", w[(j + 1) % 3], 2)),
+            (diagram.sigma(u), 4 * w[j - 1] + 3),
+            (_across(u), 4 * w[(j + 1) % 3] + 2),
         ):
-            role = "tail" if diagram.is_tail[dart] else "head"
-            b.edges[diagram.edge_of[dart]][role] = target
+            b.edges[diagram.edge_of[dart]][0 if diagram.is_tail[dart] else 1] = target
     new_edges = []
     for j in range(3):
         if dirs[j]:
-            eid = b.add_edge(("x", w[(j + 1) % 3], 0), ("x", w[j], 1), seams[j])
+            eid = b.add_edge(4 * w[(j + 1) % 3], 4 * w[j] + 1, seams[j])
         else:
-            eid = b.add_edge(("x", w[j], 1), ("x", w[(j + 1) % 3], 0), seams[j])
+            eid = b.add_edge(4 * w[j] + 1, 4 * w[(j + 1) % 3], seams[j])
         new_edges.append(eid)
     # only the triangle's own face has no surviving edge; it becomes the new one
     new_tri_ref: FaceRef = (new_edges[0], SIDE_L if dirs[0] else SIDE_R)
     _remap_dying_refs(diagram, b, set(es), new_tri_ref)
     for v in vs:
-        b.remove_crossing(v)
+        b.crossings[v] = None
     for e in es:
-        b.remove_edge(e)
+        b.edges[e] = None
 
 
 def _apply_ri_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
@@ -395,8 +391,8 @@ def _apply_ri_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> Non
     e, side, over_first = anchor
     twist = side ^ over_first
     z = b.add_crossing(sign=1 - 2 * twist, over_parity=twist)
-    b.split_edge(e, mid_tail=("x", z, 2 + side), mid_head=("x", z, 1 - side))
-    b.add_edge(("x", z, 3 - side), ("x", z, side))
+    b.split_edge(e, mid_tail=4 * z + 2 + side, mid_head=4 * z + 1 - side)
+    b.add_edge(4 * z + 3 - side, 4 * z + side)
 
 
 def _anchor_ok(fields: str, anchor) -> bool:

@@ -26,11 +26,11 @@ def relabel_crossings(diagram: OrientedDiagram, perm: Sequence[int]) -> Oriented
     b.crossings = [None] * n
     for i, rec in enumerate(old):
         b.crossings[perm[i]] = rec
-    for rec in b.edges.values():
-        for role in ("tail", "head"):
-            kind, idx, pos = rec[role]
-            if kind == "x":
-                rec[role] = ("x", perm[idx], pos)
+    for rec in b.edges:
+        for role in (0, 1):
+            port = rec[role]
+            if port >= 0:  # a crossing port; anchor ports are negative
+                rec[role] = 4 * perm[port >> 2] + (port & 3)
     b.fused = {perm[i]: bit for i, bit in b.fused.items()}
     return b.build()
 

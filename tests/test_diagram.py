@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -6,10 +7,12 @@ from braidbracket.diagram import (
     SIDE_R,
     BraidWord,
     DiagramBuilder,
+    DiagramError,
     FormatError,
     MalformedWordError,
     NonPlanarError,
     OrientationError,
+    anchor_port,
     braid_closure,
     parse_braid_word,
     parse_pd,
@@ -232,8 +235,8 @@ def _two_anchor_circle(seam0, seam1):
     # ",m1," against ",m10,": the "," separators decide which one is less
     b = DiagramBuilder()
     a0, a1 = b.add_anchor(), b.add_anchor()
-    b.add_edge(("a", a0, 0), ("a", a1, 1), seam0)
-    b.add_edge(("a", a1, 0), ("a", a0, 1), seam1)
+    b.add_edge(anchor_port(a0, 0), anchor_port(a1, 1), seam0)
+    b.add_edge(anchor_port(a1, 0), anchor_port(a0, 1), seam1)
     b.outer = (0, SIDE_R)
     return b.build()
 
@@ -262,3 +265,89 @@ def test_component_labels_follow_the_union_find(corpus):
         roots = [_uf_find(parent, v) for v in range(len(parent))]
         rank = {r: i for i, r in enumerate(sorted(set(roots)))}
         assert d.comp_of_vertex == [rank[r] for r in roots]
+
+
+def _pd_of(diagram, edit):
+    """PD object of ``diagram`` after ``edit`` changes it in place."""
+    obj = json.loads(diagram.to_pd_json())
+    edit(obj)
+    return obj
+
+
+def _alias_anchor_1(obj):
+    # positions 2 and 3 of anchor 0 would be the darts of anchor 1
+    obj["edges"][1].update({"from": [["a", 0], 2], "to": [["a", 0], 3]})
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        (_pd_of(parse_braid_word("B2"), _alias_anchor_1), FormatError),
+        (_pd_of(_marked_trefoil(2), lambda o: o["edges"][6].update(
+            {"from": [["a", -1], 0]})), FormatError),
+        (_pd_of(_marked_trefoil(2), lambda o: o["anchors"][0].update(
+            {"rotation": [[7, "tail"], [9, "head"]]})), OrientationError),
+        (_pd_of(parse_braid_word("B2 1 1 1"), lambda o: o["closure_arcs"].update(
+            {"99": 5})), FormatError),
+    ],
+    ids=["anchor-port-alias", "negative-anchor", "anchor-rotation", "closure-arc-key"],
+)
+def test_parse_pd_checks_anchor_ports_rotations_and_closure_arcs(obj, error):
+    with pytest.raises(error):
+        parse_pd(json.dumps(obj))
+
+
+def _removals_keeping_loop_anchors():
+    from braidbracket.moves import apply_move, find_sites
+
+    out = []
+    for w in itertools.product((1, -1, 2, -2), repeat=4):
+        d = braid_closure(BraidWord(3, w))
+        for site in find_sites(d, "IIa_remove"):
+            moved = apply_move(d, site)
+            if moved.nanchors > d.nanchors:
+                out.append(moved)
+    return out
+
+
+def test_pd_round_trip_keeps_anchors_and_marked_circles():
+    from braidbracket.bracket import add_marked_circle
+
+    moved = _moved_diagrams() + _removals_keeping_loop_anchors()
+    diagrams = moved + _split_closures() + [add_marked_circle(d, 4) for d in moved[:8]]
+    assert any(d.n and d.nanchors for d in diagrams)
+    for d in diagrams:
+        assert parse_pd(d.to_pd_json()).to_pd_json() == d.to_pd_json()
+
+
+BUILDER_FIELDS = ("signs", "over_parity", "nanchors", "edges", "placements",
+                  "outer_ref", "fused", "anchor_bp", "from_braid")
+
+
+def test_builder_round_trip_reproduces_every_field(corpus):
+    from braidbracket.bracket import add_marked_circle, skein_expand
+
+    removals = _removals_keeping_loop_anchors()
+    diagrams = list(corpus) + removals
+    for d in corpus[::4]:
+        if d.n:
+            diagrams += skein_expand(d, d.n - 1)
+            diagrams.append(add_marked_circle(d, 2))
+    diagrams += [reverse_orientation(d) for d in diagrams]
+    assert any(d.fused for d in diagrams)
+    assert any(d.n and d.nanchors for d in removals)
+    for d in diagrams:
+        rebuilt = d.to_builder().build()
+        for field in BUILDER_FIELDS:
+            assert getattr(rebuilt, field) == getattr(d, field), field
+
+
+def test_build_rejects_references_to_removed_parts():
+    b = parse_braid_word("B2 1 1 1").to_builder()
+    b.crossings[1] = None  # its four edges still name its ports
+    with pytest.raises(DiagramError, match="removed crossing"):
+        b.build()
+    b = parse_braid_word("B2 1 1 1").to_builder()
+    b.edges[b.outer[0]] = None
+    with pytest.raises(DiagramError, match="removed edge"):
+        b.build()
