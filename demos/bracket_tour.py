@@ -44,7 +44,7 @@ b = show(trefoil, "positive trefoil closure [1, 1, 1]")
 classical = specialize_chi_to_delta(lighten(b))
 print(f"   classical bracket: {lp_str(classical)}")
 print(f"   independent oracle agrees: {classical == kauffman_oracle(trefoil)}")
-print(f"   normalized: {sorted(normalize(trefoil, lighten(b)).items())}")
+print(f"   normalized: {sorted(lighten(normalize(trefoil, b)).items())}")
 
 # The refinement sees what the Jones polynomial cannot: these unknot
 # diagrams share writhe 0 and Whitney index, yet their brackets differ,

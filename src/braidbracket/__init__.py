@@ -32,7 +32,6 @@ from .diagram import (
     writhe,
 )
 from .states import (
-    Configuration,
     KauffmanState,
     SizeCapError,
     StateCircle,
@@ -92,7 +91,6 @@ __all__ = [
     "parse_pd",
     "reverse_orientation",
     "writhe",
-    "Configuration",
     "KauffmanState",
     "StateCircle",
     "configuration_of",

@@ -24,10 +24,8 @@ from typing import Dict, Tuple
 from .diagram import BraidWord, OrientedDiagram, SIDE_R, anchor_port
 from .laurent import DELTA, Laurent, lp_add, lp_mul, lp_pow, lp_scale, lp_shift
 from .states import (
-    Configuration,
     DEFAULT_CAP,
     SizeCapError,
-    Smoothing,
     _circle_type,
     _configuration_key,
     _nesting_forest,
@@ -72,7 +70,7 @@ def _bracket_range(diagram: OrientedDiagram) -> BracketElement:
     n = len(diagram.active_crossings)
     out: BracketElement = {}
     for bits in range(1 << n):
-        tau = _tau(diagram, Smoothing(bits, n))
+        tau = _tau(diagram, bits)
         circ_of, bps = _trace_circles(diagram, tau)
         types = [_circle_type(bp) for bp in bps]
         nesting = _nesting_forest(diagram, tau, circ_of, len(bps)) if bps else {}
@@ -212,17 +210,11 @@ def lighten(b: BracketElement) -> LightenedBracket:
     return out
 
 
-def normalize(diagram: OrientedDiagram, x):
-    """Multiply by (-A)^(-3 w(D)); accepts either bracket form."""
+def normalize(diagram: OrientedDiagram, b: BracketElement) -> BracketElement:
+    """Multiply by (-A)^(-3 w(D)); lighten afterwards for the lightened form."""
     w = diagram.writhe()
     sign = -1 if w % 2 else 1
-    shift = -3 * w
-    if not x:
-        return {}
-    some_key = next(iter(x))
-    if isinstance(some_key, str):  # BracketElement
-        return {cfg: lp_scale(lp_shift(p, shift), sign) for cfg, p in x.items()}
-    return {(e + shift, m): sign * c for (e, m), c in x.items()}
+    return {cfg: lp_scale(lp_shift(p, -3 * w), sign) for cfg, p in b.items()}
 
 
 def specialize_chi_to_delta(lightened: LightenedBracket) -> Laurent:
@@ -299,7 +291,7 @@ def kauffman_oracle(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> Laurent
 
 def seifert_leading_term(
     diagram: OrientedDiagram, cap: int = DEFAULT_CAP
-) -> Tuple[Configuration, Laurent]:
+) -> Tuple[str, Laurent]:
     """Unique maximal-circle-count term of the bracket.
 
     Asserts the guarantees that make it well defined: the maximal
@@ -315,9 +307,9 @@ def seifert_leading_term(
     if len(rivals) != 1:
         raise AssertionError(f"maximal configuration not unique: {sorted(rivals)}")
     sei_cfg = configuration_of(seifert_state(diagram))
-    if sei_cfg.canonical != best:
+    if sei_cfg != best:
         raise AssertionError(
-            f"leading configuration {best!r} differs from Seifert {sei_cfg.canonical!r}"
+            f"leading configuration {best!r} differs from Seifert {sei_cfg!r}"
         )
     w = diagram.writhe()
     if b[best] != {w: 1}:

@@ -32,7 +32,6 @@ from .diagram import OrientedDiagram
 from .states import (
     DEFAULT_CAP,
     SizeCapError,
-    Smoothing,
     _circle_type,
     _tau,
     _trace_circles,
@@ -44,7 +43,7 @@ StateKey = Tuple[int, int]  # (smoothing bits, label bits: 1 = plus)
 
 @dataclass(frozen=True)
 class EnhancedState:
-    smoothing: Smoothing
+    bits: int  # the smoothing, bit v = choice at crossing v
     labels: Tuple[int, ...]  # +1 or -1 per circle, in circle-id order
     i: int
     j: int
@@ -56,11 +55,11 @@ class EnhancedState:
         for idx, sign in enumerate(self.labels):
             if sign > 0:
                 mask |= 1 << idx
-        return (self.smoothing.bits, mask)
+        return (self.bits, mask)
 
 
 # (circ_of, types, dmask, hmask): see ``_StateTable.structure``
-_Smoothing = Tuple[Tuple[int, ...], Tuple[str, ...], int, int]
+_Structure = Tuple[Tuple[int, ...], Tuple[str, ...], int, int]
 # (bits2, x, y, img, extra): see ``_StateTable.rule``
 _Rule = Tuple[int, int, int, Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
@@ -74,17 +73,17 @@ class _StateTable:
         self.diagram = diagram
         self.n = diagram.n
         self.w = diagram.writhe()
-        self._smoothings: Dict[int, _Smoothing] = {}
+        self._smoothings: Dict[int, _Structure] = {}
         # rules for ``_dv_terms``, which asks for each one once per labeling
         self.rules: Dict[Tuple[int, int], _Rule] = {}
-        self._orders: Dict[int, Tuple[List[int], List[Tuple[int, ...]]]] = {}
+        self._orders: Dict[int, List[int]] = {}
 
-    def structure(self, bits: int) -> _Smoothing:
+    def structure(self, bits: int) -> _Structure:
         """(circle id per dart, circle types, d-circle mask, h-circle mask)
         of one smoothing."""
         hit = self._smoothings.get(bits)
         if hit is None:
-            tau = _tau(self.diagram, Smoothing(bits, self.n))
+            tau = _tau(self.diagram, bits)
             circ_of, bps = _trace_circles(self.diagram, tau)
             types = tuple(_circle_type(bp) for bp in bps)
             dmask = sum(1 << idx for idx, t in enumerate(types) if t == "d")
@@ -99,17 +98,14 @@ class _StateTable:
         tau_h = 2 * (labelmask & hmask).bit_count() - hmask.bit_count()
         return ((sig - self.w) // 2, (sig - 3 * self.w + 2 * tau_d) // 2, tau_h)
 
-    def label_order(self, ncirc: int) -> Tuple[List[int], List[Tuple[int, ...]]]:
-        """Label masks of ``ncirc`` circles in canonical basis order, and the
-        label tuple of every mask."""
+    def label_order(self, ncirc: int) -> List[int]:
+        """Label masks of ``ncirc`` circles in canonical basis order: by the
+        label of circle 0, then circle 1, and so on, minus before plus."""
         hit = self._orders.get(ncirc)
         if hit is None:
-            labels = [
-                tuple(1 if (m >> idx) & 1 else -1 for idx in range(ncirc))
-                for m in range(1 << ncirc)
-            ]
-            hit = (sorted(range(1 << ncirc), key=labels.__getitem__), labels)
-            self._orders[ncirc] = hit
+            hit = self._orders[ncirc] = sorted(
+                range(1 << ncirc), key=lambda m: [(m >> idx) & 1 for idx in range(ncirc)]
+            )
         return hit
 
     def rule(self, bits: int, v: int) -> _Rule:
@@ -223,10 +219,10 @@ def _koszul_sign(bits: int, v: int) -> int:
 
 
 def _make_enhanced(table: _StateTable, bits: int, labelmask: int) -> EnhancedState:
-    types = table.structure(bits)[1]
-    labels = table.label_order(len(types))[1][labelmask]
+    ncirc = len(table.structure(bits)[1])
+    labels = tuple(1 if (labelmask >> idx) & 1 else -1 for idx in range(ncirc))
     i, j, k = table.gradings(bits, labelmask)
-    return EnhancedState(Smoothing(bits, table.n), labels, i, j, k)
+    return EnhancedState(bits, labels, i, j, k)
 
 
 def _basis(
@@ -247,7 +243,7 @@ def _basis(
     pos_of: List[List[int]] = []
     for bits in range(1 << table.n):
         _, types, dmask, hmask = table.structure(bits)
-        order = table.label_order(len(types))[0]
+        order = table.label_order(len(types))
         width = hmask.bit_count() + 1
         cell = [-1] * ((dmask.bit_count() + 1) * width)
         gids = [0] * len(order)
@@ -281,7 +277,7 @@ def enhanced_states(
     buckets: List[List[EnhancedState]] = [[] for _ in gradings]
     for bits, gids in enumerate(gid_of):
         ncirc = len(table.structure(bits)[1])
-        for m in table.label_order(ncirc)[0]:
+        for m in table.label_order(ncirc):
             buckets[gids[m]].append(_make_enhanced(table, bits, m))
     return dict(zip(gradings, buckets))
 
@@ -294,7 +290,7 @@ def incidence(
     This is the slow, definition-level check used as the oracle for the
     rule table: common circles are matched by comparing dart sets.
     """
-    bits, bits2 = s.smoothing.bits, s2.smoothing.bits
+    bits, bits2 = s.bits, s2.bits
     if (bits >> v) & 1 or not (bits2 >> v) & 1:
         return 0
     if bits2 ^ bits != 1 << v:
@@ -322,7 +318,7 @@ def partial_differential(
     s: EnhancedState, v: int, diagram: OrientedDiagram
 ) -> Dict[EnhancedState, int]:
     """d_v by the explicit merge/split rule table, with its Koszul sign."""
-    bits = s.smoothing.bits
+    bits = s.bits
     if (bits >> v) & 1:
         raise ValueError(f"crossing {v} is not A-smoothed in this state")
     table = _get_table(diagram, diagram.n)
@@ -338,7 +334,7 @@ def partial_differential_oracle(
     s: EnhancedState, v: int, diagram: OrientedDiagram
 ) -> Dict[EnhancedState, int]:
     """d_v straight from the incidence-number definition (brute force)."""
-    bits = s.smoothing.bits
+    bits = s.bits
     if (bits >> v) & 1:
         raise ValueError(f"crossing {v} is not A-smoothed in this state")
     table = _get_table(diagram, diagram.n)

@@ -419,9 +419,9 @@ class OrientedDiagram:
                     f"{self.ncomponents} components glued by {cross} placements; "
                     "nesting is ambiguous"
                 )
-        for ci in self.fused:
-            if not 0 <= ci < self.n:
-                raise FormatError(f"fused mark on unknown crossing {ci}")
+        for ci, bit in self.fused.items():
+            if not 0 <= ci < self.n or bit not in (0, 1):
+                raise FormatError(f"bad fused mark {bit!r} on crossing {ci}")
         for ai, bp in self.anchor_bp.items():
             if not 0 <= ai < self.nanchors or bp < 0 or bp % 2:
                 raise FormatError(f"bad decorative break-point count on anchor {ai}")
@@ -544,13 +544,18 @@ class OrientedDiagram:
         else:
             obj["outer_face"] = []
         if self.nanchors:
-            obj["anchors"] = [
-                {"id": a, "rotation": [end_name(4 * self.n + 2 * a + p) for p in (0, 1)]}
-                for a in range(self.nanchors)
-            ]
+            obj["anchors"] = []
+            for a in range(self.nanchors):
+                ends = [end_name(4 * self.n + 2 * a + p) for p in (0, 1)]
+                rec = {"id": a, "rotation": ends}
+                if self.anchor_bp.get(a):
+                    rec["break_points"] = self.anchor_bp[a]
+                obj["anchors"].append(rec)
         seams = {str(ei): s for ei, (_, _, s) in enumerate(self.edges) if s}
         if seams:
             obj["closure_arcs"] = seams
+        if self.fused:
+            obj["fused"] = {str(c): bit for c, bit in self.fused.items()}
         if self.placements:
             obj["placements"] = [
                 [[a[0], "RL"[a[1]]], [b[0], "RL"[b[1]]]] for a, b in self.placements
@@ -650,6 +655,25 @@ def _pd_int(value, what: str) -> int:
     return value
 
 
+def _pd_side(value) -> int:
+    """A placement side: exactly ``"R"`` or ``"L"``."""
+    if value not in ("R", "L"):
+        raise FormatError(f"placement side must be 'R' or 'L', got {value!r}")
+    return SIDE_R if value == "R" else SIDE_L
+
+
+def _pd_by_id(obj, count: int, what: str) -> Dict[int, int]:
+    """A PD map from ids ``0..count-1``, written as decimal ``str(id)`` keys,
+    to integers."""
+    ids = {str(i): i for i in range(count)}
+    out = {}
+    for k, v in obj.items():
+        if k not in ids:
+            raise FormatError(f"{what} key must be a declared id, got {k!r}")
+        out[ids[k]] = _pd_int(v, f"{what} value")
+    return out
+
+
 def _parse_port(obj, n: int, m: int) -> int:
     """Builder port of ``[crossing, pos]`` or ``[["a", anchor], pos]``."""
     if not (isinstance(obj, list) and len(obj) == 2):
@@ -672,7 +696,9 @@ def parse_pd(data) -> OrientedDiagram:
     refs, counterclockwise), ``edges`` (id, from, to as [crossing, port])
     and ``outer_face``.  Extension keys ``anchors``, ``closure_arcs`` and
     ``placements`` round-trip diagrams with free loops or several
-    components; plain connected diagrams need none of them.
+    components, and ``fused`` and an anchor's ``break_points`` round-trip
+    skein expansions and marked circles; plain connected diagrams need
+    none of them.
     """
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf8")
@@ -723,16 +749,16 @@ def _pd_builder(data: dict) -> Tuple[DiagramBuilder, List[FaceRef]]:
     edges_in = sorted(data["edges"], key=lambda r: _pd_int(r["id"], "edge id"))
     if [r["id"] for r in edges_in] != list(range(len(edges_in))):
         raise FormatError("edge ids must be 0..e-1")
-    seams = {}
-    for k, v in data.get("closure_arcs", {}).items():
-        if not (isinstance(k, str) and k.isdigit() and int(k) < len(edges_in)):
-            raise FormatError(f"closure_arcs key must be an edge id, got {k!r}")
-        seams[int(k)] = _pd_int(v, "closure_arcs value")
+    seams = _pd_by_id(data.get("closure_arcs", {}), len(edges_in), "closure_arcs")
 
     b = DiagramBuilder()
     for rec in crossings:
         b.add_crossing(_pd_int(rec["sign"], "sign"), 0)  # over parity fixed later
     b.nanchors = m = len(anchors)
+    for rec in anchors:
+        if "break_points" in rec:
+            b.anchor_bp[rec["id"]] = _pd_int(rec["break_points"], "break_points")
+    b.fused = _pd_by_id(data.get("fused", {}), n, "fused")
     port_used: Dict[int, Tuple[int, str]] = {}
     for rec in edges_in:
         ends = []
@@ -788,8 +814,8 @@ def _pd_builder(data: dict) -> Tuple[DiagramBuilder, List[FaceRef]]:
     for pair in data.get("placements", ()):
         (ea, sa), (eb, sb) = pair
         b.placements.append((
-            (_pd_int(ea, "placement edge"), "RL".index(sa)),
-            (_pd_int(eb, "placement edge"), "RL".index(sb)),
+            (_pd_int(ea, "placement edge"), _pd_side(sa)),
+            (_pd_int(eb, "placement edge"), _pd_side(sb)),
         ))
 
     outer: List[FaceRef] = []

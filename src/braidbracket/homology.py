@@ -222,7 +222,7 @@ def euler_characteristic(table: HomologyTable) -> Laurent2:
 
 def lightened_in_h(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> Laurent2:
     """Normalized lightened bracket with chi expanded as -H^2 - H^-2."""
-    lightened = normalize(diagram, lighten(bracket_br(diagram, cap=cap)))
+    lightened = lighten(normalize(diagram, bracket_br(diagram, cap=cap)))
     out: Laurent2 = {}
     powers: Dict[int, Dict[int, int]] = {}
     for (a, m), c in lightened.items():

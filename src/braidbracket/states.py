@@ -39,28 +39,8 @@ class SizeCapError(Exception):
 DEFAULT_CAP = 24
 
 
-@dataclass(frozen=True)
-class Smoothing:
-    """Choice bits for the active crossings; bit 0 = A, bit 1 = A^-1."""
-
-    bits: int
-    length: int
-
-    def bit(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    @property
-    def count_b(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def count_a(self) -> int:
-        return self.length - self.count_b
-
-
 @dataclass
 class StateCircle:
-    id: int
     break_points: int
     circle_type: str            # "d" or "h"
     edge_cycle: Tuple[int, ...]  # darts along the canonical traversal
@@ -69,35 +49,23 @@ class StateCircle:
 
 @dataclass
 class KauffmanState:
-    smoothing: Smoothing
+    bits: int    # bit i: choice at active_crossings[i], 0 = A, 1 = A^-1
+    sigma: int   # (number of A-smoothings) - (number of A^-1-smoothings)
     circles: List[StateCircle]
     nesting: Dict[int, Optional[int]]  # circle id -> parent circle id
-    diagram: OrientedDiagram
     circle_of_dart: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Unordered nesting forest of plane circles, canonically encoded.
+def _tau(diagram: OrientedDiagram, bits: int) -> List[int]:
+    """Dart pairing of the smoothed diagram (smoothing arcs + anchor passes).
 
-    The canonical form of a node is "(" + its children's forms, sorted,
-    + ")"; the form of the forest is the sorted concatenation of root
-    forms.  Two configurations are equal iff their strings are equal.
+    Bit i of ``bits`` is the choice at ``diagram.active_crossings[i]``.
     """
-
-    canonical: str
-
-    def __str__(self) -> str:
-        return self.canonical
-
-
-def _tau(diagram: OrientedDiagram, smoothing: Smoothing) -> List[int]:
-    """Dart pairing of the smoothed diagram (smoothing arcs + anchor passes)."""
     tau = [0] * diagram.ndarts
     active = diagram.active_crossings
     pattern = [0] * diagram.n
     for i, c in enumerate(active):
-        pattern[c] = (diagram.over_parity[c] + smoothing.bit(i)) & 1
+        pattern[c] = (diagram.over_parity[c] + (bits >> i)) & 1
     for c, bit in diagram.fused.items():
         pattern[c] = (diagram.over_parity[c] + bit) & 1
     for c in range(diagram.n):
@@ -152,8 +120,8 @@ def _circle_type(break_points: int) -> str:
     return "d" if (break_points // 2) % 2 == 1 else "h"
 
 
-def resolve(diagram: OrientedDiagram, smoothing: Smoothing) -> KauffmanState:
-    """Trace the circles of one Kauffman state.
+def resolve(diagram: OrientedDiagram, bits: int) -> KauffmanState:
+    """Trace the circles of the Kauffman state ``bits`` (see ``_tau``).
 
     Break points are counted along each circle (one per orientation-
     reversing smoothing arc, plus any decorative marks riding on anchors).
@@ -161,7 +129,10 @@ def resolve(diagram: OrientedDiagram, smoothing: Smoothing) -> KauffmanState:
     its flow.  Winding numbers are filled in for diagrams built from braid
     words.
     """
-    tau = _tau(diagram, smoothing)
+    n = len(diagram.active_crossings)
+    if not 0 <= bits < 1 << n:
+        raise ValueError(f"smoothing {bits} is not a bit string over {n} crossings")
+    tau = _tau(diagram, bits)
     circ_of, bps = _trace_circles(diagram, tau)
     ncirc = len(bps)
     is_tail = diagram.is_tail
@@ -190,7 +161,6 @@ def resolve(diagram: OrientedDiagram, smoothing: Smoothing) -> KauffmanState:
                 break
         circles.append(
             StateCircle(
-                id=cid,
                 break_points=bps[cid],
                 circle_type=_circle_type(bps[cid]),
                 edge_cycle=tuple(cycle),
@@ -200,10 +170,10 @@ def resolve(diagram: OrientedDiagram, smoothing: Smoothing) -> KauffmanState:
 
     nesting = _nesting_forest(diagram, tau, circ_of, ncirc) if ncirc else {}
     return KauffmanState(
-        smoothing=smoothing,
+        bits=bits,
+        sigma=n - 2 * bits.bit_count(),
         circles=circles,
         nesting=nesting,
-        diagram=diagram,
         circle_of_dart=tuple(circ_of),
     )
 
@@ -278,7 +248,7 @@ def _nesting_forest(
 
 def sigma(state: KauffmanState) -> int:
     """(number of A-smoothings) - (number of A^-1-smoothings)."""
-    return state.smoothing.count_a - state.smoothing.count_b
+    return state.sigma
 
 
 def seifert_state(diagram: OrientedDiagram) -> KauffmanState:
@@ -287,13 +257,18 @@ def seifert_state(diagram: OrientedDiagram) -> KauffmanState:
     for i, c in enumerate(diagram.active_crossings):
         if diagram.signs[c] < 0:
             bits |= 1 << i
-    return resolve(diagram, Smoothing(bits, len(diagram.active_crossings)))
+    return resolve(diagram, bits)
 
 
-def configuration_of(state: KauffmanState) -> Configuration:
-    """Nesting forest of the h-circles only; d-circles are skipped over."""
-    types = [c.circle_type for c in state.circles]
-    return Configuration(_configuration_key(types, state.nesting))
+def configuration_of(state: KauffmanState) -> str:
+    """Canonical string of the nesting forest of the h-circles only.
+
+    d-circles are skipped over.  A node's form is "(" + its children's
+    forms, sorted, + ")"; the forest's form is the sorted concatenation
+    of its roots' forms, so two configurations are equal iff their
+    strings are.
+    """
+    return _configuration_key([c.circle_type for c in state.circles], state.nesting)
 
 
 def _configuration_key(types: List[str], nesting: Dict[int, Optional[int]]) -> str:
@@ -326,7 +301,7 @@ def enumerate_states(
     if n > cap:
         raise SizeCapError(n, cap)
     for bits in range(1 << n):
-        yield resolve(diagram, Smoothing(bits, n))
+        yield resolve(diagram, bits)
 
 
 def winding_number(diagram: OrientedDiagram, circle: StateCircle) -> int:

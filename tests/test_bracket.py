@@ -126,11 +126,11 @@ def test_oracle_trefoil_matches_jones_normalization():
 
 def test_seifert_leading_term_examples():
     cfg, coeff = seifert_leading_term(parse_braid_word("B2 1"))
-    assert cfg.canonical == "(())" and coeff == {1: 1}
+    assert cfg == "(())" and coeff == {1: 1}
     cfg, coeff = seifert_leading_term(parse_braid_word("B2 1 1"))
-    assert cfg.canonical == "(())" and coeff == {2: 1}
+    assert cfg == "(())" and coeff == {2: 1}
     cfg, coeff = seifert_leading_term(parse_braid_word("B1"))
-    assert cfg.canonical == "()" and coeff == {0: 1}
+    assert cfg == "()" and coeff == {0: 1}
 
 
 def test_bracket_orientation_reversal(corpus_brackets):
@@ -148,7 +148,7 @@ def test_empty_diagram_pipeline():
     d = parse_braid_word("B0")
     assert bracket_br(d) == {"": {0: 1}}
     cfg, coeff = seifert_leading_term(d)
-    assert cfg.canonical == "" and coeff == {0: 1}
+    assert cfg == "" and coeff == {0: 1}
     assert kauffman_oracle(d) == {0: 1}
 
 

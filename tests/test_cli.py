@@ -200,6 +200,14 @@ def test_pd_non_integer_field_exit_2(tmp_path, capsys, word, field, value):
     assert code == 2 and "input error" in err
 
 
+@pytest.mark.parametrize("side", ["", "RL"])
+def test_pd_placement_side_other_than_r_or_l_exit_2(tmp_path, capsys, side):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_pd_with("B2", ("placements", 0, 0, 1), side)))
+    code, _, err = run(capsys, "bracket", str(path))
+    assert code == 2 and err.startswith("input error:")
+
+
 @pytest.mark.parametrize("end", [[7, 0], [-1, 0]])
 def test_pd_edge_to_undeclared_crossing_exit_2(tmp_path, capsys, end):
     obj = json.loads(parse_braid_word("B2 1 1 1").to_pd_json())

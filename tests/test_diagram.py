@@ -279,6 +279,40 @@ def _alias_anchor_1(obj):
     obj["edges"][1].update({"from": [["a", 0], 2], "to": [["a", 0], 3]})
 
 
+def _rekey_closure_arc(key):
+    def edit(obj):
+        obj["closure_arcs"][key] = obj["closure_arcs"].pop("4")
+    return edit
+
+
+def _placement_side(side):
+    def edit(obj):
+        assert obj["placements"] == [[[6, "R"], [5, "R"]]]
+        obj["placements"][0][0][1] = side
+    return edit
+
+
+_CLOSURE_ARC_KEYS = ["99", "\u0664", "04", "+4", " 4", "4.0", "-0", "6"]
+_SIDES = ["", "RL", "LR", "r", "Right", None, 0, ["R"]]
+_DECORATIONS = {
+    "fused-bit-2": lambda o: o.update({"fused": {"0": 2}}),
+    "fused-bit-true": lambda o: o.update({"fused": {"0": True}}),
+    "fused-unknown-crossing": lambda o: o.update({"fused": {"3": 0}}),
+    "fused-key-00": lambda o: o.update({"fused": {"00": 1}}),
+    "fused-not-a-map": lambda o: o.update({"fused": [[0, 1]]}),
+    "bp-odd": lambda o: o["anchors"][0].update({"break_points": 3}),
+    "bp-negative": lambda o: o["anchors"][0].update({"break_points": -2}),
+    "bp-float": lambda o: o["anchors"][0].update({"break_points": 2.0}),
+    "bp-true": lambda o: o["anchors"][0].update({"break_points": True}),
+}
+
+
+def _marked_b3():
+    from braidbracket.bracket import add_marked_circle
+
+    return add_marked_circle(parse_braid_word("B3 1 -2 1"), 2)
+
+
 @pytest.mark.parametrize(
     "obj, error",
     [
@@ -287,10 +321,15 @@ def _alias_anchor_1(obj):
             {"from": [["a", -1], 0]})), FormatError),
         (_pd_of(_marked_trefoil(2), lambda o: o["anchors"][0].update(
             {"rotation": [[7, "tail"], [9, "head"]]})), OrientationError),
-        (_pd_of(parse_braid_word("B2 1 1 1"), lambda o: o["closure_arcs"].update(
-            {"99": 5})), FormatError),
-    ],
-    ids=["anchor-port-alias", "negative-anchor", "anchor-rotation", "closure-arc-key"],
+    ]
+    + [(_pd_of(parse_braid_word("B2 1 1 1"), _rekey_closure_arc(key)), FormatError)
+       for key in _CLOSURE_ARC_KEYS]
+    + [(_pd_of(_marked_b3(), _placement_side(side)), FormatError) for side in _SIDES]
+    + [(_pd_of(_marked_trefoil(2), edit), FormatError) for edit in _DECORATIONS.values()],
+    ids=["anchor-port-alias", "negative-anchor", "anchor-rotation", "closure-arc-key"]
+    + [f"closure-arc-key-{key!r}" for key in _CLOSURE_ARC_KEYS[1:]]
+    + [f"placement-side-{side!r}" for side in _SIDES]
+    + list(_DECORATIONS),
 )
 def test_parse_pd_checks_anchor_ports_rotations_and_closure_arcs(obj, error):
     with pytest.raises(error):
@@ -311,13 +350,27 @@ def _removals_keeping_loop_anchors():
 
 
 def test_pd_round_trip_keeps_anchors_and_marked_circles():
-    from braidbracket.bracket import add_marked_circle
+    from braidbracket.bracket import add_marked_circle, bracket_br, skein_expand
 
     moved = _moved_diagrams() + _removals_keeping_loop_anchors()
     diagrams = moved + _split_closures() + [add_marked_circle(d, 4) for d in moved[:8]]
+    trefoil = parse_braid_word("B2 1 1 1")
+    diagrams += list(skein_expand(trefoil, 0)) + list(skein_expand(moved[1], 2))
+    diagrams.append(add_marked_circle(skein_expand(trefoil, 1)[1], 2))
     assert any(d.n and d.nanchors for d in diagrams)
+    assert any(d.fused for d in diagrams) and any(d.anchor_bp for d in diagrams)
     for d in diagrams:
-        assert parse_pd(d.to_pd_json()).to_pd_json() == d.to_pd_json()
+        text = d.to_pd_json()
+        back = parse_pd(text)
+        assert back.to_pd_json() == text
+        assert back.canonical_code() == d.canonical_code()
+        decorated = d.fused or any(d.anchor_bp.values())
+        # the undecorated moved diagrams have up to 14 crossings, where a
+        # state sum takes about a second; their codes already agree
+        if decorated or d.n <= 8:
+            assert bracket_br(back) == bracket_br(d)
+        if not decorated:
+            assert '"fused"' not in text and '"break_points"' not in text
 
 
 BUILDER_FIELDS = ("signs", "over_parity", "nanchors", "edges", "placements",

@@ -5,16 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from braidbracket.bracket import add_marked_circle, skein_expand
+from braidbracket.bracket import add_marked_circle, bracket_br, skein_expand
 from braidbracket.diagram import (
     BraidWord,
     NonPlanarError,
     parse_braid_word,
     reverse_orientation,
 )
+from braidbracket.laurent import DELTA, lp_add, lp_pow, lp_shift
 from braidbracket.moves import apply_move, find_sites, random_equivalent_pair
 from braidbracket.states import (
-    Smoothing,
     SizeCapError,
     configuration_of,
     enumerate_states,
@@ -28,21 +28,21 @@ from helpers import nesting_oracle
 
 def test_zero_crossing_circle_state():
     d = parse_braid_word("B1")
-    s = resolve(d, Smoothing(0, 0))
+    s = resolve(d, 0)
     assert len(s.circles) == 1
     c = s.circles[0]
     assert c.break_points == 0 and c.circle_type == "h"
     assert winding_number(d, c) == 1
-    assert configuration_of(s).canonical == "()"
+    assert configuration_of(s) == "()"
 
 
 def test_one_crossing_closure_both_states():
     d = parse_braid_word("B2 1")
-    oriented = resolve(d, Smoothing(0, 1))
+    oriented = resolve(d, 0)
     assert [c.break_points for c in oriented.circles] == [0, 0]
     assert {c.circle_type for c in oriented.circles} == {"h"}
-    assert configuration_of(oriented).canonical == "(())"
-    disoriented = resolve(d, Smoothing(1, 1))
+    assert configuration_of(oriented) == "(())"
+    disoriented = resolve(d, 1)
     assert len(disoriented.circles) == 1
     c = disoriented.circles[0]
     assert c.break_points == 2 and c.circle_type == "d"
@@ -51,9 +51,26 @@ def test_one_crossing_closure_both_states():
 
 def test_sigma_counts():
     d = parse_braid_word("B2 1 1 1")
-    assert sigma(resolve(d, Smoothing(0b000, 3))) == 3
-    assert sigma(resolve(d, Smoothing(0b111, 3))) == -3
-    assert sigma(resolve(d, Smoothing(0b100, 3))) == 1
+    assert sigma(resolve(d, 0b000)) == 3
+    assert sigma(resolve(d, 0b111)) == -3
+    assert sigma(resolve(d, 0b100)) == 1
+
+
+@pytest.mark.parametrize("word", ["B1", "B2 1 1 1"])
+def test_resolve_rejects_bits_outside_the_active_crossings(word):
+    d = parse_braid_word(word)
+    n = len(d.active_crossings)
+    assert resolve(d, (1 << n) - 1).bits == (1 << n) - 1
+    for bits in (-1, 1 << n):
+        with pytest.raises(ValueError):
+            resolve(d, bits)
+
+
+def test_resolve_counts_bits_over_the_active_crossings_only():
+    d = skein_expand(parse_braid_word("B2 1 1 1"), 1)[0]
+    assert [sigma(resolve(d, bits)) for bits in range(4)] == [2, 0, 0, -2]
+    with pytest.raises(ValueError):
+        resolve(d, 4)
 
 
 def test_seifert_state_properties():
@@ -96,12 +113,12 @@ def test_enumeration_count_and_cap():
 
 def test_configurations_nested_vs_disjoint():
     nested = parse_braid_word("B3")
-    s = resolve(nested, Smoothing(0, 0))
-    assert configuration_of(s).canonical == "((()))"
+    s = resolve(nested, 0)
+    assert configuration_of(s) == "((()))"
     # the all-oriented state of a split pair of distant strands stays nested
     d = parse_braid_word("B2 1")
     s = seifert_state(d)
-    assert configuration_of(s).canonical == "(())"
+    assert configuration_of(s) == "(())"
 
 
 def test_break_point_total_per_state(corpus_small):
@@ -110,7 +127,7 @@ def test_break_point_total_per_state(corpus_small):
         for s in enumerate_states(d):
             disoriented = 0
             for i, c in enumerate(d.active_crossings):
-                bit = s.smoothing.bit(i)
+                bit = (s.bits >> i) & 1
                 oriented_bit = 0 if d.signs[c] > 0 else 1
                 if bit != oriented_bit:
                     disoriented += 1
@@ -140,7 +157,7 @@ def test_winding_requires_braid_input():
     from braidbracket.moves import figure4_family
 
     f = figure4_family(1)
-    s = resolve(f, Smoothing(0, 2))
+    s = resolve(f, 0)
     with pytest.raises(ValueError):
         winding_number(f, s.circles[0])
 
@@ -155,7 +172,7 @@ def test_reversal_preserves_state_data(corpus_small):
                 c.break_points for c in s2.circles
             ]
             assert sigma(s) == sigma(s2)
-            assert configuration_of(s).canonical == configuration_of(s2).canonical
+            assert configuration_of(s) == configuration_of(s2)
 
 
 def test_seifert_maximizes_h_circles(corpus_small):
@@ -163,20 +180,20 @@ def test_seifert_maximizes_h_circles(corpus_small):
         if not d.from_braid:
             continue
         sei = seifert_state(d)
-        sei_cfg = configuration_of(sei).canonical
+        sei_cfg = configuration_of(sei)
         h_max = sum(1 for c in sei.circles if c.circle_type == "h")
         for s in enumerate_states(d):
             h = sum(1 for c in s.circles if c.circle_type == "h")
             assert h <= h_max
-            if configuration_of(s).canonical == sei_cfg:
-                assert s.smoothing.bits == sei.smoothing.bits
+            if configuration_of(s) == sei_cfg:
+                assert s.bits == sei.bits
 
 
 def test_nesting_forest_rejects_a_circle_map_that_contradicts_the_embedding():
     from braidbracket.states import _nesting_forest, _tau, _trace_circles
 
     d = parse_braid_word("B2 1")
-    tau = _tau(d, Smoothing(0, 1))
+    tau = _tau(d, 0)
     assert _trace_circles(d, tau) == ([0, 0, 1, 1], [0, 0])
     # darts 1 and 3 swap circles: the faces' parities no longer agree
     with pytest.raises(NonPlanarError):
@@ -214,8 +231,8 @@ def test_nesting_forest_matches_the_parity_walk(corpus_small):
         split += d.ncomponents > 1
         n = len(d.active_crossings)
         for bits in range(1 << n):
-            s = resolve(d, Smoothing(bits, n))
-            tau = _tau(d, s.smoothing)
+            s = resolve(d, bits)
+            tau = _tau(d, s.bits)
             expected = nesting_oracle(d, tau, list(s.circle_of_dart), len(s.circles))
             assert s.nesting == expected, (d.to_pd_json(), bits)
             states += 1
@@ -227,11 +244,11 @@ def test_winding_guard_survives_optimize():
     script = (
         "import dataclasses, sys\n"
         "from braidbracket.diagram import parse_braid_word\n"
-        "from braidbracket.states import Smoothing, resolve, winding_number\n"
+        "from braidbracket.states import resolve, winding_number\n"
         "if __debug__:\n"
         "    sys.exit('not optimized')\n"
         "d = parse_braid_word('B2 1')\n"
-        "circle = dataclasses.replace(resolve(d, Smoothing(0, 1)).circles[0], winding=None)\n"
+        "circle = dataclasses.replace(resolve(d, 0).circles[0], winding=None)\n"
         "try:\n"
         "    winding_number(d, circle)\n"
         "except ValueError:\n"
@@ -245,3 +262,18 @@ def test_winding_guard_survives_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised\n"
+
+
+def test_state_by_state_sum_equals_the_bracket(corpus_small):
+    # resolve, sigma and configuration_of against the bracket's own routes:
+    # the sweep on closures, the state sum on everything else
+    cases = 0
+    for d in _nesting_cases(corpus_small):
+        out = {}
+        for s in enumerate_states(d):
+            d_circles = sum(c.circle_type == "d" for c in s.circles)
+            cfg = configuration_of(s)
+            out[cfg] = lp_add(out.get(cfg, {}), lp_shift(lp_pow(DELTA, d_circles), sigma(s)))
+        assert {cfg: p for cfg, p in out.items() if p} == bracket_br(d), d.to_pd_json()
+        cases += 1
+    assert cases > len(corpus_small) + 20
