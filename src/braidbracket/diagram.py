@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 SIDE_R = 0  # face to the right of the edge flow: orbit of the tail dart
@@ -86,6 +87,20 @@ def _uf_union(parent: List[int], a: int, b: int) -> None:
     ra, rb = _uf_find(parent, a), _uf_find(parent, b)
     if ra != rb:
         parent[rb] = ra
+
+
+@lru_cache(maxsize=64)
+def _vertex_table(n: int, nanchors: int) -> Tuple[int, ...]:
+    """dart -> vertex, as ``vertex_of`` computes it; shared, never written."""
+    return tuple(d >> 2 for d in range(4 * n)) + tuple(n + (a >> 1) for a in range(2 * nanchors))
+
+
+@lru_cache(maxsize=64)
+def _rotation_table(n: int, nanchors: int) -> Tuple[int, ...]:
+    """dart -> the next dart counterclockwise around its vertex, as ``sigma``."""
+    n4 = 4 * n
+    return tuple((d & ~3) | ((d + 1) & 3) for d in range(n4)) + tuple(
+        d ^ 1 for d in range(n4, n4 + 2 * nanchors))
 
 
 def anchor_port(a: int, p: int) -> int:
@@ -197,6 +212,93 @@ class DiagramBuilder:
             anchor_bp=dict(self.anchor_bp),
         )
 
+    def build_from(self, parent: "OrientedDiagram") -> "OrientedDiagram":
+        """What ``build`` returns, without checking again what ``parent`` holds.
+
+        The builder is ``parent.to_builder()`` after a local surgery.  Darts
+        and edges are numbered as ``build`` numbers them, and the dart and
+        face tables are made from the edges as ``_index`` makes them, but
+        what the parent already checked is not checked again: one component
+        stays one, so Euler's formula is a count and no component search is
+        needed, every dart must end exactly one edge, and only the added
+        crossings and the kept ones whose ends changed direction are
+        validated.  A parent of several components, a surgery that adds an
+        anchor or a placement, and an edit these checks reject take
+        ``build``.
+        """
+        n, nd, nanchors = parent.n, parent.ndarts, self.nanchors
+        if (parent.ncomponents != 1 or self.placements or nanchors != parent.nanchors
+                or self.outer is None):
+            return self.build()
+        crossings, bedges = self.crossings, self.edges
+        removed = [c for c, rec in enumerate(crossings) if rec is None]
+        if removed and removed[-1] >= n:
+            return self.build()
+        nr, ncross = len(removed), 4 * len(crossings)
+        n4, new0 = 4 * n, 4 * (n - nr)  # new0: the first dart of the added crossings
+        n4b = ncross - 4 * nr
+        nd2 = n4b + nd - n4
+        # port: crossing port -> dart, nd2 (no dart) at a removed crossing.
+        # The kept crossings' darts keep their order and the added ones'
+        # follow; kept_tail is is_tail of the kept darts in the parent.
+        port: List[int] = []
+        kept_tail: List[bool] = []
+        prev = 0
+        for k, c in enumerate(removed):
+            port += range(4 * (prev - k), 4 * (c - k))
+            port += (nd2, nd2, nd2, nd2)
+            kept_tail += parent.is_tail[4 * prev:4 * c]
+            prev = c + 1
+        port += range(4 * (prev - nr), n4b)
+        kept_tail += parent.is_tail[4 * prev:n4]
+        try:
+            edges = [
+                (port[t] if t >= 0 else n4b + ~t, port[h] if h >= 0 else n4b + ~h, seam)
+                for t, h, seam in filter(None, bedges)
+            ]
+        except IndexError:
+            return self.build()
+        e, side = self.outer
+        if not 0 <= e < len(bedges) or bedges[e] is None:
+            return self.build()
+
+        # the dart tables: every dart ends exactly one edge
+        alpha = [-1] * nd2
+        edge_of = [-1] * nd2
+        is_tail = [False] * nd2
+        try:
+            for ei, (t, h, _) in enumerate(edges):
+                alpha[t], alpha[h] = h, t
+                edge_of[t] = edge_of[h] = ei
+                is_tail[t] = True
+        except IndexError:
+            return self.build()
+        if 2 * len(edges) != nd2 or -1 in edge_of:
+            return self.build()
+        recs = [rec for rec in crossings if rec is not None]
+        signs, over = map(tuple, zip(*recs)) if recs else ((), ())
+        fused = {port[4 * c] >> 2: bit for c, bit in self.fused.items()
+                 if c >= n or crossings[c] is not None}
+        diagram = OrientedDiagram.__new__(OrientedDiagram)
+        diagram._set_fields(signs, over, nanchors, tuple(edges), (),
+                            (e - bedges[:e].count(None), side), self.from_braid,
+                            fused, self.anchor_bp)
+        diagram.alpha, diagram.edge_of, diagram.is_tail = alpha, edge_of, is_tail
+        diagram._dart_vertex = _vertex_table(n4b >> 2, nanchors)
+        diagram._trace_faces()
+        nv = (n4b >> 2) + nanchors
+        if nv - len(edges) + len(diagram.faces) != 2:
+            return self.build()  # not one planar component
+        diagram.comp_of_vertex, diagram.ncomponents = [0] * nv, 1
+        diagram._place_faces()
+        # a kept crossing whose darts keep their directions stays valid
+        if is_tail[:new0] != kept_tail:
+            for c in sorted({d >> 2 for d in range(new0) if is_tail[d] != kept_tail[d]}):
+                diagram._check_crossing(c)
+        for c in range(new0 >> 2, n4b >> 2):
+            diagram._check_crossing(c)
+        return diagram
+
 
 class OrientedDiagram:
     """Immutable oriented diagram with planar embedding data.
@@ -222,6 +324,13 @@ class OrientedDiagram:
         fused: Optional[Dict[int, int]] = None,
         anchor_bp: Optional[Dict[int, int]] = None,
     ):
+        self._set_fields(signs, over_parity, nanchors, edges, placements, outer_ref,
+                         from_braid, fused, anchor_bp)
+        self._index()
+        self._validate()
+
+    def _set_fields(self, signs, over_parity, nanchors, edges, placements, outer_ref,
+                    from_braid, fused, anchor_bp) -> None:
         self.signs = signs
         self.over_parity = over_parity
         self.n = len(signs)
@@ -235,14 +344,12 @@ class OrientedDiagram:
         self.anchor_bp = dict(anchor_bp or {})
         self.ndarts = 4 * self.n + 2 * nanchors
         self._site_fingerprint: Optional[str] = None  # kept by moves._fingerprint
-        self._index()
-        self._validate()
 
     # -- structure tables ------------------------------------------------
 
     def _index(self) -> None:
         nd = self.ndarts
-        n, n4 = self.n, 4 * self.n
+        n = self.n
         alpha = [-1] * nd
         edge_of = [-1] * nd
         is_tail = [False] * nd
@@ -260,30 +367,9 @@ class OrientedDiagram:
         self.alpha = alpha
         self.edge_of = edge_of
         self.is_tail = is_tail
-        # dart -> vertex, as vertex_of computes it
-        dart_vertex = [d >> 2 for d in range(n4)]
-        dart_vertex += [n + (a >> 1) for a in range(nd - n4)]
-        self._dart_vertex = dart_vertex
+        self._dart_vertex = dart_vertex = _vertex_table(n, self.nanchors)
 
-        # faces: orbits of sigma o alpha, through one successor table
-        sig = [d ^ 1 if d >= n4 else (d & ~3) | ((d + 1) & 3) for d in range(nd)]
-        succ = [sig[a] for a in alpha]
-        face_of = [-1] * nd
-        faces: List[Tuple[int, ...]] = []
-        for d0 in range(nd):
-            if face_of[d0] != -1:
-                continue
-            f = len(faces)
-            orbit = []
-            d = d0
-            while face_of[d] == -1:
-                face_of[d] = f
-                orbit.append(d)
-                d = succ[d]
-            faces.append(tuple(orbit))
-        self.faces = faces
-        self.face_of = face_of
-        self._face_next = succ  # sigma(alpha(d)): the next dart of d's face
+        self._trace_faces()
 
         # connected components over vertices (the _uf_union rule, inlined:
         # the root of the tail's vertex becomes the root of the union)
@@ -306,22 +392,57 @@ class OrientedDiagram:
         self.comp_of_vertex = [labels[r] for r in comp_of]
         self.ncomponents = len(labels)
 
-        # global faces: per-component orbits merged through placements.
-        # _face_root maps each face to its global root; _global_faces maps
-        # each root to the darts of its global face, ascending.  Faces are
-        # numbered in order of their least dart, so without placements the
-        # roots are the faces themselves, in that order.
+        self._place_faces()
+
+    def _trace_faces(self) -> None:
+        """faces, face_of and _face_next from alpha.
+
+        Faces are the orbits of sigma o alpha, each from its least dart and
+        numbered in order of it.
+        """
+        nd = self.ndarts
+        succ = list(map(_rotation_table(self.n, self.nanchors).__getitem__, self.alpha))
+        face_of = [-1] * nd
+        faces: List[Tuple[int, ...]] = []
+        for d0 in range(nd):
+            if face_of[d0] != -1:
+                continue
+            f = len(faces)
+            orbit = []
+            d = d0
+            while face_of[d] == -1:
+                face_of[d] = f
+                orbit.append(d)
+                d = succ[d]
+            faces.append(tuple(orbit))
+        self.faces = faces
+        self.face_of = face_of
+        self._face_next = succ  # sigma(alpha(d)): the next dart of d's face
+
+    def _place_faces(self) -> None:
+        """Global faces: per-component orbits merged through placements.
+
+        _face_root maps each face to its global root; _global_faces maps
+        each root to the darts of its global face, ascending.  Faces are
+        numbered in order of their least dart, so without placements the
+        roots are the faces themselves, in that order.
+        """
+        faces = self.faces
         if not self.placements:
             self._face_root = list(range(len(faces)))
-            self._global_faces = {f: tuple(sorted(orbit)) for f, orbit in enumerate(faces)}
+            # an orbit starts at its least dart: one of at most two is sorted
+            self._global_faces = {
+                f: orbit if len(orbit) < 3 else tuple(sorted(orbit))
+                for f, orbit in enumerate(faces)
+            }
         else:
             gparent = list(range(len(faces)))
             for (ra, rb) in self.placements:
                 _uf_union(gparent, self._ref_face(ra), self._ref_face(rb))
             self._face_root = [_uf_find(gparent, f) for f in range(len(faces))]
             global_faces: Dict[int, List[int]] = {}
-            for d in range(nd):
-                global_faces.setdefault(self._face_root[face_of[d]], []).append(d)
+            for d in range(self.ndarts):
+                global_faces.setdefault(self._face_root[self.face_of[d]], []).append(d)
             self._global_faces = {r: tuple(ds) for r, ds in global_faces.items()}
         self.outer_face = (
             self.global_face(self._ref_face(self.outer_ref))
@@ -356,31 +477,35 @@ class OrientedDiagram:
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _check_crossing(self, c: int) -> None:
+        sign, q = self.signs[c], self.over_parity[c]
+        if sign not in (1, -1):
+            raise FormatError(f"crossing {c}: sign must be +1 or -1")
+        if q not in (0, 1):
+            raise FormatError(f"crossing {c}: bad over data")
         is_tail = self.is_tail
-        for c, (sign, q) in enumerate(zip(self.signs, self.over_parity)):
-            if sign not in (1, -1):
-                raise FormatError(f"crossing {c}: sign must be +1 or -1")
-            if q not in (0, 1):
-                raise FormatError(f"crossing {c}: bad over data")
-            b = 4 * c
-            for p in (0, 1):
-                if is_tail[b + p] == is_tail[b + p + 2]:
-                    raise OrientationError(
-                        f"crossing {c}: strand line {p},{p+2} not oriented through"
-                    )
-            # outs now sit at cyclically adjacent positions; check the sign
-            over_out = q if is_tail[b + q] else q + 2
-            under_out = q + 1 if is_tail[b + ((q + 1) & 3)] else q + 3
-            want = 1 if (under_out - over_out) % 4 == 1 else -1
-            if want != sign:
+        b = 4 * c
+        for p in (0, 1):
+            if is_tail[b + p] == is_tail[b + p + 2]:
                 raise OrientationError(
-                    f"crossing {c}: sign {sign} inconsistent with "
-                    f"orientation and over/under data"
+                    f"crossing {c}: strand line {p},{p+2} not oriented through"
                 )
-            outs = is_tail[b] + is_tail[b + 1] + is_tail[b + 2] + is_tail[b + 3]
-            if outs != 2:
-                raise OrientationError(f"crossing {c}: {outs} outgoing ends, not 2")
+        # outs now sit at cyclically adjacent positions; check the sign
+        over_out = q if is_tail[b + q] else q + 2
+        under_out = q + 1 if is_tail[b + ((q + 1) & 3)] else q + 3
+        want = 1 if (under_out - over_out) % 4 == 1 else -1
+        if want != sign:
+            raise OrientationError(
+                f"crossing {c}: sign {sign} inconsistent with "
+                f"orientation and over/under data"
+            )
+        outs = is_tail[b] + is_tail[b + 1] + is_tail[b + 2] + is_tail[b + 3]
+        if outs != 2:
+            raise OrientationError(f"crossing {c}: {outs} outgoing ends, not 2")
+
+    def _validate(self) -> None:
+        for c in range(self.n):
+            self._check_crossing(c)
         # Euler per component: V - E + F = 2 on the sphere
         nv = self.n + self.nanchors
         if nv:

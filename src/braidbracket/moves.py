@@ -19,15 +19,20 @@ Move patterns are matched on faces of the combinatorial map:
 * ``RI_insert`` and ``IIb_insert`` are deliberately *excluded* from
   braid-like equivalence and exist as negative controls.
 
+Removals and slides are never matched on the outer face: a bigon or
+triangle there bounds no disk in the plane.
+
 Each surgery rewires the builder of the diagram at its own site only, and
-``apply_move`` builds and revalidates the result once; face references
-(outer face, component placements) are carried across the surgery by
-naming faces through surviving edges.
+``apply_move`` makes the result with ``DiagramBuilder.build_from``, which
+numbers it as ``build`` does but checks again only what the surgery
+changed.  Face references (outer face, component placements) are carried
+across the surgery by naming faces through surviving edges.
+``random_equivalent_pair`` counts the sites of a step and builds only the
+one it draws.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -66,28 +71,30 @@ class MoveSite(NamedTuple):
 
 
 def _fingerprint(diagram: OrientedDiagram) -> str:
-    """Content hash of the diagram, computed once and kept on it."""
+    """Content hash of the diagram, computed once and kept on it.
+
+    It is Python's hash of the tuples that define the diagram, so equal
+    diagrams share it within a process, and hashing the integers costs far
+    less than printing them for a digest.
+    """
     fp = diagram._site_fingerprint
     if fp is None:
-        blob = repr(
-            (
-                diagram.signs,
-                diagram.over_parity,
-                diagram.nanchors,
-                diagram.edges,
-                diagram.placements,
-                diagram.outer_ref,
-                sorted(diagram.fused.items()),
-                sorted(diagram.anchor_bp.items()),
-            )
-        ).encode()
-        fp = diagram._site_fingerprint = hashlib.sha256(blob).hexdigest()[:16]
+        key = (
+            diagram.signs,
+            diagram.over_parity,
+            diagram.nanchors,
+            diagram.edges,
+            diagram.placements,
+            diagram.outer_ref,
+            tuple(sorted(diagram.fused.items())),
+            tuple(sorted(diagram.anchor_bp.items())),
+        )
+        fp = diagram._site_fingerprint = format(hash(key) & 0xFFFFFFFFFFFFFFFF, "016x")
     return fp
 
 
 def _is_over_at(diagram: OrientedDiagram, dart: int) -> bool:
-    v = dart >> 2
-    return (dart & 3) % 2 == diagram.over_parity[v]
+    return dart & 1 == diagram.over_parity[dart >> 2]
 
 
 def _across(d: int) -> int:
@@ -95,25 +102,38 @@ def _across(d: int) -> int:
     return (d & ~3) | ((d + 2) & 3)
 
 
+def _on_inner_face(diagram: OrientedDiagram, darts) -> bool:
+    """Whether ``darts`` are all the darts of one global face, not the outer one.
+
+    A bigon or triangle on the outer face bounds no disk of the plane: moving
+    a strand across it passes the rest of the diagram, which changes nesting.
+    """
+    face = diagram.global_face_of_dart(darts[0])
+    return face != diagram.outer_face and diagram._global_faces[face] == tuple(sorted(darts))
+
+
+def _bigon_ok(diagram: OrientedDiagram, u0: int, u1: int) -> bool:
+    """The pattern of a removable bigon on the 2-face of darts ``u0``, ``u1``:
+    two crossings of opposite signs, strands on two edges running
+    coherently, one of them over at both crossings."""
+    n4 = 4 * diagram.n
+    if u0 >= n4 or u1 >= n4:
+        return False
+    v0, v1 = u0 >> 2, u1 >> 2
+    if v0 == v1 or diagram.signs[v0] == diagram.signs[v1]:
+        return False
+    if diagram.is_tail[u0] == diagram.is_tail[u1] or diagram.edge_of[u0] == diagram.edge_of[u1]:
+        return False
+    if v0 in diagram.fused or v1 in diagram.fused:
+        return False
+    return _is_over_at(diagram, u0) == _is_over_at(diagram, diagram.alpha[u0])
+
+
 def _check_iia_remove(diagram: OrientedDiagram, anchor) -> bool:
     u0, u1 = anchor
     if not (0 <= u0 < diagram.ndarts and 0 <= u1 < diagram.ndarts):
         return False
-    if diagram._global_faces[diagram.global_face_of_dart(u0)] != tuple(sorted((u0, u1))):
-        return False
-    v0, v1 = diagram.vertex_of(u0), diagram.vertex_of(u1)
-    if v0 >= diagram.n or v1 >= diagram.n or v0 == v1:
-        return False
-    if v0 in diagram.fused or v1 in diagram.fused:
-        return False
-    e0, e1 = diagram.edge_of[u0], diagram.edge_of[u1]
-    if e0 == e1:
-        return False
-    if diagram.signs[v0] != -diagram.signs[v1]:
-        return False
-    if diagram.is_tail[u0] == diagram.is_tail[u1]:
-        return False
-    return _is_over_at(diagram, u0) == _is_over_at(diagram, diagram.alpha[u0])
+    return _on_inner_face(diagram, anchor) and _bigon_ok(diagram, u0, u1)
 
 
 def _check_pair_insert(diagram: OrientedDiagram, anchor, coherent: bool) -> bool:
@@ -124,13 +144,49 @@ def _check_pair_insert(diagram: OrientedDiagram, anchor, coherent: bool) -> bool
         return False
     if diagram.edge_of[a] == diagram.edge_of[b]:
         return False
-    if diagram.comp_of_vertex[diagram.vertex_of(a)] != diagram.comp_of_vertex[
-        diagram.vertex_of(b)
-    ]:
+    comp, dart_vertex = diagram.comp_of_vertex, diagram._dart_vertex
+    if comp[dart_vertex[a]] != comp[dart_vertex[b]]:
         return False
     if coherent:
         return diagram.is_tail[a] is False and diagram.is_tail[b] is True
     return diagram.is_tail[a] == diagram.is_tail[b]
+
+
+def _triangle_variant(diagram: OrientedDiagram, orbit) -> Optional[str]:
+    """The variant letter of a braid-like triangle on the 3-face ``orbit``
+    (three darts in face order), or None."""
+    u0, u1, u2 = orbit
+    n4 = 4 * diagram.n
+    if u0 >= n4 or u1 >= n4 or u2 >= n4:
+        return None
+    v0, v1, v2 = u0 >> 2, u1 >> 2, u2 >> 2
+    if v0 == v1 or v1 == v2 or v0 == v2:
+        return None
+    if v0 in diagram.fused or v1 in diagram.fused or v2 in diagram.fused:
+        return None
+    edge_of = diagram.edge_of
+    e0, e1, e2 = edge_of[u0], edge_of[u1], edge_of[u2]
+    if e0 == e1 or e1 == e2 or e0 == e2:
+        return None
+    is_tail = diagram.is_tail
+    along = (is_tail[u0], is_tail[u1], is_tail[u2])
+    count_along = sum(along)
+    if count_along in (0, 3):
+        return None  # cyclically oriented triangle: not a braid move
+    # strand S_j runs through edge(orbit[j]); who is over at each vertex?
+    wins = [0, 0, 0]
+    for j in range(3):
+        if _is_over_at(diagram, orbit[j]):
+            wins[j] += 1          # S_j over at its first vertex vs[j]
+        else:
+            wins[j - 1] += 1      # the arriving strand S_{j-1} is over
+    if 1 not in wins or 2 not in wins:
+        return None  # cyclic over-relation admits no slide
+    top = wins.index(2)
+    marked = along.index(True) if count_along == 1 else along.index(False)
+    family = 0 if count_along == 1 else 3
+    # offset fixed so the positive braid-relation triangle comes out as IIIa
+    return III_VARIANTS[family + (top - marked + 1) % 3]
 
 
 def _check_iii(diagram: OrientedDiagram, anchor) -> Optional[str]:
@@ -142,38 +198,82 @@ def _check_iii(diagram: OrientedDiagram, anchor) -> Optional[str]:
     u1 = face_next[u0]
     u2 = face_next[u1]
     orbit = (u0, u1, u2)
-    if orbit != tuple(anchor):
+    if orbit != tuple(anchor) or face_next[u2] != u0 or not _on_inner_face(diagram, orbit):
         return None
-    if face_next[u2] != u0:
-        return None
-    if diagram._global_faces[diagram.global_face_of_dart(u0)] != tuple(sorted(orbit)):
-        return None
-    vs = [diagram._dart_vertex[u] for u in orbit]
-    if len(set(vs)) != 3 or any(v >= diagram.n for v in vs):
-        return None
-    if any(v in diagram.fused for v in vs):
-        return None
-    es = [diagram.edge_of[u] for u in orbit]
-    if len(set(es)) != 3:
-        return None
-    along = [diagram.is_tail[u] for u in orbit]
-    if along[0] == along[1] == along[2]:
-        return None  # cyclically oriented triangle: not a braid move
-    # strand S_j runs through edge(orbit[j]); who is over at each vertex?
-    wins = [0, 0, 0]
-    for j in range(3):
-        if _is_over_at(diagram, orbit[j]):
-            wins[j] += 1          # S_j over at its first vertex vs[j]
+    return _triangle_variant(diagram, orbit)
+
+
+def _removals(diagram: OrientedDiagram) -> List[Tuple[int, int]]:
+    """Anchors of the IIa_remove sites, ascending: the inner 2-faces that
+    pass the bigon check."""
+    outer = diagram.outer_face
+    return sorted(
+        darts for face, darts in diagram._global_faces.items()
+        if len(darts) == 2 and face != outer and _bigon_ok(diagram, *darts)
+    )
+
+
+def _slides(diagram: OrientedDiagram) -> List[Tuple[str, Tuple[int, int, int]]]:
+    """(variant, orbit) of the III sites, ascending: the inner 3-faces that
+    pass the triangle check."""
+    face_next, outer = diagram._face_next, diagram.outer_face
+    out = []
+    for face, darts in diagram._global_faces.items():
+        if len(darts) == 3 and face != outer:
+            u0 = darts[0]
+            u1 = face_next[u0]
+            orbit = (u0, u1, face_next[u1])
+            variant = _triangle_variant(diagram, orbit)
+            if variant is not None:
+                out.append((variant, orbit))
+    out.sort()
+    return out
+
+
+def _pair_rows(diagram: OrientedDiagram, coherent: bool) -> List[Tuple[int, List[int], int]]:
+    """The pair-insertion anchors ``(a, b)`` of a kind, row by row, in order.
+
+    Row ``(a, bs, skip)`` stands for the pairs ``(a, b)`` with ``b`` in the
+    ascending list ``bs`` other than ``skip`` (-1 when none is left out);
+    rows come by ascending ``a``.  A pair is two darts of one global face
+    and one component on two edges: a head dart, then a tail dart for
+    IIa_insert (the two sides run coherently), two darts both heads or both
+    tails, the lower first, for IIb_insert.  The darts of a class come from
+    one pass, so the pairs of a row are counted without being listed.
+    """
+    if diagram.ncomponents == 1:
+        keys = diagram.face_of  # one component: each face is its own root
+    else:
+        fr, comp = diagram._face_root, diagram.comp_of_vertex
+        keys = [(fr[f], comp[v]) for f, v in zip(diagram.face_of, diagram._dart_vertex)]
+    is_tail = diagram.is_tail
+    classes: dict = {}  # (class key, is_tail) -> its darts, ascending
+    for d, k in enumerate(zip(keys, is_tail)):
+        darts = classes.get(k)
+        if darts is None:
+            classes[k] = [d]
         else:
-            wins[(j - 1) % 3] += 1  # the arriving strand S_{j-1} is over
-    if sorted(wins) != [0, 1, 2]:
-        return None  # cyclic over-relation admits no slide
-    top = wins.index(2)
-    count_along = sum(along)
-    marked = along.index(True) if count_along == 1 else along.index(False)
-    family = 0 if count_along == 1 else 3
-    # offset fixed so the positive braid-relation triangle comes out as IIIa
-    return III_VARIANTS[family + (top - marked + 1) % 3]
+            darts.append(d)
+    if coherent:
+        alpha = diagram.alpha
+        # alpha[a] is the one tail of a's class on a's own edge
+        return [
+            (a, classes.get((keys[a], True), []), alpha[a] if keys[alpha[a]] == keys[a] else -1)
+            for a in range(diagram.ndarts) if not is_tail[a]
+        ]
+    rows = [(a, darts[i + 1:], -1) for darts in classes.values() for i, a in enumerate(darts)]
+    rows.sort()
+    return rows
+
+
+def _nth_pair(rows, r: int) -> Tuple[int, int]:
+    """The ``r``-th pair of ``_pair_rows`` in order, from the row sizes."""
+    for a, bs, skip in rows:
+        size = len(bs) - (skip >= 0)
+        if r < size:
+            return a, bs[r + (skip >= 0 and bs.index(skip) <= r)]
+        r -= size
+    raise IndexError("pair index out of range")
 
 
 def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
@@ -183,53 +283,32 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
     specific III variant (IIIa..IIIf) or the umbrella kind ``III``.  Pair
     insertions are restricted to two strand sides of the same connected
     component (a band between split components would not have a canonical
-    side to pass nested pieces on).
+    side to pass nested pieces on).  Removals and slides are never on the
+    outer face: a bigon or triangle there is no disk in the plane.
     """
     fp = _fingerprint(diagram)
-    sites: List[MoveSite] = []
     if kind == "IIa_remove":
-        for darts in diagram._global_faces.values():
-            if len(darts) == 2 and _check_iia_remove(diagram, darts):
-                sites.append(MoveSite(kind, darts, fp))
-    elif kind in ("IIa_insert", "IIb_insert"):
-        # the distinct-edge and same-component tests of _check_pair_insert;
-        # two darts of one global face always pass its face test
-        coherent = kind == "IIa_insert"
-        is_tail, edge_of = diagram.is_tail, diagram.edge_of
-        comp = diagram.comp_of_vertex
-        dart_vertex = diagram._dart_vertex
-        for ds in diagram._global_faces.values():
-            for i, x in enumerate(ds):
-                tx, ex, cx = is_tail[x], edge_of[x], comp[dart_vertex[x]]
-                for y in ds[i + 1:]:
-                    if (is_tail[y] != tx) != coherent:
-                        continue
-                    if edge_of[y] == ex or comp[dart_vertex[y]] != cx:
-                        continue
-                    a, b = (y, x) if coherent and tx else (x, y)
-                    sites.append(MoveSite(kind, (a, b, False), fp))
-                    sites.append(MoveSite(kind, (a, b, True), fp))
-    elif kind == "RI_insert":
-        for e in range(len(diagram.edges)):
-            for side in (0, 1):
-                for over_first in (False, True):
-                    sites.append(MoveSite(kind, (e, side, over_first), fp))
-    elif kind == "III" or kind in III_VARIANTS:
-        for darts in diagram._global_faces.values():
-            if len(darts) != 3:
-                continue
-            u0 = darts[0]
-            u1 = diagram._face_next[u0]
-            orbit = (u0, u1, diagram._face_next[u1])
-            variant = _check_iii(diagram, orbit)
-            if variant is None:
-                continue
-            if kind == "III" or kind == variant:
-                sites.append(MoveSite(variant, orbit, fp))
-    else:
-        raise ValueError(f"unknown move kind {kind!r}")
-    sites.sort()  # by (kind, anchor): the fingerprint is shared
-    return sites
+        return [MoveSite(kind, darts, fp) for darts in _removals(diagram)]
+    if kind in ("IIa_insert", "IIb_insert"):
+        return [
+            MoveSite(kind, (a, b, flag), fp)
+            for a, bs, skip in _pair_rows(diagram, kind == "IIa_insert")
+            for b in bs if b != skip
+            for flag in (False, True)
+        ]
+    if kind == "RI_insert":
+        return [
+            MoveSite(kind, (e, side, over_first), fp)
+            for e in range(len(diagram.edges))
+            for side in (0, 1)
+            for over_first in (False, True)
+        ]
+    if kind == "III" or kind in III_VARIANTS:
+        return [
+            MoveSite(variant, orbit, fp) for variant, orbit in _slides(diagram)
+            if kind == "III" or kind == variant
+        ]
+    raise ValueError(f"unknown move kind {kind!r}")
 
 
 # -- surgeries -----------------------------------------------------------
@@ -435,7 +514,7 @@ def apply_move(diagram: OrientedDiagram, site: MoveSite) -> OrientedDiagram:
     b = diagram.to_builder()
     b.from_braid = False
     surgery(diagram, b, anchor)
-    return b.build()
+    return b.build_from(diagram)
 
 
 def site_to_json(site: MoveSite) -> dict:
@@ -484,14 +563,36 @@ def random_equivalent_pair(
     rng = random.Random(seed)
     current = start
     for _ in range(n_moves):
-        sites = list(find_sites(current, "IIa_remove"))
-        sites += find_sites(current, "III")
-        if current.n + 2 <= max_crossings:
-            sites += find_sites(current, "IIa_insert")
-        if not sites:
+        total, nth = _braid_like_sites(current, current.n + 2 <= max_crossings)
+        if not total:
             raise GenerationError("no applicable braid-like move")
-        current = apply_move(current, sites[rng.randrange(len(sites))])
+        current = apply_move(current, nth(rng.randrange(total)))
     return start, current
+
+
+def _braid_like_sites(diagram: OrientedDiagram, insertions: bool):
+    """The number of braid-like sites and a function building the r-th.
+
+    The sites are those of ``find_sites`` for IIa_remove, III and, with
+    ``insertions``, IIa_insert, one kind after another; they are counted
+    from the same enumerations, and only the drawn one is built.
+    """
+    removals = _removals(diagram)
+    slides = _slides(diagram)
+    rows = _pair_rows(diagram, True) if insertions else []
+    pairs = sum(len(bs) - (skip >= 0) for _, bs, skip in rows)
+    fp = _fingerprint(diagram)
+
+    def nth(r: int) -> MoveSite:
+        if r < len(removals):
+            return MoveSite("IIa_remove", removals[r], fp)
+        r -= len(removals)
+        if r < len(slides):
+            return MoveSite(*slides[r], fp)
+        r -= len(slides)
+        return MoveSite("IIa_insert", (*_nth_pair(rows, r >> 1), bool(r & 1)), fp)
+
+    return len(removals) + len(slides) + 2 * pairs, nth
 
 
 def figure4_family(m: int) -> OrientedDiagram:

@@ -428,3 +428,98 @@ def test_removals_and_slides_are_pinned():
     assert count == {"IIa_remove": 832, "III": 840}
     assert h["IIa_remove"].hexdigest()[:16] == "0a3fa1381f22aa03"
     assert h["III"].hexdigest()[:16] == "2c25ace178ece88b"
+
+
+# A bigon or triangle on the outer face bounds no disk in the plane, so it
+# is no removal or slide site: moving across it changes nesting, and here
+# the term "(())" would become "()()".
+OUTER_FACE_SCRIPT = json.dumps([
+    {"kind": "RI_insert", "anchor": [1, 1, False]},
+    {"kind": "IIa_insert", "anchor": [6, 0, False]},
+    {"kind": "IIa_remove", "anchor": [15, 17]},
+    {"kind": "IIIc", "anchor": [0, 6, 8]},
+])
+
+
+def test_outer_face_bigon_is_no_removal_site():
+    d = apply_move_script(parse_braid_word("B3 2 -2"), OUTER_FACE_SCRIPT)
+    assert d.global_face_of_dart(3) == d.outer_face
+    assert find_sites(d, "IIa_remove") == []
+    with pytest.raises(SiteInvalidError):
+        apply_move_script(d, '[{"kind": "IIa_remove", "anchor": [3, 7]}]')
+
+
+def _reference_walk(seed, strands, letters, n_moves=100, max_crossings=14):
+    """(diagram, site) of each step of random_equivalent_pair, with every
+    step's sites listed by find_sites, and the final diagram."""
+    import random
+
+    d = braid_closure(BraidWord(strands, letters))
+    rng = random.Random(seed)
+    steps = []
+    for _ in range(n_moves):
+        sites = find_sites(d, "IIa_remove") + find_sites(d, "III")
+        if d.n + 2 <= max_crossings:
+            sites += find_sites(d, "IIa_insert")
+        site = sites[rng.randrange(len(sites))]
+        steps.append((d, site))
+        d = apply_move(d, site)
+    return steps, d
+
+
+def _built(d, site):
+    """The move applied through to_builder, the surgery and a full build."""
+    from braidbracket.moves import _MOVES
+
+    b = d.to_builder()
+    b.from_braid = False
+    _MOVES[site.kind][2](d, b, site.anchor)
+    return b.build()
+
+
+INDEX_TABLES = ("signs", "over_parity", "nanchors", "edges", "placements", "outer_ref",
+                "fused", "anchor_bp", "alpha", "edge_of", "is_tail", "_dart_vertex",
+                "faces", "face_of", "_face_next", "comp_of_vertex", "ncomponents",
+                "_face_root", "_global_faces", "outer_face")
+
+
+def _assert_same_diagram(got, want):
+    assert got.to_pd_json() == want.to_pd_json()
+    for name in INDEX_TABLES:
+        assert getattr(got, name) == getattr(want, name), name
+    assert list(got._global_faces) == list(want._global_faces)
+    for kind in ALL_KINDS:
+        assert find_sites(got, kind) == find_sites(want, kind), kind
+
+
+@pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
+def test_moves_match_a_full_build_along_the_pinned_walks(seed, strands, letters):
+    # apply_move edits its parent's index; build() indexes from scratch
+    steps, end = _reference_walk(seed, strands, letters)
+    for d, site in steps:
+        _assert_same_diagram(apply_move(d, site), _built(d, site))
+    _, d2 = random_equivalent_pair(seed, 100, BraidWord(strands, letters), max_crossings=14)
+    assert d2.to_pd_json() == end.to_pd_json()
+
+
+@pytest.mark.parametrize("name, kind", [(p[0], p[1]) for p in INSERT_PINS])
+def test_negative_controls_match_a_full_build(name, kind):
+    d = _site_pin_diagram(name) if name in SITE_PINS else parse_braid_word(name)
+    for site in find_sites(d, kind):
+        _assert_same_diagram(apply_move(d, site), _built(d, site))
+
+
+@pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
+def test_counted_sites_are_the_listed_sites(seed, strands, letters):
+    # the walk draws a site by its index among the counted ones and builds
+    # only that one; every index must give find_sites' site
+    from braidbracket.moves import _braid_like_sites
+
+    steps, _ = _reference_walk(seed, strands, letters)
+    for d, _ in steps:
+        for insertions in (False, True):
+            listed = find_sites(d, "IIa_remove") + find_sites(d, "III")
+            if insertions:
+                listed += find_sites(d, "IIa_insert")
+            total, nth = _braid_like_sites(d, insertions)
+            assert [nth(r) for r in range(total)] == listed

@@ -13,7 +13,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from braidbracket.cli import main  # noqa: E402
 from braidbracket.diagram import BraidWord, parse_braid_word, parse_pd  # noqa: E402
-from braidbracket.moves import random_equivalent_pair  # noqa: E402
+from braidbracket.bracket import bracket_br  # noqa: E402
+from braidbracket.moves import (  # noqa: E402
+    apply_move,
+    figure4_family,
+    find_sites,
+    random_equivalent_pair,
+)
 
 BASES = [
     BraidWord(2, (1, 1, 1)),
@@ -110,3 +116,43 @@ WORDS = st.integers(0, 5).flatmap(
 @given(word=WORDS, command=st.sampled_from(["bracket", "homology"]))
 def test_cli_exit_codes_on_random_words(word, command):
     assert _exit_code([command, "-w", word]) in (0, 2, 3)
+
+
+def _curled(word, anchors):
+    """The closure of ``word`` with an RI curl at each (edge, side, over) anchor."""
+    d = parse_braid_word(word)
+    for anchor in anchors:
+        d = apply_move(d, next(s for s in find_sites(d, "RI_insert") if s.anchor == anchor))
+    return d
+
+
+WALK_STARTS = [
+    figure4_family(1),
+    figure4_family(2),
+    _curled("B3 2 -2", [(1, 1, False)]),
+    _curled("B2 1 1 1", [(0, 0, False)]),
+    _curled("B2 1 -1", [(0, 1, True), (2, 0, False)]),
+    _curled("B3 1 -2", [(1, 0, True), (3, 1, False)]),
+]
+
+
+# Braid-like moves keep the refined bracket, also on diagrams that are no
+# closures and on the outer face of the plane, where a bigon or triangle is
+# no disk and so no site.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(start=st.integers(0, len(WALK_STARTS) - 1),
+       picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12))
+# the picks reach the diagram of test_moves.OUTER_FACE_SCRIPT, whose only
+# bigon lies on the outer face, and draw once more there
+@example(start=2, picks=[4, 1, 1, 0])
+def test_braid_like_walks_keep_the_bracket(start, picks):
+    d = WALK_STARTS[start]
+    want = bracket_br(d)
+    for pick in picks:
+        sites = find_sites(d, "IIa_remove") + find_sites(d, "III")
+        if d.n + 2 <= 8:
+            sites += find_sites(d, "IIa_insert")
+        if not sites:
+            break
+        d = apply_move(d, sites[pick % len(sites)])
+        assert bracket_br(d) == want
