@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 SIDE_R = 0  # face to the right of the edge flow: orbit of the tail dart
@@ -103,6 +104,25 @@ def _rotation_table(n: int, nanchors: int) -> Tuple[int, ...]:
         d ^ 1 for d in range(n4, n4 + 2 * nanchors))
 
 
+def _crossing_sign(tails, q: int) -> int:
+    """The sign of a crossing whose strand lines run through, from ``tails``
+    (``is_tail`` of its four darts) and its over parity ``q``: +1 when the
+    under strand leaves just counterclockwise of the over strand."""
+    over_out = q if tails[q] else q + 2
+    under_out = q + 1 if tails[(q + 1) & 3] else q + 3
+    return 1 if (under_out - over_out) % 4 == 1 else -1
+
+
+# (is_tail of a crossing's four darts, over parity) -> the crossing's sign,
+# for every valid pattern: both strand lines run through and q is 0 or 1
+_SIGN_OF_PATTERN = {
+    (*tails, q): _crossing_sign(tails, q)
+    for tails in product((False, True), repeat=4)
+    if tails[0] != tails[2] and tails[1] != tails[3]
+    for q in (0, 1)
+}
+
+
 def anchor_port(a: int, p: int) -> int:
     """Builder port of position ``p`` (0 or 1) of anchor ``a``."""
     return ~(2 * a + p)
@@ -114,7 +134,9 @@ class DiagramBuilder:
     A port is an ``int`` in dart numbering: ``4*c + p`` is position ``p`` of
     crossing ``c`` and ``anchor_port(a, p)`` position ``p`` of anchor ``a``.
     A removed crossing or edge is set to ``None``; ``build`` closes the
-    gaps, keeping the relative order, and anchors keep their numbers.
+    gaps, keeping the relative order, and anchors keep their numbers.  A
+    port or fused mark on no crossing, and a port of a removed crossing,
+    are a ``DiagramError``.
     """
 
     def __init__(self):
@@ -126,6 +148,9 @@ class DiagramBuilder:
         self.placements: List[Tuple[FaceRef, FaceRef]] = []
         self.outer: Optional[FaceRef] = None
         self.from_braid = False
+        # set only by moves.apply_move: the anchor count of the parent, which
+        # has one component; build then counts instead of searching components
+        self._one_component: Optional[int] = None
 
     def add_crossing(self, sign: int, over_parity: int) -> int:
         self.crossings.append((sign, over_parity))
@@ -165,147 +190,81 @@ class DiagramBuilder:
         ]
 
     def build(self) -> "OrientedDiagram":
-        # base[c]: the first dart of crossing c once the gaps are closed
-        signs: List[int] = []
-        over: List[int] = []
-        base: List[Optional[int]] = []
-        for rec in self.crossings:
-            if rec is None:
-                base.append(None)
-            else:
-                base.append(4 * len(signs))
-                signs.append(rec[0])
-                over.append(rec[1])
-        n4 = 4 * len(signs)
-        emap: List[Optional[int]] = []  # builder edge id -> compacted id
-        edges: List[Tuple[int, int, int]] = []
-        try:
-            for rec in self.edges:
-                if rec is None:
-                    emap.append(None)
-                    continue
-                emap.append(len(edges))
-                t, h, seam = rec
-                edges.append((
-                    base[t >> 2] + (t & 3) if t >= 0 else n4 + ~t,
-                    base[h >> 2] + (h & 3) if h >= 0 else n4 + ~h,
-                    seam,
-                ))
-        except TypeError:  # None + int: the base of a removed crossing
-            raise DiagramError(
-                f"edge {len(emap) - 1} references a removed crossing") from None
+        crossings, bedges = self.crossings, self.edges
+        for c in self.fused:
+            if not 0 <= c < len(crossings):
+                raise DiagramError(f"fused mark on {c}, not a crossing")
+        removed = [c for c, rec in enumerate(crossings) if rec is None]
+        kept = [rec for rec in crossings if rec is not None]
+        n4 = 4 * len(kept)
+        # port[p]: the dart of crossing port p once the gaps are closed, and
+        # -1, a dart no diagram accepts, at a removed crossing; anchor port
+        # ~i is dart n4 + i
+        port: List[int] = []
+        for k, c in enumerate(removed):
+            port += range(len(port) - 4 * k, 4 * (c - k))
+            port += (-1, -1, -1, -1)
+        port += range(len(port) - 4 * len(removed), n4)
 
         def ref(r: FaceRef) -> FaceRef:
-            if not 0 <= r[0] < len(emap) or emap[r[0]] is None:
-                raise DiagramError(f"face reference to removed edge {r[0]}")
-            return (emap[r[0]], r[1])
+            e = r[0]
+            if not 0 <= e < len(bedges) or bedges[e] is None:
+                raise DiagramError(f"face reference to removed edge {e}")
+            return (e - bedges[:e].count(None), r[1])
 
-        return OrientedDiagram(
-            signs=tuple(signs),
-            over_parity=tuple(over),
-            nanchors=self.nanchors,
-            edges=tuple(edges),
-            placements=tuple((ref(a), ref(b)) for a, b in self.placements),
-            outer_ref=ref(self.outer) if self.outer is not None else None,
-            from_braid=self.from_braid,
-            fused={base[c] >> 2: bit for c, bit in self.fused.items() if base[c] is not None},
-            anchor_bp=dict(self.anchor_bp),
-        )
-
-    def build_from(self, parent: "OrientedDiagram") -> "OrientedDiagram":
-        """What ``build`` returns, without checking again what ``parent`` holds.
-
-        The builder is ``parent.to_builder()`` after a local surgery.  Darts
-        and edges are numbered as ``build`` numbers them, and the dart and
-        face tables are made from the edges as ``_index`` makes them, but
-        what the parent already checked is not checked again: one component
-        stays one, so Euler's formula is a count and no component search is
-        needed, every dart must end exactly one edge, and only the added
-        crossings and the kept ones whose ends changed direction are
-        validated.  A parent of several components, a surgery that adds an
-        anchor or a placement, and an edit these checks reject take
-        ``build``.
-        """
-        n, nd, nanchors = parent.n, parent.ndarts, self.nanchors
-        if (parent.ncomponents != 1 or self.placements or nanchors != parent.nanchors
-                or self.outer is None):
-            return self.build()
-        crossings, bedges = self.crossings, self.edges
-        removed = [c for c, rec in enumerate(crossings) if rec is None]
-        if removed and removed[-1] >= n:
-            return self.build()
-        nr, ncross = len(removed), 4 * len(crossings)
-        n4, new0 = 4 * n, 4 * (n - nr)  # new0: the first dart of the added crossings
-        n4b = ncross - 4 * nr
-        nd2 = n4b + nd - n4
-        # port: crossing port -> dart, nd2 (no dart) at a removed crossing.
-        # The kept crossings' darts keep their order and the added ones'
-        # follow; kept_tail is is_tail of the kept darts in the parent.
-        port: List[int] = []
-        kept_tail: List[bool] = []
-        prev = 0
-        for k, c in enumerate(removed):
-            port += range(4 * (prev - k), 4 * (c - k))
-            port += (nd2, nd2, nd2, nd2)
-            kept_tail += parent.is_tail[4 * prev:4 * c]
-            prev = c + 1
-        port += range(4 * (prev - nr), n4b)
-        kept_tail += parent.is_tail[4 * prev:n4]
+        # from a list: a tuple grown from an iterator of unknown length is
+        # resized, and the blocks it leaves pile up in the tuple free lists
+        signs, over = zip(*kept) if kept else ((), ())
         try:
             edges = [
-                (port[t] if t >= 0 else n4b + ~t, port[h] if h >= 0 else n4b + ~h, seam)
+                (port[t] if t >= 0 else n4 + ~t, port[h] if h >= 0 else n4 + ~h, seam)
                 for t, h, seam in filter(None, bedges)
             ]
-        except IndexError:
-            return self.build()
-        e, side = self.outer
-        if not 0 <= e < len(bedges) or bedges[e] is None:
-            return self.build()
-
-        # the dart tables: every dart ends exactly one edge
-        alpha = [-1] * nd2
-        edge_of = [-1] * nd2
-        is_tail = [False] * nd2
-        try:
-            for ei, (t, h, _) in enumerate(edges):
-                alpha[t], alpha[h] = h, t
-                edge_of[t] = edge_of[h] = ei
-                is_tail[t] = True
-        except IndexError:
-            return self.build()
-        if 2 * len(edges) != nd2 or -1 in edge_of:
-            return self.build()
-        recs = [rec for rec in crossings if rec is not None]
-        signs, over = map(tuple, zip(*recs)) if recs else ((), ())
-        fused = {port[4 * c] >> 2: bit for c, bit in self.fused.items()
-                 if c >= n or crossings[c] is not None}
-        diagram = OrientedDiagram.__new__(OrientedDiagram)
-        diagram._set_fields(signs, over, nanchors, tuple(edges), (),
-                            (e - bedges[:e].count(None), side), self.from_braid,
-                            fused, self.anchor_bp)
-        diagram.alpha, diagram.edge_of, diagram.is_tail = alpha, edge_of, is_tail
-        diagram._dart_vertex = _vertex_table(n4b >> 2, nanchors)
-        diagram._trace_faces()
-        nv = (n4b >> 2) + nanchors
-        if nv - len(edges) + len(diagram.faces) != 2:
-            return self.build()  # not one planar component
-        diagram.comp_of_vertex, diagram.ncomponents = [0] * nv, 1
-        diagram._place_faces()
-        # a kept crossing whose darts keep their directions stays valid
-        if is_tail[:new0] != kept_tail:
-            for c in sorted({d >> 2 for d in range(new0) if is_tail[d] != kept_tail[d]}):
-                diagram._check_crossing(c)
-        for c in range(new0 >> 2, n4b >> 2):
-            diagram._check_crossing(c)
-        return diagram
+            return OrientedDiagram(
+                signs=signs,
+                over_parity=over,
+                nanchors=self.nanchors,
+                edges=tuple(edges),
+                placements=tuple((ref(a), ref(b)) for a, b in self.placements),
+                outer_ref=ref(self.outer) if self.outer is not None else None,
+                from_braid=self.from_braid,
+                fused={port[4 * c] >> 2: bit for c, bit in self.fused.items()
+                       if port[4 * c] >= 0},
+                anchor_bp=self.anchor_bp,
+                _one_component=self._one_component == self.nanchors and not self.placements,
+            )
+        except (IndexError, DiagramError):
+            # a port on no crossing, or on a removed one, is what to name
+            for i, rec in enumerate(bedges):
+                if rec is None:
+                    continue
+                for p in rec[:2]:
+                    if p >= len(port):
+                        raise DiagramError(f"edge {i} names port {p}, not a crossing port")
+                    if p >= 0 and port[p] < 0:
+                        raise DiagramError(f"edge {i} references a removed crossing")
+            raise
 
 
 class OrientedDiagram:
     """Immutable oriented diagram with planar embedding data.
 
-    Construction validates the combinatorial map: in/out pattern at every
-    crossing, sign consistency, Euler's formula per connected component, and
-    that placements form a spanning tree over the components.
+    Construction validates the combinatorial map: every dart ends exactly
+    one edge, every crossing has its strand lines oriented through and the
+    sign its orientation and over data give, Euler's formula holds on every
+    connected component, and placements form a spanning tree over the
+    components.  The checks run in bulk: the dart tables are filled
+    unchecked and accepted when ``2*E`` writes fill all darts with no
+    negative dart left in ``alpha``, the signs are read off one table of
+    the crossings' in/out patterns, and Euler's formula is one count,
+    ``V - E + F == 2 * ncomponents``, which every component meets only
+    when each does.  Only a failed check walks the darts, crossings or
+    components, to name the first fault.
+
+    ``DiagramBuilder.build`` is the one caller.  For a builder that
+    ``moves.apply_move`` made from a diagram of one component, and that
+    gained no anchor or placement, it passes ``_one_component``: then the
+    component search is skipped while the count gives ``V - E + F == 2``.
 
     ``braid_word`` is the word a diagram was made from by ``braid_closure``
     and ``None`` otherwise.  ``to_builder`` does not carry it over, so a
@@ -323,14 +282,9 @@ class OrientedDiagram:
         from_braid: bool = False,
         fused: Optional[Dict[int, int]] = None,
         anchor_bp: Optional[Dict[int, int]] = None,
+        *,
+        _one_component: bool = False,
     ):
-        self._set_fields(signs, over_parity, nanchors, edges, placements, outer_ref,
-                         from_braid, fused, anchor_bp)
-        self._index()
-        self._validate()
-
-    def _set_fields(self, signs, over_parity, nanchors, edges, placements, outer_ref,
-                    from_braid, fused, anchor_bp) -> None:
         self.signs = signs
         self.over_parity = over_parity
         self.n = len(signs)
@@ -344,26 +298,30 @@ class OrientedDiagram:
         self.anchor_bp = dict(anchor_bp or {})
         self.ndarts = 4 * self.n + 2 * nanchors
         self._site_fingerprint: Optional[str] = None  # kept by moves._fingerprint
+        self._index(_one_component)
+        self._validate()
 
     # -- structure tables ------------------------------------------------
 
-    def _index(self) -> None:
+    def _index(self, one_component: bool) -> None:
         nd = self.ndarts
         n = self.n
+        edges = self.edges
         alpha = [-1] * nd
         edge_of = [-1] * nd
         is_tail = [False] * nd
-        for ei, (t, h, _) in enumerate(self.edges):
-            for d in (t, h):
-                if not 0 <= d < nd:
-                    raise FormatError(f"dart {d} out of range")
-                if edge_of[d] != -1:
-                    raise OrientationError(f"dart {d} used by two edges")
-            alpha[t], alpha[h] = h, t
-            edge_of[t] = edge_of[h] = ei
-            is_tail[t] = True
-        if -1 in edge_of:
-            raise FormatError(f"dart {edge_of.index(-1)} not covered by any edge")
+        # 2*E writes fill all nd slots only when no two darts share one; a
+        # negative dart names a slot from the end but leaves itself in alpha
+        try:
+            for ei, (t, h, _) in enumerate(edges):
+                alpha[t], alpha[h] = h, t
+                edge_of[t] = edge_of[h] = ei
+                is_tail[t] = True
+            filled = 2 * len(edges) == nd and (not nd or min(alpha) >= 0)
+        except IndexError:
+            filled = False
+        if not filled:
+            self._name_dart_fault()
         self.alpha = alpha
         self.edge_of = edge_of
         self.is_tail = is_tail
@@ -371,28 +329,44 @@ class OrientedDiagram:
 
         self._trace_faces()
 
-        # connected components over vertices (the _uf_union rule, inlined:
-        # the root of the tail's vertex becomes the root of the union)
         nv = n + self.nanchors
-        parent = list(range(nv))
-        for (t, h, _) in self.edges:
-            a, b = dart_vertex[t], dart_vertex[h]
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[b] = a
-        comp_of = []
-        for v in range(nv):
-            while parent[v] != v:
-                v = parent[v]
-            comp_of.append(v)
-        labels = {r: i for i, r in enumerate(sorted(set(comp_of)))}
-        self.comp_of_vertex = [labels[r] for r in comp_of]
-        self.ncomponents = len(labels)
+        if one_component and nv - len(edges) + len(self.faces) == 2:
+            self.comp_of_vertex, self.ncomponents = [0] * nv, 1
+        else:
+            # connected components over vertices (the _uf_union rule, inlined:
+            # the root of the tail's vertex becomes the root of the union)
+            parent = list(range(nv))
+            for (t, h, _) in edges:
+                a, b = dart_vertex[t], dart_vertex[h]
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b:
+                    parent[b] = a
+            comp_of = []
+            for v in range(nv):
+                while parent[v] != v:
+                    v = parent[v]
+                comp_of.append(v)
+            labels = {r: i for i, r in enumerate(sorted(set(comp_of)))}
+            self.comp_of_vertex = [labels[r] for r in comp_of]
+            self.ncomponents = len(labels)
 
         self._place_faces()
+
+    def _name_dart_fault(self) -> None:
+        """Raise for the first dart that does not end exactly one edge."""
+        nd = self.ndarts
+        used = [False] * nd
+        for t, h, _ in self.edges:
+            for d in (t, h):
+                if not 0 <= d < nd:
+                    raise FormatError(f"dart {d} out of range")
+                if used[d]:
+                    raise OrientationError(f"dart {d} used by two edges")
+                used[d] = True
+        raise FormatError(f"dart {used.index(False)} not covered by any edge")
 
     def _trace_faces(self) -> None:
         """faces, face_of and _face_next from alpha.
@@ -423,18 +397,15 @@ class OrientedDiagram:
         """Global faces: per-component orbits merged through placements.
 
         _face_root maps each face to its global root; _global_faces maps
-        each root to the darts of its global face, ascending.  Faces are
-        numbered in order of their least dart, so without placements the
-        roots are the faces themselves, in that order.
+        each root to the darts of its global face, from its least dart: the
+        orbit itself where no placement merges faces, ascending otherwise.
+        Faces are numbered in order of their least dart, so without
+        placements the roots are the faces themselves, in that order.
         """
         faces = self.faces
         if not self.placements:
             self._face_root = list(range(len(faces)))
-            # an orbit starts at its least dart: one of at most two is sorted
-            self._global_faces = {
-                f: orbit if len(orbit) < 3 else tuple(sorted(orbit))
-                for f, orbit in enumerate(faces)
-            }
+            self._global_faces = dict(enumerate(faces))
         else:
             gparent = list(range(len(faces)))
             for (ra, rb) in self.placements:
@@ -490,37 +461,35 @@ class OrientedDiagram:
                 raise OrientationError(
                     f"crossing {c}: strand line {p},{p+2} not oriented through"
                 )
-        # outs now sit at cyclically adjacent positions; check the sign
-        over_out = q if is_tail[b + q] else q + 2
-        under_out = q + 1 if is_tail[b + ((q + 1) & 3)] else q + 3
-        want = 1 if (under_out - over_out) % 4 == 1 else -1
-        if want != sign:
+        if _crossing_sign(is_tail[b:b + 4], q) != sign:
             raise OrientationError(
                 f"crossing {c}: sign {sign} inconsistent with "
                 f"orientation and over/under data"
             )
-        outs = is_tail[b] + is_tail[b + 1] + is_tail[b + 2] + is_tail[b + 3]
-        if outs != 2:
-            raise OrientationError(f"crossing {c}: {outs} outgoing ends, not 2")
 
     def _validate(self) -> None:
-        for c in range(self.n):
-            self._check_crossing(c)
-        # Euler per component: V - E + F = 2 on the sphere
+        darts = iter(self.is_tail)  # four at a time: one crossing's pattern
+        patterns = zip(darts, darts, darts, darts, self.over_parity)
+        if list(map(_SIGN_OF_PATTERN.get, patterns)) != list(self.signs):  # lists: see build
+            for c in range(self.n):
+                self._check_crossing(c)
+        # Euler per component: V - E + F = 2 on the sphere, and no component
+        # exceeds 2, so the sum is 2 * ncomponents only if each is 2
         nv = self.n + self.nanchors
         if nv:
             comp = self.comp_of_vertex
             dart_vertex = self._dart_vertex
-            chi = [0] * self.ncomponents
-            for k in comp:
-                chi[k] += 1
-            for (t, _, _) in self.edges:
-                chi[comp[dart_vertex[t]]] -= 1
-            for orbit in self.faces:
-                chi[comp[dart_vertex[orbit[0]]]] += 1
-            for k, x in enumerate(chi):
-                if x != 2:
-                    raise NonPlanarError(f"component {k}: V-E+F = {x} != 2")
+            if nv - len(self.edges) + len(self.faces) != 2 * self.ncomponents:
+                chi = [0] * self.ncomponents
+                for k in comp:
+                    chi[k] += 1
+                for (t, _, _) in self.edges:
+                    chi[comp[dart_vertex[t]]] -= 1
+                for orbit in self.faces:
+                    chi[comp[dart_vertex[orbit[0]]]] += 1
+                for k, x in enumerate(chi):
+                    if x != 2:
+                        raise NonPlanarError(f"component {k}: V-E+F = {x} != 2")
             if self.outer_ref is None:
                 raise FormatError("missing outer-face marker")
             # placements must glue the components into one plane picture

@@ -23,10 +23,12 @@ Removals and slides are never matched on the outer face: a bigon or
 triangle there bounds no disk in the plane.
 
 Each surgery rewires the builder of the diagram at its own site only, and
-``apply_move`` makes the result with ``DiagramBuilder.build_from``, which
-numbers it as ``build`` does but checks again only what the surgery
-changed.  Face references (outer face, component placements) are carried
-across the surgery by naming faces through surviving edges.
+``apply_move`` makes the result with ``DiagramBuilder.build``, which makes
+and checks every diagram.  The one fact a move hands over is that its
+parent has one component: the builder's mark lets ``build`` take Euler's
+formula as one count instead of searching for components.  Face
+references (outer face, component placements) are carried across the
+surgery by naming faces through surviving edges.
 ``random_equivalent_pair`` counts the sites of a step and builds only the
 one it draws.
 """
@@ -109,7 +111,7 @@ def _on_inner_face(diagram: OrientedDiagram, darts) -> bool:
     a strand across it passes the rest of the diagram, which changes nesting.
     """
     face = diagram.global_face_of_dart(darts[0])
-    return face != diagram.outer_face and diagram._global_faces[face] == tuple(sorted(darts))
+    return face != diagram.outer_face and sorted(diagram._global_faces[face]) == sorted(darts)
 
 
 def _bigon_ok(diagram: OrientedDiagram, u0: int, u1: int) -> bool:
@@ -513,8 +515,10 @@ def apply_move(diagram: OrientedDiagram, site: MoveSite) -> OrientedDiagram:
         raise SiteInvalidError(f"no {kind} pattern at {anchor!r}")
     b = diagram.to_builder()
     b.from_braid = False
+    if diagram.ncomponents == 1:
+        b._one_component = diagram.nanchors
     surgery(diagram, b, anchor)
-    return b.build_from(diagram)
+    return b.build()
 
 
 def site_to_json(site: MoveSite) -> dict:

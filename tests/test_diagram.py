@@ -397,10 +397,127 @@ def test_builder_round_trip_reproduces_every_field(corpus):
 
 def test_build_rejects_references_to_removed_parts():
     b = parse_braid_word("B2 1 1 1").to_builder()
-    b.crossings[1] = None  # its four edges still name its ports
-    with pytest.raises(DiagramError, match="removed crossing"):
+    b.crossings[1] = None  # its four edges still name its ports, edge 0 at port 5
+    with pytest.raises(DiagramError) as info:
         b.build()
+    assert (info.type, str(info.value)) == (DiagramError, "edge 0 references a removed crossing")
     b = parse_braid_word("B2 1 1 1").to_builder()
     b.edges[b.outer[0]] = None
     with pytest.raises(DiagramError, match="removed edge"):
+        b.build()
+
+
+def _trefoil_fields(**change):
+    """Constructor arguments of the closure of ``B2 1 1 1``, some replaced.
+
+    Its edges are (0, 5) (3, 6) (4, 9) (7, 10) (8, 1) (11, 2), darts 8 .. 11
+    belonging to crossing 2.
+    """
+    d = parse_braid_word("B2 1 1 1")
+    fields = dict(signs=d.signs, over_parity=d.over_parity, nanchors=d.nanchors,
+                  edges=d.edges, outer_ref=d.outer_ref)
+    fields.update(change)
+    return fields
+
+
+def _trefoil_edges(*replaced):
+    edges = list(parse_braid_word("B2 1 1 1").edges)
+    for i, rec in replaced:
+        edges[i] = rec
+    return tuple(rec for rec in edges if rec is not None)
+
+
+_REJECTED = {
+    "dart-out-of-range": (_trefoil_fields(edges=_trefoil_edges((5, (11, 12, 1)))),
+                          FormatError, "dart 12 out of range"),
+    # as a list index, dart -1 would land on dart 11, the one it leaves uncovered
+    "dart-minus-one": (_trefoil_fields(edges=_trefoil_edges((5, (-1, 2, 1)))),
+                       FormatError, "dart -1 out of range"),
+    "dart-used-twice": (_trefoil_fields(edges=_trefoil_edges((5, (11, 1, 1)))),
+                        OrientationError, "dart 1 used by two edges"),
+    "dart-uncovered": (_trefoil_fields(edges=_trefoil_edges((5, None))),
+                       FormatError, "dart 2 not covered by any edge"),
+    "bad-sign": (_trefoil_fields(signs=(1, 2, 1)),
+                 FormatError, "crossing 1: sign must be +1 or -1"),
+    "bad-over-parity": (_trefoil_fields(over_parity=(1, 1, 2)),
+                        FormatError, "crossing 2: bad over data"),
+    "unoriented-line": (_trefoil_fields(edges=_trefoil_edges((0, (5, 0, 0)))),
+                        OrientationError, "crossing 0: strand line 0,2 not oriented through"),
+    "inconsistent-sign": (_trefoil_fields(signs=(1, -1, 1)), OrientationError,
+                          "crossing 1: sign -1 inconsistent with orientation and over/under data"),
+    # one crossing whose strands close up through the opposite positions: a torus
+    "nonplanar": (dict(signs=(1,), over_parity=(0,), nanchors=0,
+                       edges=((0, 2, 0), (1, 3, 0)), outer_ref=(0, 0)),
+                  NonPlanarError, "component 0: V-E+F = 0 != 2"),
+    "no-outer-marker": (_trefoil_fields(outer_ref=None),
+                        FormatError, "missing outer-face marker"),
+}
+
+
+def test_sign_table_accepts_what_the_crossing_check_accepts():
+    # the constructor's bulk check and its naming loop agree on every
+    # pattern of outgoing ends, over parity and sign
+    from types import SimpleNamespace
+
+    from braidbracket.diagram import OrientedDiagram, _SIGN_OF_PATTERN
+
+    for tails in itertools.product((False, True), repeat=4):
+        for q in (0, 1, 2):
+            for sign in (1, -1, 0):
+                crossing = SimpleNamespace(signs=(sign,), over_parity=(q,), is_tail=list(tails))
+                try:
+                    OrientedDiagram._check_crossing(crossing, 0)
+                    accepted = True
+                except DiagramError:
+                    accepted = False
+                assert accepted == (_SIGN_OF_PATTERN.get((*tails, q)) == sign)
+
+
+@pytest.mark.parametrize("name", list(_REJECTED))
+def test_constructor_names_each_rejection(name):
+    from braidbracket.diagram import OrientedDiagram
+
+    fields, error, message = _REJECTED[name]
+    with pytest.raises(DiagramError) as info:
+        OrientedDiagram(**fields)
+    assert (info.type, str(info.value)) == (error, message)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b.edges[0].__setitem__(1, 999),
+    lambda b: b.fused.__setitem__(7, 1),
+    # a negative index would fuse the last crossing
+    lambda b: b.fused.__setitem__(-1, 1),
+], ids=["edge-port-999", "fused-crossing-7", "fused-crossing-minus-one"])
+def test_build_rejects_indices_outside_the_crossings(edit):
+    b = parse_braid_word("B2 1 1 1").to_builder()
+    edit(b)
+    with pytest.raises(DiagramError, match="not a crossing"):
+        b.build()
+
+
+def _add_crossing(b, sign, over_parity, pairs):
+    """Add a crossing to ``b`` with an edge between each pair of its positions."""
+    c = b.add_crossing(sign, over_parity)
+    for p, q in pairs:
+        b.add_edge(4 * c + p, 4 * c + q)
+
+
+def test_a_torus_beside_a_sphere_is_not_planar():
+    # Euler's formula summed over both components gives 2 + 0 = 2, which a
+    # count alone would take for one planar component
+    b = parse_braid_word("B2 1 1 1").to_builder()
+    _add_crossing(b, 1, 0, [(0, 2), (1, 3)])
+    with pytest.raises(NonPlanarError, match="component 1: V-E"):
+        b.build()
+
+
+def test_the_one_component_mark_does_not_hide_a_second_component():
+    # a builder marked as coming from a one-component diagram, edited into
+    # two planar pieces without a placement: V-E+F is 4, and build searches
+    d = parse_braid_word("B2 1 1 1")
+    b = d.to_builder()
+    b._one_component = d.nanchors
+    _add_crossing(b, -1, 0, [(0, 1), (3, 2)])  # a one-crossing curl
+    with pytest.raises(NonPlanarError, match="2 components glued by 0 placements"):
         b.build()

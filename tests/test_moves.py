@@ -468,12 +468,15 @@ def _reference_walk(seed, strands, letters, n_moves=100, max_crossings=14):
 
 
 def _built(d, site):
-    """The move applied through to_builder, the surgery and a full build."""
+    """The move applied through to_builder, the surgery and a build that
+    searches the components: apply_move marks its builder as coming from a
+    diagram of one component, and this one carries no mark."""
     from braidbracket.moves import _MOVES
 
     b = d.to_builder()
     b.from_braid = False
     _MOVES[site.kind][2](d, b, site.anchor)
+    b._one_component = None
     return b.build()
 
 
@@ -494,7 +497,7 @@ def _assert_same_diagram(got, want):
 
 @pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
 def test_moves_match_a_full_build_along_the_pinned_walks(seed, strands, letters):
-    # apply_move edits its parent's index; build() indexes from scratch
+    # apply_move's build counts one component; _built's searches for them
     steps, end = _reference_walk(seed, strands, letters)
     for d, site in steps:
         _assert_same_diagram(apply_move(d, site), _built(d, site))

@@ -83,3 +83,28 @@ def test_every_helper_is_used():
             and not (node.name.startswith("__") and node.name.endswith("__"))
         )
     assert sorted(name for name, n in defs.items() if words[name] <= n) == []
+
+
+def test_one_diagram_constructor():
+    # a diagram is made in one place, so no second path can skip its checks:
+    # OrientedDiagram is called only in DiagramBuilder.build, and nothing in
+    # the library makes an instance through __new__
+    calls, news = [], []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and (
+                    ast.unparse(child.func).split(".")[-1] == "OrientedDiagram"):
+                calls.append(f"{path.name}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        news += [f"{path.name}:{i}" for i, line in enumerate(text.splitlines(), 1)
+                 if "__new__" in line]
+        visit(ast.parse(text, filename=str(path)), [])
+    assert calls == ["diagram.py:DiagramBuilder.build"]
+    assert news == []
