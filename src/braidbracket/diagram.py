@@ -285,6 +285,9 @@ class OrientedDiagram:
         *,
         _one_component: bool = False,
     ):
+        if len(over_parity) != len(signs):
+            raise FormatError(
+                f"{len(over_parity)} over parities for {len(signs)} crossings")
         self.signs = signs
         self.over_parity = over_parity
         self.n = len(signs)
@@ -297,7 +300,7 @@ class OrientedDiagram:
         self.fused = dict(fused or {})
         self.anchor_bp = dict(anchor_bp or {})
         self.ndarts = 4 * self.n + 2 * nanchors
-        self._site_fingerprint: Optional[str] = None  # kept by moves._fingerprint
+        self._moves: dict = {}  # kept by moves: the fingerprint and the site lists
         self._index(_one_component)
         self._validate()
 
@@ -333,22 +336,11 @@ class OrientedDiagram:
         if one_component and nv - len(edges) + len(self.faces) == 2:
             self.comp_of_vertex, self.ncomponents = [0] * nv, 1
         else:
-            # connected components over vertices (the _uf_union rule, inlined:
-            # the root of the tail's vertex becomes the root of the union)
+            # connected components over vertices, labelled in order of root
             parent = list(range(nv))
             for (t, h, _) in edges:
-                a, b = dart_vertex[t], dart_vertex[h]
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if a != b:
-                    parent[b] = a
-            comp_of = []
-            for v in range(nv):
-                while parent[v] != v:
-                    v = parent[v]
-                comp_of.append(v)
+                _uf_union(parent, dart_vertex[t], dart_vertex[h])
+            comp_of = [_uf_find(parent, v) for v in range(nv)]
             labels = {r: i for i, r in enumerate(sorted(set(comp_of)))}
             self.comp_of_vertex = [labels[r] for r in comp_of]
             self.ncomponents = len(labels)
@@ -546,14 +538,14 @@ class OrientedDiagram:
         b.from_braid = self.from_braid
         return b
 
-    def canonical_code(self, with_seam: bool = False) -> str:
+    def canonical_code(self) -> str:
         """Canonical encoding up to relabelling (plane isomorphism).
 
         Runs a deterministic traversal from every dart and keeps, per
         connected component, the lexicographically smallest transcript;
         the code is the sorted join of those.  A transcript records the
-        crossing data, fused bits, anchor break points and (with
-        ``with_seam``) seam marks, but not which face a component sits in.
+        crossing data, fused bits and anchor break points, but not seam
+        marks or which face a component sits in.
         Orientation of the plane is preserved (no mirror identification).
 
         A traversal stops as soon as its transcript so far is greater than
@@ -573,8 +565,6 @@ class OrientedDiagram:
                        f"f{self.fused.get(v, -1)}")
             else:
                 tag = f"A{self.anchor_bp.get(v - self.n, 0)}t{int(self.is_tail[d])}"
-            if with_seam:
-                tag += f",m{self.edges[self.edge_of[d]][2]}"
             tags.append("," + tag)
         alpha = self.alpha
         # best[comp] is "," + the component's least transcript so far

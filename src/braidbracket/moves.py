@@ -22,6 +22,12 @@ Move patterns are matched on faces of the combinatorial map:
 Removals and slides are never matched on the outer face: a bigon or
 triangle there bounds no disk in the plane.
 
+A site is defined once, by the enumeration of its kind (``_removals``,
+``_slides``, ``_pair_rows``), computed at most once per diagram and kept
+on it.  ``find_sites`` lists it, walks count it, and ``apply_move``
+accepts an anchor only in the form it holds: a rotated triangle orbit or
+a reversed pair is no site, so one move has one name.
+
 Each surgery rewires the builder of the diagram at its own site only, and
 ``apply_move`` makes the result with ``DiagramBuilder.build``, which makes
 and checks every diagram.  The one fact a move hands over is that its
@@ -36,6 +42,7 @@ one it draws.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import List, NamedTuple, Optional, Tuple
 
 from .diagram import (
@@ -79,7 +86,8 @@ def _fingerprint(diagram: OrientedDiagram) -> str:
     diagrams share it within a process, and hashing the integers costs far
     less than printing them for a digest.
     """
-    fp = diagram._site_fingerprint
+    memo = diagram._moves
+    fp = memo.get("fingerprint")
     if fp is None:
         key = (
             diagram.signs,
@@ -91,7 +99,7 @@ def _fingerprint(diagram: OrientedDiagram) -> str:
             tuple(sorted(diagram.fused.items())),
             tuple(sorted(diagram.anchor_bp.items())),
         )
-        fp = diagram._site_fingerprint = format(hash(key) & 0xFFFFFFFFFFFFFFFF, "016x")
+        fp = memo["fingerprint"] = format(hash(key) & 0xFFFFFFFFFFFFFFFF, "016x")
     return fp
 
 
@@ -102,16 +110,6 @@ def _is_over_at(diagram: OrientedDiagram, dart: int) -> bool:
 def _across(d: int) -> int:
     """The dart opposite ``d`` at its crossing, where its strand goes on."""
     return (d & ~3) | ((d + 2) & 3)
-
-
-def _on_inner_face(diagram: OrientedDiagram, darts) -> bool:
-    """Whether ``darts`` are all the darts of one global face, not the outer one.
-
-    A bigon or triangle on the outer face bounds no disk of the plane: moving
-    a strand across it passes the rest of the diagram, which changes nesting.
-    """
-    face = diagram.global_face_of_dart(darts[0])
-    return face != diagram.outer_face and sorted(diagram._global_faces[face]) == sorted(darts)
 
 
 def _bigon_ok(diagram: OrientedDiagram, u0: int, u1: int) -> bool:
@@ -129,29 +127,6 @@ def _bigon_ok(diagram: OrientedDiagram, u0: int, u1: int) -> bool:
     if v0 in diagram.fused or v1 in diagram.fused:
         return False
     return _is_over_at(diagram, u0) == _is_over_at(diagram, diagram.alpha[u0])
-
-
-def _check_iia_remove(diagram: OrientedDiagram, anchor) -> bool:
-    u0, u1 = anchor
-    if not (0 <= u0 < diagram.ndarts and 0 <= u1 < diagram.ndarts):
-        return False
-    return _on_inner_face(diagram, anchor) and _bigon_ok(diagram, u0, u1)
-
-
-def _check_pair_insert(diagram: OrientedDiagram, anchor, coherent: bool) -> bool:
-    a, b, _ = anchor
-    if not (0 <= a < diagram.ndarts and 0 <= b < diagram.ndarts) or a == b:
-        return False
-    if diagram.global_face_of_dart(a) != diagram.global_face_of_dart(b):
-        return False
-    if diagram.edge_of[a] == diagram.edge_of[b]:
-        return False
-    comp, dart_vertex = diagram.comp_of_vertex, diagram._dart_vertex
-    if comp[dart_vertex[a]] != comp[dart_vertex[b]]:
-        return False
-    if coherent:
-        return diagram.is_tail[a] is False and diagram.is_tail[b] is True
-    return diagram.is_tail[a] == diagram.is_tail[b]
 
 
 def _triangle_variant(diagram: OrientedDiagram, orbit) -> Optional[str]:
@@ -189,20 +164,6 @@ def _triangle_variant(diagram: OrientedDiagram, orbit) -> Optional[str]:
     family = 0 if count_along == 1 else 3
     # offset fixed so the positive braid-relation triangle comes out as IIIa
     return III_VARIANTS[family + (top - marked + 1) % 3]
-
-
-def _check_iii(diagram: OrientedDiagram, anchor) -> Optional[str]:
-    """Returns the variant letter of a braid-like triangle, or None."""
-    u0 = anchor[0]
-    if not 0 <= u0 < diagram.ndarts:
-        return None
-    face_next = diagram._face_next
-    u1 = face_next[u0]
-    u2 = face_next[u1]
-    orbit = (u0, u1, u2)
-    if orbit != tuple(anchor) or face_next[u2] != u0 or not _on_inner_face(diagram, orbit):
-        return None
-    return _triangle_variant(diagram, orbit)
 
 
 def _removals(diagram: OrientedDiagram) -> List[Tuple[int, int]]:
@@ -278,6 +239,39 @@ def _nth_pair(rows, r: int) -> Tuple[int, int]:
     raise IndexError("pair index out of range")
 
 
+def _listed(diagram: OrientedDiagram, kind: str) -> list:
+    """The enumeration of ``kind``'s sites, computed once and kept on the
+    diagram: ``_removals``, ``_slides`` (III and its variants) or
+    ``_pair_rows``."""
+    memo = diagram._moves
+    listed = memo.get(kind)
+    if listed is None:
+        if kind == "IIa_remove":
+            listed = _removals(diagram)
+        elif kind == "III":
+            listed = _slides(diagram)
+        else:
+            listed = _pair_rows(diagram, kind == "IIa_insert")
+        memo[kind] = listed
+    return listed
+
+
+def _is_listed(diagram: OrientedDiagram, kind: str, anchor: tuple) -> bool:
+    """Whether ``find_sites(diagram, kind)`` lists a site at ``anchor``, an
+    anchor of the kind's shape."""
+    if kind == "RI_insert":
+        return 0 <= anchor[0] < len(diagram.edges)
+    if kind == "IIa_remove":
+        return anchor in _listed(diagram, kind)
+    if kind in ("IIa_insert", "IIb_insert"):
+        a, b, _ = anchor
+        rows = _listed(diagram, kind)
+        i = bisect_left(rows, (a,))  # the row of a, if a starts one
+        return i < len(rows) and rows[i][0] == a and b != rows[i][2] and b in rows[i][1]
+    return any(orbit == anchor and kind in ("III", variant)
+               for variant, orbit in _listed(diagram, "III"))
+
+
 def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
     """All sites matching the move's left-hand side, deterministically ordered.
 
@@ -290,11 +284,11 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
     """
     fp = _fingerprint(diagram)
     if kind == "IIa_remove":
-        return [MoveSite(kind, darts, fp) for darts in _removals(diagram)]
+        return [MoveSite(kind, darts, fp) for darts in _listed(diagram, kind)]
     if kind in ("IIa_insert", "IIb_insert"):
         return [
             MoveSite(kind, (a, b, flag), fp)
-            for a, bs, skip in _pair_rows(diagram, kind == "IIa_insert")
+            for a, bs, skip in _listed(diagram, kind)
             for b in bs if b != skip
             for flag in (False, True)
         ]
@@ -307,8 +301,8 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
         ]
     if kind == "III" or kind in III_VARIANTS:
         return [
-            MoveSite(variant, orbit, fp) for variant, orbit in _slides(diagram)
-            if kind == "III" or kind == variant
+            MoveSite(variant, orbit, fp)
+            for variant, orbit in _listed(diagram, "III") if kind in ("III", variant)
         ]
     raise ValueError(f"unknown move kind {kind!r}")
 
@@ -427,8 +421,7 @@ def _apply_pair_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> N
         b.add_edge(port(tail), port(head))
 
 
-def _apply_iii(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
-    orbit = tuple(anchor)
+def _apply_iii(diagram: OrientedDiagram, b: DiagramBuilder, orbit) -> None:
     vs = [diagram.vertex_of(u) for u in orbit]
     es = [diagram.edge_of[u] for u in orbit]
     dirs = [diagram.is_tail[u] for u in orbit]
@@ -486,32 +479,34 @@ def _anchor_ok(fields: str, anchor) -> bool:
     )
 
 
-# kind -> (anchor shape, pattern check, surgery); a variant kind names the
-# one triangle variant it applies to, the umbrella kind "III" any of them
+# kind -> (anchor shape, surgery)
 _MOVES = {
-    "IIa_remove": ("dd", _check_iia_remove, _apply_iia_remove),
-    "IIa_insert": ("ddf", lambda d, a: _check_pair_insert(d, a, True), _apply_pair_insert),
-    "IIb_insert": ("ddf", lambda d, a: _check_pair_insert(d, a, False), _apply_pair_insert),
-    "RI_insert": ("dsf", lambda d, a: 0 <= a[0] < len(d.edges), _apply_ri_insert),
-    "III": ("ddd", lambda d, a: _check_iii(d, a) is not None, _apply_iii),
-    **{
-        variant: ("ddd", lambda d, a, v=variant: _check_iii(d, a) == v, _apply_iii)
-        for variant in III_VARIANTS
-    },
+    "IIa_remove": ("dd", _apply_iia_remove),
+    "IIa_insert": ("ddf", _apply_pair_insert),
+    "IIb_insert": ("ddf", _apply_pair_insert),
+    "RI_insert": ("dsf", _apply_ri_insert),
+    **{kind: ("ddd", _apply_iii) for kind in ("III",) + III_VARIANTS},
 }
 
 
 def apply_move(diagram: OrientedDiagram, site: MoveSite) -> OrientedDiagram:
-    """Apply a move found by ``find_sites``; stale or malformed sites are rejected."""
+    """Apply a site that ``find_sites`` lists on the diagram.
+
+    The anchor, a tuple or a list, is accepted only in the form
+    ``find_sites`` lists it: a rotated triangle orbit, a reversed pair, a
+    stale site and a malformed anchor raise ``SiteInvalidError``.  A
+    variant kind (``IIIb``, say) applies only to a triangle of that
+    variant, the umbrella kind ``III`` to any.
+    """
     if site.fingerprint != _fingerprint(diagram):
         raise SiteInvalidError("site was found on a different diagram")
     kind, anchor = site.kind, site.anchor
     if kind not in _MOVES:
         raise ValueError(f"unknown move kind {kind!r}")
-    fields, check, surgery = _MOVES[kind]
+    fields, surgery = _MOVES[kind]
     if not _anchor_ok(fields, anchor):
         raise SiteInvalidError(f"malformed {kind} anchor {anchor!r}")
-    if not check(diagram, anchor):
+    if not _is_listed(diagram, kind, tuple(anchor)):
         raise SiteInvalidError(f"no {kind} pattern at {anchor!r}")
     b = diagram.to_builder()
     b.from_braid = False
@@ -528,8 +523,9 @@ def site_to_json(site: MoveSite) -> dict:
 def apply_move_script(diagram: OrientedDiagram, script) -> OrientedDiagram:
     """Replay a move script: a JSON list of {"kind", "anchor"} records.
 
-    Every record must match a live pattern on the diagram it is applied
-    to, so scripts either replay exactly or fail with SiteInvalidError.
+    Every record must name a site that ``find_sites`` lists on the diagram
+    it is applied to, with the anchor as ``site_to_json`` writes it, so
+    scripts either replay exactly or fail with SiteInvalidError.
     """
     import json as _json
 
@@ -581,9 +577,9 @@ def _braid_like_sites(diagram: OrientedDiagram, insertions: bool):
     ``insertions``, IIa_insert, one kind after another; they are counted
     from the same enumerations, and only the drawn one is built.
     """
-    removals = _removals(diagram)
-    slides = _slides(diagram)
-    rows = _pair_rows(diagram, True) if insertions else []
+    removals = _listed(diagram, "IIa_remove")
+    slides = _listed(diagram, "III")
+    rows = _listed(diagram, "IIa_insert") if insertions else []
     pairs = sum(len(bs) - (skip >= 0) for _, bs, skip in rows)
     fp = _fingerprint(diagram)
 

@@ -129,7 +129,7 @@ def incidence_operator(diagram, bits: int, v: int) -> Dict[int, Dict[Tuple[int, 
     return out
 
 
-def canonical_code_oracle(diagram: OrientedDiagram, with_seam: bool = False) -> str:
+def canonical_code_oracle(diagram: OrientedDiagram) -> str:
     """Canonical code by the exhaustive search: a full transcript from
     every dart, the least per component, the sorted join of those."""
     nd = diagram.ndarts
@@ -144,8 +144,6 @@ def canonical_code_oracle(diagram: OrientedDiagram, with_seam: bool = False) -> 
                    f"f{diagram.fused.get(v, -1)}")
         else:
             tag = f"A{diagram.anchor_bp.get(v - diagram.n, 0)}t{int(diagram.is_tail[d])}"
-        if with_seam:
-            tag += f",m{diagram.edges[diagram.edge_of[d]][2]}"
         tags.append(tag)
     best: Dict[int, str] = {}
     for start in range(nd):

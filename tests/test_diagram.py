@@ -4,15 +4,13 @@ import json
 import pytest
 
 from braidbracket.diagram import (
-    SIDE_R,
     BraidWord,
-    DiagramBuilder,
     DiagramError,
     FormatError,
     MalformedWordError,
     NonPlanarError,
     OrientationError,
-    anchor_port,
+    OrientedDiagram,
     braid_closure,
     parse_braid_word,
     parse_pd,
@@ -194,18 +192,16 @@ def _marked_trefoil(break_points):
 
 
 @pytest.mark.parametrize(
-    "d1, seam1, d2, seam2",
+    "d1, d2",
     [
         # a split component's anchor break points are part of its code
-        (_marked_trefoil(0), False, _marked_trefoil(2), False),
-        # and so are its seam marks
-        (parse_braid_word("B3 1 1"), False, parse_braid_word("B3 1 1"), True),
+        (_marked_trefoil(0), _marked_trefoil(2)),
     ],
-    ids=["marked-circle", "split-seams"],
+    ids=["marked-circle"],
 )
-def test_canonical_code_of_split_diagram_keeps_decorations(d1, seam1, d2, seam2):
+def test_canonical_code_of_split_diagram_keeps_decorations(d1, d2):
     assert d1.ncomponents == d2.ncomponents == 2
-    assert d1.canonical_code(with_seam=seam1) != d2.canonical_code(with_seam=seam2)
+    assert d1.canonical_code() != d2.canonical_code()
 
 
 def _split_closures():
@@ -230,27 +226,12 @@ def _moved_diagrams():
     return out
 
 
-def _two_anchor_circle(seam0, seam1):
-    # with seams 1 and 10 the transcripts of the two starts first differ at
-    # ",m1," against ",m10,": the "," separators decide which one is less
-    b = DiagramBuilder()
-    a0, a1 = b.add_anchor(), b.add_anchor()
-    b.add_edge(anchor_port(a0, 0), anchor_port(a1, 1), seam0)
-    b.add_edge(anchor_port(a1, 0), anchor_port(a0, 1), seam1)
-    b.outer = (0, SIDE_R)
-    return b.build()
-
-
 def test_canonical_code_matches_exhaustive_search(corpus):
     diagrams = corpus + _split_closures() + _moved_diagrams()
-    diagrams += [_two_anchor_circle(1, 10), _two_anchor_circle(10, 1)]
     assert any(d.ncomponents > 1 for d in diagrams)
     assert max(d.ndarts for d in diagrams) > 40  # dart ids reach two digits
     for d in diagrams:
-        for with_seam in (False, True):
-            assert d.canonical_code(with_seam=with_seam) == canonical_code_oracle(
-                d, with_seam
-            )
+        assert d.canonical_code() == canonical_code_oracle(d)
 
 
 def test_component_labels_follow_the_union_find(corpus):
@@ -265,6 +246,15 @@ def test_component_labels_follow_the_union_find(corpus):
         roots = [_uf_find(parent, v) for v in range(len(parent))]
         rank = {r: i for i, r in enumerate(sorted(set(roots)))}
         assert d.comp_of_vertex == [rank[r] for r in roots]
+
+
+@pytest.mark.parametrize("edit", [lambda q: q + (0, 1), lambda q: q[:2]],
+                         ids=["two-more", "one-short"])
+def test_over_parity_needs_one_entry_per_crossing(edit):
+    d = parse_braid_word("B2 1 1 1")
+    with pytest.raises(FormatError, match="3 crossings"):
+        OrientedDiagram(d.signs, edit(d.over_parity), d.nanchors, d.edges,
+                        d.placements, d.outer_ref)
 
 
 def _pd_of(diagram, edit):

@@ -268,16 +268,6 @@ def test_sites_are_sorted_and_share_the_fingerprint():
         assert all(repr(s) == f"MoveSite({s.kind}, {s.anchor})" for s in sites)
 
 
-def test_pair_insert_sites_pass_the_full_check():
-    from braidbracket.moves import _check_pair_insert
-
-    for name in ("moved-2-strand-link", "moved-split", "split-closure"):
-        d = _site_pin_diagram(name)
-        for kind in ("IIa_insert", "IIb_insert"):
-            for s in find_sites(d, kind):
-                assert _check_pair_insert(d, s.anchor, kind == "IIa_insert")
-
-
 def test_fingerprint_is_kept_and_content_based():
     from braidbracket.moves import _fingerprint
 
@@ -475,7 +465,7 @@ def _built(d, site):
 
     b = d.to_builder()
     b.from_braid = False
-    _MOVES[site.kind][2](d, b, site.anchor)
+    _MOVES[site.kind][1](d, b, site.anchor)
     b._one_component = None
     return b.build()
 
@@ -526,3 +516,60 @@ def test_counted_sites_are_the_listed_sites(seed, strands, letters):
                 listed += find_sites(d, "IIa_insert")
             total, nth = _braid_like_sites(d, insertions)
             assert [nth(r) for r in range(total)] == listed
+
+
+@pytest.mark.parametrize("seed, strands, letters, digest", [p[:3] + p[5:] for p in WALK_PINS])
+def test_pinned_walks_replay_as_json_scripts(seed, strands, letters, digest):
+    # a script carries each anchor as a JSON list, which must name the site
+    # that find_sites lists as a tuple
+    from braidbracket.moves import site_to_json
+
+    steps, _ = _reference_walk(seed, strands, letters)
+    script = json.dumps([site_to_json(site) for _, site in steps])
+    end = apply_move_script(braid_closure(BraidWord(strands, letters)), script)
+    assert hashlib.sha256(end.to_pd_json().encode()).hexdigest()[:16] == digest
+
+
+def _candidate_anchors(d, kind):
+    """Anchors of the kind's shape: every pair of darts and flag, every edge,
+    side and flag (one id out of range at each end), every ordering of the
+    darts of each 3-dart face."""
+    if kind == "RI_insert":
+        return list(itertools.product(range(-1, len(d.edges) + 1), (0, 1), (False, True)))
+    darts = range(-1, d.ndarts + 1)
+    if kind == "IIa_remove":
+        return list(itertools.product(darts, darts))
+    if kind in ("IIa_insert", "IIb_insert"):
+        return list(itertools.product(darts, darts, (False, True)))
+    return [p for face in d.faces if len(face) == 3 for p in itertools.permutations(face)]
+
+
+def _accepts(d, kind, anchor):
+    from braidbracket.moves import MoveSite, _fingerprint
+
+    try:
+        apply_move(d, MoveSite(kind, anchor, _fingerprint(d)))
+    except SiteInvalidError:
+        return False
+    return True
+
+
+def _pinned_diagram(pin):
+    """A SITE_PINS diagram by name, or the end of a WALK_PINS walk."""
+    if pin in SITE_PINS:
+        return _site_pin_diagram(pin)
+    seed, strands, letters = pin
+    return random_equivalent_pair(seed, 100, BraidWord(strands, letters), max_crossings=14)[1]
+
+
+@pytest.mark.parametrize("pin", sorted(SITE_PINS) + [p[:3] for p in WALK_PINS], ids=str)
+def test_apply_move_accepts_exactly_the_listed_anchors(pin):
+    # one definition of a site: apply_move accepts an anchor iff find_sites
+    # lists it; the candidates hold every rotation of a triangle orbit and
+    # every reversed pair, and SiteInvalidError is the only rejection
+    d = _pinned_diagram(pin)
+    for kind in ALL_KINDS:
+        listed = {s.anchor for s in find_sites(d, kind)}
+        candidates = _candidate_anchors(d, kind)
+        assert listed <= set(candidates), kind
+        assert {a for a in candidates if _accepts(d, kind, a)} == listed, kind

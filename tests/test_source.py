@@ -3,6 +3,7 @@
 import ast
 import collections
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -108,3 +109,24 @@ def test_one_diagram_constructor():
         visit(ast.parse(text, filename=str(path)), [])
     assert calls == ["diagram.py:DiagramBuilder.build"]
     assert news == []
+
+
+def test_benchmark_outputs_match_their_stored_digests():
+    # the benchmark's seed-0 batches must print what perfbench/digests.json
+    # stores for them, and pass their output checks; this reads perfbench/
+    # and writes nothing there
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # the dataclass looks its module up
+    try:
+        spec.loader.exec_module(workloads)
+        stored = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+        for workload in workloads.WORKLOADS:
+            requests = workloads.generate(workload, 0)
+            assert {req.key for req in requests} == set(stored[workload])
+            bad = [req.key for req in requests if not workloads.check(
+                req, *workloads.execute(req), stored[workload][req.key])]
+            assert bad == [], workload
+    finally:
+        del sys.modules[spec.name]
