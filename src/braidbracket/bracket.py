@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .diagram import BraidWord, OrientedDiagram, SIDE_R, anchor_port
-from .laurent import DELTA, Laurent, lp_add, lp_mul, lp_pow, lp_scale, lp_shift
+from .laurent import DELTA, Laurent, delta_power, lp_iadd, lp_mul
 from .states import (
     DEFAULT_CAP,
     SizeCapError,
@@ -56,12 +56,13 @@ def bracket_br(
     return _bracket_range(diagram)
 
 
-def _add_into(out: dict, key, poly: Laurent) -> None:
-    """``out[key] += poly``, dropping the key when the sum vanishes."""
-    merged = lp_add(out.get(key, {}), poly)
-    if merged:
-        out[key] = merged
-    elif key in out:
+def _add_into(out: dict, key, poly: Laurent, shift: int = 0, factor: int = 1) -> None:
+    """``out[key] += factor * A^shift * poly`` in place, dropping the key when
+    the sum vanishes.  ``poly`` itself is never stored."""
+    acc = out.get(key)
+    if acc is None:
+        acc = out[key] = {}
+    if not lp_iadd(acc, poly, shift, factor):
         del out[key]
 
 
@@ -75,8 +76,7 @@ def _bracket_range(diagram: OrientedDiagram) -> BracketElement:
         types = [_circle_type(bp) for bp in bps]
         nesting = _nesting_forest(diagram, tau, circ_of, len(bps)) if bps else {}
         key = _configuration_key(types, nesting)
-        poly = lp_shift(lp_pow(DELTA, types.count("d")), n - 2 * bits.bit_count())
-        _add_into(out, key, poly)
+        _add_into(out, key, delta_power(types.count("d")), n - 2 * bits.bit_count())
     return out
 
 
@@ -111,14 +111,15 @@ def _bracket_sweep(word: BraidWord) -> BracketElement:
         b = a + 1
         swept: Dict[Tuple[int, ...], Laurent] = {}
         for m, poly in states.items():
-            _add_into(swept, m, lp_shift(poly, s))
+            _add_into(swept, m, poly, s)
             if m[a] == b:
-                _add_into(swept, m, lp_shift(lp_mul(poly, DELTA), -s))
+                for e, c in DELTA.items():
+                    _add_into(swept, m, poly, e - s, c)
             else:
-                e = list(m)
-                e[m[a]], e[m[b]] = m[b], m[a]
-                e[a], e[b] = b, a
-                _add_into(swept, tuple(e), lp_shift(poly, -s))
+                t = list(m)
+                t[m[a]], t[m[b]] = m[b], m[a]
+                t[a], t[b] = b, a
+                _add_into(swept, tuple(t), poly, -s)
         states = swept
     out: BracketElement = {}
     for m, poly in states.items():
@@ -142,7 +143,7 @@ def _bracket_sweep(word: BraidWord) -> BracketElement:
             else:
                 d_loops += 1
         key = "(" * h_loops + ")" * h_loops
-        _add_into(out, key, lp_mul(poly, lp_pow(DELTA, d_loops)))
+        _add_into(out, key, lp_mul(poly, delta_power(d_loops)))
     return out
 
 
@@ -200,13 +201,7 @@ def lighten(b: BracketElement) -> LightenedBracket:
     out: LightenedBracket = {}
     for cfg, poly in b.items():
         m = cfg.count("(")
-        for e, c in poly.items():
-            key = (e, m)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+        lp_iadd(out, {(e, m): c for e, c in poly.items()})
     return out
 
 
@@ -214,17 +209,14 @@ def normalize(diagram: OrientedDiagram, b: BracketElement) -> BracketElement:
     """Multiply by (-A)^(-3 w(D)); lighten afterwards for the lightened form."""
     w = diagram.writhe()
     sign = -1 if w % 2 else 1
-    return {cfg: lp_scale(lp_shift(p, -3 * w), sign) for cfg, p in b.items()}
+    return {cfg: lp_iadd({}, p, -3 * w, sign) for cfg, p in b.items()}
 
 
 def specialize_chi_to_delta(lightened: LightenedBracket) -> Laurent:
     """Substitute chi = -A^2 - A^-2; lands on the classical Kauffman bracket."""
     out: Laurent = {}
-    powers: Dict[int, Laurent] = {}
     for (e, m), c in lightened.items():
-        if m not in powers:
-            powers[m] = lp_pow(DELTA, m)
-        out = lp_add(out, lp_scale(lp_shift(powers[m], e), c))
+        lp_iadd(out, delta_power(m), e, c)
     return out
 
 
@@ -285,7 +277,7 @@ def kauffman_oracle(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> Laurent
                     parent[max(ra, rb)] = min(ra, rb)
         loops = len({find(parent, d) for d in range(nd)}) if nd else 0
         s = n - 2 * bits.bit_count()
-        out = lp_add(out, lp_shift(lp_pow(DELTA, loops), s))
+        lp_iadd(out, delta_power(loops), s)
     return out
 
 

@@ -19,7 +19,7 @@ import json
 import sys
 
 from .diagram import DiagramError, OrientedDiagram, parse_braid_word, parse_pd
-from .laurent import lp_shift, lp_str, lp2_str
+from .laurent import lp_str, lp2_str
 from .states import DEFAULT_CAP, SizeCapError, enumerate_states
 from .bracket import (
     _add_into,
@@ -154,6 +154,8 @@ def cmd_homology(args: argparse.Namespace) -> int:
             print(f"{i},{j},{k},{betti},{';'.join(map(str, torsion))}")
         for line in verify_lines:
             print(f"# {line}")
+        if args.dump_matrices:
+            print(f"# matrices {json.dumps(dm.to_sparse_json(), sort_keys=True)}")
     else:
         for (i, j, k), (betti, torsion) in sorted(table.items()):
             parts = ["Z"] * betti + [f"Z/{t}" for t in torsion]
@@ -186,7 +188,7 @@ def _verify_battery(args: argparse.Namespace) -> list:
         rhs = {}
         for shift, d in zip((1, -1), skein_expand(d1, v)):
             for cfg_str, poly in bracket_br(d, cap=args.cap).items():
-                _add_into(rhs, cfg_str, lp_shift(poly, shift))
+                _add_into(rhs, cfg_str, poly, shift)
         if rhs != b1:
             skein_ok = False
     checks.append(("skein identity", skein_ok))
@@ -236,6 +238,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cap = args.cap
+    if cap < 0:
+        print(f"cap {cap} is negative; it must be >= 0", file=sys.stderr)
+        return EXIT_PARSE
     if cap > DEFAULT_CAP and not args.unsafe_cap:
         print(f"cap {cap} above {DEFAULT_CAP} needs --unsafe-cap", file=sys.stderr)
         return EXIT_PARSE

@@ -13,7 +13,7 @@ from math import gcd
 from typing import Dict, List, Tuple
 
 from .diagram import OrientedDiagram
-from .laurent import DELTA, Laurent2, lp_pow
+from .laurent import Laurent2, delta_power, lp_iadd
 from .states import DEFAULT_CAP
 from .bracket import bracket_br, lighten, normalize
 from .chain_complex import DifferentialMatrix, Grading, differential_matrices
@@ -208,15 +208,8 @@ def euler_characteristic(table: HomologyTable) -> Laurent2:
     """Sum of (-1)^i (-A^2)^j (-H^2)^k betti over the table, in (A, H)."""
     out: Laurent2 = {}
     for (i, j, k), (betti, _) in table.items():
-        if not betti:
-            continue
         sign = -1 if (i + j + k) % 2 else 1
-        key = (2 * j, 2 * k)
-        s = out.get(key, 0) + sign * betti
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
+        lp_iadd(out, {(2 * j, 2 * k): sign * betti})
     return out
 
 
@@ -224,17 +217,9 @@ def lightened_in_h(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> Laurent2
     """Normalized lightened bracket with chi expanded as -H^2 - H^-2."""
     lightened = lighten(normalize(diagram, bracket_br(diagram, cap=cap)))
     out: Laurent2 = {}
-    powers: Dict[int, Dict[int, int]] = {}
     for (a, m), c in lightened.items():
-        if m not in powers:
-            powers[m] = lp_pow(DELTA, m)  # same coefficients read in H
-        for h, hc in powers[m].items():
-            key = (a, h)
-            s = out.get(key, 0) + c * hc
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+        # chi^m has the coefficients of DELTA^m, read in H
+        lp_iadd(out, {(a, h): hc for h, hc in delta_power(m).items()}, factor=c)
     return out
 
 

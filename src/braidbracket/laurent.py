@@ -5,54 +5,49 @@ nonzero integer coefficients.  Two-variable polynomials (used for the
 lightened bracket in (A, chi) and the Euler characteristic in (A, H)) are
 dicts keyed by exponent pairs.  All arithmetic is exact; zero coefficients
 are never stored.
+
+``lp_iadd`` is the one place where a coefficient is added and a zero
+dropped: every polynomial sum in the package accumulates through it, in
+place.  ``DELTA`` and the cached powers ``delta_power(m)`` are read-only
+mappings, so no in-place sum can change a shared constant.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Tuple
 
 Laurent = Dict[int, int]
 Laurent2 = Dict[Tuple[int, int], int]  # (first exponent, second exponent) -> coeff
 
 
-def lp(*pairs: Tuple[int, int]) -> Laurent:
-    """Build a Laurent polynomial from (exponent, coefficient) pairs."""
-    out: Laurent = {}
-    for e, c in pairs:
-        if c:
-            out[e] = out.get(e, 0) + c
-            if out[e] == 0:
-                del out[e]
-    return out
+def lp_iadd(acc: dict, p: Mapping, shift: int = 0, factor: int = 1) -> dict:
+    """``acc += factor * A^shift * p`` in place; returns ``acc``.
 
-
-def lp_add(p: Laurent, q: Laurent) -> Laurent:
-    r = dict(p)
-    for e, c in q.items():
-        s = r.get(e, 0) + c
+    Coefficients that reach zero are dropped; a zero term of ``p``, or
+    ``factor == 0``, adds nothing.  ``shift`` applies to one-variable
+    polynomials only; leave it 0 for two-variable ones.
+    """
+    for e, c in p.items():
+        if shift:
+            e += shift
+        s = acc.get(e, 0) + factor * c
         if s:
-            r[e] = s
-        elif e in r:
-            del r[e]
-    return r
+            acc[e] = s
+        else:
+            acc.pop(e, None)
+    return acc
 
 
-def lp_mul(p: Laurent, q: Laurent) -> Laurent:
-    if not p or not q:
-        return {}
+def lp_mul(p: Mapping[int, int], q: Mapping[int, int]) -> Laurent:
     r: Laurent = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            s = r.get(e, 0) + c1 * c2
-            if s:
-                r[e] = s
-            elif e in r:
-                del r[e]
+    for e, c in p.items():
+        lp_iadd(r, q, e, c)
     return r
 
 
-def lp_pow(p: Laurent, k: int) -> Laurent:
+def lp_pow(p: Mapping[int, int], k: int) -> Laurent:
     if k < 0:
         raise ValueError("negative powers of a Laurent polynomial are not defined here")
     res: Laurent = {0: 1}
@@ -63,17 +58,6 @@ def lp_pow(p: Laurent, k: int) -> Laurent:
         base = lp_mul(base, base)
         k >>= 1
     return res
-
-
-def lp_shift(p: Laurent, shift: int) -> Laurent:
-    """Multiply by A^shift."""
-    return {e + shift: c for e, c in p.items()}
-
-
-def lp_scale(p: Laurent, factor: int) -> Laurent:
-    if factor == 0:
-        return {}
-    return {e: c * factor for e, c in p.items()}
 
 
 def _monomial(var: str, e: int) -> str:
@@ -106,4 +90,10 @@ def lp2_str(p: Laurent2, v1: str = "A", v2: str = "H") -> str:
 
 
 # (-A^2 - A^-2), the loop value of a d-circle.
-DELTA: Laurent = {2: -1, -2: -1}
+DELTA: Mapping[int, int] = MappingProxyType({2: -1, -2: -1})
+
+
+@lru_cache(maxsize=None)
+def delta_power(m: int) -> Mapping[int, int]:
+    """DELTA^m, computed once per m and returned read-only."""
+    return MappingProxyType(lp_pow(DELTA, m))

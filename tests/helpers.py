@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from braidbracket.diagram import NonPlanarError, OrientedDiagram, _uf_find, _uf_union
 from braidbracket.chain_complex import _dv_terms, _get_table, _koszul_sign
-from braidbracket.laurent import lp_add, lp_shift
 
 
 def relabel_crossings(diagram: OrientedDiagram, perm: Sequence[int]) -> OrientedDiagram:
@@ -35,17 +34,39 @@ def relabel_crossings(diagram: OrientedDiagram, perm: Sequence[int]) -> Oriented
     return b.build()
 
 
+def drop_zeros(element: dict) -> dict:
+    """``element`` with zero coefficients, then empty polynomials, removed."""
+    out = {}
+    for key, poly in element.items():
+        nonzero = {e: c for e, c in poly.items() if c}
+        if nonzero:
+            out[key] = nonzero
+    return out
+
+
 def bracket_combination(parts) -> dict:
-    """Exact sum of (shift, bracket) pairs: sum A^shift * bracket."""
+    """Exact sum of (shift, bracket) pairs: sum A^shift * bracket.
+
+    Plain dict arithmetic, kept apart from the library's accumulator
+    (``laurent.lp_iadd``), which the brackets it sums are checked against.
+    """
     out: dict = {}
     for shift, bracket in parts:
         for cfg, poly in bracket.items():
-            s = lp_add(out.get(cfg, {}), lp_shift(poly, shift))
-            if s:
-                out[cfg] = s
-            elif cfg in out:
-                del out[cfg]
-    return out
+            acc = out.setdefault(cfg, {})
+            for e, c in poly.items():
+                acc[e + shift] = acc.get(e + shift, 0) + c
+    return drop_zeros(out)
+
+
+def laurent_mul_reference(p, q) -> dict:
+    """Product of two one-variable Laurent polynomials by a plain double
+    loop, independent of ``laurent.lp_mul``."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def rule_table_operator(diagram, bits: int, v: int) -> Dict[int, Dict[Tuple[int, int], int]]:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from braidbracket.diagram import (
     reverse_orientation,
 )
 from braidbracket.bracket import (
+    _add_into,
     _bracket_range,
     add_marked_circle,
     bracket_br,
@@ -210,3 +212,37 @@ def test_only_braid_closures_take_the_sweep(monkeypatch):
 def test_sweep_oracle_identity(word):
     d = parse_braid_word(word)
     assert specialize_chi_to_delta(lighten(bracket_br(d))) == kauffman_oracle(d)
+
+
+@pytest.mark.parametrize("route", ["sweep", "state sum"])
+def test_bracket_pipeline_leaves_its_inputs_alone(route):
+    d = parse_braid_word("B3 1 -2 1 1 -2 -2")
+    if route == "state sum":
+        d = parse_pd(d.to_pd_json())
+    pd = d.to_pd_json()
+    first = bracket_br(d)
+    kept = copy.deepcopy(first)
+    for poly in first.values():
+        poly.clear()  # a result shares no polynomial with the next call
+    b = bracket_br(d)
+    assert b == kept and d.to_pd_json() == pd
+    light = lighten(b)
+    for call, arg in ((lighten, b), (lambda x: normalize(d, x), b),
+                      (specialize_chi_to_delta, light)):
+        before = copy.deepcopy(arg)
+        call(arg)
+        assert arg == before, call
+    assert bracket_br(d) == kept
+
+
+def test_add_into_never_stores_its_argument():
+    poly = {1: 2, -1: 1}
+    out = {}
+    _add_into(out, "k", poly)
+    _add_into(out, "s", poly, 3, -1)
+    assert out == {"k": {1: 2, -1: 1}, "s": {4: -2, 2: -1}}
+    assert out["k"] is not poly
+    _add_into(out, "k", poly)
+    assert poly == {1: 2, -1: 1} and out["k"] == {1: 4, -1: 2}
+    _add_into(out, "k", {1: -4, -1: -2})
+    assert out == {"s": {4: -2, 2: -1}}

@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from braidbracket.cli import main
+from braidbracket.cli import _build_parser, main
 from braidbracket.diagram import parse_braid_word
 
 
@@ -42,6 +45,13 @@ def test_cap_exceeded_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["bracket", "homology", "verify"])
+def test_negative_cap_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "-w", "B2 1 1 1", "--cap", "-1")
+    assert code == 2 and not out
+    assert "cap -1 is negative" in err
+
+
 def test_unsafe_cap_gate(capsys):
     code, _, err = run(capsys, "bracket", "-w", "B2 1", "--cap", "30")
     assert code == 2
@@ -79,6 +89,18 @@ def test_homology_dump_matrices_json(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["matrices"][0]["entries"] == [[0, 0, 1], [0, 1, 1]]
+
+
+def test_homology_dump_matrices_csv(capsys):
+    code, out, _ = run(capsys, "homology", "-w", "B2 1", "--format", "csv",
+                       "--dump-matrices", "--verify")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[-3:-1] == ["# euler: OK", "# d2: OK"]
+    _, as_json, _ = run(capsys, "homology", "-w", "B2 1", "--format", "json",
+                        "--dump-matrices")
+    dumped = json.loads(as_json)["matrices"]
+    assert lines[-1] == "# matrices " + json.dumps(dumped, sort_keys=True)
 
 
 def test_homology_csv(capsys):
@@ -216,3 +238,33 @@ def test_pd_edge_to_undeclared_crossing_exit_2(tmp_path, capsys, end):
     path.write_text(json.dumps(obj))
     code, _, err = run(capsys, "bracket", str(path))
     assert code == 2 and err.startswith("input error:")
+
+
+def _readme_flags():
+    """Flags each subcommand takes, read from README's per-subcommand bullets."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("Flags, per subcommand:\n", 1)[1].split("\n\n", 1)[0]
+    flags = {}
+    for bullet in block.strip().removeprefix("* ").split("\n* "):
+        head, body = bullet.split(":", 1)
+        names = ["bracket", "homology", "verify"] if head == "all three" else [head.strip("`")]
+        found = {
+            flag
+            for quoted in re.findall(r"`(-[^`]*)`", body)
+            for flag in quoted.split()[0].split("/")
+        }
+        for name in names:
+            flags.setdefault(name, set()).update(found)
+    return flags
+
+
+def test_readme_lists_every_flag_of_every_subcommand():
+    # -h/--help excepted: argparse adds it to every subcommand
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert _readme_flags() == parsed
