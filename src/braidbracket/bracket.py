@@ -25,7 +25,7 @@ from .diagram import BraidWord, OrientedDiagram, SIDE_R, anchor_port
 from .laurent import DELTA, Laurent, delta_power, lp_iadd, lp_mul
 from .states import (
     DEFAULT_CAP,
-    SizeCapError,
+    _check_cap,
     _circle_type,
     _configuration_key,
     _nesting_forest,
@@ -49,8 +49,7 @@ def bracket_br(
     (``_bracket_sweep``); every other diagram takes the 2^n state sum.
     """
     n = len(diagram.active_crossings)
-    if n > cap:
-        raise SizeCapError(n, cap)
+    _check_cap(n, cap)
     if diagram.braid_word is not None:
         return _bracket_sweep(diagram.braid_word)
     return _bracket_range(diagram)
@@ -228,8 +227,7 @@ def kauffman_oracle(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> Laurent
     """
     active = diagram.active_crossings
     n = len(active)
-    if n > cap:
-        raise SizeCapError(n, cap)
+    _check_cap(n, cap)
     nd = diagram.ndarts
     alpha = diagram.alpha
     base_parent = list(range(nd))

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from .diagram import OrientedDiagram
 from .states import (
     DEFAULT_CAP,
-    SizeCapError,
+    _check_cap,
     _circle_type,
     _tau,
     _trace_circles,
@@ -159,8 +159,7 @@ class _StateTable:
 
 def _get_table(diagram: OrientedDiagram, cap: int) -> _StateTable:
     """A fresh structure table for ``diagram``, after the size-cap check."""
-    if diagram.n > cap:
-        raise SizeCapError(diagram.n, cap)
+    _check_cap(diagram.n, cap)
     return _StateTable(diagram)
 
 

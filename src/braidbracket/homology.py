@@ -5,12 +5,33 @@ is dim C - rank(out) - rank(in) and the torsion coefficients are the
 invariant factors of the incoming matrix that exceed 1.  Everything is
 exact arbitrary-precision integer arithmetic; an independent fraction-free
 rank (Bareiss) is provided as an oracle for the SNF-derived ranks.
+
+The differential d_i: C_i -> C_(i-1) keeps j and k, so each (j, k) slice
+is a subcomplex, and ``homology_groups`` reduces every slice from its
+highest i down.  Bar-Natan's Gaussian-elimination lemma (*Fast Khovanov
+homology computations*, arXiv math/0606318) says what a unit pivot leaves
+behind.  Split off the pivot's column c of C_i and row r of C_(i-1):
+
+    C_i = <c> + D  --[[phi, delta], [gamma, eps]]-->  <r> + E = C_(i-1)
+        --(mu  nu)-->  C_(i-2),
+
+with phi = +-1.  This complex is homotopy equivalent to D --(eps - gamma
+phi^-1 delta)--> E --nu--> C_(i-2): d_i becomes the Schur complement that
+the elimination leaves, and d_(i-1) keeps its entries but loses column r.
+Its invariant factors do not change.  The first column of d_(i-1) d_i = 0
+reads mu phi + nu gamma = 0, so mu = -nu gamma phi^-1 is an integer
+combination of the other columns; a unimodular column operation clears
+it, and a zero column has no invariant factor.  The same holds pivot by
+pivot on the reduced matrices, so the rows that d_i pivots on are skipped
+as columns when d_(i-1) is reduced, and that block starts smaller and
+fills in less.  The Betti numbers and torsion are read off the factors
+as above.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, List, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from .diagram import OrientedDiagram
 from .laurent import Laurent2, delta_power, lp_iadd
@@ -67,7 +88,11 @@ def smith_normal_form(matrix: List[List[int]]) -> List[int]:
     return diagonal
 
 
-def _sparse_invariant_factors(entries: Dict[Tuple[int, int], int]) -> List[int]:
+def _sparse_invariant_factors(
+    entries: Dict[Tuple[int, int], int],
+    skip_cols: Collection[int] = (),
+    pivot_rows: Optional[Set[int]] = None,
+) -> List[int]:
     """Invariant factors of a sparse integer matrix.
 
     Differential blocks are overwhelmingly eliminable on unit pivots, so
@@ -77,11 +102,16 @@ def _sparse_invariant_factors(entries: Dict[Tuple[int, int], int]) -> List[int]:
     first; a row pivots on its +-1 entry in the column with the fewest
     rows, which keeps fill-in low.  A row with no unit waits for the next
     pass, and elimination stops when a pass pivots nothing.
+
+    Columns in ``skip_cols`` are left out of the matrix; ``pivot_rows``,
+    when given, receives every row pivoted on.  Leaving out columns keeps
+    the factors only when each is a combination of the others, as the
+    pivot rows of the next differential up are (see the module docstring).
     """
     rows: Dict[int, Dict[int, int]] = {}
     col_rows: Dict[int, set] = {}
     for (r, c), v in entries.items():
-        if v:
+        if v and c not in skip_cols:
             rows.setdefault(r, {})[c] = v
             col_rows.setdefault(c, set()).add(r)
     units = 0
@@ -121,6 +151,8 @@ def _sparse_invariant_factors(entries: Dict[Tuple[int, int], int]) -> List[int]:
                 if cc != c:
                     col_rows[cc].discard(r)
             del rows[r]
+            if pivot_rows is not None:
+                pivot_rows.add(r)
             units += 1
             pivoted = True
     rest: List[int] = []
@@ -174,12 +206,28 @@ def homology_groups(
     cap: int = DEFAULT_CAP,
     matrices: DifferentialMatrix = None,
 ) -> HomologyTable:
-    """Betti numbers and torsion per (i, j, k); trivial groups are omitted."""
+    """Betti numbers and torsion per (i, j, k); trivial groups are omitted.
+
+    Each (j, k) slice is reduced from its highest i down.  The rows that
+    d_i pivots on are generators of C_(i-1) that the Gaussian-elimination
+    lemma cancels, so the next block of the slice, d_(i-1), is reduced
+    without those columns; its invariant factors do not change, because
+    d_(i-1) d_i = 0 puts each such column in the span of the others (the
+    module docstring gives the argument).  A set of pivot rows is dropped
+    once the block below has used it.
+    """
     dm = matrices if matrices is not None else differential_matrices(diagram, cap)
     table: HomologyTable = {}
     # the block at g is the differential out of g, so each is read twice:
     # as g's outgoing map and as the incoming map of (i - 1, j, k)
-    factors = {g: _sparse_invariant_factors(block) for g, block in dm.matrices.items()}
+    factors: Dict[Grading, List[int]] = {}
+    below: Optional[Grading] = None  # the block that may skip ``cancelled``
+    cancelled: Set[int] = set()
+    for g in sorted(dm.matrices, key=lambda g: (g[1], g[2], -g[0])):
+        i, j, k = g
+        skip = cancelled if g == below else ()
+        below, cancelled = (i - 1, j, k), set()
+        factors[g] = _sparse_invariant_factors(dm.matrices[g], skip, cancelled)
     for g, dim in dm.dims.items():
         i, j, k = g
         incoming = factors.get((i + 1, j, k), ())

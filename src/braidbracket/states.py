@@ -39,6 +39,16 @@ class SizeCapError(Exception):
 DEFAULT_CAP = 24
 
 
+def _check_cap(needed: int, cap: int) -> None:
+    """The library's size-cap guard: a negative ``cap`` is a bad argument
+    (``ValueError``), and a diagram that needs more than ``cap`` crossings
+    overruns it (``SizeCapError``)."""
+    if cap < 0:
+        raise ValueError(f"cap {cap} is negative; it must be >= 0")
+    if needed > cap:
+        raise SizeCapError(needed, cap)
+
+
 @dataclass
 class StateCircle:
     break_points: int
@@ -298,8 +308,7 @@ def enumerate_states(
 ) -> Iterator[KauffmanState]:
     """All 2^n states in ascending bit-vector order (bit i = crossing i)."""
     n = len(diagram.active_crossings)
-    if n > cap:
-        raise SizeCapError(n, cap)
+    _check_cap(n, cap)
     for bits in range(1 << n):
         yield resolve(diagram, bits)
 

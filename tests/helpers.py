@@ -7,13 +7,37 @@ independence can be tested as a theorem rather than hidden by a
 normalization.  ``canonical_code_oracle`` is the exhaustive search that
 ``OrientedDiagram.canonical_code`` prunes, and ``nesting_oracle`` the
 parity walk that ``states._nesting_forest`` replaced by the region tree;
-both are kept as cross-checks.
+both are kept as cross-checks.  ``homology_table_oracle`` reduces every
+block of the complex on its own by the dense Smith reduction, where
+``homology.homology_groups`` carries unit pivots from one block to the
+next.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from braidbracket.diagram import NonPlanarError, OrientedDiagram, _uf_find, _uf_union
-from braidbracket.chain_complex import _dv_terms, _get_table, _koszul_sign
+from braidbracket.chain_complex import (
+    DifferentialMatrix,
+    _dv_terms,
+    _get_table,
+    _koszul_sign,
+)
+from braidbracket.homology import smith_normal_form
+
+# Walks are pinned by the sha256 of the moved diagram's PD JSON: a change in
+# site order or surgery shows here, not only in benchmark digests.  Each is
+# ``random_equivalent_pair(seed, 100, BraidWord(strands, letters),
+# max_crossings=14)``.
+WALK_PINS = [
+    # (seed, strands, letters, crossings, components, digest)
+    (11, 2, (1, 1, 1), 11, 1, "52a20895ecc5361e"),
+    (12, 3, (1, -2, 1, -2), 12, 1, "75afdc11404650bf"),
+    (13, 4, (1, 2, 3, -1, 2), 13, 1, "b9c4a76f58ff9c23"),
+    (14, 2, (1, 1, -1, 1), 12, 1, "86301d5b4af467b6"),
+    (15, 3, (1, 2, -1, 2, 1, 2), 12, 1, "97cb50f4f99194c8"),
+    (16, 4, (2, -2, 3, -1), 14, 1, "38f0669a2621c440"),
+    (861703, 4, (2, -2, 3, -1), 12, 2, "14ab6bc9de38687b"),
+]
 
 
 def relabel_crossings(diagram: OrientedDiagram, perm: Sequence[int]) -> OrientedDiagram:
@@ -31,6 +55,14 @@ def relabel_crossings(diagram: OrientedDiagram, perm: Sequence[int]) -> Oriented
             if port >= 0:  # a crossing port; anchor ports are negative
                 rec[role] = 4 * perm[port >> 2] + (port & 3)
     b.fused = {perm[i]: bit for i, bit in b.fused.items()}
+    return b.build()
+
+
+def mirror(diagram: OrientedDiagram) -> OrientedDiagram:
+    """The mirror image: every crossing switched, which negates its sign,
+    on the same embedding."""
+    b = diagram.to_builder()
+    b.crossings = [(-sign, 1 - over) for sign, over in b.crossings]
     return b.build()
 
 
@@ -262,3 +294,20 @@ def nesting_oracle(
         else:
             nesting[cid] = max(anc, key=lambda y: (len(ancestors[y]), -y))
     return nesting
+
+
+def homology_table_oracle(dm: DifferentialMatrix) -> dict:
+    """Betti numbers and torsion per (i, j, k), each block reduced on its
+    own: the invariant factors of ``smith_normal_form(dm.matrix_dense(g))``
+    for every block g, with trivial groups omitted."""
+    factors = {g: smith_normal_form(dm.matrix_dense(g)) for g in dm.matrices}
+    table = {}
+    for g, dim in dm.dims.items():
+        i, j, k = g
+        incoming = factors.get((i + 1, j, k), [])
+        betti = dim - len(factors.get(g, [])) - len(incoming)
+        assert betti >= 0, (g, betti)
+        torsion = tuple(f for f in incoming if f > 1)
+        if betti or torsion:
+            table[g] = (betti, torsion)
+    return table

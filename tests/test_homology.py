@@ -1,6 +1,9 @@
 import random
 
-from braidbracket.diagram import parse_braid_word, reverse_orientation
+import pytest
+
+from braidbracket import homology as homology_module
+from braidbracket.diagram import BraidWord, braid_closure, parse_braid_word, reverse_orientation
 from braidbracket.chain_complex import differential_matrices
 from braidbracket.homology import (
     _sparse_invariant_factors,
@@ -12,8 +15,9 @@ from braidbracket.homology import (
     rank_bareiss,
     smith_normal_form,
 )
+from braidbracket.moves import random_equivalent_pair
 
-from helpers import relabel_crossings
+from helpers import WALK_PINS, homology_table_oracle, mirror, relabel_crossings
 
 
 def test_snf_classical_examples():
@@ -113,9 +117,6 @@ def test_euler_identity_examples():
 def test_acyclic_summand_does_not_change_euler():
     # adding a matched generator pair is invisible: compare two diagrams of
     # the same braid-like class with different state counts
-    from braidbracket.moves import random_equivalent_pair
-    from braidbracket.diagram import BraidWord
-
     d1, d2 = random_equivalent_pair(3, 4, BraidWord(2, (1, 1)), max_crossings=8)
     assert d1.n != d2.n or d1.canonical_code() == d2.canonical_code()
     t1, t2 = homology_groups(d1), homology_groups(d2)
@@ -168,3 +169,184 @@ def test_empty_diagram_homology():
     d = parse_braid_word("B0")
     assert homology_groups(d) == {(0, 0, 0): (1, ())}
     assert check_euler_identity(d)
+
+
+# The oracle reduces every block densely, which is cubic in the block's
+# size: it is run on complexes whose largest tridegree has at most this
+# many generators.  A 2-strand closure of 8 crossings has 560, and its
+# dense reduction takes over 10 s; the benchmark digests of
+# tests/test_source.py cover such sizes.
+DENSE_LIMIT = 240
+
+
+def _check_against_block_by_block(d):
+    """``homology_groups`` against the block-by-block dense oracle; the
+    table, or None when the complex is too large for the oracle."""
+    dm = differential_matrices(d)
+    if max(dm.dims.values()) > DENSE_LIMIT:
+        return None
+    table = homology_groups(d, matrices=dm)
+    assert table == homology_table_oracle(dm)
+    return table
+
+
+def _random_closures(seed, count, max_crossings):
+    rnd = random.Random(seed)
+    for _ in range(count):
+        k = rnd.choice((2, 3, 4))
+        letters = list(range(1, k)) + list(range(-k + 1, 0))
+        length = rnd.randrange(0, max_crossings + 1)
+        yield braid_closure(BraidWord(k, tuple(rnd.choice(letters) for _ in range(length))))
+
+
+def test_elimination_matches_block_by_block_snf_on_corpus(corpus_small):
+    checked = [d for d in corpus_small if _check_against_block_by_block(d) is not None]
+    assert len(checked) >= 50
+
+
+def test_elimination_matches_block_by_block_snf_on_random_closures():
+    tables = [_check_against_block_by_block(d) for d in _random_closures(5, 40, 9)]
+    tables = [t for t in tables if t is not None]
+    assert len(tables) >= 25
+    assert any(tor for t in tables for _, tor in t.values())
+
+
+def test_elimination_matches_block_by_block_snf_on_moved_diagrams():
+    bases = [BraidWord(2, (1, 1, 1)), BraidWord(3, (1, 2, -1, 2)),
+             BraidWord(3, (1, -2, 1)), BraidWord(4, (1, 2, 3))]
+    for seed in range(12):
+        _, d = random_equivalent_pair(seed, 5 + seed, bases[seed % 4], max_crossings=8)
+        assert _check_against_block_by_block(d) is not None
+
+
+def _unimodular(n, rnd):
+    """A random n x n unimodular matrix and its inverse, made of row
+    operations row_a += m row_b."""
+    p = [[int(r == c) for c in range(n)] for r in range(n)]
+    pinv = [row[:] for row in p]
+    for _ in range(2 * n if n > 1 else 0):
+        a, b = rnd.sample(range(n), 2)
+        m = rnd.choice((-2, -1, 1, 2))
+        for c in range(n):
+            p[a][c] += m * p[b][c]
+        for row in pinv:  # right-multiply by the inverse operation
+            row[b] -= m * row[a]
+    return p, pinv
+
+
+def _matmul(x, y):
+    return [[sum(x[r][t] * y[t][c] for t in range(len(y))) for c in range(len(y[0]))]
+            for r in range(len(x))]
+
+
+def _sparse(m):
+    return {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
+
+
+def test_skipping_the_pivot_rows_of_the_block_above_keeps_the_factors():
+    # exact pairs C2 --d2--> C1 --d1--> C0 with d1 d2 = 0: a block-diagonal
+    # core, whose d2 hits generators of C1 that d1 kills, in random bases
+    rnd = random.Random(16)
+    torsion = skipped = 0
+    for _ in range(60):
+        n2, n1, n0 = rnd.randrange(1, 8), rnd.randrange(2, 12), rnd.randrange(1, 8)
+        a = rnd.randrange(0, min(n2, n1) + 1)
+        b = rnd.randrange(0, min(n0, n1 - a) + 1)
+        core2 = [[0] * n2 for _ in range(n1)]
+        core1 = [[0] * n1 for _ in range(n0)]
+        for t in range(a):
+            core2[t][t] = rnd.choice((1, 1, 1, -1, 2, 3, 6))
+        for t in range(b):
+            core1[t][a + t] = rnd.choice((1, 1, 1, -1, 2, 3, 6))
+        p1, p1inv = _unimodular(n1, rnd)
+        d2 = _matmul(_matmul(p1, core2), _unimodular(n2, rnd)[0])
+        d1 = _matmul(_matmul(_unimodular(n0, rnd)[0], core1), p1inv)
+        assert not any(any(row) for row in _matmul(d1, d2))
+        e2, e1 = _sparse(d2), _sparse(d1)
+
+        # without the optional arguments: the Smith normal form's factors
+        assert _sparse_invariant_factors(e2) == smith_normal_form(d2)
+        factors = _sparse_invariant_factors(e1)
+        assert factors == smith_normal_form(d1) == smith_normal_form(core1)
+
+        pivots = set()
+        assert _sparse_invariant_factors(e2, pivot_rows=pivots) == smith_normal_form(d2)
+        assert pivots <= set(range(n1))
+        assert _sparse_invariant_factors(e1, pivots) == factors
+        torsion += any(f > 1 for f in factors)
+        skipped += bool(pivots and any(c in pivots for _, c in e1))
+    assert torsion >= 5 and skipped >= 10
+
+
+def test_each_block_skips_the_rows_pivoted_on_in_the_block_above(monkeypatch):
+    # the walk runs down each (j, k) slice, and a block is reduced without
+    # the columns that the block above it pivoted on, if there is one
+    dm = differential_matrices(parse_braid_word("B3 1 -2 1 -2 1"))
+    grading = {id(block): g for g, block in dm.matrices.items()}
+    calls = {}
+    reduce = homology_module._sparse_invariant_factors
+
+    def spy(entries, skip_cols=(), pivot_rows=None):
+        factors = reduce(entries, skip_cols, pivot_rows)
+        calls[grading[id(entries)]] = (set(skip_cols), set(pivot_rows))
+        return factors
+
+    monkeypatch.setattr(homology_module, "_sparse_invariant_factors", spy)
+    homology_groups(None, matrices=dm)
+    assert set(calls) == set(dm.matrices)
+    for (i, j, k), (skipped, _) in calls.items():
+        above = calls.get((i + 1, j, k))
+        assert skipped == (above[1] if above else set()), (i, j, k)
+    assert sum(bool(skipped) for skipped, _ in calls.values()) >= 5
+
+
+# Homology of a walk end takes 1.5-15 s on a 2-core machine, and its
+# mirror's as long again; the symmetry tests use the two ends whose
+# complexes have fewer than 100,000 generators.
+SMALL_WALK_PINS = [p[:3] for p in WALK_PINS if p[0] in (12, 15)]
+
+
+@pytest.fixture(scope="module")
+def symmetry_tables(corpus_small):
+    diagrams = list(corpus_small)
+    for seed, strands, letters in SMALL_WALK_PINS:
+        diagrams.append(random_equivalent_pair(
+            seed, 100, BraidWord(strands, letters), max_crossings=14)[1])
+    return [(d, homology_groups(d)) for d in diagrams]
+
+
+def test_homology_is_symmetric_under_k_negation(symmetry_tables):
+    for _, table in symmetry_tables:
+        for (i, j, k), group in table.items():
+            assert table.get((i, j, -k)) == group, (i, j, k)
+
+
+def test_mirror_homology_is_the_dual(symmetry_tables):
+    # the mirror's Betti number at (i, j, k) is the original's at
+    # (-i, -j, k); torsion moves with the incoming differential, so its
+    # torsion is the original's at (-i - 1, -j, k)
+    def betti(t, g):
+        return t.get(g, (0, ()))[0]
+
+    def torsion(t, g):
+        return t.get(g, (0, ()))[1]
+
+    with_torsion = 0
+    for d, table in symmetry_tables:
+        mirrored = homology_groups(mirror(d))
+        keys = set(mirrored)
+        keys |= {(-i, -j, k) for i, j, k in table}
+        keys |= {(-i - 1, -j, k) for i, j, k in table}
+        for i, j, k in keys:
+            assert betti(mirrored, (i, j, k)) == betti(table, (-i, -j, k)), (i, j, k)
+            assert torsion(mirrored, (i, j, k)) == torsion(table, (-i - 1, -j, k)), (i, j, k)
+        with_torsion += any(tor for _, tor in table.values())
+    assert with_torsion
+
+
+def test_mirror_of_a_closure_is_the_closure_of_the_negated_word():
+    for word in ("B2 1 1 1", "B3 1 -2 1 2", "B4 1 2 -3"):
+        d = parse_braid_word(word)
+        flipped = parse_braid_word(" ".join(
+            [word.split()[0]] + [str(-int(g)) for g in word.split()[1:]]))
+        assert mirror(d).to_pd_json() == flipped.to_pd_json()

@@ -18,6 +18,8 @@ from braidbracket.moves import (
     random_equivalent_pair,
 )
 
+from helpers import WALK_PINS
+
 
 def test_iia_remove_sites_on_cancelling_pair():
     d = parse_braid_word("B2 1 -1")
@@ -198,20 +200,7 @@ def test_triangle_slide_keeps_placement_of_link_component():
         assert bracket_br(moved) == bracket_br(d)
 
 
-# Walks are pinned by the sha256 of the moved diagram's PD JSON: a change in
-# site order or surgery shows here, not only in benchmark digests.
-WALK_PINS = [
-    # (seed, strands, letters, crossings, components, digest)
-    (11, 2, (1, 1, 1), 11, 1, "52a20895ecc5361e"),
-    (12, 3, (1, -2, 1, -2), 12, 1, "75afdc11404650bf"),
-    (13, 4, (1, 2, 3, -1, 2), 13, 1, "b9c4a76f58ff9c23"),
-    (14, 2, (1, 1, -1, 1), 12, 1, "86301d5b4af467b6"),
-    (15, 3, (1, 2, -1, 2, 1, 2), 12, 1, "97cb50f4f99194c8"),
-    (16, 4, (2, -2, 3, -1), 14, 1, "38f0669a2621c440"),
-    (861703, 4, (2, -2, 3, -1), 12, 2, "14ab6bc9de38687b"),
-]
-
-
+# Walks are pinned by the sha256 of the moved diagram's PD JSON (WALK_PINS).
 @pytest.mark.parametrize("seed, strands, letters, n, ncomp, digest", WALK_PINS)
 def test_walk_is_pinned(seed, strands, letters, n, ncomp, digest):
     _, d = random_equivalent_pair(seed, 100, BraidWord(strands, letters), max_crossings=14)

@@ -5,13 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from braidbracket.bracket import add_marked_circle, bracket_br, skein_expand
+from braidbracket.bracket import add_marked_circle, bracket_br, kauffman_oracle, skein_expand
+from braidbracket.chain_complex import differential_matrices
 from braidbracket.diagram import (
     BraidWord,
     NonPlanarError,
     parse_braid_word,
     reverse_orientation,
 )
+from braidbracket.homology import homology_groups
 from braidbracket.laurent import DELTA
 from braidbracket.moves import apply_move, find_sites, random_equivalent_pair
 from braidbracket.states import (
@@ -109,6 +111,32 @@ def test_enumeration_count_and_cap():
     assert len(list(enumerate_states(parse_braid_word("B2 1 1 1")))) == 8
     with pytest.raises(SizeCapError):
         list(enumerate_states(parse_braid_word("B2" + " 1" * 5), cap=4))
+
+
+NEGATIVE_CAP_CALLS = {
+    "bracket_br sweep": lambda d, cap: bracket_br(d, cap=cap),
+    "bracket_br state sum": lambda d, cap: bracket_br(reverse_orientation(d), cap=cap),
+    "kauffman_oracle": lambda d, cap: kauffman_oracle(d, cap=cap),
+    "enumerate_states": lambda d, cap: list(enumerate_states(d, cap=cap)),
+    "differential_matrices": lambda d, cap: differential_matrices(d, cap=cap),
+    "homology_groups": lambda d, cap: homology_groups(d, cap=cap),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEGATIVE_CAP_CALLS))
+@pytest.mark.parametrize("word", ["B1", "B2 1 1 1"])
+def test_negative_cap_is_a_bad_argument(entry, word):
+    # a negative cap is rejected as an argument, not reported as an overrun,
+    # even for a diagram with no crossings; the state-sum route is taken by
+    # a reversed closure, which carries no braid word
+    call = NEGATIVE_CAP_CALLS[entry]
+    d = parse_braid_word(word)
+    with pytest.raises(ValueError, match="cap -1 is negative"):
+        call(d, -1)
+    call(d, d.n)  # a cap that fits is accepted
+    if d.n:
+        with pytest.raises(SizeCapError):
+            call(d, d.n - 1)
 
 
 def test_configurations_nested_vs_disjoint():
