@@ -157,9 +157,18 @@ class _StateTable:
         return (bits2, x, y, tuple(img), tuple(extra))
 
 
+def _check_complex_cap(diagram: OrientedDiagram, cap: int) -> None:
+    """The complex's size-cap guard.  A component without a crossing counts
+    as one crossing: its circle doubles the labelings of every smoothing,
+    as a crossing doubles the smoothings."""
+    comp = diagram.comp_of_vertex
+    loops = len(set(comp[diagram.n:]).difference(comp[:diagram.n]))
+    _check_cap(diagram.n + loops, cap)
+
+
 def _get_table(diagram: OrientedDiagram, cap: int) -> _StateTable:
     """A fresh structure table for ``diagram``, after the size-cap check."""
-    _check_cap(diagram.n, cap)
+    _check_complex_cap(diagram, cap)
     return _StateTable(diagram)
 
 
@@ -271,7 +280,10 @@ def enhanced_states(
     diagram: OrientedDiagram, cap: int = DEFAULT_CAP
 ) -> Dict[Grading, List[EnhancedState]]:
     """All enhanced states bucketed by (i, j, k), in canonical basis order."""
-    table = _get_table(diagram, cap)
+    return _enhanced_states(_get_table(diagram, cap))
+
+
+def _enhanced_states(table: _StateTable) -> Dict[Grading, List[EnhancedState]]:
     gradings, _, gid_of, _ = _basis(table)
     buckets: List[List[EnhancedState]] = [[] for _ in gradings]
     for bits, gids in enumerate(gid_of):
@@ -294,7 +306,7 @@ def incidence(
         return 0
     if bits2 ^ bits != 1 << v:
         return 0
-    table = _get_table(diagram, diagram.n)
+    table = _StateTable(diagram)
     circ_of = table.structure(bits)[0]
     circ_of2 = table.structure(bits2)[0]
     darts1: Dict[int, set] = {}
@@ -320,7 +332,7 @@ def partial_differential(
     bits = s.bits
     if (bits >> v) & 1:
         raise ValueError(f"crossing {v} is not A-smoothed in this state")
-    table = _get_table(diagram, diagram.n)
+    table = _StateTable(diagram)
     sign = _koszul_sign(bits, v)
     out: Dict[EnhancedState, int] = {}
     for (bits2, mask2) in _dv_terms(table, bits, s.key[1], v):
@@ -336,7 +348,7 @@ def partial_differential_oracle(
     bits = s.bits
     if (bits >> v) & 1:
         raise ValueError(f"crossing {v} is not A-smoothed in this state")
-    table = _get_table(diagram, diagram.n)
+    table = _StateTable(diagram)
     bits2 = bits | (1 << v)
     types2 = table.structure(bits2)[1]
     sign = _koszul_sign(bits, v)
@@ -362,7 +374,7 @@ class DifferentialMatrix:
 
     @cached_property
     def basis(self) -> Dict[Grading, List[EnhancedState]]:
-        return enhanced_states(self.diagram, self.diagram.n)
+        return _enhanced_states(_StateTable(self.diagram))
 
     def matrix_dense(self, g: Grading) -> List[List[int]]:
         i, j, k = g

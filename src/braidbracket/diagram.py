@@ -18,8 +18,9 @@ each face named by an (edge, side) reference that surgeries can track.
 
 The over strand at a crossing occupies two opposite rotation positions;
 ``over_parity`` is 0 when the over line sits at positions {0, 2} and 1 for
-{1, 3}.  Crossing signs are redundant with orientation plus over data and
-are validated on construction.
+{1, 3}.  Given the edge orientations, a crossing's sign fixes its over
+strand, so the sign is the one crossing record a diagram is made from, and
+the constructor derives ``over_parity`` from it.
 """
 
 from __future__ import annotations
@@ -113,10 +114,10 @@ def _crossing_sign(tails, q: int) -> int:
     return 1 if (under_out - over_out) % 4 == 1 else -1
 
 
-# (is_tail of a crossing's four darts, over parity) -> the crossing's sign,
-# for every valid pattern: both strand lines run through and q is 0 or 1
-_SIGN_OF_PATTERN = {
-    (*tails, q): _crossing_sign(tails, q)
+# (is_tail of a crossing's four darts, sign) -> the crossing's over parity,
+# for every valid pattern: both strand lines run through and the sign is +-1
+_PARITY_OF_PATTERN = {
+    (*tails, _crossing_sign(tails, q)): q
     for tails in product((False, True), repeat=4)
     if tails[0] != tails[2] and tails[1] != tails[3]
     for q in (0, 1)
@@ -140,7 +141,7 @@ class DiagramBuilder:
     """
 
     def __init__(self):
-        self.crossings: List[Optional[Tuple[int, int]]] = []  # (sign, over_parity)
+        self.crossings: List[Optional[int]] = []    # signs
         self.nanchors = 0
         self.edges: List[Optional[list]] = []       # [tail port, head port, seam]
         self.fused: Dict[int, int] = {}             # crossing -> frozen smoothing bit
@@ -152,8 +153,8 @@ class DiagramBuilder:
         # has one component; build then counts instead of searching components
         self._one_component: Optional[int] = None
 
-    def add_crossing(self, sign: int, over_parity: int) -> int:
-        self.crossings.append((sign, over_parity))
+    def add_crossing(self, sign: int) -> int:
+        self.crossings.append(sign)
         return len(self.crossings) - 1
 
     def add_anchor(self) -> int:
@@ -212,17 +213,15 @@ class DiagramBuilder:
                 raise DiagramError(f"face reference to removed edge {e}")
             return (e - bedges[:e].count(None), r[1])
 
-        # from a list: a tuple grown from an iterator of unknown length is
-        # resized, and the blocks it leaves pile up in the tuple free lists
-        signs, over = zip(*kept) if kept else ((), ())
         try:
             edges = [
                 (port[t] if t >= 0 else n4 + ~t, port[h] if h >= 0 else n4 + ~h, seam)
                 for t, h, seam in filter(None, bedges)
             ]
             return OrientedDiagram(
-                signs=signs,
-                over_parity=over,
+                # from a list: a tuple grown from an iterator of unknown length
+                # is resized, and the blocks it leaves pile up in the tuple free lists
+                signs=tuple(kept),
                 nanchors=self.nanchors,
                 edges=tuple(edges),
                 placements=tuple((ref(a), ref(b)) for a, b in self.placements),
@@ -250,16 +249,19 @@ class OrientedDiagram:
     """Immutable oriented diagram with planar embedding data.
 
     Construction validates the combinatorial map: every dart ends exactly
-    one edge, every crossing has its strand lines oriented through and the
-    sign its orientation and over data give, Euler's formula holds on every
-    connected component, and placements form a spanning tree over the
-    components.  The checks run in bulk: the dart tables are filled
-    unchecked and accepted when ``2*E`` writes fill all darts with no
-    negative dart left in ``alpha``, the signs are read off one table of
-    the crossings' in/out patterns, and Euler's formula is one count,
-    ``V - E + F == 2 * ncomponents``, which every component meets only
-    when each does.  Only a failed check walks the darts, crossings or
-    components, to name the first fault.
+    one edge, every crossing has its strand lines oriented through and a
+    sign of +1 or -1, Euler's formula holds on every connected component,
+    and placements form a spanning tree over the components.  The checks
+    run in bulk: the dart tables are filled unchecked and accepted when
+    ``2*E`` writes fill all darts with no negative dart left in ``alpha``,
+    each crossing's over parity is read off one table of (in/out pattern,
+    sign), which holds exactly the valid crossings, and Euler's formula is
+    one count, ``V - E + F == 2 * ncomponents``, which every component
+    meets only when each does.  Only a failed check walks the darts,
+    crossings or components, to name the first fault.
+
+    A crossing is given by its sign alone: with the orientations, the sign
+    fixes which strand is over, and ``over_parity`` is derived from it.
 
     ``DiagramBuilder.build`` is the one caller.  For a builder that
     ``moves.apply_move`` made from a diagram of one component, and that
@@ -274,7 +276,6 @@ class OrientedDiagram:
     def __init__(
         self,
         signs: Tuple[int, ...],
-        over_parity: Tuple[int, ...],
         nanchors: int,
         edges: Tuple[Tuple[int, int, int], ...],
         placements: Tuple[Tuple[FaceRef, FaceRef], ...] = (),
@@ -285,11 +286,7 @@ class OrientedDiagram:
         *,
         _one_component: bool = False,
     ):
-        if len(over_parity) != len(signs):
-            raise FormatError(
-                f"{len(over_parity)} over parities for {len(signs)} crossings")
         self.signs = signs
-        self.over_parity = over_parity
         self.n = len(signs)
         self.nanchors = nanchors
         self.edges = edges
@@ -441,11 +438,8 @@ class OrientedDiagram:
     # -- validation --------------------------------------------------------
 
     def _check_crossing(self, c: int) -> None:
-        sign, q = self.signs[c], self.over_parity[c]
-        if sign not in (1, -1):
+        if self.signs[c] not in (1, -1):
             raise FormatError(f"crossing {c}: sign must be +1 or -1")
-        if q not in (0, 1):
-            raise FormatError(f"crossing {c}: bad over data")
         is_tail = self.is_tail
         b = 4 * c
         for p in (0, 1):
@@ -453,18 +447,15 @@ class OrientedDiagram:
                 raise OrientationError(
                     f"crossing {c}: strand line {p},{p+2} not oriented through"
                 )
-        if _crossing_sign(is_tail[b:b + 4], q) != sign:
-            raise OrientationError(
-                f"crossing {c}: sign {sign} inconsistent with "
-                f"orientation and over/under data"
-            )
 
     def _validate(self) -> None:
         darts = iter(self.is_tail)  # four at a time: one crossing's pattern
-        patterns = zip(darts, darts, darts, darts, self.over_parity)
-        if list(map(_SIGN_OF_PATTERN.get, patterns)) != list(self.signs):  # lists: see build
+        patterns = zip(darts, darts, darts, darts, self.signs)
+        over = list(map(_PARITY_OF_PATTERN.get, patterns))  # a list: see build
+        if None in over:
             for c in range(self.n):
                 self._check_crossing(c)
+        self.over_parity = tuple(over)
         # Euler per component: V - E + F = 2 on the sphere, and no component
         # exceeds 2, so the sum is 2 * ncomponents only if each is 2
         nv = self.n + self.nanchors
@@ -524,7 +515,7 @@ class OrientedDiagram:
 
     def to_builder(self) -> DiagramBuilder:
         b = DiagramBuilder()
-        b.crossings = list(zip(self.signs, self.over_parity))
+        b.crossings = list(self.signs)
         b.nanchors = self.nanchors
         n4 = 4 * self.n  # crossing darts are their own ports
         b.edges = [
@@ -683,7 +674,7 @@ def braid_closure(word: BraidWord) -> OrientedDiagram:
     track_parent = list(range(k + 1))
     for g in word.letters:
         i = abs(g)
-        ci = b.add_crossing(sign=1 if g > 0 else -1, over_parity=1 if g > 0 else 0)
+        ci = b.add_crossing(1 if g > 0 else -1)
         # positions: 0 = exit on track i, 1 = entry on track i, 2 = entry on
         # track i+1, 3 = exit on track i+1 (counterclockwise in the plane)
         for track, pos in ((i, 1), (i + 1, 2)):
@@ -837,7 +828,7 @@ def _pd_builder(data: dict) -> Tuple[DiagramBuilder, List[FaceRef]]:
 
     b = DiagramBuilder()
     for rec in crossings:
-        b.add_crossing(_pd_int(rec["sign"], "sign"), 0)  # over parity fixed later
+        b.add_crossing(_pd_int(rec["sign"], "sign"))
     b.nanchors = m = len(anchors)
     for rec in anchors:
         if "break_points" in rec:
@@ -878,23 +869,6 @@ def _pd_builder(data: dict) -> Tuple[DiagramBuilder, List[FaceRef]]:
                     f"{name} rotation slot {pos} names edge end {end} "
                     f"but edges give {want}"
                 )
-    # fix over parity from sign + directions
-    for rec in crossings:
-        ci = rec["id"]
-        outs = [
-            pos for pos in range(4) if port_used[4 * ci + pos][1] == "tail"
-        ]
-        if len(outs) != 2 or (outs[1] - outs[0]) % 4 == 2:
-            raise OrientationError(
-                f"crossing {ci}: outgoing ends at positions {outs}; "
-                "over/under strands must alternate in the rotation"
-            )
-        x, y = outs
-        if (y - x) % 4 != 1:
-            x, y = y, x
-        over_out = x if rec["sign"] == 1 else y
-        b.crossings[ci] = (rec["sign"], over_out % 2)
-
     for pair in data.get("placements", ()):
         (ea, sa), (eb, sb) = pair
         b.placements.append((

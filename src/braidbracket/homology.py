@@ -37,7 +37,7 @@ from .diagram import OrientedDiagram
 from .laurent import Laurent2, delta_power, lp_iadd
 from .states import DEFAULT_CAP
 from .bracket import bracket_br, lighten, normalize
-from .chain_complex import DifferentialMatrix, Grading, differential_matrices
+from .chain_complex import DifferentialMatrix, Grading, _check_complex_cap, differential_matrices
 
 HomologyTable = Dict[Grading, Tuple[int, Tuple[int, ...]]]  # (betti, torsion)
 
@@ -217,6 +217,7 @@ def homology_groups(
     once the block below has used it.
     """
     dm = matrices if matrices is not None else differential_matrices(diagram, cap)
+    _check_complex_cap(dm.diagram, cap)  # given matrices are held to the cap too
     table: HomologyTable = {}
     # the block at g is the differential out of g, so each is read twice:
     # as g's outgoing map and as the incoming map of (i - 1, j, k)

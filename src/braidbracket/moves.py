@@ -91,7 +91,6 @@ def _fingerprint(diagram: OrientedDiagram) -> str:
     if fp is None:
         key = (
             diagram.signs,
-            diagram.over_parity,
             diagram.nanchors,
             diagram.edges,
             diagram.placements,
@@ -386,31 +385,29 @@ def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> No
 
 
 # Pair insertion ports, keyed by (is_tail[u], is_tail[v]) of the anchor's
-# darts u, v: over parity and sign of crossing 0 when u passes under
-# (crossing 1 takes the other parity and sign, and u_over swaps both), then
-# the (mid_tail, mid_head) ports splitting u's edge and v's edge, then the
-# two band edges.  A port (c, p) is position p of crossing c.
+# darts u, v: the sign of crossing 0 when u passes under (crossing 1 takes
+# the other sign, and u_over negates both), then the (mid_tail, mid_head)
+# ports splitting u's edge and v's edge, then the two band edges.  A port
+# (c, p) is position p of crossing c.
 _PAIR_PORTS = {
     # coherent: u runs "down" with the face on its left, v with it on the right
-    (False, True): (0, 1, ((1, 2), (0, 1)), ((1, 3), (0, 0)),
+    (False, True): (1, ((1, 2), (0, 1)), ((1, 3), (0, 0)),
                     (((0, 3), (1, 0)), ((0, 2), (1, 1)))),
     # anti-parallel, both face sides left of flow: u down, v up
-    (False, False): (0, -1, ((1, 2), (0, 1)), ((0, 0), (1, 3)),
+    (False, False): (-1, ((1, 2), (0, 1)), ((0, 0), (1, 3)),
                      (((0, 3), (1, 0)), ((1, 1), (0, 2)))),
     # anti-parallel, both sides right of flow: u up, v down
-    (True, True): (1, 1, ((1, 1), (0, 2)), ((0, 3), (1, 0)),
+    (True, True): (1, ((1, 1), (0, 2)), ((0, 3), (1, 0)),
                    (((0, 0), (1, 3)), ((1, 2), (0, 1)))),
 }
 
 
 def _apply_pair_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
     u, v, u_over = anchor
-    parity, sign, split_u, split_v, band = _PAIR_PORTS[
-        diagram.is_tail[u], diagram.is_tail[v]
-    ]
+    sign, split_u, split_v, band = _PAIR_PORTS[diagram.is_tail[u], diagram.is_tail[v]]
     if u_over:
-        parity, sign = 1 - parity, -sign
-    xs = (b.add_crossing(sign, parity), b.add_crossing(-sign, 1 - parity))
+        sign = -sign
+    xs = (b.add_crossing(sign), b.add_crossing(-sign))
 
     def port(cp: Tuple[int, int]) -> int:
         return 4 * xs[cp[0]] + cp[1]
@@ -426,16 +423,9 @@ def _apply_iii(diagram: OrientedDiagram, b: DiagramBuilder, orbit) -> None:
     es = [diagram.edge_of[u] for u in orbit]
     dirs = [diagram.is_tail[u] for u in orbit]
     seams = [diagram.edges[e][2] for e in es]
-    # at v_j the walk arrives on dart r = alpha(orbit[j-1]) and leaves on u
-    w = []
-    for j, u in enumerate(orbit):
-        if _is_over_at(diagram, u):
-            parity = 1
-        elif _is_over_at(diagram, diagram.alpha[orbit[j - 1]]):
-            parity = 0
-        else:
-            raise AssertionError(f"no over strand at triangle crossing {vs[j]}")
-        w.append(b.add_crossing(diagram.signs[vs[j]], parity))
+    # W_j keeps the sign of v_j, which on the rewired ends below puts the
+    # same strand over
+    w = [b.add_crossing(diagram.signs[v]) for v in vs]
     # outside edge ends move: sigma(u) of v_j -> slot 3 of W_{j-1}, the end
     # across u -> slot 2 of W_{j+1}
     for j, u in enumerate(orbit):
@@ -464,7 +454,7 @@ def _apply_ri_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> Non
     # side 0 puts the loop on the left of the flow, side 1 on the right
     e, side, over_first = anchor
     twist = side ^ over_first
-    z = b.add_crossing(sign=1 - 2 * twist, over_parity=twist)
+    z = b.add_crossing(1 - 2 * twist)
     b.split_edge(e, mid_tail=4 * z + 2 + side, mid_head=4 * z + 1 - side)
     b.add_edge(4 * z + 3 - side, 4 * z + side)
 

@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from braidbracket.diagram import NonPlanarError, OrientedDiagram, _uf_find, _uf_union
 from braidbracket.chain_complex import (
     DifferentialMatrix,
+    _StateTable,
     _dv_terms,
-    _get_table,
     _koszul_sign,
 )
 from braidbracket.homology import smith_normal_form
@@ -62,7 +62,7 @@ def mirror(diagram: OrientedDiagram) -> OrientedDiagram:
     """The mirror image: every crossing switched, which negates its sign,
     on the same embedding."""
     b = diagram.to_builder()
-    b.crossings = [(-sign, 1 - over) for sign, over in b.crossings]
+    b.crossings = [-sign for sign in b.crossings]
     return b.build()
 
 
@@ -103,7 +103,7 @@ def laurent_mul_reference(p, q) -> dict:
 
 def rule_table_operator(diagram, bits: int, v: int) -> Dict[int, Dict[Tuple[int, int], int]]:
     """The rule-table d_v on every labeling of the state ``bits``."""
-    table = _get_table(diagram, diagram.n)
+    table = _StateTable(diagram)
     types = table.structure(bits)[1]
     sign = _koszul_sign(bits, v)
     out = {}
@@ -123,7 +123,7 @@ def incidence_operator(diagram, bits: int, v: int) -> Dict[int, Dict[Tuple[int, 
     the same labels and both j and k are preserved.  Masks make the
     per-pair checks cheap, but every pair is genuinely tested.
     """
-    table = _get_table(diagram, diagram.n)
+    table = _StateTable(diagram)
     circ_of, types, _, _ = table.structure(bits)
     bits2 = bits | (1 << v)
     circ_of2, types2, _, _ = table.structure(bits2)

@@ -45,6 +45,16 @@ def test_cap_exceeded_exit_3(capsys):
     assert code == 3
 
 
+def test_free_loops_count_against_the_homology_cap(capsys):
+    # 25 free loops make 2^25 labelings of one smoothing: the cap stops it
+    # before any is listed
+    code, out, err = run(capsys, "homology", "-w", "B25")
+    assert code == 3 and not out
+    assert "needs 25 crossings but the cap is 24" in err
+    code, out, _ = run(capsys, "homology", "-w", "B3 1", "--cap", "2")
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("command", ["bracket", "homology", "verify"])
 def test_negative_cap_is_a_usage_error(capsys, command):
     code, out, err = run(capsys, command, "-w", "B2 1 1 1", "--cap", "-1")

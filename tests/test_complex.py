@@ -14,7 +14,7 @@ from braidbracket.chain_complex import (
     partial_differential_oracle,
     verify_anticommute,
 )
-
+from braidbracket.homology import homology_groups
 from braidbracket.states import SizeCapError
 
 from helpers import incidence_operator, rule_table_operator
@@ -155,10 +155,10 @@ def test_i_range_bound(corpus_small):
 def test_split_offspring_type_parity(corpus_small):
     # d-parents split into (d,d) or (h,h); h-parents into (d,h): the rule
     # table raises otherwise, so exercising a batch is the assertion
-    from braidbracket.chain_complex import _dv_terms, _get_table
+    from braidbracket.chain_complex import _StateTable, _dv_terms
 
     for d in corpus_small[:15]:
-        table = _get_table(d, d.n)
+        table = _StateTable(d)
         for bits in range(1 << d.n):
             for v in range(d.n):
                 if (bits >> v) & 1:
@@ -180,6 +180,34 @@ def test_cap_enforced_with_cached_table(entry):
     enhanced_states(d)  # caches the structure table under the default cap
     with pytest.raises(SizeCapError):
         entry(d, cap=3)
+
+
+@pytest.mark.parametrize("entry", [
+    enhanced_states, differential_matrices, verify_anticommute, homology_groups,
+])
+def test_free_loops_count_against_the_cap(entry):
+    # k free loops give one smoothing 2^k labelings, as k crossings give
+    # 2^k smoothings: the guard fires before any of them is listed
+    with pytest.raises(SizeCapError, match="needs 25 crossings"):
+        entry(parse_braid_word("B25"))
+    d = parse_braid_word("B3 1")  # one crossing and one free loop
+    with pytest.raises(SizeCapError, match="needs 2 crossings"):
+        entry(d, cap=1)
+    entry(d, cap=2)
+
+
+def test_a_built_complex_lists_its_basis_and_operators_past_the_cap():
+    # the basis of a complex that was built, and the one-crossing
+    # operators, need no cap: the free loop of B3 1 does not stop them
+    d = parse_braid_word("B3 1")
+    dm = differential_matrices(d)
+    assert dm.basis == enhanced_states(d)
+    # two circles, then one, each smoothing's labelings doubled by the loop
+    assert sum(map(len, dm.basis.values())) == (4 + 2) * 2
+    sources = [s for states in dm.basis.values() for s in states if not s.bits]
+    assert len(sources) == 8
+    for s in sources:
+        assert partial_differential(s, 0, d) == partial_differential_oracle(s, 0, d)
 
 
 def test_matrices_equal_incidence_oracle_blocks(corpus_small):

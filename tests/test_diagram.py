@@ -10,7 +10,6 @@ from braidbracket.diagram import (
     MalformedWordError,
     NonPlanarError,
     OrientationError,
-    OrientedDiagram,
     braid_closure,
     parse_braid_word,
     parse_pd,
@@ -19,7 +18,7 @@ from braidbracket.diagram import (
 )
 from braidbracket.moves import random_equivalent_pair
 
-from helpers import canonical_code_oracle
+from helpers import WALK_PINS, canonical_code_oracle, mirror
 
 
 def test_empty_braid_closure_is_empty_diagram():
@@ -175,6 +174,39 @@ def test_sign_convention_forced():
     assert d.signs == (1, -1)
 
 
+def test_closure_crossings_are_over_on_odd_positions_exactly_at_positive_letters(corpus):
+    # the over parity is derived from the sign: a closure's positive letter
+    # puts its over strand at positions 1 and 3, a negative one at 0 and 2
+    closures = [d for d in corpus if d.braid_word is not None]
+    assert any(g < 0 for d in closures for g in d.braid_word.letters)
+    for d in closures:
+        assert d.over_parity == tuple(int(g > 0) for g in d.braid_word.letters)
+
+
+def test_pd_round_trip_keeps_the_over_parity(corpus):
+    # PD JSON carries signs and rotations only; parsing derives the same
+    # over strand at every crossing
+    from braidbracket.bracket import add_marked_circle, skein_expand
+
+    diagrams = list(corpus)
+    diagrams += [random_equivalent_pair(seed, 100, BraidWord(strands, letters),
+                                        max_crossings=14)[1]
+                 for seed, strands, letters, *_ in WALK_PINS]
+    for d in diagrams[::5]:
+        if d.n:
+            diagrams += skein_expand(d, d.n // 2)
+        diagrams.append(add_marked_circle(d, 2))
+    diagrams += [reverse_orientation(d) for d in diagrams]
+    assert any(d.fused for d in diagrams) and any(d.anchor_bp for d in diagrams)
+    for d in diagrams:
+        assert parse_pd(d.to_pd_json()).over_parity == d.over_parity
+
+
+def test_mirror_switches_every_over_strand(corpus):
+    for d in corpus + _moved_diagrams():
+        assert mirror(d).over_parity == tuple(1 - q for q in d.over_parity)
+
+
 def test_nested_components_need_placements():
     d = parse_braid_word("B3")
     assert d.ncomponents == 3
@@ -246,15 +278,6 @@ def test_component_labels_follow_the_union_find(corpus):
         roots = [_uf_find(parent, v) for v in range(len(parent))]
         rank = {r: i for i, r in enumerate(sorted(set(roots)))}
         assert d.comp_of_vertex == [rank[r] for r in roots]
-
-
-@pytest.mark.parametrize("edit", [lambda q: q + (0, 1), lambda q: q[:2]],
-                         ids=["two-more", "one-short"])
-def test_over_parity_needs_one_entry_per_crossing(edit):
-    d = parse_braid_word("B2 1 1 1")
-    with pytest.raises(FormatError, match="3 crossings"):
-        OrientedDiagram(d.signs, edit(d.over_parity), d.nanchors, d.edges,
-                        d.placements, d.outer_ref)
 
 
 def _pd_of(diagram, edit):
@@ -404,8 +427,7 @@ def _trefoil_fields(**change):
     belonging to crossing 2.
     """
     d = parse_braid_word("B2 1 1 1")
-    fields = dict(signs=d.signs, over_parity=d.over_parity, nanchors=d.nanchors,
-                  edges=d.edges, outer_ref=d.outer_ref)
+    fields = dict(signs=d.signs, nanchors=d.nanchors, edges=d.edges, outer_ref=d.outer_ref)
     fields.update(change)
     return fields
 
@@ -429,14 +451,10 @@ _REJECTED = {
                        FormatError, "dart 2 not covered by any edge"),
     "bad-sign": (_trefoil_fields(signs=(1, 2, 1)),
                  FormatError, "crossing 1: sign must be +1 or -1"),
-    "bad-over-parity": (_trefoil_fields(over_parity=(1, 1, 2)),
-                        FormatError, "crossing 2: bad over data"),
     "unoriented-line": (_trefoil_fields(edges=_trefoil_edges((0, (5, 0, 0)))),
                         OrientationError, "crossing 0: strand line 0,2 not oriented through"),
-    "inconsistent-sign": (_trefoil_fields(signs=(1, -1, 1)), OrientationError,
-                          "crossing 1: sign -1 inconsistent with orientation and over/under data"),
     # one crossing whose strands close up through the opposite positions: a torus
-    "nonplanar": (dict(signs=(1,), over_parity=(0,), nanchors=0,
+    "nonplanar": (dict(signs=(1,), nanchors=0,
                        edges=((0, 2, 0), (1, 3, 0)), outer_ref=(0, 0)),
                   NonPlanarError, "component 0: V-E+F = 0 != 2"),
     "no-outer-marker": (_trefoil_fields(outer_ref=None),
@@ -445,22 +463,26 @@ _REJECTED = {
 
 
 def test_sign_table_accepts_what_the_crossing_check_accepts():
-    # the constructor's bulk check and its naming loop agree on every
-    # pattern of outgoing ends, over parity and sign
+    # the constructor's bulk lookup and its naming loop agree on every
+    # pattern of outgoing ends and sign, and the parity the table gives
+    # has that sign
     from types import SimpleNamespace
 
-    from braidbracket.diagram import OrientedDiagram, _SIGN_OF_PATTERN
+    from braidbracket.diagram import OrientedDiagram, _PARITY_OF_PATTERN, _crossing_sign
 
+    accepted = set()
     for tails in itertools.product((False, True), repeat=4):
-        for q in (0, 1, 2):
-            for sign in (1, -1, 0):
-                crossing = SimpleNamespace(signs=(sign,), over_parity=(q,), is_tail=list(tails))
-                try:
-                    OrientedDiagram._check_crossing(crossing, 0)
-                    accepted = True
-                except DiagramError:
-                    accepted = False
-                assert accepted == (_SIGN_OF_PATTERN.get((*tails, q)) == sign)
+        for sign in (1, -1, 0, 2):
+            crossing = SimpleNamespace(signs=(sign,), is_tail=list(tails))
+            try:
+                OrientedDiagram._check_crossing(crossing, 0)
+            except DiagramError:
+                continue
+            accepted.add((*tails, sign))
+    assert accepted == set(_PARITY_OF_PATTERN)
+    assert len(accepted) == 8
+    for (*tails, sign), q in _PARITY_OF_PATTERN.items():
+        assert q in (0, 1) and _crossing_sign(tails, q) == sign
 
 
 @pytest.mark.parametrize("name", list(_REJECTED))
@@ -486,9 +508,9 @@ def test_build_rejects_indices_outside_the_crossings(edit):
         b.build()
 
 
-def _add_crossing(b, sign, over_parity, pairs):
+def _add_crossing(b, sign, pairs):
     """Add a crossing to ``b`` with an edge between each pair of its positions."""
-    c = b.add_crossing(sign, over_parity)
+    c = b.add_crossing(sign)
     for p, q in pairs:
         b.add_edge(4 * c + p, 4 * c + q)
 
@@ -497,7 +519,7 @@ def test_a_torus_beside_a_sphere_is_not_planar():
     # Euler's formula summed over both components gives 2 + 0 = 2, which a
     # count alone would take for one planar component
     b = parse_braid_word("B2 1 1 1").to_builder()
-    _add_crossing(b, 1, 0, [(0, 2), (1, 3)])
+    _add_crossing(b, 1, [(0, 2), (1, 3)])
     with pytest.raises(NonPlanarError, match="component 1: V-E"):
         b.build()
 
@@ -508,6 +530,6 @@ def test_the_one_component_mark_does_not_hide_a_second_component():
     d = parse_braid_word("B2 1 1 1")
     b = d.to_builder()
     b._one_component = d.nanchors
-    _add_crossing(b, -1, 0, [(0, 1), (3, 2)])  # a one-crossing curl
+    _add_crossing(b, -1, [(0, 1), (3, 2)])  # a one-crossing curl
     with pytest.raises(NonPlanarError, match="2 components glued by 0 placements"):
         b.build()

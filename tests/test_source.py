@@ -111,6 +111,39 @@ def test_one_diagram_constructor():
     assert news == []
 
 
+def test_one_crossing_record():
+    # a crossing is made from its sign alone: over_parity is set in one
+    # place, OrientedDiagram._validate, and no producer passes one, as an
+    # argument or as a keyword
+    import inspect
+
+    from braidbracket.diagram import DiagramBuilder, OrientedDiagram
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            targets = []
+            if isinstance(child, ast.Assign):
+                targets = [t for top in child.targets for t in ast.walk(top)]
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "over_parity" for t in targets):
+                found.append(f"{path.name}:{'.'.join(scope)}")
+            if isinstance(child, ast.keyword) and child.arg == "over_parity":
+                found.append(f"{path.name}:{'.'.join(scope)} keyword")
+            visit(child, scope)
+
+    for path in sorted(SRC.rglob("*.py")) + [ROOT / "tests" / "helpers.py"]:
+        visit(ast.parse(path.read_text(), filename=str(path)), [])
+    assert found == ["diagram.py:OrientedDiagram._validate"]
+    assert list(inspect.signature(DiagramBuilder.add_crossing).parameters) == ["self", "sign"]
+    assert "over_parity" not in inspect.signature(OrientedDiagram.__init__).parameters
+
+
 def test_benchmark_outputs_match_their_stored_digests():
     # the benchmark's seed-0 batches must print what perfbench/digests.json
     # stores for them, and pass their output checks; this reads perfbench/

@@ -120,7 +120,11 @@ NEGATIVE_CAP_CALLS = {
     "enumerate_states": lambda d, cap: list(enumerate_states(d, cap=cap)),
     "differential_matrices": lambda d, cap: differential_matrices(d, cap=cap),
     "homology_groups": lambda d, cap: homology_groups(d, cap=cap),
+    "homology_groups given matrices":
+        lambda d, cap: homology_groups(d, cap=cap, matrices=differential_matrices(d)),
 }
+# the complex counts each component without a crossing as one crossing
+COMPLEX_ENTRIES = {"differential_matrices", "homology_groups", "homology_groups given matrices"}
 
 
 @pytest.mark.parametrize("entry", sorted(NEGATIVE_CAP_CALLS))
@@ -133,10 +137,12 @@ def test_negative_cap_is_a_bad_argument(entry, word):
     d = parse_braid_word(word)
     with pytest.raises(ValueError, match="cap -1 is negative"):
         call(d, -1)
-    call(d, d.n)  # a cap that fits is accepted
-    if d.n:
+    # a closure's anchors are its free loops
+    needed = d.n + (d.nanchors if entry in COMPLEX_ENTRIES else 0)
+    call(d, needed)  # a cap that fits is accepted
+    if needed:
         with pytest.raises(SizeCapError):
-            call(d, d.n - 1)
+            call(d, needed - 1)
 
 
 def test_configurations_nested_vs_disjoint():
