@@ -19,14 +19,17 @@ at crossing v is (-1)^(number of A^-1-smoothed crossings with label > v).
 A labeling is a bit mask over circle ids (1 = plus).  Everything about
 d_v that does not depend on the labels is computed once per (smoothing,
 crossing) by ``_StateTable.rule``; applying it to one labeling is a few integer
-operations.
+operations.  The blocks of d are assembled in one place, ``_Cube.blocks``,
+one layer of the cube of smoothings at a time: ``differential_matrices``
+takes every layer in full, and ``homology.homology_groups`` only what it
+reduces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from .diagram import OrientedDiagram
 from .states import (
@@ -58,8 +61,10 @@ class EnhancedState:
         return (self.bits, mask)
 
 
-# (circ_of, types, dmask, hmask): see ``_StateTable.structure``
-_Structure = Tuple[Tuple[int, ...], Tuple[str, ...], int, int]
+# (circ_of, types, dmask, hmask, first): see ``_StateTable.structure``
+_Structure = Tuple[Tuple[int, ...], Tuple[str, ...], int, int, Tuple[int, ...]]
+# (cell, rank, firsts, count): see ``_StateTable.template``
+_Template = Tuple[List[int], List[int], List[Tuple[int, int, int]], List[int]]
 # (bits2, x, y, img, extra): see ``_StateTable.rule``
 _Rule = Tuple[int, int, int, Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
 
@@ -77,10 +82,13 @@ class _StateTable:
         # rules for ``_dv_terms``, which asks for each one once per labeling
         self.rules: Dict[Tuple[int, int], _Rule] = {}
         self._orders: Dict[int, List[int]] = {}
+        self._templates: Dict[Tuple[int, int], _Template] = {}
+        # ``extra`` of the rules, by the types and target ids of their circles
+        self._extras: Dict[Tuple[str, str, str, str, int, int], Tuple[Tuple[int, ...], ...]] = {}
 
     def structure(self, bits: int) -> _Structure:
-        """(circle id per dart, circle types, d-circle mask, h-circle mask)
-        of one smoothing."""
+        """(circle id per dart, circle types, d-circle mask, h-circle mask,
+        least dart per circle) of one smoothing."""
         hit = self._smoothings.get(bits)
         if hit is None:
             tau = _tau(self.diagram, bits)
@@ -88,14 +96,18 @@ class _StateTable:
             types = tuple(_circle_type(bp) for bp in bps)
             dmask = sum(1 << idx for idx, t in enumerate(types) if t == "d")
             hmask = ((1 << len(types)) - 1) ^ dmask
-            hit = self._smoothings[bits] = (tuple(circ_of), types, dmask, hmask)
+            first = tuple(circ_of.index(c) for c in range(len(types)))
+            hit = self._smoothings[bits] = (tuple(circ_of), types, dmask, hmask, first)
         return hit
 
     def gradings(self, bits: int, labelmask: int) -> Grading:
-        sig = self.n - 2 * bits.bit_count()
-        _, _, dmask, hmask = self.structure(bits)
+        _, _, dmask, hmask, _ = self.structure(bits)
         tau_d = 2 * (labelmask & dmask).bit_count() - dmask.bit_count()
         tau_h = 2 * (labelmask & hmask).bit_count() - hmask.bit_count()
+        return self.grading(bits, tau_d, tau_h)
+
+    def grading(self, bits: int, tau_d: int, tau_h: int) -> Grading:
+        sig = self.n - 2 * bits.bit_count()
         return ((sig - self.w) // 2, (sig - 3 * self.w + 2 * tau_d) // 2, tau_h)
 
     def label_order(self, ncirc: int) -> List[int]:
@@ -106,6 +118,35 @@ class _StateTable:
             hit = self._orders[ncirc] = sorted(
                 range(1 << ncirc), key=lambda m: [(m >> idx) & 1 for idx in range(ncirc)]
             )
+        return hit
+
+    def template(self, ncirc: int, dmask: int) -> _Template:
+        """Where the labelings of a smoothing with ``ncirc`` circles and
+        d-circle mask ``dmask`` fall among its tridegrees.
+
+        Returns ``(cell, rank, firsts, count)``.  A labeling's tridegree
+        depends only on its numbers of plus d- and h-circles, its cell:
+        ``cell[m]`` is that of mask ``m`` and ``rank[m]`` its place among
+        the masks of its cell in canonical basis order.  ``firsts`` lists
+        each cell with its tau_d and tau_h, in order of first appearance in
+        that order, and ``count`` the size of each cell.
+        """
+        hit = self._templates.get((ncirc, dmask))
+        if hit is None:
+            hmask = ((1 << ncirc) - 1) ^ dmask
+            nd, nh = dmask.bit_count(), hmask.bit_count()
+            count = [0] * ((nd + 1) * (nh + 1))
+            cell = [0] * (1 << ncirc)
+            rank = [0] * (1 << ncirc)
+            firsts: List[Tuple[int, int, int]] = []
+            for m in self.label_order(ncirc):
+                plus_d, plus_h = (m & dmask).bit_count(), (m & hmask).bit_count()
+                c = cell[m] = plus_d * (nh + 1) + plus_h
+                if not count[c]:
+                    firsts.append((c, 2 * plus_d - nd, 2 * plus_h - nh))
+                rank[m] = count[c]
+                count[c] += 1
+            hit = self._templates[(ncirc, dmask)] = (cell, rank, firsts, count)
         return hit
 
     def rule(self, bits: int, v: int) -> _Rule:
@@ -119,42 +160,50 @@ class _StateTable:
         lists the target bits of the new circles, one entry per term of
         d_v (0, 1 or 2 of them).
         """
-        circ_of, types, _, _ = self.structure(bits)
+        circ_of, types, _, _, first = self.structure(bits)
         bits2 = bits | (1 << v)
-        circ_of2, types2, _, _ = self.structure(bits2)
-        base = 4 * v
-        at_v = sorted({circ_of[base + p] for p in range(4)})
-        at_v2 = sorted({circ_of2[base + p] for p in range(4)})
+        circ_of2, types2, _, _, _ = self.structure(bits2)
+        # the four darts at v lie on one circle or two, before and after
+        at_v = circ_of[4 * v:4 * v + 4]
+        at_v2 = circ_of2[4 * v:4 * v + 4]
+        x, y = min(at_v), max(at_v)
+        y2, z = min(at_v2), max(at_v2)
+        if x != y:
+            if y2 != z or len(types2) != len(types) - 1:
+                raise AssertionError(f"crossing {v}: a merge must leave one circle")
+        elif y2 == z or len(types2) != len(types) + 1:
+            raise AssertionError(f"crossing {v}: a split must leave two circles")
 
         # circles away from v keep their dart sets; match them by least dart
-        img = [1 << circ_of2[circ_of.index(c)] for c in range(len(types))]
-        for c in at_v:
-            img[c] = 0
+        img = [1 << circ_of2[d] for d in first]
+        img[x] = img[y] = 0
 
-        extra: List[Tuple[int, ...]] = [()] * 4
-        if len(at_v) == 2:
-            x, y = at_v
-            if len(at_v2) != 1 or len(types2) != len(types) - 1:
-                raise AssertionError(f"crossing {v}: a merge must leave one circle")
-            z = at_v2[0]
-            for key in range(4):
-                lz = _merge_label(
-                    types[x], 1 if key & 1 else -1, types[y], 1 if key & 2 else -1,
-                    types2[z],
-                )
-                if lz is not None:
-                    extra[key] = (1 << z if lz > 0 else 0,)
-        else:
-            x = y = at_v[0]
-            if len(at_v2) != 2 or len(types2) != len(types) + 1:
-                raise AssertionError(f"crossing {v}: a split must leave two circles")
-            y2, z = at_v2
-            for key, lx in ((0, -1), (3, 1)):
-                extra[key] = tuple(
-                    (1 << y2 if ly > 0 else 0) | (1 << z if lz > 0 else 0)
-                    for ly, lz in _split_labels(types[x], lx, types2[y2], types2[z])
-                )
-        return (bits2, x, y, tuple(img), tuple(extra))
+        key = (types[x], types[y], types2[y2], types2[z], y2, z)
+        extra = self._extras.get(key)
+        if extra is None:
+            extra = self._extras[key] = _rule_extra(*key)
+        return (bits2, x, y, tuple(img), extra)
+
+
+def _rule_extra(
+    tx: str, ty: str, ty2: str, tz: str, y2: int, z: int
+) -> Tuple[Tuple[int, ...], ...]:
+    """``extra`` of a rule whose circles ``x`` and ``y`` (types ``tx``,
+    ``ty``) become ``y2`` and ``z`` (types ``ty2``, ``tz``); one circle on
+    either side when the two are equal."""
+    extra: List[Tuple[int, ...]] = [()] * 4
+    if y2 == z:
+        for key in range(4):
+            lz = _merge_label(tx, 1 if key & 1 else -1, ty, 1 if key & 2 else -1, tz)
+            if lz is not None:
+                extra[key] = (1 << z if lz > 0 else 0,)
+    else:
+        for key, lx in ((0, -1), (3, 1)):
+            extra[key] = tuple(
+                (1 << y2 if ly > 0 else 0) | (1 << z if lz > 0 else 0)
+                for ly, lz in _split_labels(tx, lx, ty2, tz)
+            )
+    return tuple(extra)
 
 
 def _check_complex_cap(diagram: OrientedDiagram, cap: int) -> None:
@@ -233,47 +282,43 @@ def _make_enhanced(table: _StateTable, bits: int, labelmask: int) -> EnhancedSta
     return EnhancedState(bits, labels, i, j, k)
 
 
-def _basis(
-    table: _StateTable,
-) -> Tuple[List[Grading], List[int], List[List[int]], List[List[int]]]:
+# (cell, rank, gid, base) of one smoothing: the template's cells and ranks,
+# and per cell the position in ``gradings`` of its tridegree and the column
+# there of its first state
+_Where = Tuple[List[int], List[int], List[int], List[int]]
+
+
+def _basis(table: _StateTable) -> Tuple[List[Grading], List[int], List[_Where]]:
     """Where every enhanced state sits in the basis.
 
-    Returns ``(gradings, dims, gid, pos)``.  ``gradings`` lists the
+    Returns ``(gradings, dims, where)``.  ``gradings`` lists the
     tridegrees in order of first appearance and ``dims`` their sizes.
-    ``gid[bits][mask]`` is the position in ``gradings`` of a state's
-    tridegree and ``pos[bits][mask]`` its column there.  Columns follow
-    smoothings in order, then labelings in canonical order.
+    ``where[bits]`` places the labelings of one smoothing: mask ``m``, in
+    cell ``c = cell[m]``, has the tridegree ``gradings[gid[c]]`` and the
+    column ``base[c] + rank[m]`` there.  Columns follow smoothings in
+    order, then labelings in canonical order.
     """
     ids: Dict[Grading, int] = {}
     gradings: List[Grading] = []
     dims: List[int] = []
-    gid_of: List[List[int]] = []
-    pos_of: List[List[int]] = []
+    where: List[_Where] = []
     for bits in range(1 << table.n):
-        _, types, dmask, hmask = table.structure(bits)
-        order = table.label_order(len(types))
-        width = hmask.bit_count() + 1
-        cell = [-1] * ((dmask.bit_count() + 1) * width)
-        gids = [0] * len(order)
-        poss = [0] * len(order)
-        for m in order:
-            # the grading depends only on the numbers of plus d- and h-circles
-            c = (m & dmask).bit_count() * width + (m & hmask).bit_count()
-            g = cell[c]
+        _, types, dmask, _, _ = table.structure(bits)
+        cell, rank, firsts, count = table.template(len(types), dmask)
+        gid = [0] * len(count)
+        base = [0] * len(count)
+        for c, tau_d, tau_h in firsts:
+            grading = table.grading(bits, tau_d, tau_h)
+            g = ids.get(grading, -1)
             if g < 0:
-                grading = table.gradings(bits, m)
-                g = ids.get(grading, -1)
-                if g < 0:
-                    g = ids[grading] = len(gradings)
-                    gradings.append(grading)
-                    dims.append(0)
-                cell[c] = g
-            gids[m] = g
-            poss[m] = dims[g]
-            dims[g] += 1
-        gid_of.append(gids)
-        pos_of.append(poss)
-    return gradings, dims, gid_of, pos_of
+                g = ids[grading] = len(gradings)
+                gradings.append(grading)
+                dims.append(0)
+            gid[c] = g
+            base[c] = dims[g]
+            dims[g] += count[c]
+        where.append((cell, rank, gid, base))
+    return gradings, dims, where
 
 
 def enhanced_states(
@@ -284,12 +329,12 @@ def enhanced_states(
 
 
 def _enhanced_states(table: _StateTable) -> Dict[Grading, List[EnhancedState]]:
-    gradings, _, gid_of, _ = _basis(table)
+    gradings, _, where = _basis(table)
     buckets: List[List[EnhancedState]] = [[] for _ in gradings]
-    for bits, gids in enumerate(gid_of):
+    for bits, (cell, _, gid, _) in enumerate(where):
         ncirc = len(table.structure(bits)[1])
         for m in table.label_order(ncirc):
-            buckets[gids[m]].append(_make_enhanced(table, bits, m))
+            buckets[gid[cell[m]]].append(_make_enhanced(table, bits, m))
     return dict(zip(gradings, buckets))
 
 
@@ -423,46 +468,108 @@ class DifferentialMatrix:
         return True
 
 
+class _Cube:
+    """The basis of the complex, and its blocks assembled one layer of the
+    cube of smoothings at a time.
+
+    Layer ``p`` holds the smoothings with ``p`` A^-1-smoothed crossings,
+    ascending; their states sit in degree ``i = i_top - p``, and d maps
+    layer ``p`` into layer ``p + 1``.  The column and tridegree of every
+    labeling are listed only for the smoothings of the layers in hand.
+    """
+
+    def __init__(self, table: _StateTable):
+        self.table = table
+        self.gradings, dims, self._where = _basis(table)
+        self.dims = dict(zip(self.gradings, dims))
+        self._ids = {g: gi for gi, g in enumerate(self.gradings)}
+        self._down = [self._ids.get((i - 1, j, k), -1) for (i, j, k) in self.gradings]
+        self.layers: List[List[int]] = [[] for _ in range(table.n + 1)]
+        for bits in range(1 << table.n):
+            self.layers[bits.bit_count()].append(bits)
+        self._placed: Dict[int, Tuple[List[int], List[int]]] = {}
+
+    def _places(self, bits: int) -> Tuple[List[int], List[int]]:
+        """(tridegree id, column) per labeling of the smoothing ``bits``,
+        kept until the layer of ``bits`` is assembled."""
+        hit = self._placed.get(bits)
+        if hit is None:
+            cell, rank, gid, base = self._where[bits]
+            hit = self._placed[bits] = (
+                [gid[c] for c in cell], [base[c] + r for c, r in zip(cell, rank)]
+            )
+        return hit
+
+    def blocks(
+        self, p: int, cancelled: Optional[Dict[Grading, Set[int]]] = None
+    ) -> Dict[Grading, Dict[Tuple[int, int], int]]:
+        """The nonempty blocks of d out of layer ``p``, in basis order.
+
+        Without ``cancelled``, every block in full.  With it, only the
+        blocks with k >= 0, without the columns ``cancelled[g]`` of each
+        block ``g``: those generators are never read.  Each smoothing
+        lists its live labelings, the ones assembled, once; each
+        (smoothing, A-smoothed crossing) rule is then applied to all of
+        them: the images of the untouched circles come from a table over
+        all masks, and the touched labels pick the new circles' bits.
+        Entries reach a block by smoothing, then crossing, then mask, so
+        a block with columns left out lists the others in the same order
+        as the full block.
+        """
+        table, gradings, down = self.table, self.gradings, self._down
+        i = (table.n - 2 * p - table.w) // 2
+        blocks: List[Optional[Dict[Tuple[int, int], int]]] = [
+            {} if i2 == i and (cancelled is None or k >= 0) else None
+            for i2, _, k in gradings
+        ]
+        skip: List[Collection[int]] = [()] * len(gradings)
+        for g, cols in (cancelled or {}).items():
+            skip[self._ids[g]] = cols
+        for bits in self.layers[p]:
+            gids, cols = self._places(bits)
+            del self._placed[bits]
+            live = [
+                (m, blocks[g], down[g], col)
+                for m, (g, col) in enumerate(zip(gids, cols))
+                if blocks[g] is not None and col not in skip[g]
+            ]
+            if not live:
+                continue
+            for v in range(table.n):
+                if (bits >> v) & 1:
+                    continue
+                bits2, x, y, img, extra = table.rule(bits, v)
+                gtgt, ptgt = self._places(bits2)
+                sgn = _koszul_sign(bits, v)
+                remap = [0]  # untouched labels of each mask, as target bits
+                for bit in img:
+                    remap += [r | bit for r in remap]
+                for m, block, want, col in live:
+                    terms = extra[((m >> x) & 1) | ((m >> y) & 1) << 1]
+                    if not terms:
+                        continue
+                    common = remap[m]
+                    for e in terms:
+                        t = common | e
+                        if gtgt[t] != want:
+                            raise AssertionError("differential degree drift")
+                        # the target's smoothing fixes v, and the terms of
+                        # one rule are distinct: no entry is reached twice
+                        block[(ptgt[t], col)] = sgn
+        return {g: block for g, block in zip(gradings, blocks) if block}
+
+
 def differential_matrices(
     diagram: OrientedDiagram, cap: int = DEFAULT_CAP
 ) -> DifferentialMatrix:
-    """Assemble the full differential, one sparse block per tridegree.
-
-    Each (smoothing, A-smoothed crossing) rule is applied to all labelings
-    at once: the images of the untouched circles come from a table over
-    all masks, and the touched labels pick the new circles' bits.
-    """
-    table = _get_table(diagram, cap)
-    gradings, dims, gid_of, pos_of = _basis(table)
-    ids = {g: gi for gi, g in enumerate(gradings)}
-    down = [ids.get((i - 1, j, k), -1) for (i, j, k) in gradings]
-    blocks: List[Dict[Tuple[int, int], int]] = [{} for _ in gradings]
-    for bits, (gsrc, psrc) in enumerate(zip(gid_of, pos_of)):
-        for v in range(table.n):
-            if (bits >> v) & 1:
-                continue
-            bits2, x, y, img, extra = table.rule(bits, v)
-            gtgt, ptgt = gid_of[bits2], pos_of[bits2]
-            sgn = _koszul_sign(bits, v)
-            remap = [0]  # untouched labels of each mask, as target bits
-            for bit in img:
-                remap += [r | bit for r in remap]
-            for m, common in enumerate(remap):
-                terms = extra[((m >> x) & 1) | ((m >> y) & 1) << 1]
-                if not terms:
-                    continue
-                g = gsrc[m]
-                col = psrc[m]
-                block = blocks[g]
-                for e in terms:
-                    t = common | e
-                    if gtgt[t] != down[g]:
-                        raise AssertionError("differential degree drift")
-                    # the target's smoothing fixes v, and the terms of one
-                    # rule are distinct: no entry is reached twice
-                    block[(ptgt[t], col)] = sgn
-    matrices = {g: block for g, block in zip(gradings, blocks) if block}
-    return DifferentialMatrix(diagram, dict(zip(gradings, dims)), matrices)
+    """Assemble the full differential, one sparse block per tridegree, from
+    every layer of the cube with nothing left out (``_Cube.blocks``)."""
+    cube = _Cube(_get_table(diagram, cap))
+    blocks: Dict[Grading, Dict[Tuple[int, int], int]] = {}
+    for p in range(len(cube.layers)):
+        blocks.update(cube.blocks(p))
+    matrices = {g: blocks[g] for g in cube.gradings if g in blocks}
+    return DifferentialMatrix(diagram, cube.dims, matrices)
 
 
 def verify_anticommute(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> dict:
@@ -479,7 +586,7 @@ def verify_anticommute(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> dict
         a_sm = [v for v in range(n) if not (bits >> v) & 1]
         if len(a_sm) < 2:
             continue
-        circ_of, types, _, _ = table.structure(bits)
+        circ_of, types, _, _, _ = table.structure(bits)
         ncirc = len(types)
         for ui in range(len(a_sm)):
             for vi in range(ui + 1, len(a_sm)):

@@ -130,7 +130,11 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 def cmd_homology(args: argparse.Namespace) -> int:
     diagram = _load_diagram(args)
-    dm = differential_matrices(diagram, cap=args.cap)
+    # the full complex is assembled only where every block is printed or
+    # checked; otherwise homology assembles what it reduces, layer by layer
+    dm = None
+    if args.verify or args.dump_matrices:
+        dm = differential_matrices(diagram, cap=args.cap)
     table = homology_groups(diagram, cap=args.cap, matrices=dm)
     euler = euler_characteristic(table)
     verify_lines = []

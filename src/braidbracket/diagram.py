@@ -26,6 +26,7 @@ the constructor derives ``over_parity`` from it.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -207,11 +208,16 @@ class DiagramBuilder:
             port += (-1, -1, -1, -1)
         port += range(len(port) - 4 * len(removed), n4)
 
+        holes: Optional[List[int]] = None  # removed edges, listed on the first reference
+
         def ref(r: FaceRef) -> FaceRef:
+            nonlocal holes
             e = r[0]
             if not 0 <= e < len(bedges) or bedges[e] is None:
                 raise DiagramError(f"face reference to removed edge {e}")
-            return (e - bedges[:e].count(None), r[1])
+            if holes is None:
+                holes = [i for i, rec in enumerate(bedges) if rec is None]
+            return (e - bisect_left(holes, e), r[1])
 
         try:
             edges = [

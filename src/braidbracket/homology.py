@@ -6,9 +6,10 @@ invariant factors of the incoming matrix that exceed 1.  Everything is
 exact arbitrary-precision integer arithmetic; an independent fraction-free
 rank (Bareiss) is provided as an oracle for the SNF-derived ranks.
 
-The differential d_i: C_i -> C_(i-1) keeps j and k, so each (j, k) slice
-is a subcomplex, and ``homology_groups`` reduces every slice from its
-highest i down.  Bar-Natan's Gaussian-elimination lemma (*Fast Khovanov
+The differential d_i: C_i -> C_(i-1) keeps j and k, and ``homology_groups``
+walks the cube of smoothings one layer at a time, i from the highest down
+(layer p holds the smoothings with p A^-1-smoothed crossings, in degree
+i_top - p).  Bar-Natan's Gaussian-elimination lemma (*Fast Khovanov
 homology computations*, arXiv math/0606318) says what a unit pivot leaves
 behind.  Split off the pivot's column c of C_i and row r of C_(i-1):
 
@@ -22,10 +23,21 @@ Its invariant factors do not change.  The first column of d_(i-1) d_i = 0
 reads mu phi + nu gamma = 0, so mu = -nu gamma phi^-1 is an integer
 combination of the other columns; a unimodular column operation clears
 it, and a zero column has no invariant factor.  The same holds pivot by
-pivot on the reduced matrices, so the rows that d_i pivots on are skipped
-as columns when d_(i-1) is reduced, and that block starts smaller and
-fills in less.  The Betti numbers and torsion are read off the factors
-as above.
+pivot on the reduced matrices, so the rows that d_i pivots on are
+generators that the next layer never assembles as columns of d_(i-1),
+and that block starts smaller and fills in less.  Only the current
+layer's blocks are held.
+
+Only the blocks with k >= 0 are assembled and reduced.  Flipping the
+label of every h-circle, (bits, m) -> (bits, m ^ hmask), maps the states
+at (i, j, k) one to one onto those at (i, j, -k), and it is a chain
+isomorphism on any undecorated diagram: the merge and split rules read
+h-labels only through whether two of them differ, or carry them over
+unchanged, and a d-circle that splits into two h-circles labels them
+(+, -) and (-, +) alike; j reads d-labels only; and the Koszul sign reads
+the smoothing only.  So the block at (i, j, -k) is the block at (i, j, k)
+with rows and columns renamed, and it has the same invariant factors.
+The Betti numbers and torsion are read off the factors as above.
 """
 
 from __future__ import annotations
@@ -37,7 +49,13 @@ from .diagram import OrientedDiagram
 from .laurent import Laurent2, delta_power, lp_iadd
 from .states import DEFAULT_CAP
 from .bracket import bracket_br, lighten, normalize
-from .chain_complex import DifferentialMatrix, Grading, _check_complex_cap, differential_matrices
+from .chain_complex import (
+    DifferentialMatrix,
+    Grading,
+    _Cube,
+    _check_complex_cap,
+    _get_table,
+)
 
 HomologyTable = Dict[Grading, Tuple[int, Tuple[int, ...]]]  # (betti, torsion)
 
@@ -208,31 +226,54 @@ def homology_groups(
 ) -> HomologyTable:
     """Betti numbers and torsion per (i, j, k); trivial groups are omitted.
 
-    Each (j, k) slice is reduced from its highest i down.  The rows that
-    d_i pivots on are generators of C_(i-1) that the Gaussian-elimination
-    lemma cancels, so the next block of the slice, d_(i-1), is reduced
-    without those columns; its invariant factors do not change, because
-    d_(i-1) d_i = 0 puts each such column in the span of the others (the
-    module docstring gives the argument).  A set of pivot rows is dropped
-    once the block below has used it.
+    The cube is walked one layer at a time, i from the highest down.  The
+    blocks out of a layer with k >= 0 are reduced, and the rows that d_i
+    pivots on are generators of C_(i-1) that the Gaussian-elimination
+    lemma cancels: the next layer's blocks, d_(i-1), leave those columns
+    out, and their invariant factors do not change, because d_(i-1) d_i = 0
+    puts each such column in the span of the others.  A block with k < 0
+    has the factors of the block at (i, j, -k), which flipping h-labels
+    maps onto it.  The module docstring gives both arguments.
+
+    Without ``matrices``, each layer's blocks are assembled as the walk
+    reaches them (``chain_complex._Cube.blocks``), cancelled columns and
+    k < 0 left out, and dropped once reduced.  Given ``matrices``, the walk
+    reads the same blocks from them and leaves the same columns out.
     """
-    dm = matrices if matrices is not None else differential_matrices(diagram, cap)
-    _check_complex_cap(dm.diagram, cap)  # given matrices are held to the cap too
-    table: HomologyTable = {}
+    if matrices is None:
+        cube = _Cube(_get_table(diagram, cap))
+        dims = cube.dims
+    else:
+        _check_complex_cap(matrices.diagram, cap)  # given matrices are held to the cap too
+        dims = matrices.dims
+    top = max(i for i, _, _ in dims)
+    bottom = min(i for i, _, _ in dims)
+
+    def layer(i: int, cancelled: Dict[Grading, Set[int]]) -> list:
+        """(grading, entries, columns to skip) of each block out of degree
+        i with k >= 0, the columns in ``cancelled`` left out."""
+        if matrices is None:
+            return [(g, entries, ()) for g, entries in cube.blocks(top - i, cancelled).items()]
+        return [(g, entries, cancelled.get(g, ())) for g, entries in matrices.matrices.items()
+                if g[0] == i and g[2] >= 0]
+
     # the block at g is the differential out of g, so each is read twice:
     # as g's outgoing map and as the incoming map of (i - 1, j, k)
     factors: Dict[Grading, List[int]] = {}
-    below: Optional[Grading] = None  # the block that may skip ``cancelled``
-    cancelled: Set[int] = set()
-    for g in sorted(dm.matrices, key=lambda g: (g[1], g[2], -g[0])):
+    cancelled: Dict[Grading, Set[int]] = {}  # pivot rows of the layer above
+    for i in range(top, bottom - 1, -1):
+        pivots: Dict[Grading, Set[int]] = {}
+        for g, entries, skip in layer(i, cancelled):
+            _, j, k = g
+            rows = pivots[(i - 1, j, k)] = set()
+            factors[g] = _sparse_invariant_factors(entries, skip, rows)
+        cancelled = pivots
+    table: HomologyTable = {}
+    for g, dim in dims.items():
         i, j, k = g
-        skip = cancelled if g == below else ()
-        below, cancelled = (i - 1, j, k), set()
-        factors[g] = _sparse_invariant_factors(dm.matrices[g], skip, cancelled)
-    for g, dim in dm.dims.items():
-        i, j, k = g
+        k = abs(k)
         incoming = factors.get((i + 1, j, k), ())
-        betti = dim - len(factors.get(g, ())) - len(incoming)
+        betti = dim - len(factors.get((i, j, k), ())) - len(incoming)
         torsion = tuple(f for f in incoming if f > 1)
         if betti < 0:
             raise AssertionError(f"negative Betti number {betti} at {g}")

@@ -8,9 +8,10 @@ normalization.  ``canonical_code_oracle`` is the exhaustive search that
 ``OrientedDiagram.canonical_code`` prunes, and ``nesting_oracle`` the
 parity walk that ``states._nesting_forest`` replaced by the region tree;
 both are kept as cross-checks.  ``homology_table_oracle`` reduces every
-block of the complex on its own by the dense Smith reduction, where
+block of the complex on its own by the dense Smith reduction, and
+``homology_table_all_blocks`` by the sparse elimination, where
 ``homology.homology_groups`` carries unit pivots from one block to the
-next.
+next and copies the blocks with k < 0 from those with k > 0.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,7 +23,7 @@ from braidbracket.chain_complex import (
     _dv_terms,
     _koszul_sign,
 )
-from braidbracket.homology import smith_normal_form
+from braidbracket.homology import _sparse_invariant_factors, smith_normal_form
 
 # Walks are pinned by the sha256 of the moved diagram's PD JSON: a change in
 # site order or surgery shows here, not only in benchmark digests.  Each is
@@ -124,9 +125,9 @@ def incidence_operator(diagram, bits: int, v: int) -> Dict[int, Dict[Tuple[int, 
     per-pair checks cheap, but every pair is genuinely tested.
     """
     table = _StateTable(diagram)
-    circ_of, types, _, _ = table.structure(bits)
+    circ_of, types, _, _, _ = table.structure(bits)
     bits2 = bits | (1 << v)
-    circ_of2, types2, _, _ = table.structure(bits2)
+    circ_of2, types2, _, _, _ = table.structure(bits2)
     nc, nc2 = len(types), len(types2)
 
     darts1: Dict[int, frozenset] = {}
@@ -300,7 +301,20 @@ def homology_table_oracle(dm: DifferentialMatrix) -> dict:
     """Betti numbers and torsion per (i, j, k), each block reduced on its
     own: the invariant factors of ``smith_normal_form(dm.matrix_dense(g))``
     for every block g, with trivial groups omitted."""
-    factors = {g: smith_normal_form(dm.matrix_dense(g)) for g in dm.matrices}
+    return _table_of_factors(
+        dm, {g: smith_normal_form(dm.matrix_dense(g)) for g in dm.matrices})
+
+
+def homology_table_all_blocks(dm: DifferentialMatrix) -> dict:
+    """Betti numbers and torsion per (i, j, k), each block reduced on its
+    own by the sparse elimination: ``_sparse_invariant_factors`` of every
+    block g of ``dm``, k < 0 included, with no column skipped and no block
+    read for another."""
+    return _table_of_factors(
+        dm, {g: _sparse_invariant_factors(entries) for g, entries in dm.matrices.items()})
+
+
+def _table_of_factors(dm: DifferentialMatrix, factors: dict) -> dict:
     table = {}
     for g, dim in dm.dims.items():
         i, j, k = g

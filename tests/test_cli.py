@@ -55,6 +55,14 @@ def test_free_loops_count_against_the_homology_cap(capsys):
     assert code == 0 and out
 
 
+def test_long_word_meets_the_cap_at_once(capsys):
+    # 20,000 free loops: the diagram is built in time linear in its edges,
+    # and the cap stops the complex before anything is listed
+    code, out, err = run(capsys, "homology", "-w", "B20000")
+    assert code == 3 and not out
+    assert "needs 20000 crossings but the cap is 24" in err
+
+
 @pytest.mark.parametrize("command", ["bracket", "homology", "verify"])
 def test_negative_cap_is_a_usage_error(capsys, command):
     code, out, err = run(capsys, command, "-w", "B2 1 1 1", "--cap", "-1")
@@ -111,6 +119,43 @@ def test_homology_dump_matrices_csv(capsys):
                         "--dump-matrices")
     dumped = json.loads(as_json)["matrices"]
     assert lines[-1] == "# matrices " + json.dumps(dumped, sort_keys=True)
+
+
+def _without_the_full_complex(out, fmt):
+    """``homology`` output with what --verify and --dump-matrices add taken
+    out again."""
+    if fmt == "json":
+        obj = json.loads(out)
+        obj.pop("matrices", None)
+        obj.pop("verify", None)
+        return json.dumps(obj, sort_keys=True) + "\n"
+    if fmt == "csv":
+        return "".join(line for line in out.splitlines(True) if not line.startswith("# "))
+    return "".join(line for line in out.splitlines(True)
+                   if line not in ("euler: OK\n", "d2: OK\n") and not line.startswith("["))
+
+
+def test_homology_prints_the_same_tables_with_and_without_the_full_complex(
+        capsys, corpus_small, tmp_path):
+    # plain homology assembles only the blocks it reduces, layer by layer;
+    # --verify and --dump-matrices assemble the full complex first and the
+    # walk reads it: every format prints the same bytes either way
+    for n, d in enumerate(corpus_small):
+        if d.braid_word is not None:
+            word = d.braid_word
+            source = ["-w", " ".join([f"B{word.strands}", *map(str, word.letters)])]
+        else:
+            path = tmp_path / f"{n}.json"
+            path.write_text(d.to_pd_json())
+            source = [str(path)]
+        for fmt in ("json", "csv", "pretty"):
+            code, plain, _ = run(capsys, "homology", *source, "--format", fmt)
+            assert code == 0
+            for flags in (["--verify"], ["--dump-matrices"], ["--verify", "--dump-matrices"]):
+                code, out, _ = run(capsys, "homology", *source, "--format", fmt, *flags)
+                assert code == 0 and "FAIL" not in out
+                assert _without_the_full_complex(out, fmt) == plain, (source, fmt, flags)
+                assert out != plain
 
 
 def test_homology_csv(capsys):

@@ -217,6 +217,37 @@ def test_nested_components_need_placements():
         b.build()
 
 
+def test_face_references_after_removed_edges_are_renumbered():
+    # build closes the gaps that removed edges leave, and every face
+    # reference moves down by the number of removed edges before it: here
+    # removed edges lie before, between and after the references
+    from braidbracket.bracket import add_marked_circle
+    from braidbracket.diagram import anchor_port
+
+    d = add_marked_circle(add_marked_circle(parse_braid_word("B3 1 1"), 2), 0)
+    b = d.to_builder()
+    assert len(b.placements) == 3 and b.outer is not None
+    # the last split removes the second half of edge 0, which no reference
+    # names: a split moves references to the first half
+    for eid in (0, 3, 8):
+        ai = b.add_anchor()
+        b.split_edge(eid, anchor_port(ai, 0), anchor_port(ai, 1))
+    refs = [r for pair in b.placements for r in pair] + [b.outer]
+    holes = [e for e, rec in enumerate(b.edges) if rec is None]
+    assert holes == [0, 3, 8]
+    assert any(h < r[0] for h in holes for r in refs)
+    assert any(h > r[0] for h in holes for r in refs)
+
+    def renumbered(r):
+        return (r[0] - sum(h < r[0] for h in holes), r[1])
+
+    built = b.build()
+    assert built.placements == tuple((renumbered(x), renumbered(y)) for x, y in b.placements)
+    assert built.outer_ref == renumbered(b.outer)
+    assert built.ncomponents == d.ncomponents and built.nanchors == d.nanchors + 3
+    assert parse_pd(built.to_pd_json()).to_pd_json() == built.to_pd_json()
+
+
 def _marked_trefoil(break_points):
     from braidbracket.bracket import add_marked_circle
 

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from braidbracket import homology as homology_module
+from braidbracket import chain_complex, homology as homology_module
+from braidbracket.bracket import add_marked_circle
 from braidbracket.diagram import BraidWord, braid_closure, parse_braid_word, reverse_orientation
-from braidbracket.chain_complex import differential_matrices
+from braidbracket.chain_complex import _StateTable, differential_matrices
 from braidbracket.homology import (
     _sparse_invariant_factors,
     check_euler_identity,
@@ -17,7 +18,13 @@ from braidbracket.homology import (
 )
 from braidbracket.moves import random_equivalent_pair
 
-from helpers import WALK_PINS, homology_table_oracle, mirror, relabel_crossings
+from helpers import (
+    WALK_PINS,
+    homology_table_all_blocks,
+    homology_table_oracle,
+    mirror,
+    relabel_crossings,
+)
 
 
 def test_snf_classical_examples():
@@ -211,11 +218,15 @@ def test_elimination_matches_block_by_block_snf_on_random_closures():
     assert any(tor for t in tables for _, tor in t.values())
 
 
-def test_elimination_matches_block_by_block_snf_on_moved_diagrams():
+def _moved_diagrams():
     bases = [BraidWord(2, (1, 1, 1)), BraidWord(3, (1, 2, -1, 2)),
              BraidWord(3, (1, -2, 1)), BraidWord(4, (1, 2, 3))]
     for seed in range(12):
-        _, d = random_equivalent_pair(seed, 5 + seed, bases[seed % 4], max_crossings=8)
+        yield random_equivalent_pair(seed, 5 + seed, bases[seed % 4], max_crossings=8)[1]
+
+
+def test_elimination_matches_block_by_block_snf_on_moved_diagrams():
+    for d in _moved_diagrams():
         assert _check_against_block_by_block(d) is not None
 
 
@@ -279,8 +290,9 @@ def test_skipping_the_pivot_rows_of_the_block_above_keeps_the_factors():
 
 
 def test_each_block_skips_the_rows_pivoted_on_in_the_block_above(monkeypatch):
-    # the walk runs down each (j, k) slice, and a block is reduced without
-    # the columns that the block above it pivoted on, if there is one
+    # the walk runs down the layers, and a block is reduced without the
+    # columns that the block above it pivoted on, if there is one; the
+    # blocks with k < 0 are not reduced
     dm = differential_matrices(parse_braid_word("B3 1 -2 1 -2 1"))
     grading = {id(block): g for g, block in dm.matrices.items()}
     calls = {}
@@ -293,11 +305,100 @@ def test_each_block_skips_the_rows_pivoted_on_in_the_block_above(monkeypatch):
 
     monkeypatch.setattr(homology_module, "_sparse_invariant_factors", spy)
     homology_groups(None, matrices=dm)
-    assert set(calls) == set(dm.matrices)
+    assert set(calls) == {g for g in dm.matrices if g[2] >= 0}
+    assert len(calls) < len(dm.matrices)
     for (i, j, k), (skipped, _) in calls.items():
         above = calls.get((i + 1, j, k))
         assert skipped == (above[1] if above else set()), (i, j, k)
     assert sum(bool(skipped) for skipped, _ in calls.values()) >= 5
+
+
+def _reductions(monkeypatch, d, matrices=None):
+    """``homology_groups(d, matrices=matrices)`` and each reduction it
+    makes: grading -> (entries in order, skipped columns, factors, pivot
+    rows).  Blocks are named by the matrices given, or as ``_Cube.blocks``
+    assembles them."""
+    names = {id(b): g for g, b in matrices.matrices.items()} if matrices else {}
+    assemble = chain_complex._Cube.blocks
+    reduce = homology_module._sparse_invariant_factors
+    calls = {}
+
+    def assemble_spy(cube, p, cancelled=None):
+        blocks = assemble(cube, p, cancelled)
+        names.update((id(b), g) for g, b in blocks.items())
+        return blocks
+
+    def reduce_spy(entries, skip_cols=(), pivot_rows=None):
+        factors = reduce(entries, skip_cols, pivot_rows)
+        calls[names[id(entries)]] = (
+            list(entries.items()), set(skip_cols), factors, set(pivot_rows))
+        return factors
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chain_complex._Cube, "blocks", assemble_spy)
+        patch.setattr(homology_module, "_sparse_invariant_factors", reduce_spy)
+        table = homology_groups(d, matrices=matrices)
+    return table, calls
+
+
+def test_streamed_walk_equals_the_walk_over_given_matrices(monkeypatch, corpus_small):
+    # homology_groups(d) assembles each layer as it goes; given the full
+    # complex, it reads the same blocks and skips the same columns.  The
+    # two must pivot on the same rows of the same blocks, and the streamed
+    # path must reduce no block with k < 0 and assemble no column that the
+    # block above pivoted on, listing the rest as the full block does
+    diagrams = list(corpus_small) + list(_moved_diagrams())
+    diagrams += [add_marked_circle(parse_braid_word("B2 1 1 1"), 2),
+                 add_marked_circle(parse_braid_word("B3 1 -2 1"), 0),
+                 add_marked_circle(diagrams[-1], 4)]
+    diagrams += [parse_braid_word(w) for w in ("B3 1", "B2", "B0")]
+    skipped = 0
+    for d in diagrams:
+        dm = differential_matrices(d)
+        streamed, calls = _reductions(monkeypatch, d)
+        given, given_calls = _reductions(monkeypatch, d, dm)
+        assert streamed == given == homology_table_all_blocks(dm)
+        # a block whose columns were all cancelled is reduced only when given
+        assert {g: c[3] for g, c in calls.items()} == {
+            g: c[3] for g, c in given_calls.items() if c[2]}
+        for (i, j, k), (entries, skip, _, _) in calls.items():
+            assert k >= 0 and not skip
+            above = calls.get((i + 1, j, k))
+            cancelled = above[3] if above else set()
+            assert given_calls[(i, j, k)][1] == cancelled
+            assert entries == [
+                (rc, v) for rc, v in dm.matrices[(i, j, k)].items() if rc[1] not in cancelled]
+            skipped += bool(cancelled)
+    assert skipped >= 50
+
+
+def test_flipping_h_labels_carries_each_block_onto_its_k_negation(corpus_small):
+    # (bits, m) -> (bits, m ^ hmask) maps the states at (i, j, k) onto those
+    # at (i, j, -k); on rows and columns it carries every block onto the
+    # block at (i, j, -k) entry for entry, signs included
+    seed, strands, letters = SMALL_WALK_PINS[1]
+    diagrams = list(corpus_small) + [random_equivalent_pair(
+        seed, 100, BraidWord(strands, letters), max_crossings=14)[1]]
+    flipped_blocks = 0
+    for d in diagrams:
+        dm = differential_matrices(d)
+        table = _StateTable(d)
+        where = {s.key: (g, col) for g, states in dm.basis.items()
+                 for col, s in enumerate(states)}
+        flip = {}
+        for (i, j, k), states in dm.basis.items():
+            flip[(i, j, k)] = cols = []
+            for s in states:
+                bits, m = s.key
+                g, col = where[(bits, m ^ table.structure(bits)[3])]
+                assert g == (i, j, -k)
+                cols.append(col)
+        for (i, j, k), block in dm.matrices.items():
+            rows, cols = flip[(i - 1, j, k)], flip[(i, j, k)]
+            image = {(rows[r], cols[c]): v for (r, c), v in block.items()}
+            assert image == dm.matrices[(i, j, -k)], (i, j, k)
+            flipped_blocks += k != 0
+    assert flipped_blocks >= 100
 
 
 # Homology of a walk end takes 1.5-15 s on a 2-core machine, and its
@@ -308,11 +409,14 @@ SMALL_WALK_PINS = [p[:3] for p in WALK_PINS if p[0] in (12, 15)]
 
 @pytest.fixture(scope="module")
 def symmetry_tables(corpus_small):
+    # each block of the complex reduced on its own: homology_groups copies
+    # the factors of k < 0 from k > 0, so its tables are symmetric in k by
+    # construction
     diagrams = list(corpus_small)
     for seed, strands, letters in SMALL_WALK_PINS:
         diagrams.append(random_equivalent_pair(
             seed, 100, BraidWord(strands, letters), max_crossings=14)[1])
-    return [(d, homology_groups(d)) for d in diagrams]
+    return [(d, homology_table_all_blocks(differential_matrices(d))) for d in diagrams]
 
 
 def test_homology_is_symmetric_under_k_negation(symmetry_tables):

@@ -144,6 +144,51 @@ def test_one_crossing_record():
     assert "over_parity" not in inspect.signature(OrientedDiagram.__init__).parameters
 
 
+def test_one_complex_assembler(monkeypatch):
+    # the blocks of d are assembled in one place: in src/, _StateTable.rule
+    # is applied to labelings by _Cube.blocks, the one assembly loop, and
+    # by _dv_terms, which applies one rule to one labeling for the
+    # definition-level routines; differential_matrices and homology_groups
+    # both reach _Cube.blocks, and neither reaches _dv_terms
+    from braidbracket import chain_complex, homology
+    from braidbracket.diagram import parse_braid_word
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "rule"):
+                found.append(f"{path.name}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), [])
+    assert sorted(found) == ["chain_complex.py:_Cube.blocks", "chain_complex.py:_dv_terms"]
+
+    reached = []
+    assemble = chain_complex._Cube.blocks
+
+    def spy(cube, p, cancelled=None):
+        reached.append(p)
+        return assemble(cube, p, cancelled)
+
+    def refuse(*args):
+        raise AssertionError("_dv_terms reached from the complex")
+
+    monkeypatch.setattr(chain_complex._Cube, "blocks", spy)
+    monkeypatch.setattr(chain_complex, "_dv_terms", refuse)
+    d = parse_braid_word("B3 1 -2 1")
+    chain_complex.differential_matrices(d)
+    assert reached == [0, 1, 2, 3]
+    reached.clear()
+    homology.homology_groups(d)
+    assert reached == [0, 1, 2, 3]
+
+
 def test_benchmark_outputs_match_their_stored_digests():
     # the benchmark's seed-0 batches must print what perfbench/digests.json
     # stores for them, and pass their output checks; this reads perfbench/
