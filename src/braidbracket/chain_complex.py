@@ -61,12 +61,12 @@ class EnhancedState:
         return (self.bits, mask)
 
 
-# (circ_of, types, dmask, hmask, first): see ``_StateTable.structure``
-_Structure = Tuple[Tuple[int, ...], Tuple[str, ...], int, int, Tuple[int, ...]]
+# (circ_of, types, dmask, hmask): see ``_StateTable.structure``
+_Structure = Tuple[Tuple[int, ...], Tuple[str, ...], int, int]
 # (cell, rank, firsts, count): see ``_StateTable.template``
 _Template = Tuple[List[int], List[int], List[Tuple[int, int, int]], List[int]]
-# (bits2, x, y, img, extra): see ``_StateTable.rule``
-_Rule = Tuple[int, int, int, Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
+# (bits2, x, y, keep, lo, hi, extra): see ``_StateTable.rule``
+_Rule = Tuple[int, int, int, int, int, int, Tuple[Tuple[int, ...], ...]]
 
 
 class _StateTable:
@@ -87,8 +87,8 @@ class _StateTable:
         self._extras: Dict[Tuple[str, str, str, str, int, int], Tuple[Tuple[int, ...], ...]] = {}
 
     def structure(self, bits: int) -> _Structure:
-        """(circle id per dart, circle types, d-circle mask, h-circle mask,
-        least dart per circle) of one smoothing."""
+        """(circle id per dart, circle types, d-circle mask, h-circle mask)
+        of one smoothing."""
         hit = self._smoothings.get(bits)
         if hit is None:
             tau = _tau(self.diagram, bits)
@@ -96,12 +96,11 @@ class _StateTable:
             types = tuple(_circle_type(bp) for bp in bps)
             dmask = sum(1 << idx for idx, t in enumerate(types) if t == "d")
             hmask = ((1 << len(types)) - 1) ^ dmask
-            first = tuple(circ_of.index(c) for c in range(len(types)))
-            hit = self._smoothings[bits] = (tuple(circ_of), types, dmask, hmask, first)
+            hit = self._smoothings[bits] = (tuple(circ_of), types, dmask, hmask)
         return hit
 
     def gradings(self, bits: int, labelmask: int) -> Grading:
-        _, _, dmask, hmask, _ = self.structure(bits)
+        _, _, dmask, hmask = self.structure(bits)
         tau_d = 2 * (labelmask & dmask).bit_count() - dmask.bit_count()
         tau_h = 2 * (labelmask & hmask).bit_count() - hmask.bit_count()
         return self.grading(bits, tau_d, tau_h)
@@ -152,37 +151,48 @@ class _StateTable:
     def rule(self, bits: int, v: int) -> _Rule:
         """d_v on every labeling of the smoothing ``bits`` (v A-smoothed).
 
-        Returns ``(bits2, x, y, img, extra)``.  The circles touching v are
-        ``x`` and ``y`` (``y == x`` for a split).  Every other circle keeps
-        its dart set and its label; ``img[c]`` is its bit in the target
-        (0 for the touched circles).  The touched labels give the key
-        ``(mask >> x & 1) | (mask >> y & 1) << 1``, and ``extra[key]``
-        lists the target bits of the new circles, one entry per term of
-        d_v (0, 1 or 2 of them).
+        Returns ``(bits2, x, y, keep, lo, hi, extra)``.  The circles
+        touching v are ``x`` and ``y`` (``y == x`` for a split).  Every
+        other circle keeps its dart set and its label, and its new id is a
+        shift of its old one: the untouched labels of mask ``m`` are
+        ``(m & keep) | (m >> lo << hi)`` in the target.  This holds because
+        circle ids are the ranks of the circles' least darts
+        (``_trace_circles`` walks them in that order).  A merge of x < y
+        leaves one circle with x's least dart, so it keeps id x; the
+        circles below y keep their ids and those above y move down by one
+        (``keep`` is the bits below y but x, ``lo = y + 1``, ``hi = y``).
+        A split of x leaves the circle with x's least dart at id x and a
+        new circle z > x; the circles below z keep their ids and those
+        from z up move up by one (``keep`` is the bits below z but x,
+        ``lo = z``, ``hi = z + 1``).  That x keeps its id is checked.  The
+        touched labels give the key ``(mask >> x & 1) | (mask >> y & 1) << 1``,
+        and ``extra[key]`` lists the target bits of the new circles, one
+        entry per term of d_v (0, 1 or 2 of them).
         """
-        circ_of, types, _, _, first = self.structure(bits)
+        circ_of, types, _, _ = self.structure(bits)
         bits2 = bits | (1 << v)
-        circ_of2, types2, _, _, _ = self.structure(bits2)
+        circ_of2, types2, _, _ = self.structure(bits2)
         # the four darts at v lie on one circle or two, before and after
         at_v = circ_of[4 * v:4 * v + 4]
         at_v2 = circ_of2[4 * v:4 * v + 4]
         x, y = min(at_v), max(at_v)
         y2, z = min(at_v2), max(at_v2)
+        if y2 != x:
+            raise AssertionError(f"crossing {v}: circle {x} became circle {y2}")
         if x != y:
             if y2 != z or len(types2) != len(types) - 1:
                 raise AssertionError(f"crossing {v}: a merge must leave one circle")
+            keep, lo, hi = ((1 << y) - 1) ^ (1 << x), y + 1, y
         elif y2 == z or len(types2) != len(types) + 1:
             raise AssertionError(f"crossing {v}: a split must leave two circles")
-
-        # circles away from v keep their dart sets; match them by least dart
-        img = [1 << circ_of2[d] for d in first]
-        img[x] = img[y] = 0
+        else:
+            keep, lo, hi = ((1 << z) - 1) ^ (1 << x), z, z + 1
 
         key = (types[x], types[y], types2[y2], types2[z], y2, z)
         extra = self._extras.get(key)
         if extra is None:
             extra = self._extras[key] = _rule_extra(*key)
-        return (bits2, x, y, tuple(img), extra)
+        return (bits2, x, y, keep, lo, hi, extra)
 
 
 def _rule_extra(
@@ -262,11 +272,8 @@ def _dv_terms(
     rule = table.rules.get((bits, v))
     if rule is None:
         rule = table.rules[(bits, v)] = table.rule(bits, v)
-    bits2, x, y, img, extra = rule
-    common = 0
-    for c, bit in enumerate(img):
-        if (labelmask >> c) & 1:
-            common |= bit
+    bits2, x, y, keep, lo, hi, extra = rule
+    common = (labelmask & keep) | (labelmask >> lo << hi)
     key = ((labelmask >> x) & 1) | ((labelmask >> y) & 1) << 1
     return [(bits2, common | e) for e in extra[key]]
 
@@ -303,7 +310,7 @@ def _basis(table: _StateTable) -> Tuple[List[Grading], List[int], List[_Where]]:
     dims: List[int] = []
     where: List[_Where] = []
     for bits in range(1 << table.n):
-        _, types, dmask, _, _ = table.structure(bits)
+        _, types, dmask, _ = table.structure(bits)
         cell, rank, firsts, count = table.template(len(types), dmask)
         gid = [0] * len(count)
         base = [0] * len(count)
@@ -502,23 +509,25 @@ class _Cube:
 
     def blocks(
         self, p: int, cancelled: Optional[Dict[Grading, Set[int]]] = None
-    ) -> Dict[Grading, Dict[Tuple[int, int], int]]:
-        """The nonempty blocks of d out of layer ``p``, in basis order.
+    ) -> Dict[Grading, Dict[int, Dict[int, int]]]:
+        """The nonempty blocks of d out of layer ``p``, as rows: block
+        ``g`` maps each row (a generator in degree i - 1) to ``{column:
+        entry}``, the form ``homology._sparse_invariant_factors`` reduces.
 
         Without ``cancelled``, every block in full.  With it, only the
         blocks with k >= 0, without the columns ``cancelled[g]`` of each
         block ``g``: those generators are never read.  Each smoothing
         lists its live labelings, the ones assembled, once; each
         (smoothing, A-smoothed crossing) rule is then applied to all of
-        them: the images of the untouched circles come from a table over
-        all masks, and the touched labels pick the new circles' bits.
-        Entries reach a block by smoothing, then crossing, then mask, so
-        a block with columns left out lists the others in the same order
-        as the full block.
+        them: two shifts carry the untouched labels of a mask to the
+        target, and the touched labels pick the new circles' bits.
+        Entries reach a row by smoothing, then crossing, then mask, so a
+        row of a block with columns left out lists the others in the same
+        order as in the full block.
         """
         table, gradings, down = self.table, self.gradings, self._down
         i = (table.n - 2 * p - table.w) // 2
-        blocks: List[Optional[Dict[Tuple[int, int], int]]] = [
+        blocks: List[Optional[Dict[int, Dict[int, int]]]] = [
             {} if i2 == i and (cancelled is None or k >= 0) else None
             for i2, _, k in gradings
         ]
@@ -538,24 +547,26 @@ class _Cube:
             for v in range(table.n):
                 if (bits >> v) & 1:
                     continue
-                bits2, x, y, img, extra = table.rule(bits, v)
+                bits2, x, y, keep, lo, hi, extra = table.rule(bits, v)
                 gtgt, ptgt = self._places(bits2)
                 sgn = _koszul_sign(bits, v)
-                remap = [0]  # untouched labels of each mask, as target bits
-                for bit in img:
-                    remap += [r | bit for r in remap]
                 for m, block, want, col in live:
                     terms = extra[((m >> x) & 1) | ((m >> y) & 1) << 1]
                     if not terms:
                         continue
-                    common = remap[m]
+                    common = (m & keep) | (m >> lo << hi)
                     for e in terms:
                         t = common | e
                         if gtgt[t] != want:
                             raise AssertionError("differential degree drift")
                         # the target's smoothing fixes v, and the terms of
                         # one rule are distinct: no entry is reached twice
-                        block[(ptgt[t], col)] = sgn
+                        r = ptgt[t]
+                        row = block.get(r)
+                        if row is None:
+                            block[r] = {col: sgn}
+                        else:
+                            row[col] = sgn
         return {g: block for g, block in zip(gradings, blocks) if block}
 
 
@@ -563,12 +574,16 @@ def differential_matrices(
     diagram: OrientedDiagram, cap: int = DEFAULT_CAP
 ) -> DifferentialMatrix:
     """Assemble the full differential, one sparse block per tridegree, from
-    every layer of the cube with nothing left out (``_Cube.blocks``)."""
+    every layer of the cube with nothing left out (``_Cube.blocks``), each
+    block's rows read out as ``{(row, col): entry}``."""
     cube = _Cube(_get_table(diagram, cap))
-    blocks: Dict[Grading, Dict[Tuple[int, int], int]] = {}
+    blocks: Dict[Grading, Dict[int, Dict[int, int]]] = {}
     for p in range(len(cube.layers)):
         blocks.update(cube.blocks(p))
-    matrices = {g: blocks[g] for g in cube.gradings if g in blocks}
+    matrices = {
+        g: {(r, c): val for r, row in blocks[g].items() for c, val in row.items()}
+        for g in cube.gradings if g in blocks
+    }
     return DifferentialMatrix(diagram, cube.dims, matrices)
 
 
@@ -586,7 +601,7 @@ def verify_anticommute(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> dict
         a_sm = [v for v in range(n) if not (bits >> v) & 1]
         if len(a_sm) < 2:
             continue
-        circ_of, types, _, _, _ = table.structure(bits)
+        circ_of, types, _, _ = table.structure(bits)
         ncirc = len(types)
         for ui in range(len(a_sm)):
             for vi in range(ui + 1, len(a_sm)):

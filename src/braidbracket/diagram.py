@@ -788,6 +788,8 @@ def parse_pd(data) -> OrientedDiagram:
             data = json.loads(data)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise FormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise FormatError("top-level PD value must be an object")
     try:

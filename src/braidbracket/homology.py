@@ -28,6 +28,17 @@ generators that the next layer never assembles as columns of d_(i-1),
 and that block starts smaller and fills in less.  Only the current
 layer's blocks are held.
 
+Within a block, most unit pivots are rows with a single entry.  In the
+notation above such a row r is (phi, delta) with delta = 0, so the Schur
+complement eps - gamma phi^-1 delta is eps: the pivot deletes row r and
+column c and changes nothing else.  The reducer takes these first, in
+rounds, with no index of the rows by column: dropping a round's
+cancelled columns from every row is one sweep, which also finds the rows
+left with a single entry for the next round.  (Taking first the pivots
+that need no reduction is the idea of Ripser's apparent pairs; Bauer,
+arXiv:1908.02518.)  Only the few entries the cascade leaves are indexed
+by column, for the general search and the dense Smith form.
+
 Only the blocks with k >= 0 are assembled and reduced.  Flipping the
 label of every h-circle, (bits, m) -> (bits, m ^ hmask), maps the states
 at (i, j, k) one to one onto those at (i, j, -k), and it is a chain
@@ -106,45 +117,106 @@ def smith_normal_form(matrix: List[List[int]]) -> List[int]:
     return diagonal
 
 
+def _rows_of(
+    entries: Dict[Tuple[int, int], int], skip_cols: Collection[int] = ()
+) -> Dict[int, Dict[int, int]]:
+    """The nonzero entries ``{(row, col): value}`` of a block as rows
+    ``{row: {col: value}}``, the columns in ``skip_cols`` left out.
+
+    Leaving out columns keeps the invariant factors only when each is a
+    combination of the others, as the pivot rows of the block above are
+    (see the module docstring)."""
+    rows: Dict[int, Dict[int, int]] = {}
+    for (r, c), v in entries.items():
+        if v and c not in skip_cols:
+            row = rows.get(r)
+            if row is None:
+                rows[r] = {c: v}
+            else:
+                row[c] = v
+    return rows
+
+
 def _sparse_invariant_factors(
-    entries: Dict[Tuple[int, int], int],
-    skip_cols: Collection[int] = (),
+    rows: Dict[int, Dict[int, int]],
     pivot_rows: Optional[Set[int]] = None,
 ) -> List[int]:
-    """Invariant factors of a sparse integer matrix.
+    """Invariant factors of a sparse integer matrix given by its nonzero
+    rows, ``rows[r][c]`` the entry at (r, c).  ``rows`` is used up.
 
     Differential blocks are overwhelmingly eliminable on unit pivots, so
     rows with a +-1 entry are pivoted away sparsely (each contributing an
     invariant factor 1) and only the small remainder goes through the
-    dense Smith reduction.  Each pass visits the remaining rows shortest
-    first; a row pivots on its +-1 entry in the column with the fewest
-    rows, which keeps fill-in low.  A row with no unit waits for the next
-    pass, and elimination stops when a pass pivots nothing.
+    dense Smith reduction.
 
-    Columns in ``skip_cols`` are left out of the matrix; ``pivot_rows``,
-    when given, receives every row pivoted on.  Leaving out columns keeps
-    the factors only when each is a combination of the others, as the
-    pivot rows of the next differential up are (see the module docstring).
+    Most pivots are rows with a single entry, and they are taken first,
+    as a cascade.  Pivoting on such a row subtracts a multiple of it from
+    every other row with an entry in its column, which only deletes that
+    entry: no row gains an entry, so no row needs to be found by its
+    columns, and the column index that the general search keeps is not
+    built for them.  Each round cancels every one-entry +-1 row in
+    ascending row order (a row whose column an earlier one cancelled is
+    left empty and goes), then drops the round's cancelled columns from
+    the remaining rows in one sweep; the rows that sweep leaves with one
+    entry are the next round's candidates.  Only the rows the cascade leaves are indexed by column.  Each
+    pass then visits them shortest first, by (length, row); a row pivots
+    on its +-1 entry in the column with the fewest rows, the least such
+    column on a tie, which keeps fill-in low.  A row with no unit waits
+    for the next pass, and elimination stops when a pass pivots nothing.
+    Every choice is by row and column number, never by dict order, so the
+    same matrix gives the same pivots however its rows are listed.
+
+    ``pivot_rows``, when given, receives every row pivoted on.
     """
-    rows: Dict[int, Dict[int, int]] = {}
-    col_rows: Dict[int, set] = {}
-    for (r, c), v in entries.items():
-        if v and c not in skip_cols:
-            rows.setdefault(r, {})[c] = v
-            col_rows.setdefault(c, set()).add(r)
+    if pivot_rows is None:
+        pivot_rows = set()
     units = 0
+    ones = [r for r, row in rows.items() if len(row) == 1]
+    while ones:
+        gone: Set[int] = set()
+        for r in sorted(ones):
+            ((c, v),) = rows[r].items()
+            if c in gone:
+                del rows[r]  # its one entry was in a cancelled column
+            elif v == 1 or v == -1:
+                del rows[r]
+                gone.add(c)
+                pivot_rows.add(r)
+                units += 1
+        if not gone:
+            break
+        ones = []
+        empty = []
+        for r, row in rows.items():
+            if gone.isdisjoint(row):
+                continue
+            for c in gone.intersection(row):
+                del row[c]
+            if not row:
+                empty.append(r)
+            elif len(row) == 1:
+                ones.append(r)
+        for r in empty:
+            del rows[r]
+
+    col_rows: Dict[int, Set[int]] = {}
+    for r, row in rows.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(r)
     pivoted = True
     while pivoted:
         pivoted = False
-        for r in sorted(rows, key=lambda r: len(rows[r])):
+        for r in sorted(rows, key=lambda r: (len(rows[r]), r)):
             row = rows.get(r)
             if row is None:
                 continue  # eliminated to zero earlier in this pass
             c = None
             fewest = 0
             for cc, v in row.items():
-                if (v == 1 or v == -1) and (c is None or len(col_rows[cc]) < fewest):
-                    c, fewest = cc, len(col_rows[cc])
+                if v == 1 or v == -1:
+                    n = len(col_rows[cc])
+                    if c is None or n < fewest or (n == fewest and cc < c):
+                        c, fewest = cc, n
             if c is None:
                 continue
             piv = row[c]
@@ -169,8 +241,7 @@ def _sparse_invariant_factors(
                 if cc != c:
                     col_rows[cc].discard(r)
             del rows[r]
-            if pivot_rows is not None:
-                pivot_rows.add(r)
+            pivot_rows.add(r)
             units += 1
             pivoted = True
     rest: List[int] = []
@@ -238,7 +309,8 @@ def homology_groups(
     Without ``matrices``, each layer's blocks are assembled as the walk
     reaches them (``chain_complex._Cube.blocks``), cancelled columns and
     k < 0 left out, and dropped once reduced.  Given ``matrices``, the walk
-    reads the same blocks from them and leaves the same columns out.
+    reads the same blocks from them as rows (``_rows_of``) and leaves the
+    same columns out.
     """
     if matrices is None:
         cube = _Cube(_get_table(diagram, cap))
@@ -250,12 +322,12 @@ def homology_groups(
     bottom = min(i for i, _, _ in dims)
 
     def layer(i: int, cancelled: Dict[Grading, Set[int]]) -> list:
-        """(grading, entries, columns to skip) of each block out of degree
-        i with k >= 0, the columns in ``cancelled`` left out."""
+        """(grading, rows) of each block out of degree i with k >= 0, the
+        columns in ``cancelled`` left out."""
         if matrices is None:
-            return [(g, entries, ()) for g, entries in cube.blocks(top - i, cancelled).items()]
-        return [(g, entries, cancelled.get(g, ())) for g, entries in matrices.matrices.items()
-                if g[0] == i and g[2] >= 0]
+            return list(cube.blocks(top - i, cancelled).items())
+        return [(g, _rows_of(entries, cancelled.get(g, ())))
+                for g, entries in matrices.matrices.items() if g[0] == i and g[2] >= 0]
 
     # the block at g is the differential out of g, so each is read twice:
     # as g's outgoing map and as the incoming map of (i - 1, j, k)
@@ -263,10 +335,10 @@ def homology_groups(
     cancelled: Dict[Grading, Set[int]] = {}  # pivot rows of the layer above
     for i in range(top, bottom - 1, -1):
         pivots: Dict[Grading, Set[int]] = {}
-        for g, entries, skip in layer(i, cancelled):
+        for g, rows in layer(i, cancelled):
             _, j, k = g
-            rows = pivots[(i - 1, j, k)] = set()
-            factors[g] = _sparse_invariant_factors(entries, skip, rows)
+            pivoted = pivots[(i - 1, j, k)] = set()
+            factors[g] = _sparse_invariant_factors(rows, pivoted)
         cancelled = pivots
     table: HomologyTable = {}
     for g, dim in dims.items():

@@ -7,23 +7,32 @@ independence can be tested as a theorem rather than hidden by a
 normalization.  ``canonical_code_oracle`` is the exhaustive search that
 ``OrientedDiagram.canonical_code`` prunes, and ``nesting_oracle`` the
 parity walk that ``states._nesting_forest`` replaced by the region tree;
-both are kept as cross-checks.  ``homology_table_oracle`` reduces every
-block of the complex on its own by the dense Smith reduction, and
-``homology_table_all_blocks`` by the sparse elimination, where
-``homology.homology_groups`` carries unit pivots from one block to the
-next and copies the blocks with k < 0 from those with k > 0.
+both are kept as cross-checks, as is ``relabel_oracle``, which matches
+circles by least dart where ``_StateTable.rule`` shifts their ids.
+``homology_table_oracle`` reduces every block of the complex on its own
+by the dense Smith reduction, and ``homology_table_all_blocks`` by the
+sparse elimination, where ``homology.homology_groups`` carries unit
+pivots from one block to the next and copies the blocks with k < 0 from
+those with k > 0.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from braidbracket.diagram import NonPlanarError, OrientedDiagram, _uf_find, _uf_union
+from braidbracket.diagram import (
+    BraidWord,
+    NonPlanarError,
+    OrientedDiagram,
+    _uf_find,
+    _uf_union,
+)
 from braidbracket.chain_complex import (
     DifferentialMatrix,
     _StateTable,
     _dv_terms,
     _koszul_sign,
 )
-from braidbracket.homology import _sparse_invariant_factors, smith_normal_form
+from braidbracket.homology import _rows_of, _sparse_invariant_factors, smith_normal_form
+from braidbracket.moves import random_equivalent_pair
 
 # Walks are pinned by the sha256 of the moved diagram's PD JSON: a change in
 # site order or surgery shows here, not only in benchmark digests.  Each is
@@ -39,6 +48,15 @@ WALK_PINS = [
     (16, 4, (2, -2, 3, -1), 14, 1, "38f0669a2621c440"),
     (861703, 4, (2, -2, 3, -1), 12, 2, "14ab6bc9de38687b"),
 ]
+
+
+def moved_diagrams():
+    """Twelve diagrams of at most 8 crossings, each the end of a short
+    seeded walk of braid-like moves: not closures, and not as regular."""
+    bases = [BraidWord(2, (1, 1, 1)), BraidWord(3, (1, 2, -1, 2)),
+             BraidWord(3, (1, -2, 1)), BraidWord(4, (1, 2, 3))]
+    for seed in range(12):
+        yield random_equivalent_pair(seed, 5 + seed, bases[seed % 4], max_crossings=8)[1]
 
 
 def relabel_crossings(diagram: OrientedDiagram, perm: Sequence[int]) -> OrientedDiagram:
@@ -116,6 +134,24 @@ def rule_table_operator(diagram, bits: int, v: int) -> Dict[int, Dict[Tuple[int,
     return out
 
 
+def relabel_oracle(table: _StateTable, bits: int, v: int) -> List[int]:
+    """Where d_v sends the labels of the circles of the smoothing ``bits``
+    that do not touch v: the target bit of each mask, the touched circles'
+    labels left out.  Each circle is matched to the target circle holding
+    its least dart, found by a scan of the circle ids per dart (a common
+    circle keeps its dart set), and a mask's image is the union of its
+    circles' images."""
+    circ_of, types, _, _ = table.structure(bits)
+    circ_of2 = table.structure(bits | (1 << v))[0]
+    img = [1 << circ_of2[circ_of.index(c)] for c in range(len(types))]
+    for d in range(4 * v, 4 * v + 4):
+        img[circ_of[d]] = 0
+    images = [0]
+    for bit in img:
+        images += [image | bit for image in images]
+    return images
+
+
 def incidence_operator(diagram, bits: int, v: int) -> Dict[int, Dict[Tuple[int, int], int]]:
     """Brute-force d_v from the incidence-number conditions 1..4.
 
@@ -125,9 +161,9 @@ def incidence_operator(diagram, bits: int, v: int) -> Dict[int, Dict[Tuple[int, 
     per-pair checks cheap, but every pair is genuinely tested.
     """
     table = _StateTable(diagram)
-    circ_of, types, _, _, _ = table.structure(bits)
+    circ_of, types, _, _ = table.structure(bits)
     bits2 = bits | (1 << v)
-    circ_of2, types2, _, _, _ = table.structure(bits2)
+    circ_of2, types2, _, _ = table.structure(bits2)
     nc, nc2 = len(types), len(types2)
 
     darts1: Dict[int, frozenset] = {}
@@ -311,7 +347,8 @@ def homology_table_all_blocks(dm: DifferentialMatrix) -> dict:
     block g of ``dm``, k < 0 included, with no column skipped and no block
     read for another."""
     return _table_of_factors(
-        dm, {g: _sparse_invariant_factors(entries) for g, entries in dm.matrices.items()})
+        dm, {g: _sparse_invariant_factors(_rows_of(entries))
+             for g, entries in dm.matrices.items()})
 
 
 def _table_of_factors(dm: DifferentialMatrix, factors: dict) -> dict:

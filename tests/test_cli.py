@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,6 +243,23 @@ def test_pd_malformed_field_exit_2(tmp_path, capsys, pd):
     path.write_text(json.dumps(pd))
     code, _, err = run(capsys, "bracket", str(path))
     assert code == 2 and "input error" in err
+
+
+def test_pd_nested_too_deeply_exit_2(tmp_path):
+    # the JSON decoder recurses per level of nesting; a file of 100,000
+    # brackets is refused as input, in a fresh interpreter so that a
+    # traceback would show on stderr
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidbracket.cli", "bracket", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
 
 
 def _pd_with(word, field, value):

@@ -17,7 +17,7 @@ from braidbracket.chain_complex import (
 from braidbracket.homology import homology_groups
 from braidbracket.states import SizeCapError
 
-from helpers import incidence_operator, rule_table_operator
+from helpers import incidence_operator, moved_diagrams, relabel_oracle, rule_table_operator
 
 import pytest
 
@@ -124,6 +124,47 @@ def test_operator_level_rule_vs_incidence():
                 if (bits >> v) & 1:
                     continue
                 assert rule_table_operator(d, bits, v) == incidence_operator(d, bits, v)
+
+
+def test_rule_relabels_untouched_circles_by_two_shifts(corpus_small):
+    # circle ids are ranks of least darts, so the rule's (keep, lo, hi)
+    # gives every mask the image that matching circles by least dart does
+    checked = 0
+    for d in list(corpus_small) + list(moved_diagrams()):
+        table = chain_complex._StateTable(d)
+        for bits in range(1 << d.n):
+            for v in range(d.n):
+                if (bits >> v) & 1:
+                    continue
+                _, _, _, keep, lo, hi, _ = table.rule(bits, v)
+                images = relabel_oracle(table, bits, v)
+                assert [(m & keep) | (m >> lo << hi) for m in range(len(images))] == images
+                checked += 1
+    assert checked > 10000
+
+
+def test_rule_refuses_a_target_where_the_kept_circle_moves():
+    # the shifts hold only if circle x keeps its id; a target smoothing
+    # whose circles are numbered otherwise raises a real exception
+    d = parse_braid_word("B3 1 2 1 2")
+    moved = 0
+    for bits in range(1 << d.n):
+        for v in range(d.n):
+            if (bits >> v) & 1:
+                continue
+            table = chain_complex._StateTable(d)
+            table.rule(bits, v)
+            circ_of, types, dmask, hmask = table.structure(bits | 1 << v)
+            top = len(types) - 1
+            flip = sum(1 << top - c for c in range(len(types)) if dmask >> c & 1)
+            table._smoothings[bits | 1 << v] = (
+                tuple(top - c for c in circ_of), types[::-1], flip, flip ^ (dmask | hmask))
+            if min(circ_of[4 * v:4 * v + 4]) == top - max(circ_of[4 * v:4 * v + 4]):
+                continue  # reversing the ids leaves x's id as it was
+            with pytest.raises(AssertionError, match="became circle"):
+                table.rule(bits, v)
+            moved += 1
+    assert moved >= 10
 
 
 def test_differential_degree_and_matrix_shapes():

@@ -160,6 +160,14 @@ def test_parse_pd_bad_json():
         parse_pd(b"{not json")
 
 
+def test_parse_pd_json_nested_too_deeply():
+    # json.loads recurses per level and raises RecursionError past the
+    # interpreter's limit: that is malformed input too
+    for text in ("[" * 100_000, '{"a": ' * 100_000):
+        with pytest.raises(FormatError, match="nested too deeply"):
+            parse_pd(text)
+
+
 def test_figure4_first_member_pd_round_trip():
     from braidbracket.moves import figure4_family
 

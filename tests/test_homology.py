@@ -7,6 +7,7 @@ from braidbracket.bracket import add_marked_circle
 from braidbracket.diagram import BraidWord, braid_closure, parse_braid_word, reverse_orientation
 from braidbracket.chain_complex import _StateTable, differential_matrices
 from braidbracket.homology import (
+    _rows_of,
     _sparse_invariant_factors,
     check_euler_identity,
     euler_characteristic,
@@ -23,6 +24,7 @@ from helpers import (
     homology_table_all_blocks,
     homology_table_oracle,
     mirror,
+    moved_diagrams,
     relabel_crossings,
 )
 
@@ -43,7 +45,7 @@ def test_snf_matches_sparse_fast_path():
         entries = {
             (r, c): m[r][c] for r in range(rows) for c in range(cols) if m[r][c]
         }
-        assert _sparse_invariant_factors(entries) == smith_normal_form(m)
+        assert _sparse_invariant_factors(_rows_of(entries)) == smith_normal_form(m)
 
 
 def test_snf_sparse_fast_path_on_larger_sparse_matrices():
@@ -63,12 +65,87 @@ def test_snf_sparse_fast_path_on_larger_sparse_matrices():
             (r, c): m[r][c] for r in range(rows) for c in range(cols) if m[r][c]
         }
         factors = smith_normal_form(m)
-        assert _sparse_invariant_factors(entries) == factors
+        assert _sparse_invariant_factors(_rows_of(entries)) == factors
         torsion += any(f > 1 for f in factors)
     assert torsion
     # row 0 has no unit until row 1 is pivoted away, so it waits a pass
     deferred = {(0, 0): 2, (0, 1): 3, (1, 0): 1, (1, 1): 1}
-    assert _sparse_invariant_factors(deferred) == [1, 1]
+    assert _sparse_invariant_factors(_rows_of(deferred)) == [1, 1]
+
+
+def _cascade_matrix(rnd):
+    """A random sparse matrix, as a dense list, built so that every part of
+    the reducer runs: several one-entry unit rows in one column, one-entry
+    rows of 2 or 3, rows emptied as their columns are cancelled, chains
+    that leave a row with one unit only after a round, and a core without
+    units that needs the dense Smith form; rows and columns shuffled."""
+    rows, ncols = [], [0]
+
+    def column():
+        ncols[0] += 1
+        return ncols[0] - 1
+
+    core = [column() for _ in range(rnd.randrange(2, 6))]
+    for _ in range(rnd.randrange(2, 6)):
+        rows.append({c: rnd.choice((2, -2, 3, 4, 6, 0, 0)) for c in core})
+    units = [column() for _ in range(rnd.randrange(1, 5))]
+    for c in units:  # one-entry unit rows, several in one column
+        rows += [{c: rnd.choice((1, -1))} for _ in range(rnd.randrange(1, 4))]
+    for _ in range(rnd.randrange(1, 3)):  # one-entry rows that are not units
+        rows.append({rnd.choice(core + [column()]): rnd.choice((2, -2, 3))})
+    for _ in range(rnd.randrange(1, 4)):  # emptied once the unit columns go
+        rows.append({c: rnd.choice((1, -1, 2, 3)) for c in rnd.sample(units, rnd.randint(1, len(units)))})
+    previous = units
+    for _ in range(rnd.randrange(1, 4)):  # each link waits a round for the one before
+        link = column()
+        rows.append({link: rnd.choice((1, -1)), rnd.choice(previous): rnd.choice((1, -2, 3))})
+        previous = [link]
+    for _ in range(rnd.randrange(0, 6)):  # noise over every column
+        rows.append({rnd.randrange(ncols[0]): rnd.choice((1, -1, 2, -3))
+                     for _ in range(rnd.randrange(1, 4))})
+    rnd.shuffle(rows)
+    perm = list(range(ncols[0]))
+    rnd.shuffle(perm)
+    m = [[0] * ncols[0] for _ in rows]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            m[r][perm[c]] = v
+    return m
+
+
+def test_cascade_matches_smith_normal_form_on_matrices_built_for_it():
+    rnd = random.Random(41)
+    torsion = remainder = 0
+    for _ in range(150):
+        m = _cascade_matrix(rnd)
+        pivots = set()
+        factors = _sparse_invariant_factors(_rows_of(_sparse(m)), pivots)
+        assert factors == smith_normal_form(m)
+        torsion += any(f > 1 for f in factors)
+        remainder += len(factors) > len(pivots)  # the dense Smith form ran
+    assert torsion >= 30 and remainder >= 30
+
+
+def test_pivot_rows_do_not_depend_on_the_order_rows_are_listed_in():
+    # the reducer picks by row and column number, so a block listed in
+    # another order, row by row and within each row, pivots on the same rows
+    rnd = random.Random(43)
+    matrices = [_cascade_matrix(rnd) for _ in range(60)]
+    for _ in range(60):  # denser, where the general search meets ties
+        rows, cols = rnd.randrange(5, 25), rnd.randrange(5, 25)
+        matrices.append([[rnd.choice((1, -1, 2, 0, 0, 0, 0, 0)) for _ in range(cols)]
+                         for _ in range(rows)])
+    dm = differential_matrices(parse_braid_word("B3 1 -2 1 -2 1 2"))
+    matrices += [dm.matrix_dense(g) for g in dm.matrices]
+    for m in matrices:
+        entries = list(_sparse(m).items())
+        pivots = set()
+        factors = _sparse_invariant_factors(_rows_of(dict(entries)), pivots)
+        for _ in range(3):
+            rnd.shuffle(entries)
+            shuffled = set()
+            assert _sparse_invariant_factors(_rows_of(dict(entries)), shuffled) == factors
+            assert shuffled == pivots
 
 
 def test_rank_bareiss_examples():
@@ -218,16 +295,24 @@ def test_elimination_matches_block_by_block_snf_on_random_closures():
     assert any(tor for t in tables for _, tor in t.values())
 
 
-def _moved_diagrams():
-    bases = [BraidWord(2, (1, 1, 1)), BraidWord(3, (1, 2, -1, 2)),
-             BraidWord(3, (1, -2, 1)), BraidWord(4, (1, 2, 3))]
-    for seed in range(12):
-        yield random_equivalent_pair(seed, 5 + seed, bases[seed % 4], max_crossings=8)[1]
-
-
 def test_elimination_matches_block_by_block_snf_on_moved_diagrams():
-    for d in _moved_diagrams():
+    for d in moved_diagrams():
         assert _check_against_block_by_block(d) is not None
+
+
+def test_elimination_matches_all_blocks_on_workload_sized_closures():
+    # 2- and 3-strand closures of 8 crossings, the largest the homology
+    # benchmark sends: their blocks are past the dense oracle's limit, and
+    # the one-entry cascade takes nearly every pivot
+    words = ("B2 1 1 1 1 1 1 1 1", "B2 1 1 -1 1 1 1 -1 1", "B2 1 -1 1 -1 1 -1 1 -1",
+             "B3 1 -2 1 -2 1 -2 1 -2", "B3 1 2 -1 2 1 -2 -1 2", "B3 1 1 2 -1 2 2 -1 2")
+    tables = []
+    for word in words:
+        d = parse_braid_word(word)
+        dm = differential_matrices(d)
+        tables.append(homology_groups(d))
+        assert tables[-1] == homology_groups(d, matrices=dm) == homology_table_all_blocks(dm)
+    assert any(tor for t in tables for _, tor in t.values())
 
 
 def _unimodular(n, rnd):
@@ -276,14 +361,14 @@ def test_skipping_the_pivot_rows_of_the_block_above_keeps_the_factors():
         e2, e1 = _sparse(d2), _sparse(d1)
 
         # without the optional arguments: the Smith normal form's factors
-        assert _sparse_invariant_factors(e2) == smith_normal_form(d2)
-        factors = _sparse_invariant_factors(e1)
+        assert _sparse_invariant_factors(_rows_of(e2)) == smith_normal_form(d2)
+        factors = _sparse_invariant_factors(_rows_of(e1))
         assert factors == smith_normal_form(d1) == smith_normal_form(core1)
 
         pivots = set()
-        assert _sparse_invariant_factors(e2, pivot_rows=pivots) == smith_normal_form(d2)
+        assert _sparse_invariant_factors(_rows_of(e2), pivots) == smith_normal_form(d2)
         assert pivots <= set(range(n1))
-        assert _sparse_invariant_factors(e1, pivots) == factors
+        assert _sparse_invariant_factors(_rows_of(e1, pivots)) == factors
         torsion += any(f > 1 for f in factors)
         skipped += bool(pivots and any(c in pivots for _, c in e1))
     assert torsion >= 5 and skipped >= 10
@@ -294,16 +379,25 @@ def test_each_block_skips_the_rows_pivoted_on_in_the_block_above(monkeypatch):
     # columns that the block above it pivoted on, if there is one; the
     # blocks with k < 0 are not reduced
     dm = differential_matrices(parse_braid_word("B3 1 -2 1 -2 1"))
-    grading = {id(block): g for g, block in dm.matrices.items()}
-    calls = {}
+    names = {id(block): g for g, block in dm.matrices.items()}
+    skips, calls = {}, {}
+    to_rows = homology_module._rows_of
     reduce = homology_module._sparse_invariant_factors
 
-    def spy(entries, skip_cols=(), pivot_rows=None):
-        factors = reduce(entries, skip_cols, pivot_rows)
-        calls[grading[id(entries)]] = (set(skip_cols), set(pivot_rows))
+    def rows_spy(entries, skip_cols=()):
+        rows = to_rows(entries, skip_cols)
+        g = names[id(rows)] = names[id(entries)]
+        skips[g] = set(skip_cols)
+        return rows
+
+    def reduce_spy(rows, pivot_rows=None):
+        g = names[id(rows)]
+        factors = reduce(rows, pivot_rows)
+        calls[g] = (skips[g], set(pivot_rows))
         return factors
 
-    monkeypatch.setattr(homology_module, "_sparse_invariant_factors", spy)
+    monkeypatch.setattr(homology_module, "_rows_of", rows_spy)
+    monkeypatch.setattr(homology_module, "_sparse_invariant_factors", reduce_spy)
     homology_groups(None, matrices=dm)
     assert set(calls) == {g for g in dm.matrices if g[2] >= 0}
     assert len(calls) < len(dm.matrices)
@@ -315,27 +409,38 @@ def test_each_block_skips_the_rows_pivoted_on_in_the_block_above(monkeypatch):
 
 def _reductions(monkeypatch, d, matrices=None):
     """``homology_groups(d, matrices=matrices)`` and each reduction it
-    makes: grading -> (entries in order, skipped columns, factors, pivot
-    rows).  Blocks are named by the matrices given, or as ``_Cube.blocks``
-    assembles them."""
+    makes: grading -> (rows as lists of (column, entry), skipped columns,
+    factors, pivot rows).  Blocks are named by the matrices given, or as
+    ``_Cube.blocks`` assembles them; the skipped columns are those a
+    given block is read without (None for an assembled block, which is
+    not converted)."""
     names = {id(b): g for g, b in matrices.matrices.items()} if matrices else {}
     assemble = chain_complex._Cube.blocks
+    to_rows = homology_module._rows_of
     reduce = homology_module._sparse_invariant_factors
-    calls = {}
+    skips, calls = {}, {}
 
     def assemble_spy(cube, p, cancelled=None):
         blocks = assemble(cube, p, cancelled)
         names.update((id(b), g) for g, b in blocks.items())
         return blocks
 
-    def reduce_spy(entries, skip_cols=(), pivot_rows=None):
-        factors = reduce(entries, skip_cols, pivot_rows)
-        calls[names[id(entries)]] = (
-            list(entries.items()), set(skip_cols), factors, set(pivot_rows))
+    def rows_spy(entries, skip_cols=()):
+        rows = to_rows(entries, skip_cols)
+        g = names[id(rows)] = names[id(entries)]
+        skips[g] = set(skip_cols)
+        return rows
+
+    def reduce_spy(rows, pivot_rows=None):
+        g = names[id(rows)]
+        listed = {r: list(row.items()) for r, row in rows.items()}
+        factors = reduce(rows, pivot_rows)
+        calls[g] = (listed, skips.get(g), factors, set(pivot_rows))
         return factors
 
     with monkeypatch.context() as patch:
         patch.setattr(chain_complex._Cube, "blocks", assemble_spy)
+        patch.setattr(homology_module, "_rows_of", rows_spy)
         patch.setattr(homology_module, "_sparse_invariant_factors", reduce_spy)
         table = homology_groups(d, matrices=matrices)
     return table, calls
@@ -347,7 +452,7 @@ def test_streamed_walk_equals_the_walk_over_given_matrices(monkeypatch, corpus_s
     # two must pivot on the same rows of the same blocks, and the streamed
     # path must reduce no block with k < 0 and assemble no column that the
     # block above pivoted on, listing the rest as the full block does
-    diagrams = list(corpus_small) + list(_moved_diagrams())
+    diagrams = list(corpus_small) + list(moved_diagrams())
     diagrams += [add_marked_circle(parse_braid_word("B2 1 1 1"), 2),
                  add_marked_circle(parse_braid_word("B3 1 -2 1"), 0),
                  add_marked_circle(diagrams[-1], 4)]
@@ -361,13 +466,20 @@ def test_streamed_walk_equals_the_walk_over_given_matrices(monkeypatch, corpus_s
         # a block whose columns were all cancelled is reduced only when given
         assert {g: c[3] for g, c in calls.items()} == {
             g: c[3] for g, c in given_calls.items() if c[2]}
-        for (i, j, k), (entries, skip, _, _) in calls.items():
-            assert k >= 0 and not skip
+        for (i, j, k), (rows, skip, _, _) in calls.items():
+            assert k >= 0 and skip is None
             above = calls.get((i + 1, j, k))
             cancelled = above[3] if above else set()
             assert given_calls[(i, j, k)][1] == cancelled
-            assert entries == [
-                (rc, v) for rc, v in dm.matrices[(i, j, k)].items() if rc[1] not in cancelled]
+            # each row lists its entries in the full block's order; the
+            # rows themselves may come in another order, which the
+            # reducer does not read
+            full = {}
+            for (r, c), v in dm.matrices[(i, j, k)].items():
+                if c not in cancelled:
+                    full.setdefault(r, []).append((c, v))
+            assert rows == full
+            assert given_calls[(i, j, k)][0] == full
             skipped += bool(cancelled)
     assert skipped >= 50
 

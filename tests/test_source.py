@@ -189,6 +189,69 @@ def test_one_complex_assembler(monkeypatch):
     assert reached == [0, 1, 2, 3]
 
 
+def _tests_for_a_unit(node) -> bool:
+    """Whether ``node`` asks if a value is +-1: ``x == 1 or x == -1``,
+    ``x in (1, -1)`` or ``abs(x) == 1``."""
+    def literal(expr):
+        try:
+            return ast.literal_eval(expr)
+        except ValueError:
+            return None
+
+    if isinstance(node, ast.Compare) and len(node.ops) == 1:
+        op, right = node.ops[0], node.comparators[0]
+        if isinstance(op, ast.In) and isinstance(right, (ast.Tuple, ast.List, ast.Set)):
+            return {literal(e) for e in right.elts} == {1, -1}
+        return (isinstance(op, ast.Eq) and literal(right) == 1
+                and isinstance(node.left, ast.Call) and ast.unparse(node.left.func) == "abs")
+    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+        equal = {(ast.unparse(v.left), literal(v.comparators[0])) for v in node.values
+                 if isinstance(v, ast.Compare) and [type(o) for o in v.ops] == [ast.Eq]}
+        return any((left, -value) in equal for left, value in equal if value == 1)
+    return False
+
+
+def test_one_reducer(monkeypatch):
+    # unit-pivot elimination is done in one place: in src/, only
+    # homology._sparse_invariant_factors asks whether a value is +-1 (and
+    # laurent._join_terms, to print a coefficient of 1 as nothing), and
+    # homology_groups reaches it with and without the full complex given
+    from braidbracket import homology
+    from braidbracket.chain_complex import differential_matrices
+    from braidbracket.diagram import parse_braid_word
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if _tests_for_a_unit(child):
+                found.append(f"{path.name}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), [])
+    assert sorted(set(found)) == [
+        "homology.py:_sparse_invariant_factors", "laurent.py:_join_terms"]
+
+    reached = []
+    reduce = homology._sparse_invariant_factors
+
+    def spy(rows, pivot_rows=None):
+        reached.append(len(rows))
+        return reduce(rows, pivot_rows)
+
+    monkeypatch.setattr(homology, "_sparse_invariant_factors", spy)
+    d = parse_braid_word("B3 1 -2 1 -2")
+    table = homology.homology_groups(d)
+    assert reached
+    reached.clear()
+    assert homology.homology_groups(d, matrices=differential_matrices(d)) == table
+    assert reached
+
+
 def test_benchmark_outputs_match_their_stored_digests():
     # the benchmark's seed-0 batches must print what perfbench/digests.json
     # stores for them, and pass their output checks; this reads perfbench/
