@@ -20,16 +20,18 @@ A labeling is a bit mask over circle ids (1 = plus).  Everything about
 d_v that does not depend on the labels is computed once per (smoothing,
 crossing) by ``_StateTable.rule``; applying it to one labeling is a few integer
 operations.  The blocks of d are assembled in one place, ``_Cube.blocks``,
-one layer of the cube of smoothings at a time: ``differential_matrices``
-takes every layer in full, and ``homology.homology_groups`` only what it
-reduces.
+one layer of the cube of smoothings at a time and target-major: the rows
+of one smoothing of the next layer are completed together and handed to
+their blocks.  ``differential_matrices`` keeps every row of every layer;
+``homology.homology_groups`` pivots on one-entry rows as it takes them,
+and the walk assembles no entry in a column already pivoted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Dict, List, Optional, Set, Tuple
+from typing import Any, Collection, Dict, FrozenSet, List, Optional, Tuple
 
 from .diagram import OrientedDiagram
 from .states import (
@@ -475,6 +477,19 @@ class DifferentialMatrix:
         return True
 
 
+class _Whole:
+    """A block of d kept whole, as ``differential_matrices`` reads it: no
+    column is gone, and ``take`` keeps every row it is given."""
+
+    gone: FrozenSet[int] = frozenset()
+
+    def __init__(self) -> None:
+        self.rows: Dict[int, Dict[int, int]] = {}
+
+    def take(self, rows: Dict[int, Dict[int, int]]) -> None:
+        self.rows.update(rows)
+
+
 class _Cube:
     """The basis of the complex, and its blocks assembled one layer of the
     cube of smoothings at a time.
@@ -489,8 +504,8 @@ class _Cube:
         self.table = table
         self.gradings, dims, self._where = _basis(table)
         self.dims = dict(zip(self.gradings, dims))
-        self._ids = {g: gi for gi, g in enumerate(self.gradings)}
-        self._down = [self._ids.get((i - 1, j, k), -1) for (i, j, k) in self.gradings]
+        ids = {g: gi for gi, g in enumerate(self.gradings)}
+        self._down = [ids.get((i - 1, j, k), -1) for (i, j, k) in self.gradings]
         self.layers: List[List[int]] = [[] for _ in range(table.n + 1)]
         for bits in range(1 << table.n):
             self.layers[bits.bit_count()].append(bits)
@@ -498,7 +513,7 @@ class _Cube:
 
     def _places(self, bits: int) -> Tuple[List[int], List[int]]:
         """(tridegree id, column) per labeling of the smoothing ``bits``,
-        kept until the layer of ``bits`` is assembled."""
+        kept until its last use as a source of d."""
         hit = self._placed.get(bits)
         if hit is None:
             cell, rank, gid, base = self._where[bits]
@@ -507,82 +522,105 @@ class _Cube:
             )
         return hit
 
-    def blocks(
-        self, p: int, cancelled: Optional[Dict[Grading, Set[int]]] = None
-    ) -> Dict[Grading, Dict[int, Dict[int, int]]]:
-        """The nonempty blocks of d out of layer ``p``, as rows: block
-        ``g`` maps each row (a generator in degree i - 1) to ``{column:
-        entry}``, the form ``homology._sparse_invariant_factors`` reduces.
+    def blocks(self, p: int, blocks: Dict[Grading, Any]) -> None:
+        """Assemble the blocks of d out of layer ``p`` into ``blocks``.
 
-        Without ``cancelled``, every block in full.  With it, only the
-        blocks with k >= 0, without the columns ``cancelled[g]`` of each
-        block ``g``: those generators are never read.  Each smoothing
-        lists its live labelings, the ones assembled, once; each
-        (smoothing, A-smoothed crossing) rule is then applied to all of
-        them: two shifts carry the untouched labels of a mask to the
-        target, and the touched labels pick the new circles' bits.
-        Entries reach a row by smoothing, then crossing, then mask, so a
-        row of a block with columns left out lists the others in the same
-        order as in the full block.
+        Only the blocks ``g`` listed are assembled, each into its
+        ``blocks[g]``, which has a set ``gone`` of columns not to assemble
+        and a method ``take(rows)`` that receives complete rows ``{row:
+        {column: entry}}`` (rows are generators in degree i - 1).
+        ``homology._Block`` pivots online as it takes rows, and its
+        ``gone`` grows as it does; ``_Whole`` keeps every row.
+
+        The walk is target-major.  For each smoothing ``bits2`` of layer
+        ``p + 1``, ascending, and each of its A^-1-smoothed crossings v,
+        the rule of (``bits2`` less v, v) is applied to the live
+        labelings of that source, the ones whose column is not gone: two
+        shifts carry the untouched labels of a mask to the target, and
+        the touched labels pick the new circles' bits.  Every entry of a
+        row of ``bits2`` comes from one of these sources, so its rows are
+        then complete, and each block takes those that are its own.  Rows
+        follow smoothings and then canonical labelings, so a block takes
+        its rows in ascending order, smoothing by smoothing.  Skipping a
+        column the block pivoted on loses nothing: such a one-entry pivot
+        changes no entry outside its row and column, so a complete row's
+        entries in the block reduced so far are its entries less the
+        columns gone (the ``homology`` module docstring).  A source's live
+        labelings are listed at its first use and dropped after its last,
+        which is the target through its highest A-smoothed crossing.
         """
-        table, gradings, down = self.table, self.gradings, self._down
-        i = (table.n - 2 * p - table.w) // 2
-        blocks: List[Optional[Dict[int, Dict[int, int]]]] = [
-            {} if i2 == i and (cancelled is None or k >= 0) else None
-            for i2, _, k in gradings
-        ]
-        skip: List[Collection[int]] = [()] * len(gradings)
-        for g, cols in (cancelled or {}).items():
-            skip[self._ids[g]] = cols
-        for bits in self.layers[p]:
-            gids, cols = self._places(bits)
-            del self._placed[bits]
-            live = [
-                (m, blocks[g], down[g], col)
-                for m, (g, col) in enumerate(zip(gids, cols))
-                if blocks[g] is not None and col not in skip[g]
-            ]
-            if not live:
-                continue
+        if p + 1 == len(self.layers):
+            self._placed.clear()  # the top layer: d out of it is zero
+            return
+        table, down = self.table, self._down
+        sinks = [blocks.get(g) for g in self.gradings]
+        up: List[Any] = [None] * len(sinks)  # the block into each tridegree
+        for g, sink in enumerate(sinks):
+            if sink is not None and down[g] >= 0:
+                up[down[g]] = sink
+        top = (1 << table.n) - 1
+        live: Dict[int, List[Tuple[int, Collection[int], int, int]]] = {}
+        for bits2 in self.layers[p + 1]:
+            gtgt, ptgt = self._places(bits2)
+            # the rows of bits2, by the tridegree id of their block
+            groups: Dict[int, Dict[int, Dict[int, int]]] = {}
             for v in range(table.n):
-                if (bits >> v) & 1:
+                if not (bits2 >> v) & 1:
                     continue
-                bits2, x, y, keep, lo, hi, extra = table.rule(bits, v)
-                gtgt, ptgt = self._places(bits2)
+                bits = bits2 ^ (1 << v)
+                src = live.get(bits)
+                if src is None:
+                    gids, cols = self._places(bits)
+                    src = live[bits] = [
+                        (m, sinks[g].gone, col, down[g])
+                        for m, (g, col) in enumerate(zip(gids, cols))
+                        if sinks[g] is not None and col not in sinks[g].gone
+                    ]
+                if v == (top ^ bits).bit_length() - 1:  # the last use of bits
+                    del live[bits], self._placed[bits]
+                if not src:
+                    continue
+                _, x, y, keep, lo, hi, extra = table.rule(bits, v)
                 sgn = _koszul_sign(bits, v)
-                for m, block, want, col in live:
+                for m, gone, col, want in src:
+                    if col in gone:
+                        continue
                     terms = extra[((m >> x) & 1) | ((m >> y) & 1) << 1]
                     if not terms:
                         continue
                     common = (m & keep) | (m >> lo << hi)
+                    rows = groups.get(want)
+                    if rows is None:
+                        rows = groups[want] = {}
                     for e in terms:
                         t = common | e
                         if gtgt[t] != want:
                             raise AssertionError("differential degree drift")
-                        # the target's smoothing fixes v, and the terms of
-                        # one rule are distinct: no entry is reached twice
-                        r = ptgt[t]
-                        row = block.get(r)
+                        # the source fixes v, and the terms of one rule are
+                        # distinct: no entry is reached twice
+                        row = rows.get(ptgt[t])
                         if row is None:
-                            block[r] = {col: sgn}
+                            rows[ptgt[t]] = {col: sgn}
                         else:
                             row[col] = sgn
-        return {g: block for g, block in zip(gradings, blocks) if block}
+            for g, group in groups.items():
+                up[g].take(group)
 
 
 def differential_matrices(
     diagram: OrientedDiagram, cap: int = DEFAULT_CAP
 ) -> DifferentialMatrix:
     """Assemble the full differential, one sparse block per tridegree, from
-    every layer of the cube with nothing left out (``_Cube.blocks``), each
-    block's rows read out as ``{(row, col): entry}``."""
+    every layer of the cube with nothing left out (``_Cube.blocks`` into
+    a ``_Whole`` per tridegree), each block's rows read out as ``{(row,
+    col): entry}``."""
     cube = _Cube(_get_table(diagram, cap))
-    blocks: Dict[Grading, Dict[int, Dict[int, int]]] = {}
+    blocks = {g: _Whole() for g in cube.gradings}
     for p in range(len(cube.layers)):
-        blocks.update(cube.blocks(p))
+        cube.blocks(p, blocks)
     matrices = {
-        g: {(r, c): val for r, row in blocks[g].items() for c, val in row.items()}
-        for g in cube.gradings if g in blocks
+        g: {(r, c): val for r, row in block.rows.items() for c, val in row.items()}
+        for g, block in blocks.items() if block.rows
     }
     return DifferentialMatrix(diagram, cube.dims, matrices)
 

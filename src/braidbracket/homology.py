@@ -31,13 +31,22 @@ layer's blocks are held.
 Within a block, most unit pivots are rows with a single entry.  In the
 notation above such a row r is (phi, delta) with delta = 0, so the Schur
 complement eps - gamma phi^-1 delta is eps: the pivot deletes row r and
-column c and changes nothing else.  The reducer takes these first, in
-rounds, with no index of the rows by column: dropping a round's
-cancelled columns from every row is one sweep, which also finds the rows
-left with a single entry for the next round.  (Taking first the pivots
-that need no reduction is the idea of Ripser's apparent pairs; Bauer,
-arXiv:1908.02518.)  Only the few entries the cascade leaves are indexed
-by column, for the general search and the dense Smith form.
+column c and changes nothing else.  Such a pivot can therefore be taken
+as soon as its row is complete, before the rows after it are known: no
+earlier one-entry pivot changed an entry, so a complete row's entries in
+the block reduced so far are its entries less the columns already
+pivoted.  ``chain_complex._Cube.blocks`` walks each layer target-major,
+completing the rows of one smoothing of the next layer at a time, and
+each block takes them in ascending row order (``_Block.take``): it
+pivots on a row left with one +-1 entry, drops a row left empty, and
+stores any other.  A column once pivoted is never assembled again, since
+its entries are what the pivot deletes.  (Finding pivots while the
+boundary is enumerated is Ripser's emergent pairs; Bauer,
+arXiv:1908.02518.)  What is stored then goes through a cascade: dropping
+the columns pivoted since from every stored row is one sweep, with no
+index of the rows by column, and the rows it leaves with one entry are
+taken again.  Only the few entries the cascade leaves are indexed by
+column, for the general search and the dense Smith form.
 
 Only the blocks with k >= 0 are assembled and reduced.  Flipping the
 label of every h-circle, (bits, m) -> (bits, m ^ hmask), maps the states
@@ -54,7 +63,7 @@ The Betti numbers and torsion are read off the factors as above.
 from __future__ import annotations
 
 from math import gcd
-from typing import Collection, Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Set, Tuple
 
 from .diagram import OrientedDiagram
 from .laurent import Laurent2, delta_power, lp_iadd
@@ -117,18 +126,12 @@ def smith_normal_form(matrix: List[List[int]]) -> List[int]:
     return diagonal
 
 
-def _rows_of(
-    entries: Dict[Tuple[int, int], int], skip_cols: Collection[int] = ()
-) -> Dict[int, Dict[int, int]]:
+def _rows_of(entries: Dict[Tuple[int, int], int]) -> Dict[int, Dict[int, int]]:
     """The nonzero entries ``{(row, col): value}`` of a block as rows
-    ``{row: {col: value}}``, the columns in ``skip_cols`` left out.
-
-    Leaving out columns keeps the invariant factors only when each is a
-    combination of the others, as the pivot rows of the block above are
-    (see the module docstring)."""
+    ``{row: {col: value}}``."""
     rows: Dict[int, Dict[int, int]] = {}
     for (r, c), v in entries.items():
-        if v and c not in skip_cols:
+        if v:
             row = rows.get(r)
             if row is None:
                 rows[r] = {c: v}
@@ -137,124 +140,145 @@ def _rows_of(
     return rows
 
 
-def _sparse_invariant_factors(
-    rows: Dict[int, Dict[int, int]],
-    pivot_rows: Optional[Set[int]] = None,
-) -> List[int]:
-    """Invariant factors of a sparse integer matrix given by its nonzero
-    rows, ``rows[r][c]`` the entry at (r, c).  ``rows`` is used up.
+class _Block:
+    """One block of d under reduction, fed its rows as they are completed.
 
-    Differential blocks are overwhelmingly eliminable on unit pivots, so
-    rows with a +-1 entry are pivoted away sparsely (each contributing an
-    invariant factor 1) and only the small remainder goes through the
-    dense Smith reduction.
+    ``gone`` holds the columns no longer in the block: at first those the
+    block above cancelled, then also every column pivoted on.  ``take``
+    pivots online, and ``_Cube.blocks`` reads ``gone`` to assemble no
+    entry in a column in it.  ``invariant_factors`` reduces what ``take``
+    stored, and ``pivot_rows`` collects every row pivoted on.
 
-    Most pivots are rows with a single entry, and they are taken first,
-    as a cascade.  Pivoting on such a row subtracts a multiple of it from
-    every other row with an entry in its column, which only deletes that
-    entry: no row gains an entry, so no row needs to be found by its
-    columns, and the column index that the general search keeps is not
-    built for them.  Each round cancels every one-entry +-1 row in
-    ascending row order (a row whose column an earlier one cancelled is
-    left empty and goes), then drops the round's cancelled columns from
-    the remaining rows in one sweep; the rows that sweep leaves with one
-    entry are the next round's candidates.  Only the rows the cascade leaves are indexed by column.  Each
-    pass then visits them shortest first, by (length, row); a row pivots
-    on its +-1 entry in the column with the fewest rows, the least such
-    column on a tie, which keeps fill-in low.  A row with no unit waits
-    for the next pass, and elimination stops when a pass pivots nothing.
-    Every choice is by row and column number, never by dict order, so the
-    same matrix gives the same pivots however its rows are listed.
-
-    ``pivot_rows``, when given, receives every row pivoted on.
+    A one-entry pivot deletes its row and column and changes no other
+    entry (the module docstring), so a complete row's entries in the
+    block reduced so far are its entries less the columns gone, and it
+    can be pivoted on before the rows after it are known.  An entry left
+    unassembled because its column is gone is one ``take`` would drop.
+    Rows fed in ascending order give the same pivots in one group or in
+    several, however each group is listed, so the walk and the
+    given-matrices path pivot on the same rows.
     """
-    if pivot_rows is None:
-        pivot_rows = set()
-    units = 0
-    ones = [r for r, row in rows.items() if len(row) == 1]
-    while ones:
-        gone: Set[int] = set()
-        for r in sorted(ones):
-            ((c, v),) = rows[r].items()
-            if c in gone:
-                del rows[r]  # its one entry was in a cancelled column
-            elif v == 1 or v == -1:
-                del rows[r]
-                gone.add(c)
-                pivot_rows.add(r)
-                units += 1
-        if not gone:
-            break
-        ones = []
-        empty = []
-        for r, row in rows.items():
-            if gone.isdisjoint(row):
-                continue
-            for c in gone.intersection(row):
-                del row[c]
-            if not row:
-                empty.append(r)
-            elif len(row) == 1:
-                ones.append(r)
-        for r in empty:
-            del rows[r]
 
-    col_rows: Dict[int, Set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
-    pivoted = True
-    while pivoted:
-        pivoted = False
-        for r in sorted(rows, key=lambda r: (len(rows[r]), r)):
-            row = rows.get(r)
-            if row is None:
-                continue  # eliminated to zero earlier in this pass
-            c = None
-            fewest = 0
-            for cc, v in row.items():
+    def __init__(self, cancelled: Collection[int] = ()):
+        self.gone: Set[int] = set(cancelled)
+        self.rows: Dict[int, Dict[int, int]] = {}
+        self.pivot_rows: Set[int] = set()
+
+    def take(self, rows: Dict[int, Dict[int, int]]) -> None:
+        """Take complete rows ``{row: {col: value}}`` in ascending row
+        order: drop from each the columns gone, pivot on a row left with
+        one +-1 entry (its column is then gone), drop a row left empty
+        and store any other.  ``rows`` is used up."""
+        gone, stored, pivot_rows = self.gone, self.rows, self.pivot_rows
+        for r in sorted(rows):
+            row = rows[r]
+            if not gone.isdisjoint(row):
+                for c in gone.intersection(row):
+                    del row[c]
+            if len(row) == 1:
+                ((c, v),) = row.items()
                 if v == 1 or v == -1:
-                    n = len(col_rows[cc])
-                    if c is None or n < fewest or (n == fewest and cc < c):
-                        c, fewest = cc, n
-            if c is None:
-                continue
-            piv = row[c]
-            for r2 in col_rows.pop(c):
-                if r2 == r:
+                    gone.add(c)
+                    pivot_rows.add(r)
                     continue
-                row2 = rows[r2]
-                mult = row2[c] * piv
-                for cc, vv in row.items():
-                    nv = row2.get(cc, 0) - mult * vv
-                    if nv:
-                        if cc not in row2:
-                            col_rows[cc].add(r2)
-                        row2[cc] = nv
-                    else:
-                        del row2[cc]
-                        if cc != c:
-                            col_rows[cc].discard(r2)
-                if not row2:
-                    del rows[r2]
-            for cc in row:
-                if cc != c:
-                    col_rows[cc].discard(r)
-            del rows[r]
-            pivot_rows.add(r)
-            units += 1
-            pivoted = True
-    rest: List[int] = []
-    if rows:
-        rids = sorted(rows)
-        cset = sorted({c for row in rows.values() for c in row})
-        cmap = {c: i for i, c in enumerate(cset)}
-        dense = [[0] * len(cset) for _ in rids]
-        for i, r in enumerate(rids):
-            for c, v in rows[r].items():
-                dense[i][cmap[c]] = v
-        rest = smith_normal_form(dense)
-    return [1] * units + rest
+            if row:
+                stored[r] = row
+
+    def invariant_factors(self) -> List[int]:
+        """The invariant factors of the block: a 1 for each row pivoted on,
+        and those of what the elimination leaves.  The stored rows are
+        used up.
+
+        Differential blocks are overwhelmingly eliminable on unit pivots,
+        so rows with a +-1 entry are pivoted away sparsely and only the
+        small remainder goes through the dense Smith reduction.
+
+        Most pivots are one-entry rows, which ``take`` pivots on as they
+        arrive.  A stored row can be left with one entry once rows after
+        it take its other columns, so a cascade first sweeps the columns
+        gone from every stored row and takes again, in ascending row
+        order, the rows a sweep leaves with fewer than two entries; it
+        stops when a sweep leaves none.  Pivoting on a one-entry row only
+        deletes the entries in its column, so no row gains an entry and
+        none needs to be found by its columns.
+
+        Only the rows the cascade leaves are indexed by column.  Each pass
+        then visits them shortest first, by (length, row); a row pivots on
+        its +-1 entry in the column with the fewest rows, the least such
+        column on a tie, which keeps fill-in low.  A row with no unit
+        waits for the next pass, and elimination stops when a pass pivots
+        nothing.  Every choice is by row and column number, never by dict
+        order, so the same rows give the same pivots however they are
+        listed.
+        """
+        rows, gone, pivot_rows = self.rows, self.gone, self.pivot_rows
+        while True:
+            loose = []
+            for r, row in rows.items():
+                if not gone.isdisjoint(row):
+                    for c in gone.intersection(row):
+                        del row[c]
+                    if len(row) < 2:
+                        loose.append(r)
+            if not loose:
+                break
+            self.take({r: rows.pop(r) for r in loose})
+
+        col_rows: Dict[int, Set[int]] = {}
+        for r, row in rows.items():
+            for c in row:
+                col_rows.setdefault(c, set()).add(r)
+        pivoted = True
+        while pivoted:
+            pivoted = False
+            for r in sorted(rows, key=lambda r: (len(rows[r]), r)):
+                row = rows.get(r)
+                if row is None:
+                    continue  # eliminated to zero earlier in this pass
+                c = None
+                fewest = 0
+                for cc, v in row.items():
+                    if v == 1 or v == -1:
+                        n = len(col_rows[cc])
+                        if c is None or n < fewest or (n == fewest and cc < c):
+                            c, fewest = cc, n
+                if c is None:
+                    continue
+                piv = row[c]
+                for r2 in col_rows.pop(c):
+                    if r2 == r:
+                        continue
+                    row2 = rows[r2]
+                    mult = row2[c] * piv
+                    for cc, vv in row.items():
+                        nv = row2.get(cc, 0) - mult * vv
+                        if nv:
+                            if cc not in row2:
+                                col_rows[cc].add(r2)
+                            row2[cc] = nv
+                        else:
+                            del row2[cc]
+                            if cc != c:
+                                col_rows[cc].discard(r2)
+                    if not row2:
+                        del rows[r2]
+                for cc in row:
+                    if cc != c:
+                        col_rows[cc].discard(r)
+                del rows[r]
+                pivot_rows.add(r)
+                pivoted = True
+        rest: List[int] = []
+        if rows:
+            rids = sorted(rows)
+            cset = sorted({c for row in rows.values() for c in row})
+            cmap = {c: i for i, c in enumerate(cset)}
+            dense = [[0] * len(cset) for _ in rids]
+            for i, r in enumerate(rids):
+                for c, v in rows[r].items():
+                    dense[i][cmap[c]] = v
+            rest = smith_normal_form(dense)
+        return [1] * len(pivot_rows) + rest
 
 
 def rank_bareiss(matrix: List[List[int]]) -> int:
@@ -306,40 +330,43 @@ def homology_groups(
     has the factors of the block at (i, j, -k), which flipping h-labels
     maps onto it.  The module docstring gives both arguments.
 
-    Without ``matrices``, each layer's blocks are assembled as the walk
-    reaches them (``chain_complex._Cube.blocks``), cancelled columns and
-    k < 0 left out, and dropped once reduced.  Given ``matrices``, the walk
-    reads the same blocks from them as rows (``_rows_of``) and leaves the
-    same columns out.
+    Each block is a ``_Block`` that starts with the cancelled columns
+    gone.  Without ``matrices``, ``chain_complex._Cube.blocks`` assembles
+    each layer's blocks into them as the walk reaches it, one target
+    smoothing at a time, and assembles no entry in a column gone.  Given
+    ``matrices``, the differential of ``diagram``, each block takes all
+    its rows (``_rows_of``) at once.  Either way a block takes its rows in
+    ascending order, so both pivot on the same rows.
     """
     if matrices is None:
         cube = _Cube(_get_table(diagram, cap))
         dims = cube.dims
     else:
-        _check_complex_cap(matrices.diagram, cap)  # given matrices are held to the cap too
+        if matrices.diagram is not diagram:
+            raise ValueError("matrices given are not the differential of this diagram")
+        _check_complex_cap(diagram, cap)  # given matrices are held to the cap too
         dims = matrices.dims
     top = max(i for i, _, _ in dims)
     bottom = min(i for i, _, _ in dims)
-
-    def layer(i: int, cancelled: Dict[Grading, Set[int]]) -> list:
-        """(grading, rows) of each block out of degree i with k >= 0, the
-        columns in ``cancelled`` left out."""
-        if matrices is None:
-            return list(cube.blocks(top - i, cancelled).items())
-        return [(g, _rows_of(entries, cancelled.get(g, ())))
-                for g, entries in matrices.matrices.items() if g[0] == i and g[2] >= 0]
 
     # the block at g is the differential out of g, so each is read twice:
     # as g's outgoing map and as the incoming map of (i - 1, j, k)
     factors: Dict[Grading, List[int]] = {}
     cancelled: Dict[Grading, Set[int]] = {}  # pivot rows of the layer above
     for i in range(top, bottom - 1, -1):
-        pivots: Dict[Grading, Set[int]] = {}
-        for g, rows in layer(i, cancelled):
+        blocks = {g: _Block(cancelled.get(g, ())) for g in dims if g[0] == i and g[2] >= 0}
+        if matrices is None:
+            cube.blocks(top - i, blocks)
+        else:
+            for g, block in blocks.items():
+                entries = matrices.matrices.get(g)
+                if entries:
+                    block.take(_rows_of(entries))
+        cancelled = {}
+        for g, block in blocks.items():
             _, j, k = g
-            pivoted = pivots[(i - 1, j, k)] = set()
-            factors[g] = _sparse_invariant_factors(rows, pivoted)
-        cancelled = pivots
+            factors[g] = block.invariant_factors()
+            cancelled[(i - 1, j, k)] = block.pivot_rows
     table: HomologyTable = {}
     for g, dim in dims.items():
         i, j, k = g

@@ -31,7 +31,7 @@ from braidbracket.chain_complex import (
     _dv_terms,
     _koszul_sign,
 )
-from braidbracket.homology import _rows_of, _sparse_invariant_factors, smith_normal_form
+from braidbracket.homology import _Block, _rows_of, smith_normal_form
 from braidbracket.moves import random_equivalent_pair
 
 # Walks are pinned by the sha256 of the moved diagram's PD JSON: a change in
@@ -341,14 +341,26 @@ def homology_table_oracle(dm: DifferentialMatrix) -> dict:
         dm, {g: smith_normal_form(dm.matrix_dense(g)) for g in dm.matrices})
 
 
+def sparse_factors(entries: dict, cancelled=(), pivot_rows: set = None) -> list:
+    """The invariant factors of the block ``{(row, col): entry}`` by the
+    sparse elimination, ``homology._Block``: every row taken at once, the
+    columns ``cancelled`` gone; ``pivot_rows``, when given, receives the
+    rows pivoted on."""
+    block = _Block(cancelled)
+    block.take(_rows_of(entries))
+    factors = block.invariant_factors()
+    if pivot_rows is not None:
+        pivot_rows |= block.pivot_rows
+    return factors
+
+
 def homology_table_all_blocks(dm: DifferentialMatrix) -> dict:
     """Betti numbers and torsion per (i, j, k), each block reduced on its
-    own by the sparse elimination: ``_sparse_invariant_factors`` of every
-    block g of ``dm``, k < 0 included, with no column skipped and no block
-    read for another."""
+    own by the sparse elimination: ``sparse_factors`` of every block g of
+    ``dm``, k < 0 included, with no column skipped and no block read for
+    another."""
     return _table_of_factors(
-        dm, {g: _sparse_invariant_factors(_rows_of(entries))
-             for g, entries in dm.matrices.items()})
+        dm, {g: sparse_factors(entries) for g, entries in dm.matrices.items()})
 
 
 def _table_of_factors(dm: DifferentialMatrix, factors: dict) -> dict:

@@ -7,8 +7,7 @@ from braidbracket.bracket import add_marked_circle
 from braidbracket.diagram import BraidWord, braid_closure, parse_braid_word, reverse_orientation
 from braidbracket.chain_complex import _StateTable, differential_matrices
 from braidbracket.homology import (
-    _rows_of,
-    _sparse_invariant_factors,
+    _Block,
     check_euler_identity,
     euler_characteristic,
     homology_groups,
@@ -26,6 +25,7 @@ from helpers import (
     mirror,
     moved_diagrams,
     relabel_crossings,
+    sparse_factors,
 )
 
 
@@ -45,7 +45,7 @@ def test_snf_matches_sparse_fast_path():
         entries = {
             (r, c): m[r][c] for r in range(rows) for c in range(cols) if m[r][c]
         }
-        assert _sparse_invariant_factors(_rows_of(entries)) == smith_normal_form(m)
+        assert sparse_factors(entries) == smith_normal_form(m)
 
 
 def test_snf_sparse_fast_path_on_larger_sparse_matrices():
@@ -65,12 +65,12 @@ def test_snf_sparse_fast_path_on_larger_sparse_matrices():
             (r, c): m[r][c] for r in range(rows) for c in range(cols) if m[r][c]
         }
         factors = smith_normal_form(m)
-        assert _sparse_invariant_factors(_rows_of(entries)) == factors
+        assert sparse_factors(entries) == factors
         torsion += any(f > 1 for f in factors)
     assert torsion
     # row 0 has no unit until row 1 is pivoted away, so it waits a pass
     deferred = {(0, 0): 2, (0, 1): 3, (1, 0): 1, (1, 1): 1}
-    assert _sparse_invariant_factors(_rows_of(deferred)) == [1, 1]
+    assert sparse_factors(deferred) == [1, 1]
 
 
 def _cascade_matrix(rnd):
@@ -119,16 +119,67 @@ def test_cascade_matches_smith_normal_form_on_matrices_built_for_it():
     for _ in range(150):
         m = _cascade_matrix(rnd)
         pivots = set()
-        factors = _sparse_invariant_factors(_rows_of(_sparse(m)), pivots)
+        factors = sparse_factors(_sparse(m), pivot_rows=pivots)
         assert factors == smith_normal_form(m)
         torsion += any(f > 1 for f in factors)
         remainder += len(factors) > len(pivots)  # the dense Smith form ran
     assert torsion >= 30 and remainder >= 30
 
 
+def _take(rows, cuts=()):
+    """A ``_Block`` that has taken ``rows``, ``{row: {col: entry}}``, in
+    ascending groups, a new group starting at each index in ``cuts`` of
+    the sorted row numbers; each group is listed in descending order."""
+    block = _Block()
+    order = sorted(rows)
+    cuts = list(cuts)
+    for a, b in zip([0] + cuts, cuts + [len(order)]):
+        block.take({r: dict(rows[r]) for r in reversed(order[a:b])})
+    return block
+
+
+def _dense(rows):
+    ncols = 1 + max((c for row in rows.values() for c in row), default=-1)
+    return [[rows.get(r, {}).get(c, 0) for c in range(ncols)]
+            for r in range(1 + max(rows, default=-1))]
+
+
+def test_online_intake_pivots_complete_rows_and_leaves_the_rest_to_the_cascade():
+    # each case: the rows; the rows pivoted on as they are taken; the rows
+    # stored for the cascade; and whether the dense Smith form is reached.
+    # Every split into ascending groups pivots on the same rows.
+    cases = [
+        # row 0 pivots on column 0, which row 1 of the same group lists
+        # too: row 1 is left with one unit entry and pivots on column 1
+        ({0: {0: 1}, 1: {0: -1, 1: 1}}, {0, 1}, set(), False),
+        # row 2 is emptied by the columns rows 0 and 1 pivot on
+        ({0: {0: 1}, 1: {1: -1}, 2: {0: 2, 1: 1}}, {0, 1}, set(), False),
+        # a one-entry 2 is no pivot: it waits, and reaches the dense form
+        ({0: {0: 2}, 1: {1: 1, 2: 1}}, set(), {0, 1}, True),
+        # ... or is emptied in the cascade when a later row takes its column
+        ({0: {0: -2}, 1: {0: 1}}, {1}, {0}, False),
+        # a chain that resolves only in the cascade: row 2 pivots on column
+        # 2, which leaves row 1 with one unit entry, which in turn leaves row 0
+        ({0: {0: 1, 1: 1}, 1: {1: 1, 2: -1}, 2: {2: 1}}, {2}, {0, 1}, False),
+    ]
+    for rows, online, stored, dense in cases:
+        factors = smith_normal_form(_dense(rows))
+        pivots = None
+        for split in range(1 << (len(rows) - 1)):
+            block = _take(rows, [t + 1 for t in range(len(rows) - 1) if split >> t & 1])
+            assert block.pivot_rows == online, rows
+            assert set(block.rows) == stored, rows
+            assert block.invariant_factors() == factors, rows
+            assert len(block.pivot_rows) == factors.count(1)
+            assert (len(factors) > len(block.pivot_rows)) == dense
+            assert pivots in (None, block.pivot_rows)
+            pivots = block.pivot_rows
+
+
 def test_pivot_rows_do_not_depend_on_the_order_rows_are_listed_in():
     # the reducer picks by row and column number, so a block listed in
-    # another order, row by row and within each row, pivots on the same rows
+    # another order, row by row and within each row, or taken in several
+    # ascending groups instead of one, pivots on the same rows
     rnd = random.Random(43)
     matrices = [_cascade_matrix(rnd) for _ in range(60)]
     for _ in range(60):  # denser, where the general search meets ties
@@ -137,15 +188,27 @@ def test_pivot_rows_do_not_depend_on_the_order_rows_are_listed_in():
                          for _ in range(rows)])
     dm = differential_matrices(parse_braid_word("B3 1 -2 1 -2 1 2"))
     matrices += [dm.matrix_dense(g) for g in dm.matrices]
+    grouped = 0
     for m in matrices:
         entries = list(_sparse(m).items())
         pivots = set()
-        factors = _sparse_invariant_factors(_rows_of(dict(entries)), pivots)
+        factors = sparse_factors(dict(entries), pivot_rows=pivots)
         for _ in range(3):
             rnd.shuffle(entries)
             shuffled = set()
-            assert _sparse_invariant_factors(_rows_of(dict(entries)), shuffled) == factors
+            assert sparse_factors(dict(entries), pivot_rows=shuffled) == factors
             assert shuffled == pivots
+            rows = {}
+            for (r, c), v in entries:
+                rows.setdefault(r, {})[c] = v
+            if len(rows) > 1:
+                count = rnd.randint(1, min(5, len(rows) - 1))
+                cuts = sorted(rnd.sample(range(1, len(rows)), count))
+                block = _take(rows, cuts)
+                assert block.invariant_factors() == factors
+                assert block.pivot_rows == pivots
+                grouped += 1
+    assert grouped >= 400
 
 
 def test_rank_bareiss_examples():
@@ -361,17 +424,24 @@ def test_skipping_the_pivot_rows_of_the_block_above_keeps_the_factors():
         e2, e1 = _sparse(d2), _sparse(d1)
 
         # without the optional arguments: the Smith normal form's factors
-        assert _sparse_invariant_factors(_rows_of(e2)) == smith_normal_form(d2)
-        factors = _sparse_invariant_factors(_rows_of(e1))
+        assert sparse_factors(e2) == smith_normal_form(d2)
+        factors = sparse_factors(e1)
         assert factors == smith_normal_form(d1) == smith_normal_form(core1)
 
         pivots = set()
-        assert _sparse_invariant_factors(_rows_of(e2), pivots) == smith_normal_form(d2)
+        assert sparse_factors(e2, pivot_rows=pivots) == smith_normal_form(d2)
         assert pivots <= set(range(n1))
-        assert _sparse_invariant_factors(_rows_of(e1, pivots)) == factors
+        assert sparse_factors(e1, cancelled=pivots) == factors
         torsion += any(f > 1 for f in factors)
         skipped += bool(pivots and any(c in pivots for _, c in e1))
     assert torsion >= 5 and skipped >= 10
+
+
+def test_given_matrices_of_another_diagram_raise():
+    d = parse_braid_word("B2 1 1 1")
+    with pytest.raises(ValueError):
+        homology_groups(d, matrices=differential_matrices(parse_braid_word("B2 1 1 1 1")))
+    assert homology_groups(d, matrices=differential_matrices(d)) == homology_groups(d)
 
 
 def test_each_block_skips_the_rows_pivoted_on_in_the_block_above(monkeypatch):
@@ -380,27 +450,39 @@ def test_each_block_skips_the_rows_pivoted_on_in_the_block_above(monkeypatch):
     # blocks with k < 0 are not reduced
     dm = differential_matrices(parse_braid_word("B3 1 -2 1 -2 1"))
     names = {id(block): g for g, block in dm.matrices.items()}
-    skips, calls = {}, {}
+    held, skips, calls, reduced = [], {}, {}, []
     to_rows = homology_module._rows_of
-    reduce = homology_module._sparse_invariant_factors
+    take = _Block.take
+    reduce = _Block.invariant_factors
 
-    def rows_spy(entries, skip_cols=()):
-        rows = to_rows(entries, skip_cols)
-        g = names[id(rows)] = names[id(entries)]
-        skips[g] = set(skip_cols)
+    def rows_spy(entries):
+        rows = to_rows(entries)
+        held.append(rows)
+        names[id(rows)] = names[id(entries)]
         return rows
 
-    def reduce_spy(rows, pivot_rows=None):
-        g = names[id(rows)]
-        factors = reduce(rows, pivot_rows)
-        calls[g] = (skips[g], set(pivot_rows))
+    def take_spy(block, rows):
+        if not reduced or reduced[-1] is not block:  # not the cascade's own
+            g = names[id(block)] = names[id(rows)]
+            held.append(block)
+            skips[g] = set(block.gone)
+        take(block, rows)
+
+    def reduce_spy(block):
+        reduced.append(block)
+        factors = reduce(block)
+        g = names.get(id(block))
+        if g is not None:
+            calls[g] = (skips[g], set(block.pivot_rows))
         return factors
 
     monkeypatch.setattr(homology_module, "_rows_of", rows_spy)
-    monkeypatch.setattr(homology_module, "_sparse_invariant_factors", reduce_spy)
-    homology_groups(None, matrices=dm)
+    monkeypatch.setattr(_Block, "take", take_spy)
+    monkeypatch.setattr(_Block, "invariant_factors", reduce_spy)
+    homology_groups(dm.diagram, matrices=dm)
     assert set(calls) == {g for g in dm.matrices if g[2] >= 0}
     assert len(calls) < len(dm.matrices)
+    assert len(reduced) == sum(k >= 0 for _, _, k in dm.dims) < len(dm.dims)
     for (i, j, k), (skipped, _) in calls.items():
         above = calls.get((i + 1, j, k))
         assert skipped == (above[1] if above else set()), (i, j, k)
@@ -408,80 +490,106 @@ def test_each_block_skips_the_rows_pivoted_on_in_the_block_above(monkeypatch):
 
 
 def _reductions(monkeypatch, d, matrices=None):
-    """``homology_groups(d, matrices=matrices)`` and each reduction it
-    makes: grading -> (rows as lists of (column, entry), skipped columns,
-    factors, pivot rows).  Blocks are named by the matrices given, or as
-    ``_Cube.blocks`` assembles them; the skipped columns are those a
-    given block is read without (None for an assembled block, which is
-    not converted)."""
+    """``homology_groups(d, matrices=matrices)`` and each block it reduces
+    that takes rows: grading -> (columns gone at first, groups taken,
+    columns gone before the cascade, factors, pivot rows).  A group is
+    (columns gone before it, rows as ``{row: [(column, entry), ...]}``).
+    Blocks are named as ``_Cube.blocks`` is given them, or by the
+    matrices their rows come from.  Also the number of blocks reduced."""
     names = {id(b): g for g, b in matrices.matrices.items()} if matrices else {}
+    held, first, groups, calls, reduced = [], {}, {}, {}, []
     assemble = chain_complex._Cube.blocks
     to_rows = homology_module._rows_of
-    reduce = homology_module._sparse_invariant_factors
-    skips, calls = {}, {}
+    take = _Block.take
+    reduce = _Block.invariant_factors
 
-    def assemble_spy(cube, p, cancelled=None):
-        blocks = assemble(cube, p, cancelled)
-        names.update((id(b), g) for g, b in blocks.items())
-        return blocks
+    def name(block, g):
+        names[id(block)] = g
+        held.append(block)
+        first[g] = set(block.gone)
+        groups[g] = []
 
-    def rows_spy(entries, skip_cols=()):
-        rows = to_rows(entries, skip_cols)
-        g = names[id(rows)] = names[id(entries)]
-        skips[g] = set(skip_cols)
+    def assemble_spy(cube, p, blocks):
+        for g, block in blocks.items():
+            name(block, g)
+        return assemble(cube, p, blocks)
+
+    def rows_spy(entries):
+        rows = to_rows(entries)
+        held.append(rows)
+        names[id(rows)] = names[id(entries)]
         return rows
 
-    def reduce_spy(rows, pivot_rows=None):
-        g = names[id(rows)]
-        listed = {r: list(row.items()) for r, row in rows.items()}
-        factors = reduce(rows, pivot_rows)
-        calls[g] = (listed, skips.get(g), factors, set(pivot_rows))
+    def take_spy(block, rows):
+        if not reduced or reduced[-1] is not block:  # not the cascade's own
+            if id(block) not in names:
+                name(block, names[id(rows)])
+            groups[names[id(block)]].append(
+                (set(block.gone), {r: list(row.items()) for r, row in rows.items()}))
+        take(block, rows)
+
+    def reduce_spy(block):
+        reduced.append(block)
+        g = names.get(id(block))
+        gone = set(block.gone)
+        factors = reduce(block)
+        if g is not None and groups[g]:
+            calls[g] = (first[g], groups[g], gone, factors, set(block.pivot_rows))
         return factors
 
     with monkeypatch.context() as patch:
         patch.setattr(chain_complex._Cube, "blocks", assemble_spy)
         patch.setattr(homology_module, "_rows_of", rows_spy)
-        patch.setattr(homology_module, "_sparse_invariant_factors", reduce_spy)
+        patch.setattr(_Block, "take", take_spy)
+        patch.setattr(_Block, "invariant_factors", reduce_spy)
         table = homology_groups(d, matrices=matrices)
-    return table, calls
+    return table, calls, len(reduced)
 
 
 def test_streamed_walk_equals_the_walk_over_given_matrices(monkeypatch, corpus_small):
     # homology_groups(d) assembles each layer as it goes; given the full
-    # complex, it reads the same blocks and skips the same columns.  The
-    # two must pivot on the same rows of the same blocks, and the streamed
-    # path must reduce no block with k < 0 and assemble no column that the
-    # block above pivoted on, listing the rest as the full block does
+    # complex, each block takes its rows at once.  The two must pivot on
+    # the same rows of the same blocks.  The streamed path must reduce no
+    # block with k < 0, assemble no column that the block above pivoted
+    # on or that the block itself has pivoted on, take its rows in
+    # ascending order, and list the rest of each row as the full block does
     diagrams = list(corpus_small) + list(moved_diagrams())
     diagrams += [add_marked_circle(parse_braid_word("B2 1 1 1"), 2),
                  add_marked_circle(parse_braid_word("B3 1 -2 1"), 0),
                  add_marked_circle(diagrams[-1], 4)]
     diagrams += [parse_braid_word(w) for w in ("B3 1", "B2", "B0")]
-    skipped = 0
+    skipped = online = 0
     for d in diagrams:
         dm = differential_matrices(d)
-        streamed, calls = _reductions(monkeypatch, d)
-        given, given_calls = _reductions(monkeypatch, d, dm)
+        streamed, calls, reduced = _reductions(monkeypatch, d)
+        given, given_calls, given_reduced = _reductions(monkeypatch, d, dm)
         assert streamed == given == homology_table_all_blocks(dm)
-        # a block whose columns were all cancelled is reduced only when given
-        assert {g: c[3] for g, c in calls.items()} == {
-            g: c[3] for g, c in given_calls.items() if c[2]}
-        for (i, j, k), (rows, skip, _, _) in calls.items():
-            assert k >= 0 and skip is None
+        assert reduced == given_reduced == sum(k >= 0 for _, _, k in dm.dims)
+        assert {g: c[3:] for g, c in calls.items() if c[3]} == {
+            g: c[3:] for g, c in given_calls.items() if c[3]}
+        for (i, j, k), (cancelled, taken, gone, _, _) in calls.items():
+            assert k >= 0
             above = calls.get((i + 1, j, k))
-            cancelled = above[3] if above else set()
-            assert given_calls[(i, j, k)][1] == cancelled
-            # each row lists its entries in the full block's order; the
-            # rows themselves may come in another order, which the
-            # reducer does not read
+            assert cancelled == (above[4] if above else set())
             full = {}
             for (r, c), v in dm.matrices[(i, j, k)].items():
-                if c not in cancelled:
-                    full.setdefault(r, []).append((c, v))
-            assert rows == full
-            assert given_calls[(i, j, k)][0] == full
+                full.setdefault(r, []).append((c, v))
+            # given: one group of the full rows, the cancelled columns gone
+            given_first, given_taken = given_calls[(i, j, k)][:2]
+            assert given_first == cancelled
+            assert given_taken == [(cancelled, full)]
+            # streamed: groups of ascending rows, each the full row less the
+            # columns gone before its group; a row never taken had every
+            # column gone.  Within a group, take sorts the rows
+            order = [r for _, rows in taken for r in sorted(rows)]
+            assert order == sorted(order) and len(set(order)) == len(order)
+            for before, rows in taken:
+                for r, row in rows.items():
+                    assert row and row == [(c, v) for c, v in full[r] if c not in before]
+            assert all(c in gone for r in set(full) - set(order) for c, _ in full[r])
             skipped += bool(cancelled)
-    assert skipped >= 50
+            online += len(gone) > len(cancelled)
+    assert skipped >= 50 and online >= 200
 
 
 def test_flipping_h_labels_carries_each_block_onto_its_k_negation(corpus_small):

@@ -172,9 +172,9 @@ def test_one_complex_assembler(monkeypatch):
     reached = []
     assemble = chain_complex._Cube.blocks
 
-    def spy(cube, p, cancelled=None):
+    def spy(cube, p, blocks):
         reached.append(p)
-        return assemble(cube, p, cancelled)
+        return assemble(cube, p, blocks)
 
     def refuse(*args):
         raise AssertionError("_dv_terms reached from the complex")
@@ -213,9 +213,10 @@ def _tests_for_a_unit(node) -> bool:
 
 def test_one_reducer(monkeypatch):
     # unit-pivot elimination is done in one place: in src/, only
-    # homology._sparse_invariant_factors asks whether a value is +-1 (and
-    # laurent._join_terms, to print a coefficient of 1 as nothing), and
-    # homology_groups reaches it with and without the full complex given
+    # homology._Block asks whether a value is +-1, as it takes rows and as
+    # it reduces what it stored (and laurent._join_terms, to print a
+    # coefficient of 1 as nothing), and homology_groups reaches both with
+    # and without the full complex given
     from braidbracket import homology
     from braidbracket.chain_complex import differential_matrices
     from braidbracket.diagram import parse_braid_word
@@ -234,22 +235,28 @@ def test_one_reducer(monkeypatch):
     for path in sorted(SRC.rglob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), [])
     assert sorted(set(found)) == [
-        "homology.py:_sparse_invariant_factors", "laurent.py:_join_terms"]
+        "homology.py:_Block.invariant_factors", "homology.py:_Block.take",
+        "laurent.py:_join_terms"]
 
     reached = []
-    reduce = homology._sparse_invariant_factors
+    take, reduce = homology._Block.take, homology._Block.invariant_factors
 
-    def spy(rows, pivot_rows=None):
-        reached.append(len(rows))
-        return reduce(rows, pivot_rows)
+    def take_spy(block, rows):
+        reached.append("take")
+        return take(block, rows)
 
-    monkeypatch.setattr(homology, "_sparse_invariant_factors", spy)
+    def reduce_spy(block):
+        reached.append("reduce")
+        return reduce(block)
+
+    monkeypatch.setattr(homology._Block, "take", take_spy)
+    monkeypatch.setattr(homology._Block, "invariant_factors", reduce_spy)
     d = parse_braid_word("B3 1 -2 1 -2")
     table = homology.homology_groups(d)
-    assert reached
+    assert {"take", "reduce"} <= set(reached)
     reached.clear()
     assert homology.homology_groups(d, matrices=differential_matrices(d)) == table
-    assert reached
+    assert {"take", "reduce"} <= set(reached)
 
 
 def test_benchmark_outputs_match_their_stored_digests():
