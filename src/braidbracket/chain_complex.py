@@ -23,7 +23,7 @@ operations.  The blocks of d are assembled in one place, ``_Cube.blocks``,
 one layer of the cube of smoothings at a time and target-major: the rows
 of one smoothing of the next layer are completed together and handed to
 their blocks.  ``differential_matrices`` keeps every row of every layer;
-``homology.homology_groups`` pivots on one-entry rows as it takes them,
+``homology._homology_table`` pivots on one-entry rows as it takes them,
 and the walk assembles no entry in a column already pivoted.
 """
 

@@ -34,6 +34,7 @@ from .bracket import (
 )
 from .chain_complex import differential_matrices
 from .homology import (
+    _homology_table,
     euler_characteristic,
     homology_groups,
     homology_to_json,
@@ -180,9 +181,11 @@ def _verify_battery(args: argparse.Namespace) -> list:
     checks = []
     b1, b2 = bracket_br(d1, cap=args.cap), bracket_br(d2, cap=args.cap)
     checks.append(("bracket equality", b1 == b2))
+    # the battery tests braid-like invariance, which homology_groups relies
+    # on to reduce a closure's word, so it computes both sides as given
     checks.append(
         ("homology equality",
-         homology_groups(d1, cap=args.cap) == homology_groups(d2, cap=args.cap))
+         _homology_table(d1, args.cap) == _homology_table(d2, args.cap))
     )
     for name, d, b in (("base", d1, b1), ("moved", d2, b2)):
         lhs = specialize_chi_to_delta(lighten(b))

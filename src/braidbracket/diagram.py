@@ -78,6 +78,21 @@ class BraidWord:
     def writhe(self) -> int:
         return sum(1 if g > 0 else -1 for g in self.letters)
 
+    def reduced(self) -> "BraidWord":
+        """The freely and cyclically reduced word.  Each adjacent pair
+        g, -g cancels, nested pairs such as ``1 2 -2 -1`` too; then each
+        pair g ... -g at the two ends goes, which conjugates by g."""
+        stack: List[int] = []
+        for g in self.letters:
+            if stack and stack[-1] == -g:
+                stack.pop()
+            else:
+                stack.append(g)
+        lo, hi = 0, len(stack)
+        while hi - lo > 1 and stack[lo] == -stack[hi - 1]:
+            lo, hi = lo + 1, hi - 1
+        return BraidWord(self.strands, tuple(stack[lo:hi]))
+
 
 def _uf_find(parent: List[int], x: int) -> int:
     while parent[x] != x:

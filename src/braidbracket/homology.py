@@ -6,8 +6,9 @@ invariant factors of the incoming matrix that exceed 1.  Everything is
 exact arbitrary-precision integer arithmetic; an independent fraction-free
 rank (Bareiss) is provided as an oracle for the SNF-derived ranks.
 
-The differential d_i: C_i -> C_(i-1) keeps j and k, and ``homology_groups``
-walks the cube of smoothings one layer at a time, i from the highest down
+The differential d_i: C_i -> C_(i-1) keeps j and k, and the engine under
+``homology_groups``, ``_homology_table``, walks the cube of smoothings one
+layer at a time, i from the highest down
 (layer p holds the smoothings with p A^-1-smoothed crossings, in degree
 i_top - p).  Bar-Natan's Gaussian-elimination lemma (*Fast Khovanov
 homology computations*, arXiv math/0606318) says what a unit pivot leaves
@@ -65,7 +66,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Collection, Dict, List, Set, Tuple
 
-from .diagram import OrientedDiagram
+from .diagram import OrientedDiagram, braid_closure
 from .laurent import Laurent2, delta_power, lp_iadd
 from .states import DEFAULT_CAP
 from .bracket import bracket_br, lighten, normalize
@@ -321,6 +322,42 @@ def homology_groups(
 ) -> HomologyTable:
     """Betti numbers and torsion per (i, j, k); trivial groups are omitted.
 
+    Without ``matrices``, the homology of a braid closure is computed on
+    the closure of its freely and cyclically reduced word
+    (``BraidWord.reduced``), once the size cap holds on ``diagram``.
+    Cancelling an adjacent pair sigma_i sigma_i^-1 removes a bigon whose
+    two strands run the same way, as every strand of a braid does: a II_a
+    move, under which the paper's refined homology is invariant, gradings
+    and all.  Stripping g u -g to u rotates the word to u -g g and cancels
+    the last pair.  Rotating a word rotates its closure about the braid
+    axis: the same planar map, with the same outer face and the same face
+    around the axis, so every state circle keeps its winding number, and
+    only the crossings are numbered in another order, which the homology
+    does not see.  So the reduced closure has the same table.
+
+    Everything that shows or checks the complex stays on ``diagram``:
+    given ``matrices``, its differential, the table is read from them, and
+    a diagram that is no closure is computed as given
+    (``_homology_table``).
+    """
+    word = diagram.braid_word
+    if matrices is None and word is not None:
+        reduced = word.reduced()
+        if reduced != word:
+            _check_complex_cap(diagram, cap)  # the cap is read on the input
+            diagram = braid_closure(reduced)
+    return _homology_table(diagram, cap, matrices)
+
+
+def _homology_table(
+    diagram: OrientedDiagram,
+    cap: int = DEFAULT_CAP,
+    matrices: DifferentialMatrix = None,
+) -> HomologyTable:
+    """The homology table of ``diagram`` as given, with no reduction of
+    its word: the engine under ``homology_groups``, and the computation
+    that the checks of the complex and of invariance call.
+
     The cube is walked one layer at a time, i from the highest down.  The
     blocks out of a layer with k >= 0 are reduced, and the rows that d_i
     pivots on are generators of C_(i-1) that the Gaussian-elimination
@@ -417,8 +454,9 @@ def check_euler_identity(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> bo
 
     Both sides are compared in the H variable: chi powers of the bracket
     expand through chi = -H^2 - H^-2, while each homology class at level k
-    contributes the monomial (-H^2)^k.
+    contributes the monomial (-H^2)^k.  The homology is computed on
+    ``diagram`` as given, never on a reduced word.
     """
     return lightened_in_h(diagram, cap=cap) == euler_characteristic(
-        homology_groups(diagram, cap=cap)
+        _homology_table(diagram, cap)
     )

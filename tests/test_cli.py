@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from braidbracket.chain_complex import differential_matrices
 from braidbracket.cli import _build_parser, main
 from braidbracket.diagram import parse_braid_word
 
@@ -56,6 +58,15 @@ def test_free_loops_count_against_the_homology_cap(capsys):
     assert "needs 25 crossings but the cap is 24" in err
     code, out, _ = run(capsys, "homology", "-w", "B3 1", "--cap", "2")
     assert code == 0 and out
+
+
+def test_a_reducible_word_meets_the_cap_on_its_input(capsys):
+    # (1 -1)^13 reduces to the empty braid, but homology reads the cap on
+    # the 26 crossings given
+    word = "B2 " + " ".join(["1 -1"] * 13)
+    code, out, err = run(capsys, "homology", "-w", word)
+    assert code == 3 and not out
+    assert "needs 26 crossings but the cap is 24" in err
 
 
 def test_long_word_meets_the_cap_at_once(capsys):
@@ -159,6 +170,36 @@ def test_homology_prints_the_same_tables_with_and_without_the_full_complex(
                 assert code == 0 and "FAIL" not in out
                 assert _without_the_full_complex(out, fmt) == plain, (source, fmt, flags)
                 assert out != plain
+
+
+# sha256 of ``homology --dump-matrices --verify`` in json, csv and pretty,
+# in that order, for each word of corpus_small that BraidWord.reduced
+# shortens
+DUMPED_DIGEST = "90a38e21eddf8cc3a0384302b8b44e7e9bd8aec385074fb88431074c7d718204"
+
+
+def test_dump_and_verify_show_the_complex_of_the_input_word(capsys, corpus_small):
+    # plain homology reduces a closure's word; the matrices dumped, and the
+    # d^2 and Euler checks, are those of the word as given
+    digest = hashlib.sha256()
+    reducible = 0
+    for d in corpus_small:
+        word = d.braid_word
+        if word is None or word.reduced() == word:
+            continue
+        text = " ".join([f"B{word.strands}", *map(str, word.letters)])
+        for fmt in ("json", "csv", "pretty"):
+            code, out, _ = run(capsys, "homology", "-w", text, "--format", fmt,
+                               "--dump-matrices", "--verify")
+            assert code == 0
+            digest.update(out.encode())
+            if fmt == "json":
+                obj = json.loads(out)
+                assert obj["matrices"] == differential_matrices(d).to_sparse_json()
+                assert obj["verify"] == ["euler: OK", "d2: OK"]
+        reducible += 1
+    assert reducible >= 25
+    assert digest.hexdigest() == DUMPED_DIGEST
 
 
 def test_homology_csv(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -43,6 +44,35 @@ def test_trefoil_word_basics():
 def test_writhe_cancels():
     assert writhe(parse_braid_word("B2 1 -1")) == 0
     assert writhe(parse_braid_word("B3 1 -2 -2 1")) == 0
+
+
+def test_reduced_word_cancels_adjacent_and_end_pairs():
+    examples = {
+        (1, -1): (),
+        (1, 2, -2, -1): (),
+        (1, -1, 1, 1, -1): (1,),
+        (2, 1, -1, 3, -2): (3,),
+        (1, 2, -1): (2,),
+        (-2, 1, 1, 2): (1, 1),
+        (1, 2, 1): (1, 2, 1),
+        (1, 3, -1): (3,),
+        (1, 3, -1, -3): (1, 3, -1, -3),  # letters are not commuted
+    }
+    for letters, reduced in examples.items():
+        assert BraidWord(4, letters).reduced() == BraidWord(4, reduced), letters
+    rnd = random.Random(7)
+    for _ in range(300):
+        k = rnd.choice((2, 3, 4))
+        gens = [g for g in range(1 - k, k) if g]
+        word = BraidWord(k, tuple(rnd.choice(gens) for _ in range(rnd.randrange(12))))
+        short = word.reduced()
+        a = short.letters
+        # freely reduced, cyclically reduced, and a fixed point
+        assert all(x != -y for x, y in zip(a, a[1:])), word
+        assert len(a) < 2 or a[0] != -a[-1], word
+        assert short.reduced() == short and short.strands == k
+        assert short.writhe == word.writhe
+        assert (len(word.letters) - len(a)) % 2 == 0
 
 
 def test_malformed_words():

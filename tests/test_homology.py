@@ -3,11 +3,18 @@ import random
 import pytest
 
 from braidbracket import chain_complex, homology as homology_module
-from braidbracket.bracket import add_marked_circle
-from braidbracket.diagram import BraidWord, braid_closure, parse_braid_word, reverse_orientation
+from braidbracket.bracket import _bracket_range, add_marked_circle, bracket_br
+from braidbracket.diagram import (
+    BraidWord,
+    braid_closure,
+    parse_braid_word,
+    parse_pd,
+    reverse_orientation,
+)
 from braidbracket.chain_complex import _StateTable, differential_matrices
 from braidbracket.homology import (
     _Block,
+    _homology_table,
     check_euler_identity,
     euler_characteristic,
     homology_groups,
@@ -209,6 +216,50 @@ def test_pivot_rows_do_not_depend_on_the_order_rows_are_listed_in():
                 assert block.pivot_rows == pivots
                 grouped += 1
     assert grouped >= 400
+
+
+class _ReadLog(dict):
+    """A block's stored rows that log the number of each row read by it:
+    the column-indexed search reads every row it visits so, and the
+    cascade, which sweeps and pops, reads none."""
+
+    def __init__(self, rows, log):
+        super().__init__(rows)
+        self.log = log
+
+    def __getitem__(self, r):
+        self.log.add(r)
+        return super().__getitem__(r)
+
+    def get(self, r, default=None):
+        self.log.add(r)
+        return super().get(r, default)
+
+
+def test_cascade_takes_again_the_rows_later_pivots_leave_with_one_entry(monkeypatch):
+    # rows 0 and 1 are stored with two entries each.  Row 2 pivots on
+    # column 2 as it is taken; the sweep then leaves row 1 with one unit
+    # entry, and row 1's pivot does the same to row 0.  The cascade takes
+    # each again, one round apiece, and the column-indexed search sees
+    # only rows 3 and 4, which are never left with one entry.  Without the
+    # cascade the search would pivot on rows 0 and 1 with the same factors
+    rows = {0: {0: 1, 1: 1}, 1: {1: 1, 2: -1}, 2: {2: 1},
+            3: {3: 1, 4: 1}, 4: {3: 1, 4: -1}}
+    block = _take(rows)
+    assert block.pivot_rows == {2} and set(block.rows) == {0, 1, 3, 4}
+    retaken, read = [], set()
+    take = _Block.take
+
+    def take_spy(b, taken):
+        retaken.append({r: dict(row) for r, row in taken.items()})
+        take(b, taken)
+
+    monkeypatch.setattr(_Block, "take", take_spy)
+    block.rows = _ReadLog(block.rows, read)
+    assert block.invariant_factors() == smith_normal_form(_dense(rows)) == [1, 1, 1, 1, 2]
+    assert retaken == [{1: {1: 1}}, {0: {0: 1}}]
+    assert block.pivot_rows == {0, 1, 2, 3}
+    assert read == {3, 4}
 
 
 def test_rank_bareiss_examples():
@@ -437,6 +488,104 @@ def test_skipping_the_pivot_rows_of_the_block_above_keeps_the_factors():
     assert torsion >= 5 and skipped >= 10
 
 
+def _claim_words(corpus):
+    """Braid words for the claim ``homology_groups`` rests on: the
+    corpus's, the bases of the walk pins, and seeded words on 2-4 strands,
+    every other one built to reduce (cancelling pairs put into a random
+    core, and a conjugation around it)."""
+    words = [d.braid_word for d in corpus if d.braid_word is not None]
+    words += [BraidWord(strands, letters) for _, strands, letters, *_ in WALK_PINS]
+    rnd = random.Random(2121)
+    for n in range(60):
+        k = rnd.choice((2, 3, 4))
+        gens = [g for g in range(1 - k, k) if g]
+        letters = [rnd.choice(gens) for _ in range(rnd.randrange(6))]
+        if n % 2:
+            for _ in range(rnd.randrange(1, 3)):
+                g, at = rnd.choice(gens), rnd.randrange(len(letters) + 1)
+                letters[at:at] = [g, -g]
+            g = rnd.choice(gens)
+            letters = [g, *letters, -g]
+        words.append(BraidWord(k, tuple(letters)))
+    return words
+
+
+def _rotations(word):
+    a = word.letters
+    return [BraidWord(word.strands, a[s:] + a[:s]) for s in range(max(len(a), 1))]
+
+
+def _state_sum(word):
+    # the state sum over the closure's planar map, read back from its PD
+    # JSON, so that nothing of the word is left to the bracket
+    return _bracket_range(parse_pd(braid_closure(word).to_pd_json()))
+
+
+def test_rotating_a_word_keeps_its_table_and_its_bracket(corpus):
+    # a rotation of the word rotates its closure about the braid axis;
+    # neither the unreduced table nor the state sum may see it
+    rotated = 0
+    for word in _claim_words(corpus):
+        rotations = _rotations(word)
+        if len(word.letters) <= 7:
+            tables = [_homology_table(braid_closure(w)) for w in rotations]
+            assert all(t == tables[0] for t in tables), word
+        if len(word.letters) <= 9:
+            brackets = [_state_sum(w) for w in rotations]
+            assert all(b == brackets[0] for b in brackets), word
+            rotated += len(set(rotations)) > 1
+    assert rotated >= 80
+
+
+def test_the_reduced_closure_has_the_table_and_the_bracket_of_the_input(corpus):
+    # homology_groups computes a closure on its freely and cyclically
+    # reduced word: II_a moves and a rotation
+    reduced = 0
+    for word in _claim_words(corpus):
+        d, short = braid_closure(word), word.reduced()
+        if len(word.letters) <= 10:
+            assert homology_groups(d) == _homology_table(d) == _homology_table(
+                braid_closure(short)), word
+        assert bracket_br(braid_closure(short)) == bracket_br(d), word
+        if len(word.letters) <= 9:
+            assert _state_sum(short) == _state_sum(word), word
+        reduced += short != word
+    assert reduced >= 50
+
+
+def test_words_that_reduce_to_the_empty_braid_give_the_crossingless_closure():
+    for word, empty in (("B2 1 -1", "B2"), ("B3 1 2 -2 -1", "B3"), ("B3 -2 1 -1 2", "B3")):
+        d = parse_braid_word(word)
+        assert d.braid_word.reduced().letters == ()
+        assert homology_groups(d) == _homology_table(d) == _homology_table(
+            parse_braid_word(empty)), word
+
+
+def test_homology_builds_the_cube_of_the_reduced_word_only(monkeypatch):
+    # without matrices a closure's cube has only the crossings its reduced
+    # word keeps; the engine under homology_groups, and the full complex,
+    # are built on the input
+    built = []
+    init = chain_complex._Cube.__init__
+
+    def spy(cube, table):
+        built.append(table.diagram)
+        init(cube, table)
+
+    monkeypatch.setattr(chain_complex._Cube, "__init__", spy)
+    d = parse_braid_word("B2 1 -1 1 1 -1")
+    table = homology_groups(d)
+    assert [(c.n, c.braid_word) for c in built] == [(1, BraidWord(2, (1,)))]
+    built.clear()
+    assert _homology_table(d) == table
+    assert homology_groups(d, matrices=differential_matrices(d)) == table
+    assert built == [d, d]
+    built.clear()
+    irreducible = parse_braid_word("B3 1 -2 1")
+    homology_groups(irreducible)
+    assert built == [irreducible]
+
+
 def test_given_matrices_of_another_diagram_raise():
     d = parse_braid_word("B2 1 1 1")
     with pytest.raises(ValueError):
@@ -490,8 +639,10 @@ def test_each_block_skips_the_rows_pivoted_on_in_the_block_above(monkeypatch):
 
 
 def _reductions(monkeypatch, d, matrices=None):
-    """``homology_groups(d, matrices=matrices)`` and each block it reduces
-    that takes rows: grading -> (columns gone at first, groups taken,
+    """The table of ``d`` as given, with ``matrices`` or without, by the
+    engine under ``homology_groups`` (which would reduce a closure's word
+    only without them), and each block it reduces that takes rows:
+    grading -> (columns gone at first, groups taken,
     columns gone before the cascade, factors, pivot rows).  A group is
     (columns gone before it, rows as ``{row: [(column, entry), ...]}``).
     Blocks are named as ``_Cube.blocks`` is given them, or by the
@@ -542,7 +693,7 @@ def _reductions(monkeypatch, d, matrices=None):
         patch.setattr(homology_module, "_rows_of", rows_spy)
         patch.setattr(_Block, "take", take_spy)
         patch.setattr(_Block, "invariant_factors", reduce_spy)
-        table = homology_groups(d, matrices=matrices)
+        table = homology_module._homology_table(d, matrices=matrices)
     return table, calls, len(reduced)
 
 

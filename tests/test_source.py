@@ -259,6 +259,57 @@ def test_one_reducer(monkeypatch):
     assert {"take", "reduce"} <= set(reached)
 
 
+def test_one_word_reduction(monkeypatch, capsys):
+    # a closure's word is reduced in one place: in src/, only
+    # homology.homology_groups calls BraidWord.reduced, and what shows or
+    # checks the complex or the bracket of the diagram given never reaches
+    # it: differential_matrices, check_euler_identity, the verify battery,
+    # bracket_br, and homology --dump-matrices --verify
+    import argparse
+
+    from braidbracket import chain_complex, cli, homology
+    from braidbracket.bracket import bracket_br
+    from braidbracket.diagram import BraidWord, parse_braid_word
+    from braidbracket.states import DEFAULT_CAP
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "reduced"):
+                found.append(f"{path.name}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), [])
+    assert found == ["homology.py:homology_groups"]
+
+    reached = []
+    reduce = BraidWord.reduced
+
+    def spy(word):
+        reached.append(word)
+        return reduce(word)
+
+    monkeypatch.setattr(BraidWord, "reduced", spy)
+    text = "B2 1 -1 1 1 -1"
+    d = parse_braid_word(text)
+    chain_complex.differential_matrices(d)
+    assert homology.check_euler_identity(d)
+    bracket_br(d)
+    args = argparse.Namespace(word=text, seed=0, moves=3, cap=DEFAULT_CAP)
+    assert all(flag for _, flag in cli._verify_battery(args))
+    assert cli.main(["homology", "-w", text, "--dump-matrices", "--verify"]) == 0
+    assert "d2: OK" in capsys.readouterr().out
+    assert reached == []
+    homology.homology_groups(d)
+    assert reached == [d.braid_word]
+
+
 def test_benchmark_outputs_match_their_stored_digests():
     # the benchmark's seed-0 batches must print what perfbench/digests.json
     # stores for them, and pass their output checks; this reads perfbench/
