@@ -132,11 +132,14 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 def cmd_homology(args: argparse.Namespace) -> int:
     diagram = _load_diagram(args)
     # the full complex is assembled only where every block is printed or
-    # checked; otherwise homology assembles what it reduces, layer by layer
+    # checked, and then the table is that of the diagram as given, never of
+    # a reduced word; otherwise homology assembles what it reduces
     dm = None
     if args.verify or args.dump_matrices:
         dm = differential_matrices(diagram, cap=args.cap)
-    table = homology_groups(diagram, cap=args.cap, matrices=dm)
+        table = _homology_table(diagram, args.cap)
+    else:
+        table = homology_groups(diagram, cap=args.cap)
     euler = euler_characteristic(table)
     verify_lines = []
     failed = False
@@ -225,6 +228,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.fmt == "json":
             print(json.dumps({"control": args.negative_control,
                               "bracket_differs": differs}, sort_keys=True))
+        elif args.fmt == "csv":
+            print("control,bracket_differs")
+            print(f"{args.negative_control},{'true' if differs else 'false'}")
         else:
             print(
                 f"negative control {args.negative_control}: bracket "
@@ -235,6 +241,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok = all(flag for _, flag in checks)
     if args.fmt == "json":
         print(json.dumps({name: bool(flag) for name, flag in checks}, sort_keys=True))
+    elif args.fmt == "csv":
+        print("check,status")
+        for name, flag in checks:
+            print(f"{name},{'OK' if flag else 'FAIL'}")
     else:
         for name, flag in checks:
             print(f"{name}: {'OK' if flag else 'FAIL'}")

@@ -70,13 +70,7 @@ from .diagram import OrientedDiagram, braid_closure
 from .laurent import Laurent2, delta_power, lp_iadd
 from .states import DEFAULT_CAP
 from .bracket import bracket_br, lighten, normalize
-from .chain_complex import (
-    DifferentialMatrix,
-    Grading,
-    _Cube,
-    _check_complex_cap,
-    _get_table,
-)
+from .chain_complex import Grading, _Cube, _check_complex_cap, _get_table
 
 HomologyTable = Dict[Grading, Tuple[int, Tuple[int, ...]]]  # (betti, torsion)
 
@@ -127,20 +121,6 @@ def smith_normal_form(matrix: List[List[int]]) -> List[int]:
     return diagonal
 
 
-def _rows_of(entries: Dict[Tuple[int, int], int]) -> Dict[int, Dict[int, int]]:
-    """The nonzero entries ``{(row, col): value}`` of a block as rows
-    ``{row: {col: value}}``."""
-    rows: Dict[int, Dict[int, int]] = {}
-    for (r, c), v in entries.items():
-        if v:
-            row = rows.get(r)
-            if row is None:
-                rows[r] = {c: v}
-            else:
-                row[c] = v
-    return rows
-
-
 class _Block:
     """One block of d under reduction, fed its rows as they are completed.
 
@@ -156,8 +136,7 @@ class _Block:
     can be pivoted on before the rows after it are known.  An entry left
     unassembled because its column is gone is one ``take`` would drop.
     Rows fed in ascending order give the same pivots in one group or in
-    several, however each group is listed, so the walk and the
-    given-matrices path pivot on the same rows.
+    several, however each group is listed.
     """
 
     def __init__(self, cancelled: Collection[int] = ()):
@@ -315,16 +294,12 @@ def rank_bareiss(matrix: List[List[int]]) -> int:
     return rank
 
 
-def homology_groups(
-    diagram: OrientedDiagram,
-    cap: int = DEFAULT_CAP,
-    matrices: DifferentialMatrix = None,
-) -> HomologyTable:
+def homology_groups(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> HomologyTable:
     """Betti numbers and torsion per (i, j, k); trivial groups are omitted.
 
-    Without ``matrices``, the homology of a braid closure is computed on
-    the closure of its freely and cyclically reduced word
-    (``BraidWord.reduced``), once the size cap holds on ``diagram``.
+    The homology of a braid closure is computed on the closure of its
+    freely and cyclically reduced word (``BraidWord.reduced``), once the
+    size cap holds on ``diagram``.
     Cancelling an adjacent pair sigma_i sigma_i^-1 removes a bigon whose
     two strands run the same way, as every strand of a braid does: a II_a
     move, under which the paper's refined homology is invariant, gradings
@@ -335,25 +310,20 @@ def homology_groups(
     only the crossings are numbered in another order, which the homology
     does not see.  So the reduced closure has the same table.
 
-    Everything that shows or checks the complex stays on ``diagram``:
-    given ``matrices``, its differential, the table is read from them, and
-    a diagram that is no closure is computed as given
+    A diagram that is no closure is computed as given, and so is
+    everything that shows or checks the complex of ``diagram``
     (``_homology_table``).
     """
     word = diagram.braid_word
-    if matrices is None and word is not None:
+    if word is not None:
         reduced = word.reduced()
         if reduced != word:
             _check_complex_cap(diagram, cap)  # the cap is read on the input
             diagram = braid_closure(reduced)
-    return _homology_table(diagram, cap, matrices)
+    return _homology_table(diagram, cap)
 
 
-def _homology_table(
-    diagram: OrientedDiagram,
-    cap: int = DEFAULT_CAP,
-    matrices: DifferentialMatrix = None,
-) -> HomologyTable:
+def _homology_table(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> HomologyTable:
     """The homology table of ``diagram`` as given, with no reduction of
     its word: the engine under ``homology_groups``, and the computation
     that the checks of the complex and of invariance call.
@@ -368,21 +338,12 @@ def _homology_table(
     maps onto it.  The module docstring gives both arguments.
 
     Each block is a ``_Block`` that starts with the cancelled columns
-    gone.  Without ``matrices``, ``chain_complex._Cube.blocks`` assembles
-    each layer's blocks into them as the walk reaches it, one target
-    smoothing at a time, and assembles no entry in a column gone.  Given
-    ``matrices``, the differential of ``diagram``, each block takes all
-    its rows (``_rows_of``) at once.  Either way a block takes its rows in
-    ascending order, so both pivot on the same rows.
+    gone.  ``chain_complex._Cube.blocks`` assembles each layer's blocks
+    into them as the walk reaches it, one target smoothing at a time, in
+    ascending row order, and assembles no entry in a column gone.
     """
-    if matrices is None:
-        cube = _Cube(_get_table(diagram, cap))
-        dims = cube.dims
-    else:
-        if matrices.diagram is not diagram:
-            raise ValueError("matrices given are not the differential of this diagram")
-        _check_complex_cap(diagram, cap)  # given matrices are held to the cap too
-        dims = matrices.dims
+    cube = _Cube(_get_table(diagram, cap))
+    dims = cube.dims
     top = max(i for i, _, _ in dims)
     bottom = min(i for i, _, _ in dims)
 
@@ -392,13 +353,7 @@ def _homology_table(
     cancelled: Dict[Grading, Set[int]] = {}  # pivot rows of the layer above
     for i in range(top, bottom - 1, -1):
         blocks = {g: _Block(cancelled.get(g, ())) for g in dims if g[0] == i and g[2] >= 0}
-        if matrices is None:
-            cube.blocks(top - i, blocks)
-        else:
-            for g, block in blocks.items():
-                entries = matrices.matrices.get(g)
-                if entries:
-                    block.take(_rows_of(entries))
+        cube.blocks(top - i, blocks)
         cancelled = {}
         for g, block in blocks.items():
             _, j, k = g
@@ -418,16 +373,14 @@ def _homology_table(
     return table
 
 
-def homology_to_json(table: HomologyTable, euler: Laurent2 = None) -> dict:
-    obj = {
+def homology_to_json(table: HomologyTable, euler: Laurent2) -> dict:
+    return {
         "groups": [
             {"i": i, "j": j, "k": k, "betti": b, "torsion": list(tor)}
             for (i, j, k), (b, tor) in sorted(table.items())
-        ]
+        ],
+        "euler": {f"({a},{h})": c for (a, h), c in sorted(euler.items())},
     }
-    if euler is not None:
-        obj["euler"] = {f"({a},{h})": c for (a, h), c in sorted(euler.items())}
-    return obj
 
 
 def euler_characteristic(table: HomologyTable) -> Laurent2:

@@ -13,7 +13,10 @@ circles by least dart where ``_StateTable.rule`` shifts their ids.
 by the dense Smith reduction, and ``homology_table_all_blocks`` by the
 sparse elimination, where ``homology.homology_groups`` carries unit
 pivots from one block to the next and copies the blocks with k < 0 from
-those with k > 0.
+those with k > 0.  ``homology_table_of_given_blocks`` makes the same
+reduction as ``homology._homology_table`` over the full complex, each
+block given all its rows at once, where the library's layer walk
+assembles each block as it reduces it.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,7 +34,7 @@ from braidbracket.chain_complex import (
     _dv_terms,
     _koszul_sign,
 )
-from braidbracket.homology import _Block, _rows_of, smith_normal_form
+from braidbracket.homology import _Block, smith_normal_form
 from braidbracket.moves import random_equivalent_pair
 
 # Walks are pinned by the sha256 of the moved diagram's PD JSON: a change in
@@ -341,13 +344,27 @@ def homology_table_oracle(dm: DifferentialMatrix) -> dict:
         dm, {g: smith_normal_form(dm.matrix_dense(g)) for g in dm.matrices})
 
 
+def rows_of(entries: dict) -> dict:
+    """The nonzero entries ``{(row, col): value}`` of a block as rows
+    ``{row: {col: value}}``, to give a block all its rows at once."""
+    rows: Dict[int, Dict[int, int]] = {}
+    for (r, c), v in entries.items():
+        if v:
+            row = rows.get(r)
+            if row is None:
+                rows[r] = {c: v}
+            else:
+                row[c] = v
+    return rows
+
+
 def sparse_factors(entries: dict, cancelled=(), pivot_rows: set = None) -> list:
     """The invariant factors of the block ``{(row, col): entry}`` by the
     sparse elimination, ``homology._Block``: every row taken at once, the
     columns ``cancelled`` gone; ``pivot_rows``, when given, receives the
     rows pivoted on."""
     block = _Block(cancelled)
-    block.take(_rows_of(entries))
+    block.take(rows_of(entries))
     factors = block.invariant_factors()
     if pivot_rows is not None:
         pivot_rows |= block.pivot_rows
@@ -361,6 +378,29 @@ def homology_table_all_blocks(dm: DifferentialMatrix) -> dict:
     another."""
     return _table_of_factors(
         dm, {g: sparse_factors(entries) for g, entries in dm.matrices.items()})
+
+
+def homology_table_of_given_blocks(dm: DifferentialMatrix) -> dict:
+    """Betti numbers and torsion per (i, j, k) by the reduction of
+    ``homology._homology_table``, each block read whole from ``dm``: layer
+    by layer, i from the highest down, every block with k >= 0 takes all
+    its rows at once (``sparse_factors``) with the rows that the block
+    above pivoted on gone as columns, and a block with k < 0 has the
+    factors of the block at (i, j, -k)."""
+    top, bottom = max(i for i, _, _ in dm.dims), min(i for i, _, _ in dm.dims)
+    factors: dict = {}
+    cancelled: dict = {}
+    for i in range(top, bottom - 1, -1):
+        pivots = {}
+        for g in dm.dims:
+            if g[0] == i and g[2] >= 0:
+                pivots[(i - 1, g[1], g[2])] = pivot_rows = set()
+                factors[g] = sparse_factors(
+                    dm.matrices.get(g, {}), cancelled.get(g, ()), pivot_rows)
+        cancelled = pivots
+    for i, j, k in dm.dims:
+        factors[(i, j, k)] = factors[(i, j, abs(k))]
+    return _table_of_factors(dm, factors)
 
 
 def _table_of_factors(dm: DifferentialMatrix, factors: dict) -> dict:

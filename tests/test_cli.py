@@ -234,6 +234,26 @@ def test_verify_negative_control_iib(capsys):
     assert code == 0
 
 
+def test_verify_battery_csv(capsys):
+    # one row per check of the battery, the same checks and verdicts as json
+    argv = ("verify", "--seed", "7", "--moves", "6", "-w", "B2 1 1 1", "--format")
+    code, out, _ = run(capsys, *argv, "csv")
+    json_code, json_out, _ = run(capsys, *argv, "json")
+    assert code == json_code == 0
+    lines = out.splitlines()
+    assert lines[0] == "check,status"
+    verdicts = {name: "OK" if ok else "FAIL" for name, ok in json.loads(json_out).items()}
+    assert dict(line.split(",") for line in lines[1:]) == verdicts
+    assert len(lines) == len(verdicts) + 1 and "bracket equality,OK" in lines
+
+
+def test_verify_negative_control_csv(capsys):
+    code, out, _ = run(capsys, "verify", "--negative-control", "RI", "-w", "B1",
+                       "--format", "csv")
+    assert code == 0
+    assert out == "control,bracket_differs\nRI,true\n"
+
+
 def test_verify_generation_error_exit_4(capsys):
     code, _, err = run(capsys, "verify", "--seed", "0", "--moves", "3", "-w", "B1")
     assert code == 4

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidbracket import chain_complex, homology as homology_module
+from braidbracket import chain_complex
 from braidbracket.bracket import _bracket_range, add_marked_circle, bracket_br
 from braidbracket.diagram import (
     BraidWord,
@@ -25,9 +25,11 @@ from braidbracket.homology import (
 )
 from braidbracket.moves import random_equivalent_pair
 
+import helpers
 from helpers import (
     WALK_PINS,
     homology_table_all_blocks,
+    homology_table_of_given_blocks,
     homology_table_oracle,
     mirror,
     moved_diagrams,
@@ -378,12 +380,13 @@ DENSE_LIMIT = 240
 
 
 def _check_against_block_by_block(d):
-    """``homology_groups`` against the block-by-block dense oracle; the
-    table, or None when the complex is too large for the oracle."""
+    """The engine under ``homology_groups``, on ``d`` as given, against
+    the block-by-block dense oracle; the table, or None when the complex
+    is too large for the oracle."""
     dm = differential_matrices(d)
     if max(dm.dims.values()) > DENSE_LIMIT:
         return None
-    table = homology_groups(d, matrices=dm)
+    table = _homology_table(d)
     assert table == homology_table_oracle(dm)
     return table
 
@@ -425,7 +428,7 @@ def test_elimination_matches_all_blocks_on_workload_sized_closures():
         d = parse_braid_word(word)
         dm = differential_matrices(d)
         tables.append(homology_groups(d))
-        assert tables[-1] == homology_groups(d, matrices=dm) == homology_table_all_blocks(dm)
+        assert tables[-1] == _homology_table(d) == homology_table_all_blocks(dm)
     assert any(tor for t in tables for _, tor in t.values())
 
 
@@ -562,9 +565,9 @@ def test_words_that_reduce_to_the_empty_braid_give_the_crossingless_closure():
 
 
 def test_homology_builds_the_cube_of_the_reduced_word_only(monkeypatch):
-    # without matrices a closure's cube has only the crossings its reduced
-    # word keeps; the engine under homology_groups, and the full complex,
-    # are built on the input
+    # a closure's cube has only the crossings its reduced word keeps; the
+    # engine under homology_groups, and the full complex, are built on the
+    # input
     built = []
     init = chain_complex._Cube.__init__
 
@@ -578,7 +581,7 @@ def test_homology_builds_the_cube_of_the_reduced_word_only(monkeypatch):
     assert [(c.n, c.braid_word) for c in built] == [(1, BraidWord(2, (1,)))]
     built.clear()
     assert _homology_table(d) == table
-    assert homology_groups(d, matrices=differential_matrices(d)) == table
+    differential_matrices(d)
     assert built == [d, d]
     built.clear()
     irreducible = parse_braid_word("B3 1 -2 1")
@@ -586,71 +589,20 @@ def test_homology_builds_the_cube_of_the_reduced_word_only(monkeypatch):
     assert built == [irreducible]
 
 
-def test_given_matrices_of_another_diagram_raise():
-    d = parse_braid_word("B2 1 1 1")
-    with pytest.raises(ValueError):
-        homology_groups(d, matrices=differential_matrices(parse_braid_word("B2 1 1 1 1")))
-    assert homology_groups(d, matrices=differential_matrices(d)) == homology_groups(d)
-
-
-def test_each_block_skips_the_rows_pivoted_on_in_the_block_above(monkeypatch):
-    # the walk runs down the layers, and a block is reduced without the
-    # columns that the block above it pivoted on, if there is one; the
-    # blocks with k < 0 are not reduced
-    dm = differential_matrices(parse_braid_word("B3 1 -2 1 -2 1"))
-    names = {id(block): g for g, block in dm.matrices.items()}
-    held, skips, calls, reduced = [], {}, {}, []
-    to_rows = homology_module._rows_of
-    take = _Block.take
-    reduce = _Block.invariant_factors
-
-    def rows_spy(entries):
-        rows = to_rows(entries)
-        held.append(rows)
-        names[id(rows)] = names[id(entries)]
-        return rows
-
-    def take_spy(block, rows):
-        if not reduced or reduced[-1] is not block:  # not the cascade's own
-            g = names[id(block)] = names[id(rows)]
-            held.append(block)
-            skips[g] = set(block.gone)
-        take(block, rows)
-
-    def reduce_spy(block):
-        reduced.append(block)
-        factors = reduce(block)
-        g = names.get(id(block))
-        if g is not None:
-            calls[g] = (skips[g], set(block.pivot_rows))
-        return factors
-
-    monkeypatch.setattr(homology_module, "_rows_of", rows_spy)
-    monkeypatch.setattr(_Block, "take", take_spy)
-    monkeypatch.setattr(_Block, "invariant_factors", reduce_spy)
-    homology_groups(dm.diagram, matrices=dm)
-    assert set(calls) == {g for g in dm.matrices if g[2] >= 0}
-    assert len(calls) < len(dm.matrices)
-    assert len(reduced) == sum(k >= 0 for _, _, k in dm.dims) < len(dm.dims)
-    for (i, j, k), (skipped, _) in calls.items():
-        above = calls.get((i + 1, j, k))
-        assert skipped == (above[1] if above else set()), (i, j, k)
-    assert sum(bool(skipped) for skipped, _ in calls.values()) >= 5
-
-
-def _reductions(monkeypatch, d, matrices=None):
-    """The table of ``d`` as given, with ``matrices`` or without, by the
-    engine under ``homology_groups`` (which would reduce a closure's word
-    only without them), and each block it reduces that takes rows:
-    grading -> (columns gone at first, groups taken,
-    columns gone before the cascade, factors, pivot rows).  A group is
-    (columns gone before it, rows as ``{row: [(column, entry), ...]}``).
-    Blocks are named as ``_Cube.blocks`` is given them, or by the
+def _reductions(monkeypatch, d, dm=None):
+    """The table of ``d`` as given and each block reduced that takes rows:
+    grading -> (columns gone at first, groups taken, columns gone before
+    the cascade, factors, pivot rows).  A group is (columns gone before
+    it, rows as ``{row: [(column, entry), ...]}``).  Without ``dm`` the
+    table is the engine's under ``homology_groups``, ``_homology_table``,
+    and blocks are named as ``_Cube.blocks`` is given them; given ``dm``,
+    the full complex of ``d``, it is the reference
+    ``homology_table_of_given_blocks``, and blocks are named by the
     matrices their rows come from.  Also the number of blocks reduced."""
-    names = {id(b): g for g, b in matrices.matrices.items()} if matrices else {}
+    names = {id(b): g for g, b in dm.matrices.items()} if dm else {}
     held, first, groups, calls, reduced = [], {}, {}, {}, []
     assemble = chain_complex._Cube.blocks
-    to_rows = homology_module._rows_of
+    to_rows = helpers.rows_of
     take = _Block.take
     reduce = _Block.invariant_factors
 
@@ -668,15 +620,17 @@ def _reductions(monkeypatch, d, matrices=None):
     def rows_spy(entries):
         rows = to_rows(entries)
         held.append(rows)
-        names[id(rows)] = names[id(entries)]
+        if id(entries) in names:  # not the empty rows of a block without entries
+            names[id(rows)] = names[id(entries)]
         return rows
 
     def take_spy(block, rows):
         if not reduced or reduced[-1] is not block:  # not the cascade's own
-            if id(block) not in names:
+            if id(block) not in names and id(rows) in names:
                 name(block, names[id(rows)])
-            groups[names[id(block)]].append(
-                (set(block.gone), {r: list(row.items()) for r, row in rows.items()}))
+            if id(block) in names:
+                groups[names[id(block)]].append(
+                    (set(block.gone), {r: list(row.items()) for r, row in rows.items()}))
         take(block, rows)
 
     def reduce_spy(block):
@@ -690,25 +644,28 @@ def _reductions(monkeypatch, d, matrices=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(chain_complex._Cube, "blocks", assemble_spy)
-        patch.setattr(homology_module, "_rows_of", rows_spy)
+        patch.setattr(helpers, "rows_of", rows_spy)
         patch.setattr(_Block, "take", take_spy)
         patch.setattr(_Block, "invariant_factors", reduce_spy)
-        table = homology_module._homology_table(d, matrices=matrices)
+        table = homology_table_of_given_blocks(dm) if dm else _homology_table(d)
     return table, calls, len(reduced)
 
 
-def test_streamed_walk_equals_the_walk_over_given_matrices(monkeypatch, corpus_small):
-    # homology_groups(d) assembles each layer as it goes; given the full
-    # complex, each block takes its rows at once.  The two must pivot on
-    # the same rows of the same blocks.  The streamed path must reduce no
-    # block with k < 0, assemble no column that the block above pivoted
-    # on or that the block itself has pivoted on, take its rows in
-    # ascending order, and list the rest of each row as the full block does
+def test_streamed_walk_reduces_as_the_blocks_given_whole(monkeypatch, corpus_small):
+    # the engine under homology_groups assembles each layer as it goes; the
+    # reference gives each block of the full complex its rows at once.  The
+    # two must pivot on the same rows of the same blocks.  The walk runs
+    # down the layers, and must reduce no block with k < 0, assemble no
+    # column that the block above pivoted on or that the block itself has
+    # pivoted on, take its rows in ascending order, and list the rest of
+    # each row as the full block does.  Every block with k >= 0 and
+    # entries takes rows
+    skipping = parse_braid_word("B3 1 -2 1 -2 1")
     diagrams = list(corpus_small) + list(moved_diagrams())
     diagrams += [add_marked_circle(parse_braid_word("B2 1 1 1"), 2),
                  add_marked_circle(parse_braid_word("B3 1 -2 1"), 0),
                  add_marked_circle(diagrams[-1], 4)]
-    diagrams += [parse_braid_word(w) for w in ("B3 1", "B2", "B0")]
+    diagrams += [parse_braid_word(w) for w in ("B3 1", "B2", "B0")] + [skipping]
     skipped = online = 0
     for d in diagrams:
         dm = differential_matrices(d)
@@ -716,8 +673,9 @@ def test_streamed_walk_equals_the_walk_over_given_matrices(monkeypatch, corpus_s
         given, given_calls, given_reduced = _reductions(monkeypatch, d, dm)
         assert streamed == given == homology_table_all_blocks(dm)
         assert reduced == given_reduced == sum(k >= 0 for _, _, k in dm.dims)
-        assert {g: c[3:] for g, c in calls.items() if c[3]} == {
-            g: c[3:] for g, c in given_calls.items() if c[3]}
+        assert set(calls) == set(given_calls) == {g for g in dm.matrices if g[2] >= 0}
+        assert {g: c[3:] for g, c in calls.items()} == {
+            g: c[3:] for g, c in given_calls.items()}
         for (i, j, k), (cancelled, taken, gone, _, _) in calls.items():
             assert k >= 0
             above = calls.get((i + 1, j, k))
@@ -740,6 +698,10 @@ def test_streamed_walk_equals_the_walk_over_given_matrices(monkeypatch, corpus_s
             assert all(c in gone for r in set(full) - set(order) for c, _ in full[r])
             skipped += bool(cancelled)
             online += len(gone) > len(cancelled)
+    # the last diagram has blocks with k < 0, none of them reduced, and at
+    # least five blocks that skip the columns pivoted on above them
+    assert len(calls) < len(dm.matrices) and reduced < len(dm.dims)
+    assert sum(bool(c[0]) for c in calls.values()) >= 5
     assert skipped >= 50 and online >= 200
 
 

@@ -211,14 +211,18 @@ def _tests_for_a_unit(node) -> bool:
     return False
 
 
-def test_one_reducer(monkeypatch):
+def test_one_reducer(monkeypatch, capsys):
     # unit-pivot elimination is done in one place: in src/, only
     # homology._Block asks whether a value is +-1, as it takes rows and as
     # it reduces what it stored (and laurent._join_terms, to print a
-    # coefficient of 1 as nothing), and homology_groups reaches both with
-    # and without the full complex given
-    from braidbracket import homology
-    from braidbracket.chain_complex import differential_matrices
+    # coefficient of 1 as nothing).  Homology has one intake, the layer
+    # walk: homology_groups and _homology_table take a diagram and a cap
+    # only, and even homology --dump-matrices --verify, which prints the
+    # full complex, feeds a block only rows that _Cube.blocks assembled or
+    # that the block's own cascade takes again
+    import inspect
+
+    from braidbracket import chain_complex, cli, homology
     from braidbracket.diagram import parse_braid_word
 
     found = []
@@ -237,26 +241,40 @@ def test_one_reducer(monkeypatch):
     assert sorted(set(found)) == [
         "homology.py:_Block.invariant_factors", "homology.py:_Block.take",
         "laurent.py:_join_terms"]
+    for entry in (homology.homology_groups, homology._homology_table):
+        assert list(inspect.signature(entry).parameters) == ["diagram", "cap"]
 
-    reached = []
-    take, reduce = homology._Block.take, homology._Block.invariant_factors
+    reached, within = [], []
+    take = homology._Block.take
+
+    def inside(name, method):
+        def spy(*args):
+            reached.append(name)
+            within.append(name)
+            try:
+                return method(*args)
+            finally:
+                within.pop()
+        return spy
 
     def take_spy(block, rows):
-        reached.append("take")
+        reached.append(f"take in {within[-1] if within else 'neither'}")
         return take(block, rows)
 
-    def reduce_spy(block):
-        reached.append("reduce")
-        return reduce(block)
-
     monkeypatch.setattr(homology._Block, "take", take_spy)
-    monkeypatch.setattr(homology._Block, "invariant_factors", reduce_spy)
+    monkeypatch.setattr(homology._Block, "invariant_factors",
+                        inside("reduce", homology._Block.invariant_factors))
+    monkeypatch.setattr(chain_complex._Cube, "blocks",
+                        inside("walk", chain_complex._Cube.blocks))
     d = parse_braid_word("B3 1 -2 1 -2")
-    table = homology.homology_groups(d)
-    assert {"take", "reduce"} <= set(reached)
+    homology.homology_groups(d)
+    assert {"take in walk", "reduce"} <= set(reached)
+    assert "take in neither" not in reached
     reached.clear()
-    assert homology.homology_groups(d, matrices=differential_matrices(d)) == table
-    assert {"take", "reduce"} <= set(reached)
+    assert cli.main(["homology", "-w", "B3 1 -2 1 -2", "--dump-matrices", "--verify"]) == 0
+    assert "d2: OK" in capsys.readouterr().out
+    assert {"take in walk", "reduce"} <= set(reached)
+    assert "take in neither" not in reached
 
 
 def test_one_word_reduction(monkeypatch, capsys):

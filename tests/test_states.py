@@ -5,15 +5,25 @@ from pathlib import Path
 
 import pytest
 
-from braidbracket.bracket import add_marked_circle, bracket_br, kauffman_oracle, skein_expand
-from braidbracket.chain_complex import differential_matrices
+from braidbracket.bracket import (
+    add_marked_circle,
+    bracket_br,
+    kauffman_oracle,
+    seifert_leading_term,
+    skein_expand,
+)
+from braidbracket.chain_complex import (
+    differential_matrices,
+    enhanced_states,
+    verify_anticommute,
+)
 from braidbracket.diagram import (
     BraidWord,
     NonPlanarError,
     parse_braid_word,
     reverse_orientation,
 )
-from braidbracket.homology import homology_groups
+from braidbracket.homology import check_euler_identity, homology_groups
 from braidbracket.laurent import DELTA
 from braidbracket.moves import apply_move, find_sites, random_equivalent_pair
 from braidbracket.states import (
@@ -117,14 +127,17 @@ NEGATIVE_CAP_CALLS = {
     "bracket_br sweep": lambda d, cap: bracket_br(d, cap=cap),
     "bracket_br state sum": lambda d, cap: bracket_br(reverse_orientation(d), cap=cap),
     "kauffman_oracle": lambda d, cap: kauffman_oracle(d, cap=cap),
+    "seifert_leading_term": lambda d, cap: seifert_leading_term(d, cap=cap),
     "enumerate_states": lambda d, cap: list(enumerate_states(d, cap=cap)),
+    "enhanced_states": lambda d, cap: enhanced_states(d, cap=cap),
     "differential_matrices": lambda d, cap: differential_matrices(d, cap=cap),
+    "verify_anticommute": lambda d, cap: verify_anticommute(d, cap=cap),
     "homology_groups": lambda d, cap: homology_groups(d, cap=cap),
-    "homology_groups given matrices":
-        lambda d, cap: homology_groups(d, cap=cap, matrices=differential_matrices(d)),
+    "check_euler_identity": lambda d, cap: check_euler_identity(d, cap=cap),
 }
 # the complex counts each component without a crossing as one crossing
-COMPLEX_ENTRIES = {"differential_matrices", "homology_groups", "homology_groups given matrices"}
+COMPLEX_ENTRIES = {"differential_matrices", "enhanced_states", "verify_anticommute",
+                   "homology_groups", "check_euler_identity"}
 
 
 @pytest.mark.parametrize("entry", sorted(NEGATIVE_CAP_CALLS))
