@@ -651,21 +651,35 @@ def _reductions(monkeypatch, d, dm=None):
     return table, calls, len(reduced)
 
 
-def test_streamed_walk_reduces_as_the_blocks_given_whole(monkeypatch, corpus_small):
+def test_each_block_skips_the_rows_pivoted_on_in_the_block_above(monkeypatch):
+    # the walk runs down the layers, and a block is reduced without the
+    # columns that the block above it pivoted on, if there is one; the
+    # blocks with k < 0 are not reduced
+    dm = differential_matrices(parse_braid_word("B3 1 -2 1 -2 1"))
+    _, calls, reduced = _reductions(monkeypatch, dm.diagram)
+    assert set(calls) == {g for g in dm.matrices if g[2] >= 0}
+    assert len(calls) < len(dm.matrices)
+    assert reduced == sum(k >= 0 for _, _, k in dm.dims) < len(dm.dims)
+    for (i, j, k), (skipped, *_) in calls.items():
+        above = calls.get((i + 1, j, k))
+        assert skipped == (above[4] if above else set()), (i, j, k)
+    assert sum(bool(c[0]) for c in calls.values()) >= 5
+
+
+def test_streamed_walk_equals_the_walk_over_given_matrices(monkeypatch, corpus_small):
     # the engine under homology_groups assembles each layer as it goes; the
-    # reference gives each block of the full complex its rows at once.  The
-    # two must pivot on the same rows of the same blocks.  The walk runs
-    # down the layers, and must reduce no block with k < 0, assemble no
+    # reference over the given matrices of the full complex gives each
+    # block its rows at once.  The two must pivot on the same rows of the
+    # same blocks.  The walk must reduce no block with k < 0, assemble no
     # column that the block above pivoted on or that the block itself has
     # pivoted on, take its rows in ascending order, and list the rest of
     # each row as the full block does.  Every block with k >= 0 and
     # entries takes rows
-    skipping = parse_braid_word("B3 1 -2 1 -2 1")
     diagrams = list(corpus_small) + list(moved_diagrams())
     diagrams += [add_marked_circle(parse_braid_word("B2 1 1 1"), 2),
                  add_marked_circle(parse_braid_word("B3 1 -2 1"), 0),
                  add_marked_circle(diagrams[-1], 4)]
-    diagrams += [parse_braid_word(w) for w in ("B3 1", "B2", "B0")] + [skipping]
+    diagrams += [parse_braid_word(w) for w in ("B3 1", "B2", "B0")]
     skipped = online = 0
     for d in diagrams:
         dm = differential_matrices(d)
@@ -698,10 +712,6 @@ def test_streamed_walk_reduces_as_the_blocks_given_whole(monkeypatch, corpus_sma
             assert all(c in gone for r in set(full) - set(order) for c, _ in full[r])
             skipped += bool(cancelled)
             online += len(gone) > len(cancelled)
-    # the last diagram has blocks with k < 0, none of them reduced, and at
-    # least five blocks that skip the columns pivoted on above them
-    assert len(calls) < len(dm.matrices) and reduced < len(dm.dims)
-    assert sum(bool(c[0]) for c in calls.values()) >= 5
     assert skipped >= 50 and online >= 200
 
 
