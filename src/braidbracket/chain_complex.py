@@ -25,6 +25,13 @@ of one smoothing of the next layer are completed together and handed to
 their blocks.  ``differential_matrices`` keeps every row of every layer;
 ``homology._homology_table`` pivots on one-entry rows as it takes them,
 and the walk assembles no entry in a column already pivoted.
+
+The basis is placed one layer at a time too, when the walk first needs
+the layer (``_Cube.place``).  Every state of a tridegree lies in one
+layer, as i depends only on the number of A^-1-smoothed crossings, and
+its generators are numbered by smoothing in ascending order (bit v is
+crossing v), then by labeling in canonical order (circle 0's label
+first, minus before plus).  ``enhanced_states`` lists the same basis.
 """
 
 from __future__ import annotations
@@ -291,45 +298,6 @@ def _make_enhanced(table: _StateTable, bits: int, labelmask: int) -> EnhancedSta
     return EnhancedState(bits, labels, i, j, k)
 
 
-# (cell, rank, gid, base) of one smoothing: the template's cells and ranks,
-# and per cell the position in ``gradings`` of its tridegree and the column
-# there of its first state
-_Where = Tuple[List[int], List[int], List[int], List[int]]
-
-
-def _basis(table: _StateTable) -> Tuple[List[Grading], List[int], List[_Where]]:
-    """Where every enhanced state sits in the basis.
-
-    Returns ``(gradings, dims, where)``.  ``gradings`` lists the
-    tridegrees in order of first appearance and ``dims`` their sizes.
-    ``where[bits]`` places the labelings of one smoothing: mask ``m``, in
-    cell ``c = cell[m]``, has the tridegree ``gradings[gid[c]]`` and the
-    column ``base[c] + rank[m]`` there.  Columns follow smoothings in
-    order, then labelings in canonical order.
-    """
-    ids: Dict[Grading, int] = {}
-    gradings: List[Grading] = []
-    dims: List[int] = []
-    where: List[_Where] = []
-    for bits in range(1 << table.n):
-        _, types, dmask, _ = table.structure(bits)
-        cell, rank, firsts, count = table.template(len(types), dmask)
-        gid = [0] * len(count)
-        base = [0] * len(count)
-        for c, tau_d, tau_h in firsts:
-            grading = table.grading(bits, tau_d, tau_h)
-            g = ids.get(grading, -1)
-            if g < 0:
-                g = ids[grading] = len(gradings)
-                gradings.append(grading)
-                dims.append(0)
-            gid[c] = g
-            base[c] = dims[g]
-            dims[g] += count[c]
-        where.append((cell, rank, gid, base))
-    return gradings, dims, where
-
-
 def enhanced_states(
     diagram: OrientedDiagram, cap: int = DEFAULT_CAP
 ) -> Dict[Grading, List[EnhancedState]]:
@@ -338,13 +306,12 @@ def enhanced_states(
 
 
 def _enhanced_states(table: _StateTable) -> Dict[Grading, List[EnhancedState]]:
-    gradings, _, where = _basis(table)
-    buckets: List[List[EnhancedState]] = [[] for _ in gradings]
-    for bits, (cell, _, gid, _) in enumerate(where):
-        ncirc = len(table.structure(bits)[1])
-        for m in table.label_order(ncirc):
-            buckets[gid[cell[m]]].append(_make_enhanced(table, bits, m))
-    return dict(zip(gradings, buckets))
+    buckets: Dict[Grading, List[EnhancedState]] = {}
+    for bits in range(1 << table.n):
+        for m in table.label_order(len(table.structure(bits)[1])):
+            s = _make_enhanced(table, bits, m)
+            buckets.setdefault((s.i, s.j, s.k), []).append(s)
+    return buckets
 
 
 def incidence(
@@ -496,31 +463,52 @@ class _Cube:
 
     Layer ``p`` holds the smoothings with ``p`` A^-1-smoothed crossings,
     ascending; their states sit in degree ``i = i_top - p``, and d maps
-    layer ``p`` into layer ``p + 1``.  The column and tridegree of every
-    labeling are listed only for the smoothings of the layers in hand.
+    layer ``p`` into layer ``p + 1``.  A layer is traced and placed, and
+    its tridegrees' sizes added to ``dims``, when first asked for
+    (``place``); placements are listed only for the layers in hand.
     """
 
     def __init__(self, table: _StateTable):
         self.table = table
-        self.gradings, dims, self._where = _basis(table)
-        self.dims = dict(zip(self.gradings, dims))
-        ids = {g: gi for gi, g in enumerate(self.gradings)}
-        self._down = [ids.get((i - 1, j, k), -1) for (i, j, k) in self.gradings]
+        self.dims: Dict[Grading, int] = {}
         self.layers: List[List[int]] = [[] for _ in range(table.n + 1)]
         for bits in range(1 << table.n):
             self.layers[bits.bit_count()].append(bits)
+        self._tridegrees: Dict[int, Dict[Grading, int]] = {}
+        # (tridegree id in its layer, column) per labeling of a smoothing,
+        # kept until its last use as a source of d
         self._placed: Dict[int, Tuple[List[int], List[int]]] = {}
 
-    def _places(self, bits: int) -> Tuple[List[int], List[int]]:
-        """(tridegree id, column) per labeling of the smoothing ``bits``,
-        kept until its last use as a source of d."""
-        hit = self._placed.get(bits)
-        if hit is None:
-            cell, rank, gid, base = self._where[bits]
-            hit = self._placed[bits] = (
-                [gid[c] for c in cell], [base[c] + r for c, r in zip(cell, rank)]
-            )
-        return hit
+    def place(self, p: int) -> Dict[Grading, int]:
+        """The tridegrees of layer ``p`` in order of first appearance, each
+        with its id in the layer; the layer is placed on the first call.
+        Mask ``m`` of a smoothing falls in its template's cell ``cell[m]``
+        and gets the column after those of the cell's tridegree placed so
+        far, plus ``rank[m]``."""
+        ids = self._tridegrees.get(p)
+        if ids is None:
+            table = self.table
+            taus: Dict[Tuple[int, int], int] = {}  # i is the layer's
+            sizes: List[int] = []
+            for bits in self.layers[p]:
+                _, types, dmask, _ = table.structure(bits)
+                cell, rank, firsts, count = table.template(len(types), dmask)
+                gid = [0] * len(count)
+                base = [0] * len(count)
+                for c, tau_d, tau_h in firsts:
+                    g = gid[c] = taus.setdefault((tau_d, tau_h), len(taus))
+                    if g == len(sizes):
+                        sizes.append(0)
+                    base[c] = sizes[g]
+                    sizes[g] += count[c]
+                self._placed[bits] = (
+                    [gid[c] for c in cell], [base[c] + r for c, r in zip(cell, rank)]
+                )
+            ids = self._tridegrees[p] = {
+                table.grading((1 << p) - 1, tau_d, tau_h): g for (tau_d, tau_h), g in taus.items()
+            }
+            self.dims.update(zip(ids, sizes))
+        return ids
 
     def blocks(self, p: int, blocks: Dict[Grading, Any]) -> None:
         """Assemble the blocks of d out of layer ``p`` into ``blocks``.
@@ -548,20 +536,26 @@ class _Cube:
         columns gone (the ``homology`` module docstring).  A source's live
         labelings are listed at its first use and dropped after its last,
         which is the target through its highest A-smoothed crossing.
+
+        Layers ``p`` and ``p + 1`` are placed if they are not yet; layer
+        ``p``'s placements are dropped as the walk goes, so ``blocks`` is
+        called once per layer, ``p`` ascending.
         """
         if p + 1 == len(self.layers):
             self._placed.clear()  # the top layer: d out of it is zero
             return
-        table, down = self.table, self._down
-        sinks = [blocks.get(g) for g in self.gradings]
-        up: List[Any] = [None] * len(sinks)  # the block into each tridegree
+        table = self.table
+        sources, targets = self.place(p), self.place(p + 1)
+        down = [targets.get((i - 1, j, k), -1) for (i, j, k) in sources]
+        sinks = [blocks.get(g) for g in sources]
+        up: List[Any] = [None] * len(targets)  # the block into each tridegree
         for g, sink in enumerate(sinks):
             if sink is not None and down[g] >= 0:
                 up[down[g]] = sink
         top = (1 << table.n) - 1
         live: Dict[int, List[Tuple[int, Collection[int], int, int]]] = {}
         for bits2 in self.layers[p + 1]:
-            gtgt, ptgt = self._places(bits2)
+            gtgt, ptgt = self._placed[bits2]
             # the rows of bits2, by the tridegree id of their block
             groups: Dict[int, Dict[int, Dict[int, int]]] = {}
             for v in range(table.n):
@@ -570,7 +564,7 @@ class _Cube:
                 bits = bits2 ^ (1 << v)
                 src = live.get(bits)
                 if src is None:
-                    gids, cols = self._places(bits)
+                    gids, cols = self._placed[bits]
                     src = live[bits] = [
                         (m, sinks[g].gone, col, down[g])
                         for m, (g, col) in enumerate(zip(gids, cols))
@@ -615,9 +609,11 @@ def differential_matrices(
     a ``_Whole`` per tridegree), each block's rows read out as ``{(row,
     col): entry}``."""
     cube = _Cube(_get_table(diagram, cap))
-    blocks = {g: _Whole() for g in cube.gradings}
+    blocks: Dict[Grading, _Whole] = {}
     for p in range(len(cube.layers)):
-        cube.blocks(p, blocks)
+        layer = {g: _Whole() for g in cube.place(p)}
+        cube.blocks(p, layer)
+        blocks.update(layer)
     matrices = {
         g: {(r, c): val for r, row in block.rows.items() for c, val in row.items()}
         for g, block in blocks.items() if block.rows

@@ -343,24 +343,20 @@ def _homology_table(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> Homolog
     ascending row order, and assembles no entry in a column gone.
     """
     cube = _Cube(_get_table(diagram, cap))
-    dims = cube.dims
-    top = max(i for i, _, _ in dims)
-    bottom = min(i for i, _, _ in dims)
-
     # the block at g is the differential out of g, so each is read twice:
     # as g's outgoing map and as the incoming map of (i - 1, j, k)
     factors: Dict[Grading, List[int]] = {}
     cancelled: Dict[Grading, Set[int]] = {}  # pivot rows of the layer above
-    for i in range(top, bottom - 1, -1):
-        blocks = {g: _Block(cancelled.get(g, ())) for g in dims if g[0] == i and g[2] >= 0}
-        cube.blocks(top - i, blocks)
+    for p in range(len(cube.layers)):
+        blocks = {g: _Block(cancelled.get(g, ())) for g in cube.place(p) if g[2] >= 0}
+        cube.blocks(p, blocks)
         cancelled = {}
         for g, block in blocks.items():
-            _, j, k = g
+            i, j, k = g
             factors[g] = block.invariant_factors()
             cancelled[(i - 1, j, k)] = block.pivot_rows
     table: HomologyTable = {}
-    for g, dim in dims.items():
+    for g, dim in cube.dims.items():
         i, j, k = g
         k = abs(k)
         incoming = factors.get((i + 1, j, k), ())

@@ -296,10 +296,16 @@ def _configuration_key(types: List[str], nesting: Dict[int, Optional[int]]) -> s
     for cid in h_ids:
         children.setdefault(h_parent(cid), []).append(cid)
 
-    def canon(cid: int) -> str:
-        return "(" + "".join(sorted(canon(ch) for ch in children.get(cid, ()))) + ")"
-
-    return "".join(sorted(canon(r) for r in children.get(None, ())))
+    # children before parents (reverse breadth-first order): no recursion
+    roots = children.get(None, [])
+    order = roots[:]
+    for cid in order:
+        order.extend(children.get(cid, ()))
+    form: Dict[int, str] = {}
+    for cid in reversed(order):
+        kids = children.get(cid)
+        form[cid] = "(" + "".join(sorted([form[ch] for ch in kids])) + ")" if kids else "()"
+    return "".join(sorted([form[r] for r in roots]))
 
 
 def enumerate_states(

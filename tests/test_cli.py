@@ -323,6 +323,23 @@ def test_pd_nested_too_deeply_exit_2(tmp_path):
     assert proc.stderr.startswith("input error:") and "Traceback" not in proc.stderr
 
 
+def test_pd_of_deeply_nested_loops_exit_0(tmp_path):
+    # 600 concentric free loops nest 600 levels deep; the bracket's
+    # configuration string is built without recursion, so a fresh
+    # interpreter prints it with no traceback
+    path = tmp_path / "loops.json"
+    path.write_text(parse_braid_word("B600").to_pd_json())
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidbracket.cli", "bracket", str(path), "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    terms = json.loads(proc.stdout)["bracket"]["terms"]
+    assert terms == [{"config": "(" * 600 + ")" * 600, "poly": {"0": "1"}}]
+
+
 def _pd_with(word, field, value):
     """PD JSON of ``word`` with the value at the key path ``field`` replaced."""
     obj = json.loads(parse_braid_word(word).to_pd_json())

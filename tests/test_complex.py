@@ -14,7 +14,8 @@ from braidbracket.chain_complex import (
     partial_differential_oracle,
     verify_anticommute,
 )
-from braidbracket.homology import homology_groups
+from braidbracket.bracket import add_marked_circle
+from braidbracket.homology import _homology_table, homology_groups
 from braidbracket.states import SizeCapError
 
 from helpers import incidence_operator, moved_diagrams, relabel_oracle, rule_table_operator
@@ -54,6 +55,38 @@ def test_basis_built_on_read_matches_enhanced_states(corpus_small):
         dm = differential_matrices(d)
         assert dm.basis == enhanced_states(d)
         assert {g: len(v) for g, v in dm.basis.items()} == dm.dims
+
+
+def test_the_cube_traces_and_places_one_layer_at_a_time(monkeypatch, corpus_small):
+    # the walk traces and places a layer when it first needs it: when
+    # blocks(p) starts, no smoothing above layer p has been traced, and
+    # when it ends none above p + 1.  Placing layer by layer gives every
+    # tridegree the size of its part of the enhanced-state basis
+    diagrams = list(corpus_small) + list(moved_diagrams())
+    diagrams.append(add_marked_circle(parse_braid_word("B3 1 -2 1"), 0))
+    structure, assemble = chain_complex._StateTable.structure, chain_complex._Cube.blocks
+    traced, spans, cubes = [], [], []
+
+    def structure_spy(table, bits):
+        traced.append(bits.bit_count())
+        return structure(table, bits)
+
+    def blocks_spy(cube, p, blocks):
+        cubes.append(cube)
+        before = max(traced)
+        assemble(cube, p, blocks)
+        spans.append((p, before, max(traced)))
+
+    monkeypatch.setattr(chain_complex._StateTable, "structure", structure_spy)
+    monkeypatch.setattr(chain_complex._Cube, "blocks", blocks_spy)
+    for d in diagrams:
+        sizes = {g: len(v) for g, v in enhanced_states(d).items()}
+        for entry in (_homology_table, differential_matrices):
+            del traced[:], spans[:], cubes[:]
+            entry(d)
+            assert spans == [(p, p, min(p + 1, d.n)) for p in range(d.n + 1)], d
+            assert len(set(map(id, cubes))) == 1
+            assert cubes[0].dims == sizes
 
 
 @pytest.mark.parametrize("word", ["B2 1 1 1", "B3 1 -2 1 -2 1 -2"])

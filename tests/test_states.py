@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from braidbracket.diagram import (
     BraidWord,
     NonPlanarError,
     parse_braid_word,
+    parse_pd,
     reverse_orientation,
 )
 from braidbracket.homology import check_euler_identity, homology_groups
@@ -166,6 +168,32 @@ def test_configurations_nested_vs_disjoint():
     d = parse_braid_word("B2 1")
     s = seifert_state(d)
     assert configuration_of(s) == "(())"
+
+
+def test_configuration_strings_need_no_recursion_per_nesting_level(corpus_small):
+    # 600 concentric loops: the PD round trip takes the state sum, whose
+    # configuration string is built bottom-up, not one call per level
+    loops = parse_braid_word("B600")
+    pd = parse_pd(json.loads(loops.to_pd_json()))
+    assert bracket_br(pd) == bracket_br(loops) == {"(" * 600 + ")" * 600: {0: 1}}
+    assert seifert_leading_term(pd) == ("(" * 600 + ")" * 600, {0: 1})
+
+    def recursive(state):
+        kids = {}
+        for cid, c in enumerate(state.circles):
+            if c.circle_type == "h":
+                p = state.nesting[cid]
+                while p is not None and state.circles[p].circle_type != "h":
+                    p = state.nesting[p]
+                kids.setdefault(p, []).append(cid)
+
+        def canon(cid):
+            return "(" + "".join(sorted(canon(ch) for ch in kids.get(cid, ()))) + ")"
+        return "".join(sorted(canon(r) for r in kids.get(None, ())))
+
+    for d in corpus_small:
+        for s in enumerate_states(d):
+            assert configuration_of(s) == recursive(s)
 
 
 def test_break_point_total_per_state(corpus_small):
