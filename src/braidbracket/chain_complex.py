@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Collection, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from .diagram import OrientedDiagram
 from .states import (
@@ -87,6 +87,7 @@ class _StateTable:
         self.diagram = diagram
         self.n = diagram.n
         self.w = diagram.writhe()
+        # traced structures; ``_Cube.blocks`` drops each after its last use
         self._smoothings: Dict[int, _Structure] = {}
         # rules for ``_dv_terms``, which asks for each one once per labeling
         self.rules: Dict[Tuple[int, int], _Rule] = {}
@@ -523,26 +524,30 @@ class _Cube:
         The walk is target-major.  For each smoothing ``bits2`` of layer
         ``p + 1``, ascending, and each of its A^-1-smoothed crossings v,
         the rule of (``bits2`` less v, v) is applied to the live
-        labelings of that source, the ones whose column is not gone: two
-        shifts carry the untouched labels of a mask to the target, and
-        the touched labels pick the new circles' bits.  Every entry of a
-        row of ``bits2`` comes from one of these sources, so its rows are
-        then complete, and each block takes those that are its own.  Rows
-        follow smoothings and then canonical labelings, so a block takes
-        its rows in ascending order, smoothing by smoothing.  Skipping a
-        column the block pivoted on loses nothing: such a one-entry pivot
-        changes no entry outside its row and column, so a complete row's
-        entries in the block reduced so far are its entries less the
-        columns gone (the ``homology`` module docstring).  A source's live
-        labelings are listed at its first use and dropped after its last,
-        which is the target through its highest A-smoothed crossing.
+        labelings of that source, read from its placements: those with a
+        block whose column is not gone.  The rule is made only once a
+        labeling is live.  Two shifts carry the untouched labels of a mask
+        to the target, and the touched labels pick the new circles' bits.
+        Every entry of a row of ``bits2`` comes from one of these sources,
+        so its rows are then complete, and each block takes those that are
+        its own.  Rows follow smoothings and then canonical labelings, so a
+        block takes its rows in ascending order, smoothing by smoothing.
+        Skipping a column the block pivoted on loses nothing: such a
+        one-entry pivot changes no entry outside its row and column, so a
+        complete row's entries in the block reduced so far are its entries
+        less the columns gone (the ``homology`` module docstring).
 
-        Layers ``p`` and ``p + 1`` are placed if they are not yet; layer
-        ``p``'s placements are dropped as the walk goes, so ``blocks`` is
-        called once per layer, ``p`` ascending.
+        Layers ``p`` and ``p + 1`` are placed if they are not yet.  A
+        source's placements and its structure in the table are dropped
+        after its last use, the target through its highest A-smoothed
+        crossing, so ``blocks`` is called once per layer, ``p``
+        ascending, and when it returns the table holds layer ``p + 1``
+        only.
         """
         if p + 1 == len(self.layers):
-            self._placed.clear()  # the top layer: d out of it is zero
+            # the top layer: d out of it is zero
+            self._placed.clear()
+            self.table._smoothings.clear()
             return
         table = self.table
         sources, targets = self.place(p), self.place(p + 1)
@@ -552,8 +557,8 @@ class _Cube:
         for g, sink in enumerate(sinks):
             if sink is not None and down[g] >= 0:
                 up[down[g]] = sink
+        gones = [None if sink is None else sink.gone for sink in sinks]
         top = (1 << table.n) - 1
-        live: Dict[int, List[Tuple[int, Collection[int], int, int]]] = {}
         for bits2 in self.layers[p + 1]:
             gtgt, ptgt = self._placed[bits2]
             # the rows of bits2, by the tridegree id of their block
@@ -562,26 +567,22 @@ class _Cube:
                 if not (bits2 >> v) & 1:
                     continue
                 bits = bits2 ^ (1 << v)
-                src = live.get(bits)
-                if src is None:
-                    gids, cols = self._placed[bits]
-                    src = live[bits] = [
-                        (m, sinks[g].gone, col, down[g])
-                        for m, (g, col) in enumerate(zip(gids, cols))
-                        if sinks[g] is not None and col not in sinks[g].gone
-                    ]
-                if v == (top ^ bits).bit_length() - 1:  # the last use of bits
-                    del live[bits], self._placed[bits]
-                if not src:
-                    continue
-                _, x, y, keep, lo, hi, extra = table.rule(bits, v)
-                sgn = _koszul_sign(bits, v)
-                for m, gone, col, want in src:
+                gids, cols = self._placed[bits]
+                rule = None
+                for m, g in enumerate(gids):
+                    gone = gones[g]
+                    if gone is None:
+                        continue
+                    col = cols[m]
                     if col in gone:
                         continue
+                    if rule is None:
+                        _, x, y, keep, lo, hi, extra = rule = table.rule(bits, v)
+                        sgn = _koszul_sign(bits, v)
                     terms = extra[((m >> x) & 1) | ((m >> y) & 1) << 1]
                     if not terms:
                         continue
+                    want = down[g]
                     common = (m & keep) | (m >> lo << hi)
                     rows = groups.get(want)
                     if rows is None:
@@ -597,6 +598,8 @@ class _Cube:
                             rows[ptgt[t]] = {col: sgn}
                         else:
                             row[col] = sgn
+                if v == (top ^ bits).bit_length() - 1:  # the last use of bits
+                    del self._placed[bits], table._smoothings[bits]
             for g, group in groups.items():
                 up[g].take(group)
 

@@ -43,10 +43,8 @@ pivots on a row left with one +-1 entry, drops a row left empty, and
 stores any other.  A column once pivoted is never assembled again, since
 its entries are what the pivot deletes.  (Finding pivots while the
 boundary is enumerated is Ripser's emergent pairs; Bauer,
-arXiv:1908.02518.)  What is stored then goes through a cascade: dropping
-the columns pivoted since from every stored row is one sweep, with no
-index of the rows by column, and the rows it leaves with one entry are
-taken again.  Only the few entries the cascade leaves are indexed by
+arXiv:1908.02518.)  What is stored then loses, in one sweep, the
+columns pivoted since, and only the few entries left are indexed by
 column, for the general search and the dense Smith form.
 
 Only the blocks with k >= 0 are assembled and reduced.  Flipping the
@@ -125,10 +123,11 @@ class _Block:
     """One block of d under reduction, fed its rows as they are completed.
 
     ``gone`` holds the columns no longer in the block: at first those the
-    block above cancelled, then also every column pivoted on.  ``take``
-    pivots online, and ``_Cube.blocks`` reads ``gone`` to assemble no
-    entry in a column in it.  ``invariant_factors`` reduces what ``take``
-    stored, and ``pivot_rows`` collects every row pivoted on.
+    block above cancelled, then also every column pivoted on.  The walk,
+    ``_Cube.blocks``, feeds ``take``, which pivots online, and reads
+    ``gone`` to assemble no entry in a column in it.
+    ``invariant_factors`` reduces what ``take`` stored, and
+    ``pivot_rows`` collects every row pivoted on.
 
     A one-entry pivot deletes its row and column and changes no other
     entry (the module docstring), so a complete row's entries in the
@@ -174,35 +173,24 @@ class _Block:
         small remainder goes through the dense Smith reduction.
 
         Most pivots are one-entry rows, which ``take`` pivots on as they
-        arrive.  A stored row can be left with one entry once rows after
-        it take its other columns, so a cascade first sweeps the columns
-        gone from every stored row and takes again, in ascending row
-        order, the rows a sweep leaves with fewer than two entries; it
-        stops when a sweep leaves none.  Pivoting on a one-entry row only
-        deletes the entries in its column, so no row gains an entry and
-        none needs to be found by its columns.
-
-        Only the rows the cascade leaves are indexed by column.  Each pass
-        then visits them shortest first, by (length, row); a row pivots on
-        its +-1 entry in the column with the fewest rows, the least such
-        column on a tie, which keeps fill-in low.  A row with no unit
-        waits for the next pass, and elimination stops when a pass pivots
-        nothing.  Every choice is by row and column number, never by dict
-        order, so the same rows give the same pivots however they are
-        listed.
+        arrive.  One sweep drops the columns gone since from the stored
+        rows, and the rows it leaves empty.  What is left is indexed by
+        column.  Each pass visits the rows shortest first, by (length,
+        row), so a row that later pivots left with one entry is pivoted
+        on before any longer row; a row pivots on its +-1 entry in the
+        column with the fewest rows, the least such column on a tie,
+        which keeps fill-in low.  A row with no unit waits for the next
+        pass, and elimination stops when a pass pivots nothing.  Every
+        choice is by row and column number, never by dict order, so the
+        same rows give the same pivots however they are listed.
         """
         rows, gone, pivot_rows = self.rows, self.gone, self.pivot_rows
-        while True:
-            loose = []
-            for r, row in rows.items():
-                if not gone.isdisjoint(row):
-                    for c in gone.intersection(row):
-                        del row[c]
-                    if len(row) < 2:
-                        loose.append(r)
-            if not loose:
-                break
-            self.take({r: rows.pop(r) for r in loose})
+        for r in [r for r, row in rows.items() if not gone.isdisjoint(row)]:
+            row = rows[r]
+            for c in gone.intersection(row):
+                del row[c]
+            if not row:
+                del rows[r]
 
         col_rows: Dict[int, Set[int]] = {}
         for r, row in rows.items():

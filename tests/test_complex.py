@@ -60,31 +60,43 @@ def test_basis_built_on_read_matches_enhanced_states(corpus_small):
 def test_the_cube_traces_and_places_one_layer_at_a_time(monkeypatch, corpus_small):
     # the walk traces and places a layer when it first needs it: when
     # blocks(p) starts, no smoothing above layer p has been traced, and
-    # when it ends none above p + 1.  Placing layer by layer gives every
+    # when it ends none above p + 1.  A smoothing's structure is dropped
+    # after its last use as a source of d, so when blocks(p) ends the
+    # table holds layer p + 1 only, and nothing after the top layer; no
+    # smoothing is traced twice.  Placing layer by layer gives every
     # tridegree the size of its part of the enhanced-state basis
     diagrams = list(corpus_small) + list(moved_diagrams())
     diagrams.append(add_marked_circle(parse_braid_word("B3 1 -2 1"), 0))
     structure, assemble = chain_complex._StateTable.structure, chain_complex._Cube.blocks
-    traced, spans, cubes = [], [], []
+    tau = chain_complex._tau
+    traced, taus, spans, cubes = [], [], [], []
 
     def structure_spy(table, bits):
         traced.append(bits.bit_count())
         return structure(table, bits)
+
+    def tau_spy(diagram, bits):
+        taus.append(bits)
+        return tau(diagram, bits)
 
     def blocks_spy(cube, p, blocks):
         cubes.append(cube)
         before = max(traced)
         assemble(cube, p, blocks)
         spans.append((p, before, max(traced)))
+        held = sorted(cube.table._smoothings)
+        assert held == (cube.layers[p + 1] if p < cube.table.n else []), p
 
     monkeypatch.setattr(chain_complex._StateTable, "structure", structure_spy)
+    monkeypatch.setattr(chain_complex, "_tau", tau_spy)
     monkeypatch.setattr(chain_complex._Cube, "blocks", blocks_spy)
     for d in diagrams:
         sizes = {g: len(v) for g, v in enhanced_states(d).items()}
         for entry in (_homology_table, differential_matrices):
-            del traced[:], spans[:], cubes[:]
+            del traced[:], taus[:], spans[:], cubes[:]
             entry(d)
             assert spans == [(p, p, min(p + 1, d.n)) for p in range(d.n + 1)], d
+            assert sorted(taus) == list(range(1 << d.n)), d
             assert len(set(map(id, cubes))) == 1
             assert cubes[0].dims == sizes
 

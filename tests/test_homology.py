@@ -82,7 +82,7 @@ def test_snf_sparse_fast_path_on_larger_sparse_matrices():
     assert sparse_factors(deferred) == [1, 1]
 
 
-def _cascade_matrix(rnd):
+def _reducer_matrix(rnd):
     """A random sparse matrix, as a dense list, built so that every part of
     the reducer runs: several one-entry unit rows in one column, one-entry
     rows of 2 or 3, rows emptied as their columns are cancelled, chains
@@ -126,7 +126,7 @@ def test_cascade_matches_smith_normal_form_on_matrices_built_for_it():
     rnd = random.Random(41)
     torsion = remainder = 0
     for _ in range(150):
-        m = _cascade_matrix(rnd)
+        m = _reducer_matrix(rnd)
         pivots = set()
         factors = sparse_factors(_sparse(m), pivot_rows=pivots)
         assert factors == smith_normal_form(m)
@@ -155,7 +155,7 @@ def _dense(rows):
 
 def test_online_intake_pivots_complete_rows_and_leaves_the_rest_to_the_cascade():
     # each case: the rows; the rows pivoted on as they are taken; the rows
-    # stored for the cascade; and whether the dense Smith form is reached.
+    # stored for the reduction; and whether the dense Smith form is reached.
     # Every split into ascending groups pivots on the same rows.
     cases = [
         # row 0 pivots on column 0, which row 1 of the same group lists
@@ -165,10 +165,11 @@ def test_online_intake_pivots_complete_rows_and_leaves_the_rest_to_the_cascade()
         ({0: {0: 1}, 1: {1: -1}, 2: {0: 2, 1: 1}}, {0, 1}, set(), False),
         # a one-entry 2 is no pivot: it waits, and reaches the dense form
         ({0: {0: 2}, 1: {1: 1, 2: 1}}, set(), {0, 1}, True),
-        # ... or is emptied in the cascade when a later row takes its column
+        # ... or is emptied in the sweep when a later row takes its column
         ({0: {0: -2}, 1: {0: 1}}, {1}, {0}, False),
-        # a chain that resolves only in the cascade: row 2 pivots on column
-        # 2, which leaves row 1 with one unit entry, which in turn leaves row 0
+        # a chain that resolves only in the reduction: row 2 pivots on
+        # column 2, which leaves row 1 with one unit entry, which in turn
+        # leaves row 0
         ({0: {0: 1, 1: 1}, 1: {1: 1, 2: -1}, 2: {2: 1}}, {2}, {0, 1}, False),
     ]
     for rows, online, stored, dense in cases:
@@ -190,7 +191,7 @@ def test_pivot_rows_do_not_depend_on_the_order_rows_are_listed_in():
     # another order, row by row and within each row, or taken in several
     # ascending groups instead of one, pivots on the same rows
     rnd = random.Random(43)
-    matrices = [_cascade_matrix(rnd) for _ in range(60)]
+    matrices = [_reducer_matrix(rnd) for _ in range(60)]
     for _ in range(60):  # denser, where the general search meets ties
         rows, cols = rnd.randrange(5, 25), rnd.randrange(5, 25)
         matrices.append([[rnd.choice((1, -1, 2, 0, 0, 0, 0, 0)) for _ in range(cols)]
@@ -220,48 +221,24 @@ def test_pivot_rows_do_not_depend_on_the_order_rows_are_listed_in():
     assert grouped >= 400
 
 
-class _ReadLog(dict):
-    """A block's stored rows that log the number of each row read by it:
-    the column-indexed search reads every row it visits so, and the
-    cascade, which sweeps and pops, reads none."""
-
-    def __init__(self, rows, log):
-        super().__init__(rows)
-        self.log = log
-
-    def __getitem__(self, r):
-        self.log.add(r)
-        return super().__getitem__(r)
-
-    def get(self, r, default=None):
-        self.log.add(r)
-        return super().get(r, default)
-
-
-def test_cascade_takes_again_the_rows_later_pivots_leave_with_one_entry(monkeypatch):
+def test_the_search_pivots_on_the_rows_later_pivots_leave_with_one_entry(monkeypatch):
     # rows 0 and 1 are stored with two entries each.  Row 2 pivots on
     # column 2 as it is taken; the sweep then leaves row 1 with one unit
-    # entry, and row 1's pivot does the same to row 0.  The cascade takes
-    # each again, one round apiece, and the column-indexed search sees
-    # only rows 3 and 4, which are never left with one entry.  Without the
-    # cascade the search would pivot on rows 0 and 1 with the same factors
+    # entry, and row 1's pivot does the same to row 0.  The column-indexed
+    # search visits the shortest rows first, so it pivots on row 1, then
+    # on row 0, and on row 3; row 4 is left with a 2 for the dense form.
+    # No row is taken again while the block is reduced
     rows = {0: {0: 1, 1: 1}, 1: {1: 1, 2: -1}, 2: {2: 1},
             3: {3: 1, 4: 1}, 4: {3: 1, 4: -1}}
     block = _take(rows)
     assert block.pivot_rows == {2} and set(block.rows) == {0, 1, 3, 4}
-    retaken, read = [], set()
-    take = _Block.take
 
-    def take_spy(b, taken):
-        retaken.append({r: dict(row) for r, row in taken.items()})
-        take(b, taken)
+    def refuse(*args):
+        raise AssertionError("a row taken while the block is reduced")
 
-    monkeypatch.setattr(_Block, "take", take_spy)
-    block.rows = _ReadLog(block.rows, read)
+    monkeypatch.setattr(_Block, "take", refuse)
     assert block.invariant_factors() == smith_normal_form(_dense(rows)) == [1, 1, 1, 1, 2]
-    assert retaken == [{1: {1: 1}}, {0: {0: 1}}]
     assert block.pivot_rows == {0, 1, 2, 3}
-    assert read == {3, 4}
 
 
 def test_rank_bareiss_examples():
@@ -420,7 +397,7 @@ def test_elimination_matches_block_by_block_snf_on_moved_diagrams():
 def test_elimination_matches_all_blocks_on_workload_sized_closures():
     # 2- and 3-strand closures of 8 crossings, the largest the homology
     # benchmark sends: their blocks are past the dense oracle's limit, and
-    # the one-entry cascade takes nearly every pivot
+    # the online intake takes nearly every pivot
     words = ("B2 1 1 1 1 1 1 1 1", "B2 1 1 -1 1 1 1 -1 1", "B2 1 -1 1 -1 1 -1 1 -1",
              "B3 1 -2 1 -2 1 -2 1 -2", "B3 1 2 -1 2 1 -2 -1 2", "B3 1 1 2 -1 2 2 -1 2")
     tables = []
@@ -592,7 +569,7 @@ def test_homology_builds_the_cube_of_the_reduced_word_only(monkeypatch):
 def _reductions(monkeypatch, d, dm=None):
     """The table of ``d`` as given and each block reduced that takes rows:
     grading -> (columns gone at first, groups taken, columns gone before
-    the cascade, factors, pivot rows).  A group is (columns gone before
+    the reduction, factors, pivot rows).  A group is (columns gone before
     it, rows as ``{row: [(column, entry), ...]}``).  Without ``dm`` the
     table is the engine's under ``homology_groups``, ``_homology_table``,
     and blocks are named as ``_Cube.blocks`` is given them; given ``dm``,
@@ -625,12 +602,11 @@ def _reductions(monkeypatch, d, dm=None):
         return rows
 
     def take_spy(block, rows):
-        if not reduced or reduced[-1] is not block:  # not the cascade's own
-            if id(block) not in names and id(rows) in names:
-                name(block, names[id(rows)])
-            if id(block) in names:
-                groups[names[id(block)]].append(
-                    (set(block.gone), {r: list(row.items()) for r, row in rows.items()}))
+        if id(block) not in names and id(rows) in names:
+            name(block, names[id(rows)])
+        if id(block) in names:
+            groups[names[id(block)]].append(
+                (set(block.gone), {r: list(row.items()) for r, row in rows.items()}))
         take(block, rows)
 
     def reduce_spy(block):

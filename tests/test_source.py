@@ -28,6 +28,16 @@ def test_no_bare_assert_in_library():
     assert found == []
 
 
+def test_the_distribution_is_named_and_versioned_as_the_package():
+    # pip registers the [project] name, so it must be the package's; the
+    # file is read by regex, since tomllib is new in Python 3.11
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[)",
+                        (ROOT / "pyproject.toml").read_text(), re.M | re.S).group(1)
+    fields = dict(re.findall(r'^(\w+) = "([^"]*)"$', project, re.M))
+    assert fields["name"] == "braidbracket"
+    assert fields["version"] == braidbracket.__version__
+
+
 def test_library_imports_only_the_standard_library():
     # the runtime is stdlib-only: every import names the package itself
     # (or is relative to it) or a standard-library module
@@ -144,6 +154,32 @@ def test_one_crossing_record():
     assert "over_parity" not in inspect.signature(OrientedDiagram.__init__).parameters
 
 
+def _scopes_where(match) -> list:
+    """``module.py:Class.function`` of every node in src/ that ``match``
+    accepts, one entry per node."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if match(child):
+                found.append(f"{path.name}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return found
+
+
+def _callers_of(method: str) -> list:
+    """The scope of every call ``x.method(...)`` in src/."""
+    return _scopes_where(lambda node: isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Attribute)
+                         and node.func.attr == method)
+
+
 def test_one_complex_assembler(monkeypatch):
     # the blocks of d are assembled in one place: in src/, _StateTable.rule
     # is applied to labelings by _Cube.blocks, the one assembly loop, and
@@ -153,21 +189,8 @@ def test_one_complex_assembler(monkeypatch):
     from braidbracket import chain_complex, homology
     from braidbracket.diagram import parse_braid_word
 
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, scope + [child.name])
-                continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "rule"):
-                found.append(f"{path.name}:{'.'.join(scope)}")
-            visit(child, scope)
-
-    for path in sorted(SRC.rglob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), [])
-    assert sorted(found) == ["chain_complex.py:_Cube.blocks", "chain_complex.py:_dv_terms"]
+    assert sorted(_callers_of("rule")) == [
+        "chain_complex.py:_Cube.blocks", "chain_complex.py:_dv_terms"]
 
     reached = []
     assemble = chain_complex._Cube.blocks
@@ -218,27 +241,14 @@ def test_one_reducer(monkeypatch, capsys):
     # coefficient of 1 as nothing).  Homology has one intake, the layer
     # walk: homology_groups and _homology_table take a diagram and a cap
     # only, and even homology --dump-matrices --verify, which prints the
-    # full complex, feeds a block only rows that _Cube.blocks assembled or
-    # that the block's own cascade takes again
+    # full complex, feeds a block only rows that _Cube.blocks assembled;
+    # reducing a block takes no row
     import inspect
 
     from braidbracket import chain_complex, cli, homology
     from braidbracket.diagram import parse_braid_word
 
-    found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, scope + [child.name])
-                continue
-            if _tests_for_a_unit(child):
-                found.append(f"{path.name}:{'.'.join(scope)}")
-            visit(child, scope)
-
-    for path in sorted(SRC.rglob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), [])
-    assert sorted(set(found)) == [
+    assert sorted(set(_scopes_where(_tests_for_a_unit))) == [
         "homology.py:_Block.invariant_factors", "homology.py:_Block.take",
         "laurent.py:_join_terms"]
     for entry in (homology.homology_groups, homology._homology_table):
@@ -269,12 +279,18 @@ def test_one_reducer(monkeypatch, capsys):
     d = parse_braid_word("B3 1 -2 1 -2")
     homology.homology_groups(d)
     assert {"take in walk", "reduce"} <= set(reached)
-    assert "take in neither" not in reached
+    assert not {"take in neither", "take in reduce"} & set(reached)
     reached.clear()
     assert cli.main(["homology", "-w", "B3 1 -2 1 -2", "--dump-matrices", "--verify"]) == 0
     assert "d2: OK" in capsys.readouterr().out
     assert {"take in walk", "reduce"} <= set(reached)
-    assert "take in neither" not in reached
+    assert not {"take in neither", "take in reduce"} & set(reached)
+
+
+def test_one_intake():
+    # a block of d is fed its rows in one place: in src/, only the walk,
+    # _Cube.blocks, calls take
+    assert _callers_of("take") == ["chain_complex.py:_Cube.blocks"]
 
 
 def test_one_word_reduction(monkeypatch, capsys):
