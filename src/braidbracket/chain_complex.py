@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .diagram import OrientedDiagram
 from .states import (
@@ -458,23 +458,34 @@ class _Whole:
         self.rows.update(rows)
 
 
+def _layer(n: int, p: int) -> Iterator[int]:
+    """The smoothings of ``n`` crossings with ``p`` bits set, ascending:
+    each is the next integer with as many bits (Gosper's hack)."""
+    bits = (1 << p) - 1
+    while bits < 1 << n:
+        yield bits
+        if not bits:
+            return
+        low = bits & -bits
+        high = bits + low
+        bits = high | (bits ^ high) // low >> 2
+
+
 class _Cube:
     """The basis of the complex, and its blocks assembled one layer of the
     cube of smoothings at a time.
 
     Layer ``p`` holds the smoothings with ``p`` A^-1-smoothed crossings,
-    ascending; their states sit in degree ``i = i_top - p``, and d maps
-    layer ``p`` into layer ``p + 1``.  A layer is traced and placed, and
-    its tridegrees' sizes added to ``dims``, when first asked for
-    (``place``); placements are listed only for the layers in hand.
+    ascending, generated each time they are read (``_layer``); their
+    states sit in degree ``i = i_top - p``, and d maps layer ``p`` into
+    layer ``p + 1``.  A layer is traced and placed, and its tridegrees'
+    sizes added to ``dims``, when first asked for (``place``); placements
+    are listed only for the layers in hand.
     """
 
     def __init__(self, table: _StateTable):
         self.table = table
         self.dims: Dict[Grading, int] = {}
-        self.layers: List[List[int]] = [[] for _ in range(table.n + 1)]
-        for bits in range(1 << table.n):
-            self.layers[bits.bit_count()].append(bits)
         self._tridegrees: Dict[int, Dict[Grading, int]] = {}
         # (tridegree id in its layer, column) per labeling of a smoothing,
         # kept until its last use as a source of d
@@ -491,7 +502,7 @@ class _Cube:
             table = self.table
             taus: Dict[Tuple[int, int], int] = {}  # i is the layer's
             sizes: List[int] = []
-            for bits in self.layers[p]:
+            for bits in _layer(table.n, p):
                 _, types, dmask, _ = table.structure(bits)
                 cell, rank, firsts, count = table.template(len(types), dmask)
                 gid = [0] * len(count)
@@ -544,7 +555,7 @@ class _Cube:
         ascending, and when it returns the table holds layer ``p + 1``
         only.
         """
-        if p + 1 == len(self.layers):
+        if p == self.table.n:
             # the top layer: d out of it is zero
             self._placed.clear()
             self.table._smoothings.clear()
@@ -559,7 +570,7 @@ class _Cube:
                 up[down[g]] = sink
         gones = [None if sink is None else sink.gone for sink in sinks]
         top = (1 << table.n) - 1
-        for bits2 in self.layers[p + 1]:
+        for bits2 in _layer(table.n, p + 1):
             gtgt, ptgt = self._placed[bits2]
             # the rows of bits2, by the tridegree id of their block
             groups: Dict[int, Dict[int, Dict[int, int]]] = {}
@@ -613,7 +624,7 @@ def differential_matrices(
     col): entry}``."""
     cube = _Cube(_get_table(diagram, cap))
     blocks: Dict[Grading, _Whole] = {}
-    for p in range(len(cube.layers)):
+    for p in range(cube.table.n + 1):
         layer = {g: _Whole() for g in cube.place(p)}
         cube.blocks(p, layer)
         blocks.update(layer)

@@ -30,7 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 SIDE_R = 0  # face to the right of the edge flow: orbit of the tail dart
 SIDE_L = 1  # face to the left: orbit of the head dart
@@ -92,6 +92,27 @@ class BraidWord:
         while hi - lo > 1 and stack[lo] == -stack[hi - 1]:
             lo, hi = lo + 1, hi - 1
         return BraidWord(self.strands, tuple(stack[lo:hi]))
+
+    def rewrites(self) -> Iterator["BraidWord"]:
+        """The words one braid-like rewrite away from this one, as a cyclic
+        word.  For each start s in turn, the word is rotated to begin at
+        letter s and its first letters are rewritten: sigma_i^e sigma_j^f
+        becomes sigma_j^f sigma_i^e when |i - j| >= 2 (far commutation),
+        and sigma_i^e sigma_j^f sigma_i^g becomes sigma_j^g sigma_i^f
+        sigma_j^e when |i - j| = 1 (a braid relation), unless e = g = -f,
+        where the two sides are different braids."""
+        letters = self.letters
+        if len(letters) < 2:
+            return
+        for s in range(len(letters)):
+            e, f, *rest = letters[s:] + letters[:s]
+            i, j = abs(e), abs(f)
+            if abs(i - j) >= 2:
+                yield BraidWord(self.strands, (f, e, *rest))
+            elif i != j and rest and abs(rest[0]) == i:
+                g, *rest = rest
+                if not (e == g and e * f < 0):
+                    yield BraidWord(self.strands, (g // i * j, f // j * i, e // i * j, *rest))
 
 
 def _uf_find(parent: List[int], x: int) -> int:

@@ -298,16 +298,33 @@ def homology_groups(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> Homolog
     only the crossings are numbered in another order, which the homology
     does not see.  So the reduced closure has the same table.
 
+    The reduced word then descends: each step takes the first of its
+    rewrites (``BraidWord.rewrites``) that reduces to a shorter word, and
+    the descent stops when none does.  Each step drops at least two
+    letters, so it ends.  A far commutation sigma_i^e sigma_j^f =
+    sigma_j^f sigma_i^e, |i - j| >= 2, slides two crossings on disjoint
+    strands past each other: the same planar map, with only the crossings
+    numbered in another order.  A braid relation sigma_i^e sigma_j^f
+    sigma_i^g = sigma_j^g sigma_i^f sigma_j^e, |i - j| = 1, is a III move
+    on three strands that all run upward, so coherently oriented: a
+    braid-like move.  So the descended closure has the same table too.
+
     A diagram that is no closure is computed as given, and so is
     everything that shows or checks the complex of ``diagram``
     (``_homology_table``).
     """
     word = diagram.braid_word
     if word is not None:
-        reduced = word.reduced()
-        if reduced != word:
-            _check_complex_cap(diagram, cap)  # the cap is read on the input
-            diagram = braid_closure(reduced)
+        _check_complex_cap(diagram, cap)  # the cap is read on the input
+        # the reduced word, then the first rewrite that reduces shorter,
+        # until none does: each step drops at least two letters
+        short, candidates = None, iter((word,))
+        while (w := next(candidates, None)) is not None:
+            w = w.reduced()
+            if short is None or len(w.letters) < len(short.letters):
+                short, candidates = w, w.rewrites()
+        if short != word:
+            diagram = braid_closure(short)
     return _homology_table(diagram, cap)
 
 
@@ -335,7 +352,7 @@ def _homology_table(diagram: OrientedDiagram, cap: int = DEFAULT_CAP) -> Homolog
     # as g's outgoing map and as the incoming map of (i - 1, j, k)
     factors: Dict[Grading, List[int]] = {}
     cancelled: Dict[Grading, Set[int]] = {}  # pivot rows of the layer above
-    for p in range(len(cube.layers)):
+    for p in range(cube.table.n + 1):
         blocks = {g: _Block(cancelled.get(g, ())) for g in cube.place(p) if g[2] >= 0}
         cube.blocks(p, blocks)
         cancelled = {}

@@ -16,9 +16,12 @@ pivots from one block to the next and copies the blocks with k < 0 from
 those with k > 0.  ``homology_table_of_given_blocks`` makes the same
 reduction as ``homology._homology_table`` over the full complex, each
 block given all its rows at once, where the library's layer walk
-assembles each block as it reduces it.
+assembles each block as it reduces it.  ``burau`` is the exact unreduced
+Burau representation, which checks that a rewrite of a braid word keeps
+the braid.
 """
 
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from braidbracket.diagram import (
@@ -86,6 +89,39 @@ def mirror(diagram: OrientedDiagram) -> OrientedDiagram:
     b = diagram.to_builder()
     b.crossings = [-sign for sign in b.crossings]
     return b.build()
+
+
+BURAU_POINTS = (Fraction(2), Fraction(-3), Fraction(1, 5))
+
+
+def burau(word: BraidWord, t: Fraction) -> List[List[Fraction]]:
+    """The unreduced Burau matrix of ``word`` at ``t``, exactly: sigma_i
+    acts on strands i and i + 1 by [[1 - t, t], [1, 0]], sigma_i^-1 by
+    [[0, 1], [1/t, 1 - 1/t]], and the identity elsewhere."""
+    n = word.strands
+    m = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    for g in word.letters:
+        a = abs(g) - 1
+        block = ((1 - t, t), (1, 0)) if g > 0 else ((0, 1), (1 / t, 1 - 1 / t))
+        for row in m:
+            x, y = row[a], row[a + 1]
+            row[a] = x * block[0][0] + y * block[1][0]
+            row[a + 1] = x * block[0][1] + y * block[1][1]
+    return m
+
+
+def burau_power_traces(word: BraidWord, t: Fraction) -> List[Fraction]:
+    """tr(B), tr(B^2), ..., tr(B^n) of the Burau matrix B of ``word`` at
+    ``t``: by Newton's identities they fix the characteristic polynomial,
+    so conjugate braids share them."""
+    b = burau(word, t)
+    n = len(b)
+    power, traces = b, []
+    for _ in range(n):
+        traces.append(sum(power[r][r] for r in range(n)))
+        power = [[sum(power[r][m] * b[m][c] for m in range(n)) for c in range(n)]
+                 for r in range(n)]
+    return traces
 
 
 def drop_zeros(element: dict) -> dict:

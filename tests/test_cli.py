@@ -69,6 +69,29 @@ def test_a_reducible_word_meets_the_cap_on_its_input(capsys):
     assert "needs 26 crossings but the cap is 24" in err
 
 
+def test_a_word_that_descends_to_the_empty_braid_meets_the_cap_first(capsys, monkeypatch):
+    # (1 2 1 -2 -1 -2)^5 is the empty braid, but BraidWord.reduced keeps
+    # its 30 letters; homology reads the cap on them before it reduces or
+    # rewrites the word.  Under a cap the input meets, the word descends
+    # to the crossingless closure
+    from braidbracket.diagram import BraidWord
+
+    reached = []
+    for name in ("reduced", "rewrites"):
+        def spy(word, method=getattr(BraidWord, name), name=name):
+            reached.append(name)
+            return method(word)
+        monkeypatch.setattr(BraidWord, name, spy)
+    word = "B3 " + " ".join(["1 2 1 -2 -1 -2"] * 5)
+    code, out, err = run(capsys, "homology", "-w", word)
+    assert code == 3 and not out
+    assert "needs 30 crossings but the cap is 24" in err
+    assert reached == []
+    code, out, _ = run(capsys, "homology", "-w", word, "--cap", "30", "--unsafe-cap")
+    assert code == 0 and "rewrites" in reached
+    assert (code, out) == run(capsys, "homology", "-w", "B3")[:2]
+
+
 def test_long_word_meets_the_cap_at_once(capsys):
     # 20,000 free loops: the diagram is built in time linear in its edges,
     # and the cap stops the complex before anything is listed

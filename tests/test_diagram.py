@@ -19,6 +19,7 @@ from braidbracket.diagram import (
 )
 from braidbracket.moves import random_equivalent_pair
 
+import helpers
 from helpers import WALK_PINS, canonical_code_oracle, mirror
 
 
@@ -73,6 +74,54 @@ def test_reduced_word_cancels_adjacent_and_end_pairs():
         assert short.reduced() == short and short.strands == k
         assert short.writhe == word.writhe
         assert (len(word.letters) - len(a)) % 2 == 0
+
+
+def _same_braid(u, v):
+    return all(helpers.burau(u, t) == helpers.burau(v, t) for t in helpers.BURAU_POINTS)
+
+
+def test_every_rewrite_is_the_same_braid():
+    # each word one rewrite away is a rotation of the word with its first
+    # two or three letters replaced by another spelling of the same braid:
+    # equal unreduced Burau matrices, exactly, at three values of t
+    rnd = random.Random(25)
+    rewritten = 0
+    for _ in range(300):
+        k = rnd.choice((3, 4))
+        gens = [g for g in range(1 - k, k) if g]
+        word = BraidWord(k, tuple(rnd.choice(gens) for _ in range(rnd.randrange(2, 9))))
+        a = word.letters
+        rotations = [BraidWord(k, a[s:] + a[:s]) for s in range(len(a))]
+        for rewrite in word.rewrites():
+            sources = [r for r in rotations
+                       if r.letters[3:] == rewrite.letters[3:] and r != rewrite]
+            assert any(_same_braid(r, rewrite) for r in sources), (word, rewrite)
+            rewritten += 1
+    assert rewritten >= 300
+
+
+def test_braid_relations_hold_for_six_sign_triples_of_eight():
+    # sigma_i^e sigma_j^f sigma_i^g with |i - j| = 1 is rewritten to
+    # sigma_j^g sigma_i^f sigma_j^e for every sign triple but e = g = -f,
+    # where the two words are different braids; |i - j| >= 2 commutes
+    for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)):
+        valid = 0
+        for e, f, g in itertools.product((1, -1), repeat=3):
+            word = BraidWord(4, (e * i, f * j, g * i))
+            other = BraidWord(4, (g * j, f * i, e * j))
+            if e == g == -f:
+                assert list(word.rewrites()) == [], word
+                assert not _same_braid(word, other), word
+            else:
+                assert list(word.rewrites()) == [other], word
+                valid += 1
+        assert valid == 6
+    for e, f in itertools.product((1, -1), repeat=2):
+        word = BraidWord(4, (e, 3 * f))
+        assert list(word.rewrites()) == [BraidWord(4, (3 * f, e)), word]
+        assert _same_braid(word, BraidWord(4, (3 * f, e)))
+    assert list(BraidWord(3, (1, 1, 1)).rewrites()) == []
+    assert list(BraidWord(4, (1, 2, 3)).rewrites()) == [BraidWord(4, (1, 3, 2))]
 
 
 def test_malformed_words():

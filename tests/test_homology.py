@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from braidbracket import chain_complex
+from braidbracket import chain_complex, homology
 from braidbracket.bracket import _bracket_range, add_marked_circle, bracket_br
 from braidbracket.diagram import (
     BraidWord,
@@ -542,9 +542,9 @@ def test_words_that_reduce_to_the_empty_braid_give_the_crossingless_closure():
 
 
 def test_homology_builds_the_cube_of_the_reduced_word_only(monkeypatch):
-    # a closure's cube has only the crossings its reduced word keeps; the
-    # engine under homology_groups, and the full complex, are built on the
-    # input
+    # a closure's cube has only the crossings its reduced and descended
+    # word keeps; the engine under homology_groups, and the full complex,
+    # are built on the input
     built = []
     init = chain_complex._Cube.__init__
 
@@ -560,10 +560,81 @@ def test_homology_builds_the_cube_of_the_reduced_word_only(monkeypatch):
     assert _homology_table(d) == table
     differential_matrices(d)
     assert built == [d, d]
+    for text, short in (("B3 -2 1 2 1 -2 -2 1", (1, -2, 1)),
+                        ("B3 -2 -2 -1 2 1 -2 -2 -1", (-1, -2, -2, -2)),
+                        ("B4 1 3 -1 -3", ())):
+        d = parse_braid_word(text)
+        built.clear()
+        homology_groups(d)
+        word = BraidWord(d.braid_word.strands, short)
+        assert [(c.n, c.braid_word) for c in built] == [(len(short), word)], text
+    irreducible = parse_braid_word("B3 1 -2 1")  # e = g = -f: no braid relation
     built.clear()
-    irreducible = parse_braid_word("B3 1 -2 1")
     homology_groups(irreducible)
     assert built == [irreducible]
+
+
+def _descent_words(corpus):
+    """Braid words for the descent: the corpus's, the bases of the walk
+    pins, and seeded words on 3-4 strands, every other one built to
+    shorten (a relation u v^-1, where u and v are the two sides of a
+    braid relation or of a far commutation, put into a random core)."""
+    words = [d.braid_word for d in corpus if d.braid_word is not None]
+    words += [BraidWord(strands, letters) for _, strands, letters, *_ in WALK_PINS]
+    rnd = random.Random(2525)
+    for n in range(60):
+        k = rnd.choice((3, 4))
+        gens = [g for g in range(1 - k, k) if g]
+        letters = [rnd.choice(gens) for _ in range(rnd.randrange(1, 5))]
+        if n % 2:
+            e, f, g = (rnd.choice((1, -1)) for _ in range(3))
+            if k == 4 and rnd.randrange(2):
+                a, b = rnd.choice(((1, 3), (3, 1)))
+                u, v = [e * a, f * b], [f * b, e * a]
+            else:
+                a = rnd.randrange(1, k - 1)
+                a, b = rnd.choice(((a, a + 1), (a + 1, a)))
+                if e == g == -f:
+                    g = -g
+                u, v = [e * a, f * b, g * a], [g * b, f * a, e * b]
+            at = rnd.randrange(len(letters) + 1)
+            letters[at:at] = u + [-x for x in reversed(v)]
+        words.append(BraidWord(k, tuple(letters)))
+    return words
+
+
+def _descended(monkeypatch, d):
+    """The diagram whose table ``homology_groups(d)`` takes."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_homology_table", lambda diagram, cap: seen.append(diagram))
+        homology_groups(d)
+    return seen[0]
+
+
+def test_the_descended_closure_has_the_table_and_the_bracket_of_the_input(
+        monkeypatch, corpus):
+    # homology_groups computes a closure on its reduced word, descended by
+    # braid relations and far commutation until no single rewrite shortens
+    # it: a conjugate of the same braid (Burau traces of its powers, and
+    # the writhe), with the table and the state sum of the input
+    shortened = 0
+    for word in _descent_words(corpus):
+        d = braid_closure(word)
+        short = _descended(monkeypatch, d).braid_word
+        assert short.strands == word.strands and short.writhe == word.writhe
+        assert short.reduced() == short
+        assert len(short.letters) <= len(word.reduced().letters)
+        assert all(len(w.reduced().letters) >= len(short.letters) for w in short.rewrites())
+        for t in helpers.BURAU_POINTS:
+            assert helpers.burau_power_traces(short, t) == helpers.burau_power_traces(word, t)
+        if len(word.letters) <= 10:
+            assert homology_groups(d) == _homology_table(d) == _homology_table(
+                braid_closure(short)), word
+        if len(word.letters) <= 9:
+            assert _state_sum(short) == _state_sum(word), word
+        shortened += len(short.letters) < len(word.reduced().letters)
+    assert shortened >= 20
 
 
 def _reductions(monkeypatch, d, dm=None):
