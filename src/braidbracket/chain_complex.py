@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .diagram import OrientedDiagram
+from .diagram import BraidWord, OrientedDiagram
 from .states import (
     DEFAULT_CAP,
     _check_cap,
@@ -233,6 +233,14 @@ def _check_complex_cap(diagram: OrientedDiagram, cap: int) -> None:
     comp = diagram.comp_of_vertex
     loops = len(set(comp[diagram.n:]).difference(comp[:diagram.n]))
     _check_cap(diagram.n + loops, cap)
+
+
+def _check_word_cap(word: BraidWord, cap: int) -> None:
+    """``_check_complex_cap`` on the closure of ``word``, read off the word
+    before the closure is built: a letter is a crossing, and a strand that
+    no letter touches closes into a component without one."""
+    touched = {abs(g) for g in word.letters} | {abs(g) + 1 for g in word.letters}
+    _check_cap(len(word.letters) + word.strands - len(touched), cap)
 
 
 def _get_table(diagram: OrientedDiagram, cap: int) -> _StateTable:

@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from .diagram import DiagramError, OrientedDiagram, parse_braid_word, parse_pd
+from .diagram import DiagramError, OrientedDiagram, parse_braid_word, parse_pd, parse_word
 from .laurent import lp_str, lp2_str
 from .states import DEFAULT_CAP, SizeCapError, enumerate_states
 from .bracket import (
@@ -32,7 +32,7 @@ from .bracket import (
     skein_expand,
     specialize_chi_to_delta,
 )
-from .chain_complex import differential_matrices
+from .chain_complex import _check_word_cap, differential_matrices
 from .homology import (
     _homology_table,
     euler_characteristic,
@@ -130,6 +130,8 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def cmd_homology(args: argparse.Namespace) -> int:
+    if args.word is not None:  # the cap holds before the closure is built
+        _check_word_cap(parse_word(args.word), args.cap)
     diagram = _load_diagram(args)
     # the full complex is assembled only where every block is printed or
     # checked, and then the table is that of the diagram as given, never of
@@ -179,7 +181,9 @@ def cmd_homology(args: argparse.Namespace) -> int:
 def _verify_battery(args: argparse.Namespace) -> list:
     if args.word is None:
         raise DiagramError("verify needs a braid word (-w)")
-    base = parse_braid_word(args.word).braid_word
+    base = parse_word(args.word)
+    if args.moves >= 0:  # a negative count is refused first, as a generation failure
+        _check_word_cap(base, args.cap)  # read before the closure is built
     d1, d2 = random_equivalent_pair(args.seed, args.moves, base)
     checks = []
     b1, b2 = bracket_br(d1, cap=args.cap), bracket_br(d2, cap=args.cap)

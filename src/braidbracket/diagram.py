@@ -339,7 +339,7 @@ class OrientedDiagram:
         self.fused = dict(fused or {})
         self.anchor_bp = dict(anchor_bp or {})
         self.ndarts = 4 * self.n + 2 * nanchors
-        self._moves: dict = {}  # kept by moves: the fingerprint and the site lists
+        self._moves: dict = {}  # kept by moves: the fingerprint and the census
         self._index(_one_component)
         self._validate()
 
@@ -560,7 +560,7 @@ class OrientedDiagram:
         b.crossings = list(self.signs)
         b.nanchors = self.nanchors
         n4 = 4 * self.n  # crossing darts are their own ports
-        b.edges = [
+        b.edges = list(map(list, self.edges)) if not self.nanchors else [
             [t if t < n4 else ~(t - n4), h if h < n4 else ~(h - n4), seam]
             for t, h, seam in self.edges
         ]
@@ -692,6 +692,11 @@ def parse_braid_word(text: str) -> OrientedDiagram:
     an annulus around the braid axis, strand k's closure arc outermost.
     Crossing i of the word gets label i.
     """
+    return braid_closure(parse_word(text))
+
+
+def parse_word(text: str) -> BraidWord:
+    """The braid word ``"Bk g1 g2 ..."``, with no closure built."""
     tokens = text.split()
     if not tokens or not tokens[0].startswith("B"):
         raise MalformedWordError("expected strand count token like 'B3'")
@@ -703,7 +708,7 @@ def parse_braid_word(text: str) -> OrientedDiagram:
         letters = tuple(int(t) for t in tokens[1:])
     except ValueError:
         raise MalformedWordError("letters must be integers")
-    return braid_closure(BraidWord(k, letters))
+    return BraidWord(k, letters)
 
 
 def braid_closure(word: BraidWord) -> OrientedDiagram:

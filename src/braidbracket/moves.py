@@ -22,11 +22,13 @@ Move patterns are matched on faces of the combinatorial map:
 Removals and slides are never matched on the outer face: a bigon or
 triangle there bounds no disk in the plane.
 
-A site is defined once, by the enumeration of its kind (``_removals``,
-``_slides``, ``_pair_rows``), computed at most once per diagram and kept
-on it.  ``find_sites`` lists it, walks count it, and ``apply_move``
-accepts an anchor only in the form it holds: a rotated triangle orbit or
-a reversed pair is no site, so one move has one name.
+A site is defined once, by the census of the diagram (``_census``),
+computed at most once per diagram and kept on it: one pass over the
+global faces for bigons and triangles, and a count of tail darts per face
+for pair insertions, which are counted and never listed on a walk.
+``find_sites`` lists the sites, walks count them, and ``apply_move``
+accepts an anchor only in the form ``find_sites`` lists: a rotated
+triangle orbit or a reversed pair is no site, so one move has one name.
 
 Each surgery rewires the builder of the diagram at its own site only, and
 ``apply_move`` makes the result with ``DiagramBuilder.build``, which makes
@@ -42,7 +44,7 @@ one it draws.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from operator import mul, sub
 from typing import List, NamedTuple, Optional, Tuple
 
 from .diagram import (
@@ -111,23 +113,6 @@ def _across(d: int) -> int:
     return (d & ~3) | ((d + 2) & 3)
 
 
-def _bigon_ok(diagram: OrientedDiagram, u0: int, u1: int) -> bool:
-    """The pattern of a removable bigon on the 2-face of darts ``u0``, ``u1``:
-    two crossings of opposite signs, strands on two edges running
-    coherently, one of them over at both crossings."""
-    n4 = 4 * diagram.n
-    if u0 >= n4 or u1 >= n4:
-        return False
-    v0, v1 = u0 >> 2, u1 >> 2
-    if v0 == v1 or diagram.signs[v0] == diagram.signs[v1]:
-        return False
-    if diagram.is_tail[u0] == diagram.is_tail[u1] or diagram.edge_of[u0] == diagram.edge_of[u1]:
-        return False
-    if v0 in diagram.fused or v1 in diagram.fused:
-        return False
-    return _is_over_at(diagram, u0) == _is_over_at(diagram, diagram.alpha[u0])
-
-
 def _triangle_variant(diagram: OrientedDiagram, orbit) -> Optional[str]:
     """The variant letter of a braid-like triangle on the 3-face ``orbit``
     (three darts in face order), or None."""
@@ -165,94 +150,65 @@ def _triangle_variant(diagram: OrientedDiagram, orbit) -> Optional[str]:
     return III_VARIANTS[family + (top - marked + 1) % 3]
 
 
-def _removals(diagram: OrientedDiagram) -> List[Tuple[int, int]]:
-    """Anchors of the IIa_remove sites, ascending: the inner 2-faces that
-    pass the bigon check."""
-    outer = diagram.outer_face
-    return sorted(
-        darts for face, darts in diagram._global_faces.items()
-        if len(darts) == 2 and face != outer and _bigon_ok(diagram, *darts)
-    )
+def _census(diagram: OrientedDiagram):
+    """The braid-like sites of a diagram, computed once and kept on it.
 
+    One pass over the global faces takes the inner 2-faces that pass the
+    bigon check (the IIa_remove anchors, ascending) and the inner 3-faces
+    that pass the triangle check (the III sites as (variant, orbit),
+    ascending).  A face's darts run in orbit order from its least dart
+    when no placement merges faces, so a 3-face is its orbit; with
+    placements they are ascending and the orbit is walked.
 
-def _slides(diagram: OrientedDiagram) -> List[Tuple[str, Tuple[int, int, int]]]:
-    """(variant, orbit) of the III sites, ascending: the inner 3-faces that
-    pass the triangle check."""
-    face_next, outer = diagram._face_next, diagram.outer_face
-    out = []
-    for face, darts in diagram._global_faces.items():
-        if len(darts) == 3 and face != outer:
-            u0 = darts[0]
-            u1 = face_next[u0]
-            orbit = (u0, u1, face_next[u1])
-            variant = _triangle_variant(diagram, orbit)
-            if variant is not None:
-                out.append((variant, orbit))
-    out.sort()
-    return out
-
-
-def _pair_rows(diagram: OrientedDiagram, coherent: bool) -> List[Tuple[int, List[int], int]]:
-    """The pair-insertion anchors ``(a, b)`` of a kind, row by row, in order.
-
-    Row ``(a, bs, skip)`` stands for the pairs ``(a, b)`` with ``b`` in the
-    ascending list ``bs`` other than ``skip`` (-1 when none is left out);
-    rows come by ascending ``a``.  A pair is two darts of one global face
-    and one component on two edges: a head dart, then a tail dart for
-    IIa_insert (the two sides run coherently), two darts both heads or both
-    tails, the lower first, for IIb_insert.  The darts of a class come from
-    one pass, so the pairs of a row are counted without being listed.
+    Pair insertions are counted, not listed.  A pair is two darts of one
+    global face and one component on two edges: a head dart, then a tail
+    dart for IIa_insert (the two sides run coherently), two darts both
+    heads or both tails, the lower first, for IIb_insert.  Such a class of
+    darts is one face of the map: placements glue faces of distinct
+    components along a spanning tree, so no global face holds two faces of
+    one component, and every vertex has even degree, so no edge is a
+    bridge with one face on both sides.  ``tails`` counts each face's tail
+    darts, and the IIa_insert pairs number heads times tails summed over
+    the faces.
     """
-    if diagram.ncomponents == 1:
-        keys = diagram.face_of  # one component: each face is its own root
-    else:
-        fr, comp = diagram._face_root, diagram.comp_of_vertex
-        keys = [(fr[f], comp[v]) for f, v in zip(diagram.face_of, diagram._dart_vertex)]
-    is_tail = diagram.is_tail
-    classes: dict = {}  # (class key, is_tail) -> its darts, ascending
-    for d, k in enumerate(zip(keys, is_tail)):
-        darts = classes.get(k)
-        if darts is None:
-            classes[k] = [d]
-        else:
-            darts.append(d)
-    if coherent:
-        alpha = diagram.alpha
-        # alpha[a] is the one tail of a's class on a's own edge
-        return [
-            (a, classes.get((keys[a], True), []), alpha[a] if keys[alpha[a]] == keys[a] else -1)
-            for a in range(diagram.ndarts) if not is_tail[a]
-        ]
-    rows = [(a, darts[i + 1:], -1) for darts in classes.values() for i, a in enumerate(darts)]
-    rows.sort()
-    return rows
-
-
-def _nth_pair(rows, r: int) -> Tuple[int, int]:
-    """The ``r``-th pair of ``_pair_rows`` in order, from the row sizes."""
-    for a, bs, skip in rows:
-        size = len(bs) - (skip >= 0)
-        if r < size:
-            return a, bs[r + (skip >= 0 and bs.index(skip) <= r)]
-        r -= size
-    raise IndexError("pair index out of range")
-
-
-def _listed(diagram: OrientedDiagram, kind: str) -> list:
-    """The enumeration of ``kind``'s sites, computed once and kept on the
-    diagram: ``_removals``, ``_slides`` (III and its variants) or
-    ``_pair_rows``."""
     memo = diagram._moves
-    listed = memo.get(kind)
-    if listed is None:
-        if kind == "IIa_remove":
-            listed = _removals(diagram)
-        elif kind == "III":
-            listed = _slides(diagram)
-        else:
-            listed = _pair_rows(diagram, kind == "IIa_insert")
-        memo[kind] = listed
-    return listed
+    census = memo.get("census")
+    if census is not None:
+        return census
+    n4 = 4 * diagram.n
+    signs, fused, over = diagram.signs, diagram.fused, diagram.over_parity
+    alpha, edge_of, is_tail = diagram.alpha, diagram.edge_of, diagram.is_tail
+    face_next, outer = diagram._face_next, diagram.outer_face
+    walk = bool(diagram.placements)
+    removals, slides = [], []
+    for face, darts in diagram._global_faces.items():
+        if len(darts) == 2:
+            u0, u1 = darts
+            v0, v1 = u0 >> 2, u1 >> 2
+            # two crossings of opposite signs, strands on two edges running
+            # coherently, one of them over at both crossings
+            if (face != outer and u1 < n4 and v0 != v1 and signs[v0] != signs[v1]
+                    and is_tail[u0] != is_tail[u1] and edge_of[u0] != edge_of[u1]
+                    and v0 not in fused and v1 not in fused
+                    and (u0 & 1 == over[v0]) == (alpha[u0] & 1 == over[alpha[u0] >> 2])):
+                removals.append(darts)
+        elif len(darts) == 3 and face != outer:
+            if walk:
+                u0 = darts[0]
+                u1 = face_next[u0]
+                darts = (u0, u1, face_next[u1])
+            variant = _triangle_variant(diagram, darts)
+            if variant is not None:
+                slides.append((variant, darts))
+    removals.sort()
+    slides.sort()
+    face_of, faces = diagram.face_of, diagram.faces
+    tails = [0] * len(faces)
+    for t, _, _ in diagram.edges:
+        tails[face_of[t]] += 1
+    coherent = sum(map(mul, tails, map(sub, map(len, faces), tails)))
+    census = memo["census"] = (removals, slides, tails, coherent)
+    return census
 
 
 def _is_listed(diagram: OrientedDiagram, kind: str, anchor: tuple) -> bool:
@@ -260,15 +216,18 @@ def _is_listed(diagram: OrientedDiagram, kind: str, anchor: tuple) -> bool:
     anchor of the kind's shape."""
     if kind == "RI_insert":
         return 0 <= anchor[0] < len(diagram.edges)
+    removals, slides, _, _ = _census(diagram)
     if kind == "IIa_remove":
-        return anchor in _listed(diagram, kind)
+        return anchor in removals
     if kind in ("IIa_insert", "IIb_insert"):
         a, b, _ = anchor
-        rows = _listed(diagram, kind)
-        i = bisect_left(rows, (a,))  # the row of a, if a starts one
-        return i < len(rows) and rows[i][0] == a and b != rows[i][2] and b in rows[i][1]
-    return any(orbit == anchor and kind in ("III", variant)
-               for variant, orbit in _listed(diagram, "III"))
+        nd, face_of, is_tail = diagram.ndarts, diagram.face_of, diagram.is_tail
+        if not (0 <= a < nd and 0 <= b < nd and face_of[a] == face_of[b]):
+            return False
+        if kind == "IIa_insert":
+            return not is_tail[a] and is_tail[b]
+        return a < b and is_tail[a] == is_tail[b]
+    return any(orbit == anchor and kind in ("III", variant) for variant, orbit in slides)
 
 
 def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
@@ -283,14 +242,19 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
     """
     fp = _fingerprint(diagram)
     if kind == "IIa_remove":
-        return [MoveSite(kind, darts, fp) for darts in _listed(diagram, kind)]
+        return [MoveSite(kind, darts, fp) for darts in _census(diagram)[0]]
     if kind in ("IIa_insert", "IIb_insert"):
-        return [
-            MoveSite(kind, (a, b, flag), fp)
-            for a, bs, skip in _listed(diagram, kind)
-            for b in bs if b != skip
-            for flag in (False, True)
-        ]
+        is_tail = diagram.is_tail
+        classes: dict = {}  # (face, is_tail) -> its darts, ascending
+        for d, k in enumerate(zip(diagram.face_of, is_tail)):
+            classes.setdefault(k, []).append(d)
+        if kind == "IIa_insert":
+            pairs = ((a, b) for a, f in enumerate(diagram.face_of) if not is_tail[a]
+                     for b in classes.get((f, True), ()))
+        else:
+            pairs = ((a, b) for a, k in enumerate(zip(diagram.face_of, is_tail))
+                     for b in classes[k] if b > a)
+        return [MoveSite(kind, (a, b, flag), fp) for a, b in pairs for flag in (False, True)]
     if kind == "RI_insert":
         return [
             MoveSite(kind, (e, side, over_first), fp)
@@ -301,7 +265,7 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
     if kind == "III" or kind in III_VARIANTS:
         return [
             MoveSite(variant, orbit, fp)
-            for variant, orbit in _listed(diagram, "III") if kind in ("III", variant)
+            for variant, orbit in _census(diagram)[1] if kind in ("III", variant)
         ]
     raise ValueError(f"unknown move kind {kind!r}")
 
@@ -564,13 +528,11 @@ def _braid_like_sites(diagram: OrientedDiagram, insertions: bool):
     """The number of braid-like sites and a function building the r-th.
 
     The sites are those of ``find_sites`` for IIa_remove, III and, with
-    ``insertions``, IIa_insert, one kind after another; they are counted
-    from the same enumerations, and only the drawn one is built.
+    ``insertions``, IIa_insert, one kind after another, from the census.
+    Only the drawn site is built: a drawn pair is found by walking the head
+    darts in order, each with as many pairs as its face has tails.
     """
-    removals = _listed(diagram, "IIa_remove")
-    slides = _listed(diagram, "III")
-    rows = _listed(diagram, "IIa_insert") if insertions else []
-    pairs = sum(len(bs) - (skip >= 0) for _, bs, skip in rows)
+    removals, slides, tails, coherent = _census(diagram)
     fp = _fingerprint(diagram)
 
     def nth(r: int) -> MoveSite:
@@ -580,9 +542,17 @@ def _braid_like_sites(diagram: OrientedDiagram, insertions: bool):
         if r < len(slides):
             return MoveSite(*slides[r], fp)
         r -= len(slides)
-        return MoveSite("IIa_insert", (*_nth_pair(rows, r >> 1), bool(r & 1)), fp)
+        flag, r = bool(r & 1), r >> 1
+        is_tail = diagram.is_tail
+        for a, f in enumerate(diagram.face_of):
+            if not is_tail[a]:
+                if r < tails[f]:
+                    b = sorted(b for b in diagram.faces[f] if is_tail[b])[r]
+                    return MoveSite("IIa_insert", (a, b, flag), fp)
+                r -= tails[f]
+        raise IndexError("site index out of range")
 
-    return len(removals) + len(slides) + 2 * pairs, nth
+    return len(removals) + len(slides) + 2 * coherent * insertions, nth
 
 
 def figure4_family(m: int) -> OrientedDiagram:

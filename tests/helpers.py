@@ -18,7 +18,9 @@ reduction as ``homology._homology_table`` over the full complex, each
 block given all its rows at once, where the library's layer walk
 assembles each block as it reduces it.  ``burau`` is the exact unreduced
 Burau representation, which checks that a rewrite of a braid word keeps
-the braid.
+the braid.  ``site_oracle`` lists the braid-like and II_b sites of a
+diagram by brute force over faces and dart pairs, where ``moves`` counts
+them from one census per diagram.
 """
 
 from fractions import Fraction
@@ -450,3 +452,69 @@ def _table_of_factors(dm: DifferentialMatrix, factors: dict) -> dict:
         if betti or torsion:
             table[g] = (betti, torsion)
     return table
+
+
+def site_oracle(diagram: OrientedDiagram) -> Dict[str, list]:
+    """The (kind, anchor) lists of ``find_sites`` for IIa_remove, III,
+    IIa_insert and IIb_insert, by brute force from the definitions in the
+    ``moves`` docstring: every global face but the outer one for removals
+    and slides, every ordered pair of darts for insertions.  It reads the
+    diagram's tables only, and calls nothing of ``moves``."""
+    n4 = 4 * diagram.n
+    gface = [diagram.global_face_of_dart(d) for d in range(diagram.ndarts)]
+    comp = [diagram.comp_of_vertex[diagram.vertex_of(d)] for d in range(diagram.ndarts)]
+    edges, edge_of, is_tail = diagram.edges, diagram.edge_of, diagram.is_tail
+
+    def over(d):
+        return d & 1 == diagram.over_parity[d >> 2]
+
+    def plain(darts):
+        # darts at distinct unfused crossings, on distinct edges
+        crossings = {d >> 2 for d in darts}
+        return (all(d < n4 for d in darts) and len(crossings) == len(darts)
+                and not crossings & set(diagram.fused)
+                and len({edge_of[d] for d in darts}) == len(darts))
+
+    inner: Dict[int, List[int]] = {}
+    for d in range(diagram.ndarts):
+        if gface[d] != diagram.outer_face:
+            inner.setdefault(gface[d], []).append(d)
+    removals, slides = [], []
+    for darts in inner.values():
+        if len(darts) == 2 and plain(darts):
+            (t0, h0, _), (t1, _, _) = edges[edge_of[darts[0]]], edges[edge_of[darts[1]]]
+            # two edges leaving one crossing (coherent), of opposite signs,
+            # one strand over at both of its ends
+            if (t0 >> 2 == t1 >> 2 and diagram.signs[darts[0] >> 2] != diagram.signs[darts[1] >> 2]
+                    and over(t0) == over(h0)):
+                removals.append(("IIa_remove", tuple(darts)))
+        if len(darts) == 3:
+            u = [darts[0]]
+            while len(u) < 3:
+                u.append(diagram.sigma(diagram.alpha[u[-1]]))
+            tails = [is_tail[d] for d in u]
+            if not plain(u) or sorted(u) != sorted(darts) or sum(tails) in (0, 3):
+                continue
+            # strand j runs on edge(u[j]); at u[j]'s crossing it meets strand j - 1
+            wins = [0, 0, 0]
+            for j in range(3):
+                wins[j if over(u[j]) else j - 1] += 1
+            if sorted(wins) != [0, 1, 2]:
+                continue  # a cyclic over-relation
+            lone = tails.index(sum(tails) == 1)
+            # the variant letter: (edges along the flow, the doubly-over strand
+            # counted from the lone edge), with the positive braid relation IIIa
+            family = 0 if sum(tails) == 1 else 3
+            slides.append(("III" + "abcdef"[family + (wins.index(2) - lone + 1) % 3], tuple(u)))
+    coherent, antiparallel = [], []
+    for a in range(diagram.ndarts):
+        for b in range(diagram.ndarts):
+            if gface[a] != gface[b] or comp[a] != comp[b] or edge_of[a] == edge_of[b]:
+                continue
+            for flag in (False, True):
+                if not is_tail[a] and is_tail[b]:
+                    coherent.append(("IIa_insert", (a, b, flag)))
+                if a < b and is_tail[a] == is_tail[b]:
+                    antiparallel.append(("IIb_insert", (a, b, flag)))
+    return {"IIa_remove": sorted(removals), "III": sorted(slides),
+            "IIa_insert": coherent, "IIb_insert": antiparallel}

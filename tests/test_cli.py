@@ -92,12 +92,61 @@ def test_a_word_that_descends_to_the_empty_braid_meets_the_cap_first(capsys, mon
     assert (code, out) == run(capsys, "homology", "-w", "B3")[:2]
 
 
+@pytest.mark.parametrize("argv", [
+    ("homology",), ("homology", "--verify"), ("homology", "--dump-matrices"),
+    ("verify", "--moves", "1"),
+])
+def test_the_cap_is_read_on_the_word_before_the_closure_is_built(capsys, monkeypatch, argv):
+    # 99,998 strands that no letter touches: the cap refuses the word before
+    # any closure exists, which would take seconds and hundreds of MB
+    import braidbracket.diagram
+    import braidbracket.homology
+    import braidbracket.moves
+
+    def spy(word):
+        raise AssertionError(f"closure of {word.strands} strands built")
+
+    for module in (braidbracket.diagram, braidbracket.homology, braidbracket.moves):
+        monkeypatch.setattr(module, "braid_closure", spy)
+    code, out, err = run(capsys, *argv[:1], "-w", "B100000 1", *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == "size cap exceeded: diagram needs 99999 crossings but the cap is 24\n"
+    if argv[0] == "verify":  # a negative move count is still refused first
+        code, out, err = run(capsys, "verify", "-w", "B100000 1", "--moves", "-1")
+        assert (code, out) == (4, "")
+        assert err == "pair generation failed: move count must be nonnegative\n"
+
+
+def test_the_word_cap_counts_what_the_closure_cap_counts(corpus):
+    from braidbracket.chain_complex import _check_complex_cap, _check_word_cap
+    from braidbracket.diagram import BraidWord, braid_closure
+    from braidbracket.states import SizeCapError
+
+    def needed(check, x):
+        try:
+            check(x, 0)
+        except SizeCapError as exc:
+            return exc.needed
+        return 0
+
+    # corpus closures, the empty closure, and words with untouched strands
+    # between, below and above the touched ones
+    words = [d.braid_word for d in corpus if d.braid_word is not None]
+    words += [BraidWord(k, w)
+              for k, w in ((0, ()), (1, ()), (5, (1, -4)), (6, (3, 3, -2)), (7, (6,)))]
+    for word in words:
+        assert needed(_check_word_cap, word) == needed(_check_complex_cap, braid_closure(word))
+
+
 def test_long_word_meets_the_cap_at_once(capsys):
-    # 20,000 free loops: the diagram is built in time linear in its edges,
-    # and the cap stops the complex before anything is listed
+    # 20,000 free loops: the cap stops homology before the closure is
+    # built, and the closure itself, 19,999 placements, is built in time
+    # linear in its edges (renumbering each face reference by a scan of the
+    # edges before it took 11 s)
     code, out, err = run(capsys, "homology", "-w", "B20000")
     assert code == 3 and not out
     assert "needs 20000 crossings but the cap is 24" in err
+    assert len(parse_braid_word("B20000").placements) == 19999
 
 
 @pytest.mark.parametrize("command", ["bracket", "homology", "verify"])

@@ -18,7 +18,7 @@ from braidbracket.moves import (
     random_equivalent_pair,
 )
 
-from helpers import WALK_PINS
+from helpers import WALK_PINS, site_oracle
 
 
 def test_iia_remove_sites_on_cancelling_pair():
@@ -491,20 +491,49 @@ def test_negative_controls_match_a_full_build(name, kind):
         _assert_same_diagram(apply_move(d, site), _built(d, site))
 
 
+def _assert_counted_sites_are_listed(d):
+    from braidbracket.moves import _braid_like_sites
+
+    for insertions in (False, True):
+        listed = find_sites(d, "IIa_remove") + find_sites(d, "III")
+        if insertions:
+            listed += find_sites(d, "IIa_insert")
+        total, nth = _braid_like_sites(d, insertions)
+        assert [nth(r) for r in range(total)] == listed
+
+
 @pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
 def test_counted_sites_are_the_listed_sites(seed, strands, letters):
     # the walk draws a site by its index among the counted ones and builds
     # only that one; every index must give find_sites' site
-    from braidbracket.moves import _braid_like_sites
-
     steps, _ = _reference_walk(seed, strands, letters)
     for d, _ in steps:
-        for insertions in (False, True):
-            listed = find_sites(d, "IIa_remove") + find_sites(d, "III")
-            if insertions:
-                listed += find_sites(d, "IIa_insert")
-            total, nth = _braid_like_sites(d, insertions)
-            assert [nth(r) for r in range(total)] == listed
+        _assert_counted_sites_are_listed(d)
+
+
+@pytest.mark.parametrize("name", sorted(SITE_PINS))
+def test_counted_sites_are_the_listed_sites_on_the_site_pins(name):
+    # split, placed and anchored diagrams, whose pair classes are keyed by
+    # global face and component; the walks above are all on knots
+    _assert_counted_sites_are_listed(_site_pin_diagram(name))
+
+
+def _assert_the_oracle_lists_the_sites(d):
+    oracle = site_oracle(d)
+    for kind, want in oracle.items():
+        assert [(s.kind, s.anchor) for s in find_sites(d, kind)] == want, kind
+
+
+@pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
+def test_a_brute_force_oracle_lists_the_sites_along_the_pinned_walks(seed, strands, letters):
+    steps, end = _reference_walk(seed, strands, letters)
+    for d in [d for d, _ in steps] + [end]:
+        _assert_the_oracle_lists_the_sites(d)
+
+
+@pytest.mark.parametrize("name", sorted(SITE_PINS))
+def test_a_brute_force_oracle_lists_the_sites_of_the_site_pins(name):
+    _assert_the_oracle_lists_the_sites(_site_pin_diagram(name))
 
 
 @pytest.mark.parametrize("seed, strands, letters, digest", [p[:3] + p[5:] for p in WALK_PINS])
