@@ -173,14 +173,19 @@ class DiagramBuilder:
     crossing ``c`` and ``anchor_port(a, p)`` position ``p`` of anchor ``a``.
     A removed crossing or edge is set to ``None``; ``build`` closes the
     gaps, keeping the relative order, and anchors keep their numbers.  A
-    port or fused mark on no crossing, and a port of a removed crossing,
-    are a ``DiagramError``.
+    port or fused mark on no crossing, an anchor port of no anchor, and a
+    port of a removed crossing are a ``DiagramError``.
+
+    An edge record is a ``(tail port, head port, seam)`` tuple.  Records
+    are replaced, never edited, so ``to_builder`` and ``build`` share them
+    with the diagram: a builder with no anchor and no removed crossing
+    hands its records to the diagram as they are.
     """
 
     def __init__(self):
         self.crossings: List[Optional[int]] = []    # signs
         self.nanchors = 0
-        self.edges: List[Optional[list]] = []       # [tail port, head port, seam]
+        self.edges: List[Optional[Tuple[int, int, int]]] = []  # (tail port, head port, seam)
         self.fused: Dict[int, int] = {}             # crossing -> frozen smoothing bit
         self.anchor_bp: Dict[int, int] = {}         # anchor -> decorative break points
         self.placements: List[Tuple[FaceRef, FaceRef]] = []
@@ -199,7 +204,7 @@ class DiagramBuilder:
         return self.nanchors - 1
 
     def add_edge(self, tail: int, head: int, seam: int = 0) -> int:
-        self.edges.append([tail, head, seam])
+        self.edges.append((tail, head, seam))
         return len(self.edges) - 1
 
     def split_edge(self, eid: int, mid_tail: int, mid_head: int) -> Tuple[int, int]:
@@ -219,30 +224,38 @@ class DiagramBuilder:
     def _remap_refs(self, old_eid: int, new_eid: int) -> None:
         if self.outer is not None and self.outer[0] == old_eid:
             self.outer = (new_eid, self.outer[1])
-        self.placements = [
-            (
-                (new_eid, a[1]) if a[0] == old_eid else a,
-                (new_eid, b[1]) if b[0] == old_eid else b,
-            )
-            for (a, b) in self.placements
-        ]
+        if self.placements:
+            self.placements = [
+                (
+                    (new_eid, a[1]) if a[0] == old_eid else a,
+                    (new_eid, b[1]) if b[0] == old_eid else b,
+                )
+                for (a, b) in self.placements
+            ]
 
     def build(self) -> "OrientedDiagram":
         crossings, bedges = self.crossings, self.edges
         for c in self.fused:
             if not 0 <= c < len(crossings):
                 raise DiagramError(f"fused mark on {c}, not a crossing")
-        removed = [c for c, rec in enumerate(crossings) if rec is None]
-        kept = [rec for rec in crossings if rec is not None]
+        if None in crossings:
+            removed = [c for c, rec in enumerate(crossings) if rec is None]
+            kept = [rec for rec in crossings if rec is not None]
+        else:
+            removed, kept = [], crossings
         n4 = 4 * len(kept)
-        # port[p]: the dart of crossing port p once the gaps are closed, and
-        # -1, a dart no diagram accepts, at a removed crossing; anchor port
-        # ~i is dart n4 + i
-        port: List[int] = []
-        for k, c in enumerate(removed):
-            port += range(len(port) - 4 * k, 4 * (c - k))
-            port += (-1, -1, -1, -1)
-        port += range(len(port) - 4 * len(removed), n4)
+        fused = self.fused
+        renumber = bool(removed or self.nanchors)
+        if renumber:
+            # port[p]: the dart of crossing port p once the gaps are closed, and
+            # -1, a dart no diagram accepts, at a removed crossing; anchor port
+            # ~i is dart n4 + i
+            port: List[int] = []
+            for k, c in enumerate(removed):
+                port += range(len(port) - 4 * k, 4 * (c - k))
+                port += (-1, -1, -1, -1)
+            port += range(len(port) - 4 * len(removed), n4)
+            fused = {port[4 * c] >> 2: bit for c, bit in fused.items() if port[4 * c] >= 0}
 
         holes: Optional[List[int]] = None  # removed edges, listed on the first reference
 
@@ -256,10 +269,15 @@ class DiagramBuilder:
             return (e - bisect_left(holes, e), r[1])
 
         try:
-            edges = [
-                (port[t] if t >= 0 else n4 + ~t, port[h] if h >= 0 else n4 + ~h, seam)
-                for t, h, seam in filter(None, bedges)
-            ]
+            if renumber:
+                edges = [
+                    (port[t] if t >= 0 else n4 + ~t, port[h] if h >= 0 else n4 + ~h, seam)
+                    for t, h, seam in filter(None, bedges)
+                ]
+            else:
+                # every port is its own dart: the records go over as they are,
+                # and a stray port is named below when the diagram rejects it
+                edges = list(filter(None, bedges))
             return OrientedDiagram(
                 # from a list: a tuple grown from an iterator of unknown length
                 # is resized, and the blocks it leaves pile up in the tuple free lists
@@ -269,20 +287,24 @@ class DiagramBuilder:
                 placements=tuple((ref(a), ref(b)) for a, b in self.placements),
                 outer_ref=ref(self.outer) if self.outer is not None else None,
                 from_braid=self.from_braid,
-                fused={port[4 * c] >> 2: bit for c, bit in self.fused.items()
-                       if port[4 * c] >= 0},
+                fused=fused,
                 anchor_bp=self.anchor_bp,
                 _one_component=self._one_component == self.nanchors and not self.placements,
             )
         except (IndexError, DiagramError):
-            # a port on no crossing, or on a removed one, is what to name
+            # a port on no crossing or no anchor, or on a removed crossing, is
+            # what to name
             for i, rec in enumerate(bedges):
                 if rec is None:
                     continue
                 for p in rec[:2]:
-                    if p >= len(port):
+                    if p < 0:
+                        if ~p >= 2 * self.nanchors:
+                            raise DiagramError(
+                                f"edge {i} names anchor port {p}, not an anchor port")
+                    elif p >= 4 * len(crossings):
                         raise DiagramError(f"edge {i} names port {p}, not a crossing port")
-                    if p >= 0 and port[p] < 0:
+                    elif crossings[p >> 2] is None:
                         raise DiagramError(f"edge {i} references a removed crossing")
             raise
 
@@ -560,8 +582,9 @@ class OrientedDiagram:
         b.crossings = list(self.signs)
         b.nanchors = self.nanchors
         n4 = 4 * self.n  # crossing darts are their own ports
-        b.edges = list(map(list, self.edges)) if not self.nanchors else [
-            [t if t < n4 else ~(t - n4), h if h < n4 else ~(h - n4), seam]
+        # records are shared: a builder replaces a record and never edits one
+        b.edges = list(self.edges) if not self.nanchors else [
+            (t if t < n4 else ~(t - n4), h if h < n4 else ~(h - n4), seam)
             for t, h, seam in self.edges
         ]
         b.fused = dict(self.fused)
@@ -574,36 +597,50 @@ class OrientedDiagram:
     def canonical_code(self) -> str:
         """Canonical encoding up to relabelling (plane isomorphism).
 
-        Runs a deterministic traversal from every dart and keeps, per
-        connected component, the lexicographically smallest transcript;
-        the code is the sorted join of those.  A transcript records the
+        Runs a deterministic traversal from each dart that can start the
+        least transcript of its connected component (see below) and keeps,
+        per component, the lexicographically smallest transcript; the code
+        is the sorted join of those.  A transcript records the
         crossing data, fused bits and anchor break points, but not seam
         marks or which face a component sits in.
         Orientation of the plane is preserved (no mirror identification).
 
-        A traversal stops as soon as its transcript so far is greater than
-        the component's best, which cannot change the minimum.  Transcripts
-        are compared with their "," separators, as whole strings are.
+        Transcripts are compared with their "," separators, as whole
+        strings are.  The transcript from dart d begins ",s1", then ",a1"
+        when alpha(d) = sigma(d) and ",a2" otherwise, then the tag of d.
+        No tag is a proper prefix of another, so a start whose (second
+        piece, tag) is not the least of its component has a greater
+        transcript, and only the least starts are traversed.  A traversal
+        stops as soon as its transcript so far is greater than the
+        component's best.  Neither can change the minimum.
         """
         nd = self.ndarts
         if nd == 0:
             return "empty"
-        n4 = 4 * self.n
+        n, n4 = self.n, 4 * self.n
+        sigma, alpha, is_tail = _rotation_table(n, self.nanchors), self.alpha, self.is_tail
         tags = []
         for d in range(nd):
-            v = self.vertex_of(d)
             if d < n4:
+                v = d >> 2
                 rel = (d & 3) - self.over_parity[v]
-                tag = (f"x{self.signs[v]}o{rel & 1}t{int(self.is_tail[d])}"
-                       f"f{self.fused.get(v, -1)}")
+                tags.append(f",x{self.signs[v]}o{rel & 1}t{int(is_tail[d])}"
+                            f"f{self.fused.get(v, -1)}")
             else:
-                tag = f"A{self.anchor_bp.get(v - self.n, 0)}t{int(self.is_tail[d])}"
-            tags.append("," + tag)
-        alpha = self.alpha
+                tags.append(f",A{self.anchor_bp.get((d - n4) >> 1, 0)}t{int(is_tail[d])}")
+        comp_of = list(map(self.comp_of_vertex.__getitem__, self._dart_vertex))
+        # lead[d]: whether the second piece is ",a2", and the tag
+        lead = list(zip(map(int.__ne__, alpha, sigma), tags))
+        least: Dict[int, Tuple[bool, str]] = {}
+        for comp, key in zip(comp_of, lead):
+            if comp not in least or key < least[comp]:
+                least[comp] = key
         # best[comp] is "," + the component's least transcript so far
         best: Dict[int, str] = {}
         for start in range(nd):
-            comp = self.comp_of_vertex[self._dart_vertex[start]]
+            comp = comp_of[start]
+            if lead[start] != least[comp]:
+                continue
             bound = best.get(comp)
             # the transcript so far equals bound[:pos]; pos is None once it is below
             pos = None if bound is None else 0
@@ -612,7 +649,7 @@ class OrientedDiagram:
             queue = [start]
             rec: List[str] = []
             for d in queue:
-                s, a = self.sigma(d), alpha[d]
+                s, a = sigma[d], alpha[d]
                 if s not in ids:
                     ids[s] = len(ids)
                     queue.append(s)
@@ -761,8 +798,7 @@ def writhe(diagram: OrientedDiagram) -> int:
 def reverse_orientation(diagram: OrientedDiagram) -> OrientedDiagram:
     """Reverse every edge; crossing signs and labels are unchanged."""
     b = diagram.to_builder()
-    for rec in b.edges:
-        rec[0], rec[1] = rec[1], rec[0]
+    b.edges = [(h, t, seam) for t, h, seam in b.edges]
     # a side reference names the same geometric region through the swap
     b.placements = [((a[0], 1 - a[1]), (c[0], 1 - c[1])) for a, c in b.placements]
     if b.outer is not None:

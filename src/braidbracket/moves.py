@@ -44,6 +44,7 @@ one it draws.
 from __future__ import annotations
 
 import random
+from itertools import product
 from operator import mul, sub
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -104,13 +105,41 @@ def _fingerprint(diagram: OrientedDiagram) -> str:
     return fp
 
 
-def _is_over_at(diagram: OrientedDiagram, dart: int) -> bool:
-    return dart & 1 == diagram.over_parity[dart >> 2]
-
-
 def _across(d: int) -> int:
     """The dart opposite ``d`` at its crossing, where its strand goes on."""
     return (d & ~3) | ((d + 2) & 3)
+
+
+def _triangle_rule(along, over) -> Optional[str]:
+    """The variant letter of a triangle whose three darts, in face order,
+    are tails as ``along`` says and over at their crossings as ``over``
+    says, or None when the triangle admits no slide."""
+    count_along = sum(along)
+    if count_along in (0, 3):
+        return None  # cyclically oriented triangle: not a braid move
+    # strand S_j runs through edge(orbit[j]); who is over at each vertex?
+    wins = [0, 0, 0]
+    for j in range(3):
+        if over[j]:
+            wins[j] += 1          # S_j over at its first vertex vs[j]
+        else:
+            wins[j - 1] += 1      # the arriving strand S_{j-1} is over
+    if 1 not in wins or 2 not in wins:
+        return None  # cyclic over-relation admits no slide
+    top = wins.index(2)
+    marked = along.index(True) if count_along == 1 else along.index(False)
+    family = 0 if count_along == 1 else 3
+    # offset fixed so the positive braid-relation triangle comes out as IIIa
+    return III_VARIANTS[family + (top - marked + 1) % 3]
+
+
+# (is_tail of the three darts, over bit of each) -> variant letter or None:
+# the rule read once for every one of the 64 cases
+_TRIANGLE_VARIANT = {
+    (*along, *over): _triangle_rule(along, over)
+    for along in product((False, True), repeat=3)
+    for over in product((False, True), repeat=3)
+}
 
 
 def _triangle_variant(diagram: OrientedDiagram, orbit) -> Optional[str]:
@@ -129,25 +158,9 @@ def _triangle_variant(diagram: OrientedDiagram, orbit) -> Optional[str]:
     e0, e1, e2 = edge_of[u0], edge_of[u1], edge_of[u2]
     if e0 == e1 or e1 == e2 or e0 == e2:
         return None
-    is_tail = diagram.is_tail
-    along = (is_tail[u0], is_tail[u1], is_tail[u2])
-    count_along = sum(along)
-    if count_along in (0, 3):
-        return None  # cyclically oriented triangle: not a braid move
-    # strand S_j runs through edge(orbit[j]); who is over at each vertex?
-    wins = [0, 0, 0]
-    for j in range(3):
-        if _is_over_at(diagram, orbit[j]):
-            wins[j] += 1          # S_j over at its first vertex vs[j]
-        else:
-            wins[j - 1] += 1      # the arriving strand S_{j-1} is over
-    if 1 not in wins or 2 not in wins:
-        return None  # cyclic over-relation admits no slide
-    top = wins.index(2)
-    marked = along.index(True) if count_along == 1 else along.index(False)
-    family = 0 if count_along == 1 else 3
-    # offset fixed so the positive braid-relation triangle comes out as IIIa
-    return III_VARIANTS[family + (top - marked + 1) % 3]
+    is_tail, over = diagram.is_tail, diagram.over_parity
+    return _TRIANGLE_VARIANT[is_tail[u0], is_tail[u1], is_tail[u2],
+                             u0 & 1 == over[v0], u1 & 1 == over[v1], u2 & 1 == over[v2]]
 
 
 def _census(diagram: OrientedDiagram):
@@ -159,6 +172,19 @@ def _census(diagram: OrientedDiagram):
     ascending).  A face's darts run in orbit order from its least dart
     when no placement merges faces, so a 3-face is its orbit; with
     placements they are ascending and the orbit is walked.
+
+    The bigon check asks for opposite signs and not for one strand over at
+    both crossings, because on the two coherent strands of a bigon each
+    implies the other.  Through the bigon the strands run side by side, so
+    one passes from the other's left to its right at the first crossing and
+    back at the second: the pair (first strand, second strand) turns one
+    way at one crossing and the other way at the other.  A crossing's sign
+    is that turn, negated when the second strand is over.  So the signs are
+    opposite exactly when the same strand is over at both.  The argument
+    needs the 2-face to be one orbit, its two edges running between its two
+    crossings.  A global face of two darts may instead be two monogons of
+    two components glued by a placement (the closure of ``B4 1 -3``), each
+    edge a loop at its own crossing, and the check asks for the orbit.
 
     Pair insertions are counted, not listed.  A pair is two darts of one
     global face and one component on two edges: a head dart, then a tail
@@ -176,8 +202,8 @@ def _census(diagram: OrientedDiagram):
     if census is not None:
         return census
     n4 = 4 * diagram.n
-    signs, fused, over = diagram.signs, diagram.fused, diagram.over_parity
-    alpha, edge_of, is_tail = diagram.alpha, diagram.edge_of, diagram.is_tail
+    signs, fused = diagram.signs, diagram.fused
+    edge_of, is_tail = diagram.edge_of, diagram.is_tail
     face_next, outer = diagram._face_next, diagram.outer_face
     walk = bool(diagram.placements)
     removals, slides = [], []
@@ -185,12 +211,12 @@ def _census(diagram: OrientedDiagram):
         if len(darts) == 2:
             u0, u1 = darts
             v0, v1 = u0 >> 2, u1 >> 2
-            # two crossings of opposite signs, strands on two edges running
-            # coherently, one of them over at both crossings
+            # one orbit, not two monogons glued by a placement, on two
+            # crossings of opposite signs, strands on two edges running
+            # coherently (so one of them is over at both crossings)
             if (face != outer and u1 < n4 and v0 != v1 and signs[v0] != signs[v1]
                     and is_tail[u0] != is_tail[u1] and edge_of[u0] != edge_of[u1]
-                    and v0 not in fused and v1 not in fused
-                    and (u0 & 1 == over[v0]) == (alpha[u0] & 1 == over[alpha[u0] >> 2])):
+                    and face_next[u0] == u1 and v0 not in fused and v1 not in fused):
                 removals.append(darts)
         elif len(darts) == 3 and face != outer:
             if walk:
@@ -291,6 +317,9 @@ def _remap_dying_refs(
     would also offer edges of components placed in it, and a placement
     renamed that way glues a component to itself.
     """
+    outer, placements = builder.outer, builder.placements
+    if not placements and (outer is None or outer[0] not in dying_edges):
+        return
 
     def fix(ref: FaceRef) -> FaceRef:
         if ref[0] not in dying_edges:
@@ -300,32 +329,34 @@ def _remap_dying_refs(
                 return _side_ref_of_dart(diagram, d)
         return fallback
 
-    if builder.outer is not None:
-        builder.outer = fix(builder.outer)
-    builder.placements = [(fix(a), fix(b)) for a, b in builder.placements]
+    if outer is not None:
+        builder.outer = fix(outer)
+    builder.placements = [(fix(a), fix(b)) for a, b in placements]
 
 
 def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
     u0, u1 = anchor
-    e0, e1 = diagram.edge_of[u0], diagram.edge_of[u1]
-    corridor_refs = [_side_ref_of_dart(diagram, _across(u)) for u in (u0, u1)]
+    edge_of, is_tail, edges = diagram.edge_of, diagram.is_tail, b.edges
+    e0, e1 = edge_of[u0], edge_of[u1]
+    x0, x1 = _across(u0), _across(u1)
+    corridor = _side_ref_of_dart(diagram, x0)
     # Each bigon edge carries one strand, in across its tail and out across
     # its head; the strands are coherent, so both tails share a crossing.
     strands = []  # [incoming edge, outgoing edge, seam of the bigon edge]
     bigon_edges = (diagram.edges[e0], diagram.edges[e1])
     for x, o, seam in sorted((_across(t), _across(h), seam) for t, h, seam in bigon_edges):
-        if diagram.is_tail[x] or not diagram.is_tail[o]:
+        if is_tail[x] or not is_tail[o]:
             raise AssertionError("strand orientation broken through bigon")
-        strands.append([diagram.edge_of[x], diagram.edge_of[o], seam])
-    _remap_dying_refs(diagram, b, {e0, e1}, corridor_refs[0])
+        strands.append([edge_of[x], edge_of[o], seam])
+    _remap_dying_refs(diagram, b, {e0, e1}, corridor)
     b.crossings[u0 >> 2] = b.crossings[u1 >> 2] = None
-    b.edges[e0] = b.edges[e1] = None
+    edges[e0] = edges[e1] = None
     # Removing the bigon takes 2 vertices and 4 edges from its component, so
     # by Euler it takes 2 faces (the bigon, and one corridor face merged into
     # the other) unless both corridor ends lie on one face: then only the
     # bigon goes, the component splits in two, and the pieces get placed.
-    if diagram._ref_face(corridor_refs[0]) == diagram._ref_face(corridor_refs[1]):
-        b.placements.append((corridor_refs[0], corridor_refs[1]))
+    if diagram.face_of[x0] == diagram.face_of[x1]:
+        b.placements.append((corridor, _side_ref_of_dart(diagram, x1)))
     # Join each strand's two edges, the strand on the lower edge id first,
     # which fixes the ids of the joined edges.  A strand whose two edges are
     # one has closed into a loop: only it keeps an anchor, in strand order.
@@ -333,19 +364,18 @@ def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> No
         e_in, e_out, seam = s
         if e_in == e_out:
             continue
-        tail, _, seam_in = b.edges[e_in]
-        _, head, seam_out = b.edges[e_out]
+        tail, _, seam_in = edges[e_in]
+        _, head, seam_out = edges[e_out]
         joined = b.add_edge(tail, head, seam_in + seam + seam_out)
-        for e in (e_in, e_out):
-            b.edges[e] = None
-            b._remap_refs(e, joined)
+        edges[e_in] = edges[e_out] = None
+        b._remap_refs(e_in, joined)
+        b._remap_refs(e_out, joined)
         strands.remove(s)
         for t in strands:
             t[:2] = [joined if e in (e_in, e_out) else e for e in t[:2]]
     for e, _, seam in strands:  # the loops
         ai = b.add_anchor()
-        rec = b.edges[e]
-        rec[:] = [anchor_port(ai, 1), anchor_port(ai, 0), rec[2] + seam]
+        edges[e] = (anchor_port(ai, 1), anchor_port(ai, 0), edges[e][2] + seam)
 
 
 # Pair insertion ports, keyed by (is_tail[u], is_tail[v]) of the anchor's
@@ -383,9 +413,10 @@ def _apply_pair_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> N
 
 
 def _apply_iii(diagram: OrientedDiagram, b: DiagramBuilder, orbit) -> None:
-    vs = [diagram.vertex_of(u) for u in orbit]
-    es = [diagram.edge_of[u] for u in orbit]
-    dirs = [diagram.is_tail[u] for u in orbit]
+    edge_of, is_tail, edges = diagram.edge_of, diagram.is_tail, b.edges
+    vs = [u >> 2 for u in orbit]  # a triangle's darts are crossing darts
+    es = [edge_of[u] for u in orbit]
+    dirs = [is_tail[u] for u in orbit]
     seams = [diagram.edges[e][2] for e in es]
     # W_j keeps the sign of v_j, which on the rewired ends below puts the
     # same strand over
@@ -397,7 +428,9 @@ def _apply_iii(diagram: OrientedDiagram, b: DiagramBuilder, orbit) -> None:
             (diagram.sigma(u), 4 * w[j - 1] + 3),
             (_across(u), 4 * w[(j + 1) % 3] + 2),
         ):
-            b.edges[diagram.edge_of[dart]][0 if diagram.is_tail[dart] else 1] = target
+            e = edge_of[dart]
+            t, h, seam = edges[e]
+            edges[e] = (target, h, seam) if is_tail[dart] else (t, target, seam)
     new_edges = []
     for j in range(3):
         if dirs[j]:
@@ -411,7 +444,7 @@ def _apply_iii(diagram: OrientedDiagram, b: DiagramBuilder, orbit) -> None:
     for v in vs:
         b.crossings[v] = None
     for e in es:
-        b.edges[e] = None
+        edges[e] = None
 
 
 def _apply_ri_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> None:
@@ -423,14 +456,19 @@ def _apply_ri_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> Non
     b.add_edge(4 * z + 3 - side, 4 * z + side)
 
 
+# anchor shape -> (the types of its fields, the index of its side or -1):
+# "d" a dart or edge id, "f" a flag, "s" a side, 0 or 1
+_SHAPES = {
+    fields: (tuple(bool if f == "f" else int for f in fields), fields.find("s"))
+    for fields in ("dd", "ddf", "dsf", "ddd")
+}
+
+
 def _anchor_ok(fields: str, anchor) -> bool:
-    """Shape of an anchor: "d" a dart or edge id, "f" a flag, "s" a side."""
-    if not isinstance(anchor, (tuple, list)) or len(anchor) != len(fields):
-        return False
-    return all(
-        type(x) is (bool if f == "f" else int) and (f != "s" or x in (0, 1))
-        for f, x in zip(fields, anchor)
-    )
+    """Whether ``anchor`` has the shape ``fields`` (a key of ``_SHAPES``)."""
+    types, side = _SHAPES[fields]
+    return (isinstance(anchor, (tuple, list)) and tuple(map(type, anchor)) == types
+            and (side < 0 or anchor[side] in (0, 1)))
 
 
 # kind -> (anchor shape, surgery)

@@ -76,11 +76,13 @@ def relabel_crossings(diagram: OrientedDiagram, perm: Sequence[int]) -> Oriented
     b.crossings = [None] * n
     for i, rec in enumerate(old):
         b.crossings[perm[i]] = rec
-    for rec in b.edges:
-        for role in (0, 1):
-            port = rec[role]
-            if port >= 0:  # a crossing port; anchor ports are negative
-                rec[role] = 4 * perm[port >> 2] + (port & 3)
+
+    def relabel(port: int) -> int:
+        # a crossing port; anchor ports are negative
+        return 4 * perm[port >> 2] + (port & 3) if port >= 0 else port
+
+    # a builder replaces records and never edits one
+    b.edges = [(relabel(t), relabel(h), seam) for t, h, seam in b.edges]
     b.fused = {perm[i]: bit for i, bit in b.fused.items()}
     return b.build()
 

@@ -11,6 +11,7 @@ from braidbracket.diagram import (
     MalformedWordError,
     NonPlanarError,
     OrientationError,
+    anchor_port,
     braid_closure,
     parse_braid_word,
     parse_pd,
@@ -384,6 +385,51 @@ def test_canonical_code_matches_exhaustive_search(corpus):
         assert d.canonical_code() == canonical_code_oracle(d)
 
 
+def _start_filter_cases():
+    """Diagrams whose canonical code takes each branch of the start filter:
+    anchor tags, fused tags, a curl (alpha(d) = sigma(d), so the least
+    starts take ",a1"), and the walk-pin ends as they are, reversed and
+    relabelled."""
+    from braidbracket.bracket import add_marked_circle, skein_expand
+    from braidbracket.moves import figure4_family
+
+    cases = {
+        "marked-trefoil": _marked_trefoil(2),
+        "marked-free-loops": add_marked_circle(braid_closure(BraidWord(3, (1,))), 4),
+        "figure4-1": figure4_family(1),
+        "figure4-3": figure4_family(3),
+    }
+    for bit, d in enumerate(skein_expand(parse_braid_word("B3 1 -2 1 -2"), 2)):
+        cases[f"skein-{bit}"] = d
+    for seed, strands, letters, *_ in WALK_PINS:
+        _, end = random_equivalent_pair(seed, 100, BraidWord(strands, letters),
+                                        max_crossings=14)
+        perm = random.Random(seed).sample(range(end.n), end.n)
+        cases[f"walk-{seed}-reversed"] = reverse_orientation(end)
+        cases[f"walk-{seed}"] = end
+        cases[f"walk-{seed}-relabelled"] = helpers.relabel_crossings(end, perm)
+        cases[f"walk-{seed}-both"] = helpers.relabel_crossings(reverse_orientation(end), perm)
+    return cases
+
+
+def test_the_canonical_start_filter_keeps_the_exhaustive_code():
+    cases = _start_filter_cases()
+    curls = [name for name, d in cases.items()
+             if any(d.alpha[x] == d.sigma(x) for x in range(d.ndarts))]
+    assert "figure4-1" in curls and "figure4-3" in curls
+    assert cases["marked-trefoil"].nanchors == 1
+    assert cases["marked-free-loops"].nanchors == 2
+    assert cases["skein-0"].fused == {2: 0} and cases["skein-1"].fused == {2: 1}
+    for name, d in cases.items():
+        assert d.canonical_code() == canonical_code_oracle(d), name
+    # relabelling the crossings changes no code
+    for seed, *_ in WALK_PINS:
+        code = cases[f"walk-{seed}"].canonical_code()
+        assert cases[f"walk-{seed}-relabelled"].canonical_code() == code
+        code = cases[f"walk-{seed}-reversed"].canonical_code()
+        assert cases[f"walk-{seed}-both"].canonical_code() == code
+
+
 def test_component_labels_follow_the_union_find(corpus):
     # labels rank the roots that _uf_union leaves, edge by edge, tail first
     from braidbracket.diagram import _uf_find, _uf_union
@@ -613,8 +659,15 @@ def test_constructor_names_each_rejection(name):
     assert (info.type, str(info.value)) == (error, message)
 
 
+def _set_head(b, e, port):
+    """Replace edge ``e`` of builder ``b`` by one with head ``port``: a
+    builder replaces records and never edits one."""
+    tail, _, seam = b.edges[e]
+    b.edges[e] = (tail, port, seam)
+
+
 @pytest.mark.parametrize("edit", [
-    lambda b: b.edges[0].__setitem__(1, 999),
+    lambda b: _set_head(b, 0, 999),
     lambda b: b.fused.__setitem__(7, 1),
     # a negative index would fuse the last crossing
     lambda b: b.fused.__setitem__(-1, 1),
@@ -624,6 +677,23 @@ def test_build_rejects_indices_outside_the_crossings(edit):
     edit(b)
     with pytest.raises(DiagramError, match="not a crossing"):
         b.build()
+
+
+@pytest.mark.parametrize("word, removed", [
+    ("B2 1 1 1", False), ("B2 1 1 1", True), ("B3 1 1 1", False), ("B3 1 1 1", True),
+], ids=["no-anchor", "no-anchor-crossing-removed", "one-anchor", "one-anchor-crossing-removed"])
+def test_build_names_an_anchor_port_of_no_anchor(word, removed):
+    # with and without the port renumbering: no anchor and no crossing
+    # removed hands the records to the diagram as they are
+    b = parse_braid_word(word).to_builder()
+    stray = anchor_port(b.nanchors, 0)
+    _set_head(b, 0, stray)
+    if removed:
+        b.crossings[2] = None
+    with pytest.raises(DiagramError) as info:
+        b.build()
+    assert (info.type, str(info.value)) == (
+        DiagramError, f"edge 0 names anchor port {stray}, not an anchor port")
 
 
 def _add_crossing(b, sign, pairs):

@@ -491,6 +491,33 @@ def test_negative_controls_match_a_full_build(name, kind):
         _assert_same_diagram(apply_move(d, site), _built(d, site))
 
 
+def _assert_no_move_edits_its_parent(d):
+    # a diagram and the builders made from it share their edge records, so
+    # a surgery that edited a record in place would change the parent
+    edges, pd = [list(rec) for rec in d.edges], d.to_pd_json()
+    moved = 0
+    for kind in ALL_KINDS:
+        for site in find_sites(d, kind):
+            apply_move(d, site)
+            assert [list(rec) for rec in d.edges] == edges, site
+            assert d.to_pd_json() == pd, site
+            moved += 1
+    assert moved
+
+
+@pytest.mark.parametrize("name", sorted(SITE_PINS))
+def test_no_move_edits_its_parent_on_the_site_pins(name):
+    _assert_no_move_edits_its_parent(_site_pin_diagram(name))
+
+
+@pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
+def test_no_move_edits_its_parent_along_the_pinned_walks(seed, strands, letters):
+    # every 10th diagram of the walk and its end
+    steps, end = _reference_walk(seed, strands, letters)
+    for d in [d for d, _ in steps[::10]] + [end]:
+        _assert_no_move_edits_its_parent(d)
+
+
 def _assert_counted_sites_are_listed(d):
     from braidbracket.moves import _braid_like_sites
 
