@@ -191,7 +191,7 @@ class DiagramBuilder:
         self.placements: List[Tuple[FaceRef, FaceRef]] = []
         self.outer: Optional[FaceRef] = None
         self.from_braid = False
-        # set only by moves.apply_move: the anchor count of the parent, which
+        # set only by moves._rewrite: the anchor count of the parent, which
         # has one component; build then counts instead of searching components
         self._one_component: Optional[int] = None
 
@@ -328,7 +328,7 @@ class OrientedDiagram:
     fixes which strand is over, and ``over_parity`` is derived from it.
 
     ``DiagramBuilder.build`` is the one caller.  For a builder that
-    ``moves.apply_move`` made from a diagram of one component, and that
+    ``moves._rewrite`` made from a diagram of one component, and that
     gained no anchor or placement, it passes ``_one_component``: then the
     component search is skipped while the count gives ``V - E + F == 2``.
 
@@ -425,7 +425,9 @@ class OrientedDiagram:
         """faces, face_of and _face_next from alpha.
 
         Faces are the orbits of sigma o alpha, each from its least dart and
-        numbered in order of it.
+        numbered in order of it.  ``_index`` has checked that every dart
+        ends exactly one edge, so alpha, and with it sigma o alpha, is a
+        permutation, and each orbit closes on its start dart.
         """
         nd = self.ndarts
         succ = list(map(_rotation_table(self.n, self.nanchors).__getitem__, self.alpha))
@@ -435,9 +437,10 @@ class OrientedDiagram:
             if face_of[d0] != -1:
                 continue
             f = len(faces)
-            orbit = []
-            d = d0
-            while face_of[d] == -1:
+            face_of[d0] = f
+            orbit = [d0]
+            d = succ[d0]
+            while d != d0:
                 face_of[d] = f
                 orbit.append(d)
                 d = succ[d]

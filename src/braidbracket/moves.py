@@ -31,14 +31,21 @@ accepts an anchor only in the form ``find_sites`` lists: a rotated
 triangle orbit or a reversed pair is no site, so one move has one name.
 
 Each surgery rewires the builder of the diagram at its own site only, and
-``apply_move`` makes the result with ``DiagramBuilder.build``, which makes
-and checks every diagram.  The one fact a move hands over is that its
-parent has one component: the builder's mark lets ``build`` take Euler's
-formula as one count instead of searching for components.  Face
+one helper, ``_rewrite``, makes every moved diagram: ``to_builder``, the
+one-component mark, the surgery, then ``DiagramBuilder.build``, which
+makes and checks every diagram.  The one fact a move hands over is that
+its parent has one component: the builder's mark lets ``build`` take
+Euler's formula as one count instead of searching for components.  Face
 references (outer face, component placements) are carried across the
 surgery by naming faces through surviving edges.
-``random_equivalent_pair`` counts the sites of a step and builds only the
-one it draws.
+
+``apply_move`` checks a caller's site (its fingerprint, the shape of its
+anchor, and that ``find_sites`` lists it) before it calls ``_rewrite``.
+``random_equivalent_pair`` counts the sites of a step, draws one, and
+hands the drawn (kind, anchor) to ``_rewrite`` directly: the draw comes
+from the census of the very diagram it is applied to, so each of those
+checks holds by construction (``_braid_like_sites`` says why), and no
+``MoveSite`` or fingerprint is made on a walk.
 """
 
 from __future__ import annotations
@@ -103,11 +110,6 @@ def _fingerprint(diagram: OrientedDiagram) -> str:
         )
         fp = memo["fingerprint"] = format(hash(key) & 0xFFFFFFFFFFFFFFFF, "016x")
     return fp
-
-
-def _across(d: int) -> int:
-    """The dart opposite ``d`` at its crossing, where its strand goes on."""
-    return (d & ~3) | ((d + 2) & 3)
 
 
 def _triangle_rule(along, over) -> Optional[str]:
@@ -338,13 +340,15 @@ def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> No
     u0, u1 = anchor
     edge_of, is_tail, edges = diagram.edge_of, diagram.is_tail, b.edges
     e0, e1 = edge_of[u0], edge_of[u1]
-    x0, x1 = _across(u0), _across(u1)
+    # d ^ 2 is the dart across d at its crossing (position p + 2 mod 4),
+    # where the strand through d goes on
+    x0, x1 = u0 ^ 2, u1 ^ 2
     corridor = _side_ref_of_dart(diagram, x0)
     # Each bigon edge carries one strand, in across its tail and out across
     # its head; the strands are coherent, so both tails share a crossing.
     strands = []  # [incoming edge, outgoing edge, seam of the bigon edge]
     bigon_edges = (diagram.edges[e0], diagram.edges[e1])
-    for x, o, seam in sorted((_across(t), _across(h), seam) for t, h, seam in bigon_edges):
+    for x, o, seam in sorted((t ^ 2, h ^ 2, seam) for t, h, seam in bigon_edges):
         if is_tail[x] or not is_tail[o]:
             raise AssertionError("strand orientation broken through bigon")
         strands.append([edge_of[x], edge_of[o], seam])
@@ -372,7 +376,10 @@ def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> No
         b._remap_refs(e_out, joined)
         strands.remove(s)
         for t in strands:
-            t[:2] = [joined if e in (e_in, e_out) else e for e in t[:2]]
+            if t[0] in (e_in, e_out):
+                t[0] = joined
+            if t[1] in (e_in, e_out):
+                t[1] = joined
     for e, _, seam in strands:  # the loops
         ai = b.add_anchor()
         edges[e] = (anchor_port(ai, 1), anchor_port(ai, 0), edges[e][2] + seam)
@@ -426,7 +433,7 @@ def _apply_iii(diagram: OrientedDiagram, b: DiagramBuilder, orbit) -> None:
     for j, u in enumerate(orbit):
         for dart, target in (
             (diagram.sigma(u), 4 * w[j - 1] + 3),
-            (_across(u), 4 * w[(j + 1) % 3] + 2),
+            (u ^ 2, 4 * w[(j + 1) % 3] + 2),
         ):
             e = edge_of[dart]
             t, h, seam = edges[e]
@@ -481,6 +488,22 @@ _MOVES = {
 }
 
 
+def _rewrite(diagram: OrientedDiagram, kind: str, anchor) -> OrientedDiagram:
+    """The diagram moved at a site of ``kind`` at ``anchor``, unchecked.
+
+    The one path from a site to a moved diagram: the parent's builder, the
+    one-component mark, the kind's surgery, then ``build``.  The caller
+    vouches for the site: ``apply_move`` after its checks, a walk because
+    it drew the site from the diagram's own census.
+    """
+    b = diagram.to_builder()
+    b.from_braid = False
+    if diagram.ncomponents == 1:
+        b._one_component = diagram.nanchors
+    _MOVES[kind][1](diagram, b, anchor)
+    return b.build()
+
+
 def apply_move(diagram: OrientedDiagram, site: MoveSite) -> OrientedDiagram:
     """Apply a site that ``find_sites`` lists on the diagram.
 
@@ -488,24 +511,19 @@ def apply_move(diagram: OrientedDiagram, site: MoveSite) -> OrientedDiagram:
     ``find_sites`` lists it: a rotated triangle orbit, a reversed pair, a
     stale site and a malformed anchor raise ``SiteInvalidError``.  A
     variant kind (``IIIb``, say) applies only to a triangle of that
-    variant, the umbrella kind ``III`` to any.
+    variant, the umbrella kind ``III`` to any.  Only a site that passes
+    every check reaches ``_rewrite``.
     """
     if site.fingerprint != _fingerprint(diagram):
         raise SiteInvalidError("site was found on a different diagram")
     kind, anchor = site.kind, site.anchor
     if kind not in _MOVES:
         raise ValueError(f"unknown move kind {kind!r}")
-    fields, surgery = _MOVES[kind]
-    if not _anchor_ok(fields, anchor):
+    if not _anchor_ok(_MOVES[kind][0], anchor):
         raise SiteInvalidError(f"malformed {kind} anchor {anchor!r}")
     if not _is_listed(diagram, kind, tuple(anchor)):
         raise SiteInvalidError(f"no {kind} pattern at {anchor!r}")
-    b = diagram.to_builder()
-    b.from_braid = False
-    if diagram.ncomponents == 1:
-        b._one_component = diagram.nanchors
-    surgery(diagram, b, anchor)
-    return b.build()
+    return _rewrite(diagram, kind, anchor)
 
 
 def site_to_json(site: MoveSite) -> dict:
@@ -548,6 +566,9 @@ def random_equivalent_pair(
 
     Moves are drawn uniformly from all applicable braid-like sites;
     insertions are withheld once the diagram reaches ``max_crossings``.
+    Each drawn (kind, anchor) goes straight to ``_rewrite``, without
+    ``apply_move``'s checks: ``_braid_like_sites`` draws it from the
+    census of the diagram it is applied to, which makes every check hold.
     """
     if n_moves < 0:
         raise GenerationError("move count must be nonnegative")
@@ -558,27 +579,34 @@ def random_equivalent_pair(
         total, nth = _braid_like_sites(current, current.n + 2 <= max_crossings)
         if not total:
             raise GenerationError("no applicable braid-like move")
-        current = apply_move(current, nth(rng.randrange(total)))
+        current = _rewrite(current, *nth(rng.randrange(total)))
     return start, current
 
 
 def _braid_like_sites(diagram: OrientedDiagram, insertions: bool):
-    """The number of braid-like sites and a function building the r-th.
+    """The number of braid-like sites and a function giving the r-th as
+    (kind, anchor).
 
     The sites are those of ``find_sites`` for IIa_remove, III and, with
     ``insertions``, IIa_insert, one kind after another, from the census.
-    Only the drawn site is built: a drawn pair is found by walking the head
+    Only the drawn site is made: a drawn pair is found by walking the head
     darts in order, each with as many pairs as its face has tails.
+
+    A drawn site passes each check of ``apply_move`` by construction, so
+    the walk makes none of them.  It is not stale: it comes from the
+    census kept on ``diagram``, the object it is applied to, which no one
+    edits.  Its anchor has its kind's shape: census darts are ints, and
+    the flag is a bool.  ``find_sites`` lists it, at the same index
+    (``test_counted_sites_are_the_listed_sites`` checks every index).
     """
     removals, slides, tails, coherent = _census(diagram)
-    fp = _fingerprint(diagram)
 
-    def nth(r: int) -> MoveSite:
+    def nth(r: int) -> Tuple[str, tuple]:
         if r < len(removals):
-            return MoveSite("IIa_remove", removals[r], fp)
+            return "IIa_remove", removals[r]
         r -= len(removals)
         if r < len(slides):
-            return MoveSite(*slides[r], fp)
+            return slides[r]
         r -= len(slides)
         flag, r = bool(r & 1), r >> 1
         is_tail = diagram.is_tail
@@ -586,7 +614,7 @@ def _braid_like_sites(diagram: OrientedDiagram, insertions: bool):
             if not is_tail[a]:
                 if r < tails[f]:
                     b = sorted(b for b in diagram.faces[f] if is_tail[b])[r]
-                    return MoveSite("IIa_insert", (a, b, flag), fp)
+                    return "IIa_insert", (a, b, flag)
                 r -= tails[f]
         raise IndexError("site index out of range")
 

@@ -20,7 +20,13 @@ assembles each block as it reduces it.  ``burau`` is the exact unreduced
 Burau representation, which checks that a rewrite of a braid word keeps
 the braid.  ``site_oracle`` lists the braid-like and II_b sites of a
 diagram by brute force over faces and dart pairs, where ``moves`` counts
-them from one census per diagram.
+them from one census per diagram.  ``face_oracle`` traces the faces of a
+diagram from the ``sigma`` method, where the constructor reads a shared
+rotation table and closes each orbit on its start dart.
+``reference_walk`` replays ``random_equivalent_pair`` by listing every
+step's sites with ``find_sites`` and applying the drawn one with
+``apply_move``, where the library draws from the census and rewrites
+without the checks.
 """
 
 from fractions import Fraction
@@ -32,6 +38,7 @@ from braidbracket.diagram import (
     OrientedDiagram,
     _uf_find,
     _uf_union,
+    braid_closure,
 )
 from braidbracket.chain_complex import (
     DifferentialMatrix,
@@ -40,7 +47,7 @@ from braidbracket.chain_complex import (
     _koszul_sign,
 )
 from braidbracket.homology import _Block, smith_normal_form
-from braidbracket.moves import random_equivalent_pair
+from braidbracket.moves import apply_move, find_sites, random_equivalent_pair
 
 # Walks are pinned by the sha256 of the moved diagram's PD JSON: a change in
 # site order or surgery shows here, not only in benchmark digests.  Each is
@@ -56,6 +63,48 @@ WALK_PINS = [
     (16, 4, (2, -2, 3, -1), 14, 1, "38f0669a2621c440"),
     (861703, 4, (2, -2, 3, -1), 12, 2, "14ab6bc9de38687b"),
 ]
+
+
+def reference_walk(seed, strands, letters, n_moves=100, max_crossings=14):
+    """(diagram, site) of each step of random_equivalent_pair, with every
+    step's sites listed by find_sites and applied by apply_move, and the
+    final diagram."""
+    import random
+
+    d = braid_closure(BraidWord(strands, letters))
+    rng = random.Random(seed)
+    steps = []
+    for _ in range(n_moves):
+        sites = find_sites(d, "IIa_remove") + find_sites(d, "III")
+        if d.n + 2 <= max_crossings:
+            sites += find_sites(d, "IIa_insert")
+        site = sites[rng.randrange(len(sites))]
+        steps.append((d, site))
+        d = apply_move(d, site)
+    return steps, d
+
+
+def face_oracle(diagram: OrientedDiagram):
+    """(faces, face_of, face_next) by the definition: the orbits of
+    d -> sigma(alpha(d)), read through the ``sigma`` method, each from its
+    least dart and numbered in order of it.  An orbit ends where a dart
+    repeats, and the repeat must be its start."""
+    nd = diagram.ndarts
+    face_next = [diagram.sigma(diagram.alpha[d]) for d in range(nd)]
+    faces: List[Tuple[int, ...]] = []
+    face_of: List[Optional[int]] = [None] * nd
+    for d0 in range(nd):
+        if face_of[d0] is not None:
+            continue
+        orbit, d = [], d0
+        while d not in orbit:
+            orbit.append(d)
+            d = face_next[d]
+        assert d == d0, "sigma o alpha is no permutation"
+        for d in orbit:
+            face_of[d] = len(faces)
+        faces.append(tuple(orbit))
+    return faces, face_of, face_next
 
 
 def moved_diagrams():

@@ -21,7 +21,7 @@ from braidbracket.diagram import (
 from braidbracket.moves import random_equivalent_pair
 
 import helpers
-from helpers import WALK_PINS, canonical_code_oracle, mirror
+from helpers import WALK_PINS, canonical_code_oracle, face_oracle, mirror
 
 
 def test_empty_braid_closure_is_empty_diagram():
@@ -721,3 +721,19 @@ def test_the_one_component_mark_does_not_hide_a_second_component():
     _add_crossing(b, -1, [(0, 1), (3, 2)])  # a one-crossing curl
     with pytest.raises(NonPlanarError, match="2 components glued by 0 placements"):
         b.build()
+
+
+def test_faces_match_an_independent_trace_on_the_corpus(corpus_small):
+    # each corpus diagram, its reversal, a marked circle added to it (an
+    # anchor and a placement), and both skein expansions at every crossing
+    from braidbracket.bracket import add_marked_circle, skein_expand
+
+    checked = 0
+    for d in corpus_small:
+        family = [d, reverse_orientation(d), add_marked_circle(d)]
+        family += [half for v in d.active_crossings for half in skein_expand(d, v)]
+        for x in family:
+            faces, face_of, face_next = face_oracle(x)
+            assert (x.faces, x.face_of, x._face_next) == (faces, face_of, face_next)
+            checked += 1
+    assert checked > 3 * len(corpus_small)

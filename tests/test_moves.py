@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from braidbracket.diagram import BraidWord, braid_closure, parse_braid_word, parse_pd
+from braidbracket.diagram import (
+    BraidWord, braid_closure, parse_braid_word, parse_pd, reverse_orientation)
 from braidbracket.bracket import bracket_br
 from braidbracket.homology import homology_groups
 from braidbracket.moves import (
@@ -18,7 +19,7 @@ from braidbracket.moves import (
     random_equivalent_pair,
 )
 
-from helpers import WALK_PINS, site_oracle
+from helpers import WALK_PINS, face_oracle, reference_walk, site_oracle
 
 
 def test_iia_remove_sites_on_cancelling_pair():
@@ -428,28 +429,10 @@ def test_outer_face_bigon_is_no_removal_site():
         apply_move_script(d, '[{"kind": "IIa_remove", "anchor": [3, 7]}]')
 
 
-def _reference_walk(seed, strands, letters, n_moves=100, max_crossings=14):
-    """(diagram, site) of each step of random_equivalent_pair, with every
-    step's sites listed by find_sites, and the final diagram."""
-    import random
-
-    d = braid_closure(BraidWord(strands, letters))
-    rng = random.Random(seed)
-    steps = []
-    for _ in range(n_moves):
-        sites = find_sites(d, "IIa_remove") + find_sites(d, "III")
-        if d.n + 2 <= max_crossings:
-            sites += find_sites(d, "IIa_insert")
-        site = sites[rng.randrange(len(sites))]
-        steps.append((d, site))
-        d = apply_move(d, site)
-    return steps, d
-
-
 def _built(d, site):
     """The move applied through to_builder, the surgery and a build that
-    searches the components: apply_move marks its builder as coming from a
-    diagram of one component, and this one carries no mark."""
+    searches the components: moves._rewrite marks its builder as coming
+    from a diagram of one component, and this one carries no mark."""
     from braidbracket.moves import _MOVES
 
     b = d.to_builder()
@@ -477,7 +460,7 @@ def _assert_same_diagram(got, want):
 @pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
 def test_moves_match_a_full_build_along_the_pinned_walks(seed, strands, letters):
     # apply_move's build counts one component; _built's searches for them
-    steps, end = _reference_walk(seed, strands, letters)
+    steps, end = reference_walk(seed, strands, letters)
     for d, site in steps:
         _assert_same_diagram(apply_move(d, site), _built(d, site))
     _, d2 = random_equivalent_pair(seed, 100, BraidWord(strands, letters), max_crossings=14)
@@ -489,6 +472,30 @@ def test_negative_controls_match_a_full_build(name, kind):
     d = _site_pin_diagram(name) if name in SITE_PINS else parse_braid_word(name)
     for site in find_sites(d, kind):
         _assert_same_diagram(apply_move(d, site), _built(d, site))
+
+
+def _assert_faces_match_the_oracle(d):
+    # the constructor traces faces from the shared rotation table and closes
+    # each orbit on its start dart; the oracle reads sigma and alpha afresh
+    faces, face_of, face_next = face_oracle(d)
+    assert d.faces == faces
+    assert d.face_of == face_of
+    assert d._face_next == face_next
+
+
+@pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
+def test_faces_match_an_independent_trace_along_the_pinned_walks(seed, strands, letters):
+    steps, end = reference_walk(seed, strands, letters)
+    for d in [d for d, _ in steps] + [end, reverse_orientation(end)]:
+        _assert_faces_match_the_oracle(d)
+
+
+@pytest.mark.parametrize("name", sorted(SITE_PINS))
+def test_faces_match_an_independent_trace_on_the_site_pins(name):
+    # placed (split) and anchored (free-loop) diagrams among them
+    d = _site_pin_diagram(name)
+    _assert_faces_match_the_oracle(d)
+    _assert_faces_match_the_oracle(reverse_orientation(d))
 
 
 def _assert_no_move_edits_its_parent(d):
@@ -513,7 +520,7 @@ def test_no_move_edits_its_parent_on_the_site_pins(name):
 @pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
 def test_no_move_edits_its_parent_along_the_pinned_walks(seed, strands, letters):
     # every 10th diagram of the walk and its end
-    steps, end = _reference_walk(seed, strands, letters)
+    steps, end = reference_walk(seed, strands, letters)
     for d in [d for d, _ in steps[::10]] + [end]:
         _assert_no_move_edits_its_parent(d)
 
@@ -526,14 +533,14 @@ def _assert_counted_sites_are_listed(d):
         if insertions:
             listed += find_sites(d, "IIa_insert")
         total, nth = _braid_like_sites(d, insertions)
-        assert [nth(r) for r in range(total)] == listed
+        assert [nth(r) for r in range(total)] == [(s.kind, s.anchor) for s in listed]
 
 
 @pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
 def test_counted_sites_are_the_listed_sites(seed, strands, letters):
     # the walk draws a site by its index among the counted ones and builds
     # only that one; every index must give find_sites' site
-    steps, _ = _reference_walk(seed, strands, letters)
+    steps, _ = reference_walk(seed, strands, letters)
     for d, _ in steps:
         _assert_counted_sites_are_listed(d)
 
@@ -553,7 +560,7 @@ def _assert_the_oracle_lists_the_sites(d):
 
 @pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
 def test_a_brute_force_oracle_lists_the_sites_along_the_pinned_walks(seed, strands, letters):
-    steps, end = _reference_walk(seed, strands, letters)
+    steps, end = reference_walk(seed, strands, letters)
     for d in [d for d, _ in steps] + [end]:
         _assert_the_oracle_lists_the_sites(d)
 
@@ -569,7 +576,7 @@ def test_pinned_walks_replay_as_json_scripts(seed, strands, letters, digest):
     # that find_sites lists as a tuple
     from braidbracket.moves import site_to_json
 
-    steps, _ = _reference_walk(seed, strands, letters)
+    steps, _ = reference_walk(seed, strands, letters)
     script = json.dumps([site_to_json(site) for _, site in steps])
     end = apply_move_script(braid_closure(BraidWord(strands, letters)), script)
     assert hashlib.sha256(end.to_pd_json().encode()).hexdigest()[:16] == digest

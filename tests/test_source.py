@@ -8,6 +8,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 import braidbracket.cli  # noqa: F401  (loads every library module)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,6 +121,78 @@ def test_one_diagram_constructor():
         visit(ast.parse(text, filename=str(path)), [])
     assert calls == ["diagram.py:DiagramBuilder.build"]
     assert news == []
+
+
+def test_one_rewrite_path(monkeypatch):
+    # a moved diagram is made in one place, moves._rewrite: the surgeries of
+    # moves._MOVES are named only by that table and run only from _rewrite,
+    # which alone in moves makes a builder and builds it; apply_move calls
+    # _rewrite only after its checks, as its last step; and a walk applies
+    # each draw through _rewrite, without apply_move, a MoveSite, the
+    # fingerprint or the site checks, and ends where a walk of find_sites
+    # and apply_move ends
+    from braidbracket import moves
+    from braidbracket.diagram import BraidWord, parse_braid_word
+    from helpers import WALK_PINS, reference_walk
+
+    surgeries = {surgery.__name__ for _, surgery in moves._MOVES.values()}
+    assert set(_scopes_where(lambda node: isinstance(node, ast.Name)
+                             and node.id in surgeries)) == {"moves.py:"}
+    for method in ("to_builder", "build"):
+        assert [s for s in _callers_of(method) if s.startswith("moves.py:")] == [
+            "moves.py:_rewrite"], method
+    assert sorted(_scopes_where(lambda node: isinstance(node, ast.Call)
+                                and ast.unparse(node.func) == "_rewrite")) == [
+        "moves.py:apply_move", "moves.py:random_equivalent_pair"]
+    (apply_def,) = [node for node in ast.parse((SRC / "moves.py").read_text()).body
+                    if isinstance(node, ast.FunctionDef) and node.name == "apply_move"]
+    last = apply_def.body[-1]
+    assert isinstance(last, ast.Return) and ast.unparse(last.value).startswith("_rewrite(")
+
+    callers = []
+    for kind, (shape, surgery) in list(moves._MOVES.items()):
+        def spy(*args, surgery=surgery):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return surgery(*args)
+        monkeypatch.setitem(moves._MOVES, kind, (shape, spy))
+    rewrite = moves._rewrite
+    reached = []
+
+    def rewrite_spy(*args):
+        reached.append(args[1])
+        return rewrite(*args)
+
+    monkeypatch.setattr(moves, "_rewrite", rewrite_spy)
+    d = parse_braid_word("B3 1 2 1 -1")
+    (slide,) = moves.find_sites(d, "III")
+    other = moves.find_sites(parse_braid_word("B3 1 2 1"), "III")[0]
+    # stale, of another variant, malformed, and a rotated orbit
+    for site in (other, slide._replace(kind="IIIb"), slide._replace(anchor=slide.anchor[1:]),
+                 slide._replace(anchor=slide.anchor[1:] + slide.anchor[:1])):
+        with pytest.raises(moves.SiteInvalidError):
+            moves.apply_move(d, site)
+    assert reached == []
+    for kind in ("IIa_remove", "IIa_insert", "IIb_insert", "RI_insert", "III"):
+        moves.apply_move(d, moves.find_sites(d, kind)[0])
+    assert reached == ["IIa_remove", "IIa_insert", "IIb_insert", "RI_insert", "IIIa"]
+    assert set(callers) == {"_rewrite"} and len(callers) == 5
+
+    seed, strands, letters = WALK_PINS[0][:3]
+    _, want = reference_walk(seed, strands, letters)
+
+    def refuse(name):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"{name} reached on a walk")
+        return spy
+
+    for name in ("apply_move", "MoveSite", "_fingerprint", "_is_listed", "_anchor_ok"):
+        monkeypatch.setattr(moves, name, refuse(name))
+    del reached[:], callers[:]
+    _, got = moves.random_equivalent_pair(seed, 100, BraidWord(strands, letters),
+                                          max_crossings=14)
+    assert len(reached) == len(callers) == 100 and set(callers) == {"_rewrite"}
+    assert got.to_pd_json() == want.to_pd_json()
+    assert got.canonical_code() == want.canonical_code()
 
 
 def test_one_crossing_record():
