@@ -18,7 +18,7 @@ import functools
 import json
 import sys
 
-from .diagram import DiagramError, OrientedDiagram, parse_braid_word, parse_pd, parse_word
+from .diagram import DiagramError, OrientedDiagram, braid_closure, parse_pd, parse_word
 from .laurent import lp_str, lp2_str
 from .states import DEFAULT_CAP, SizeCapError, enumerate_states
 from .bracket import (
@@ -78,7 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_diagram(args: argparse.Namespace) -> OrientedDiagram:
     if args.word is not None:
-        return parse_braid_word(args.word)
+        word = parse_word(args.word)
+        try:
+            return braid_closure(word)
+        except (OverflowError, MemoryError):  # the closure allocates per strand
+            exc = SizeCapError(word.strands, args.cap)
+            exc.args = (f"{word.strands} strands are too many to build",)
+            raise exc from None
     path = args.file if args.file is not None else args.input
     if path is None:
         raise DiagramError("no input: give -w WORD, -f FILE, or a file path")

@@ -361,7 +361,7 @@ class OrientedDiagram:
         self.fused = dict(fused or {})
         self.anchor_bp = dict(anchor_bp or {})
         self.ndarts = 4 * self.n + 2 * nanchors
-        self._moves: dict = {}  # kept by moves: the fingerprint and the census
+        self._moves: dict = {}  # kept by moves: fingerprint, census, listings
         self._index(_one_component)
         self._validate()
 

@@ -27,8 +27,8 @@ computed at most once per diagram and kept on it: one pass over the
 global faces for bigons and triangles, and a count of tail darts per face
 for pair insertions, which are counted and never listed on a walk.
 ``find_sites`` lists the sites, walks count them, and ``apply_move``
-accepts an anchor only in the form ``find_sites`` lists: a rotated
-triangle orbit or a reversed pair is no site, so one move has one name.
+accepts an anchor only as ``find_sites`` lists it: a rotated triangle
+orbit or a reversed pair is no site, so one move has one name.
 
 Each surgery rewires the builder of the diagram at its own site only, and
 one helper, ``_rewrite``, makes every moved diagram: ``to_builder``, the
@@ -39,8 +39,10 @@ Euler's formula as one count instead of searching for components.  Face
 references (outer face, component placements) are carried across the
 surgery by naming faces through surviving edges.
 
-``apply_move`` checks a caller's site (its fingerprint, the shape of its
-anchor, and that ``find_sites`` lists it) before it calls ``_rewrite``.
+``apply_move`` checks a caller's site against ``find_sites`` itself: its
+fingerprint, then that the listing of its kind holds an equal anchor,
+field by field in value and in type, before it calls ``_rewrite``.  The
+listing is kept on the diagram beside the census.
 ``random_equivalent_pair`` counts the sites of a step, draws one, and
 hands the drawn (kind, anchor) to ``_rewrite`` directly: the draw comes
 from the census of the very diagram it is applied to, so each of those
@@ -239,25 +241,6 @@ def _census(diagram: OrientedDiagram):
     return census
 
 
-def _is_listed(diagram: OrientedDiagram, kind: str, anchor: tuple) -> bool:
-    """Whether ``find_sites(diagram, kind)`` lists a site at ``anchor``, an
-    anchor of the kind's shape."""
-    if kind == "RI_insert":
-        return 0 <= anchor[0] < len(diagram.edges)
-    removals, slides, _, _ = _census(diagram)
-    if kind == "IIa_remove":
-        return anchor in removals
-    if kind in ("IIa_insert", "IIb_insert"):
-        a, b, _ = anchor
-        nd, face_of, is_tail = diagram.ndarts, diagram.face_of, diagram.is_tail
-        if not (0 <= a < nd and 0 <= b < nd and face_of[a] == face_of[b]):
-            return False
-        if kind == "IIa_insert":
-            return not is_tail[a] and is_tail[b]
-        return a < b and is_tail[a] == is_tail[b]
-    return any(orbit == anchor and kind in ("III", variant) for variant, orbit in slides)
-
-
 def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
     """All sites matching the move's left-hand side, deterministically ordered.
 
@@ -266,7 +249,8 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
     insertions are restricted to two strand sides of the same connected
     component (a band between split components would not have a canonical
     side to pass nested pieces on).  Removals and slides are never on the
-    outer face: a bigon or triangle there is no disk in the plane.
+    outer face: a bigon or triangle there is no disk in the plane.  This
+    listing is the one ``apply_move`` checks a site against.
     """
     fp = _fingerprint(diagram)
     if kind == "IIa_remove":
@@ -463,28 +447,13 @@ def _apply_ri_insert(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> Non
     b.add_edge(4 * z + 3 - side, 4 * z + side)
 
 
-# anchor shape -> (the types of its fields, the index of its side or -1):
-# "d" a dart or edge id, "f" a flag, "s" a side, 0 or 1
-_SHAPES = {
-    fields: (tuple(bool if f == "f" else int for f in fields), fields.find("s"))
-    for fields in ("dd", "ddf", "dsf", "ddd")
-}
-
-
-def _anchor_ok(fields: str, anchor) -> bool:
-    """Whether ``anchor`` has the shape ``fields`` (a key of ``_SHAPES``)."""
-    types, side = _SHAPES[fields]
-    return (isinstance(anchor, (tuple, list)) and tuple(map(type, anchor)) == types
-            and (side < 0 or anchor[side] in (0, 1)))
-
-
-# kind -> (anchor shape, surgery)
+# kind -> surgery
 _MOVES = {
-    "IIa_remove": ("dd", _apply_iia_remove),
-    "IIa_insert": ("ddf", _apply_pair_insert),
-    "IIb_insert": ("ddf", _apply_pair_insert),
-    "RI_insert": ("dsf", _apply_ri_insert),
-    **{kind: ("ddd", _apply_iii) for kind in ("III",) + III_VARIANTS},
+    "IIa_remove": _apply_iia_remove,
+    "IIa_insert": _apply_pair_insert,
+    "IIb_insert": _apply_pair_insert,
+    "RI_insert": _apply_ri_insert,
+    **{kind: _apply_iii for kind in ("III",) + III_VARIANTS},
 }
 
 
@@ -500,28 +469,31 @@ def _rewrite(diagram: OrientedDiagram, kind: str, anchor) -> OrientedDiagram:
     b.from_braid = False
     if diagram.ncomponents == 1:
         b._one_component = diagram.nanchors
-    _MOVES[kind][1](diagram, b, anchor)
+    _MOVES[kind](diagram, b, anchor)
     return b.build()
 
 
 def apply_move(diagram: OrientedDiagram, site: MoveSite) -> OrientedDiagram:
     """Apply a site that ``find_sites`` lists on the diagram.
 
-    The anchor, a tuple or a list, is accepted only in the form
-    ``find_sites`` lists it: a rotated triangle orbit, a reversed pair, a
-    stale site and a malformed anchor raise ``SiteInvalidError``.  A
-    variant kind (``IIIb``, say) applies only to a triangle of that
-    variant, the umbrella kind ``III`` to any.  Only a site that passes
-    every check reaches ``_rewrite``.
+    A stale site raises ``SiteInvalidError`` first.  Then the anchor, a
+    tuple or a list, must equal an anchor of ``find_sites(diagram, kind)``
+    in value and in the type of every field: a rotated triangle orbit, a
+    reversed pair, an int flag, a bool or float dart and a malformed anchor
+    raise ``SiteInvalidError``.  A variant kind (``IIIb``, say) applies
+    only to a triangle of that variant, the umbrella kind ``III`` to any;
+    an unknown kind raises ``ValueError``.  Each kind's listing is kept on
+    the diagram, and the caller's anchor is compared with it by ``==``,
+    never hashed.
     """
     if site.fingerprint != _fingerprint(diagram):
         raise SiteInvalidError("site was found on a different diagram")
     kind, anchor = site.kind, site.anchor
-    if kind not in _MOVES:
-        raise ValueError(f"unknown move kind {kind!r}")
-    if not _anchor_ok(_MOVES[kind][0], anchor):
-        raise SiteInvalidError(f"malformed {kind} anchor {anchor!r}")
-    if not _is_listed(diagram, kind, tuple(anchor)):
+    listings = diagram._moves.setdefault("listings", {})  # kind -> [(anchor, types)]
+    if kind not in listings:
+        listings[kind] = [(a, tuple(map(type, a))) for _, a, _ in find_sites(diagram, kind)]
+    if not (isinstance(anchor, (tuple, list))
+            and (tuple(anchor), tuple(map(type, anchor))) in listings[kind]):
         raise SiteInvalidError(f"no {kind} pattern at {anchor!r}")
     return _rewrite(diagram, kind, anchor)
 
@@ -595,9 +567,10 @@ def _braid_like_sites(diagram: OrientedDiagram, insertions: bool):
     A drawn site passes each check of ``apply_move`` by construction, so
     the walk makes none of them.  It is not stale: it comes from the
     census kept on ``diagram``, the object it is applied to, which no one
-    edits.  Its anchor has its kind's shape: census darts are ints, and
-    the flag is a bool.  ``find_sites`` lists it, at the same index
-    (``test_counted_sites_are_the_listed_sites`` checks every index).
+    edits.  ``find_sites`` lists it, from the same census and at the same
+    index (``test_counted_sites_are_the_listed_sites`` checks every index),
+    with the same field types: census darts are ints, and the flag is a
+    bool.
     """
     removals, slides, tails, coherent = _census(diagram)
 

@@ -60,6 +60,20 @@ def test_free_loops_count_against_the_homology_cap(capsys):
     assert code == 0 and out
 
 
+@pytest.mark.parametrize("argv", [("bracket",), ("verify", "--negative-control", "IIb"),
+                                  ("verify", "--negative-control", "RI")])
+def test_a_strand_count_too_large_to_build_exits_3(capsys, argv):
+    # the closure of a word on 10^27 strands cannot be allocated: the
+    # command exits 3 and names the strand count, with no traceback; B30
+    # has 30 free loops and no crossing, and its bracket is still printed
+    strands = "9" * 27
+    code, out, err = run(capsys, *argv, "-w", f"B{strands} 1")
+    assert code == 3 and not out
+    assert err == f"size cap exceeded: {strands} strands are too many to build\n"
+    code, out, _ = run(capsys, "bracket", "-w", "B30")
+    assert code == 0 and "chi^30" in out
+
+
 def test_a_reducible_word_meets_the_cap_on_its_input(capsys):
     # (1 -1)^13 reduces to the empty braid, but homology reads the cap on
     # the 26 crossings given

@@ -100,6 +100,17 @@ def test_unknown_kind():
         find_sites(parse_braid_word("B2 1"), "IV")
 
 
+def test_a_stale_site_is_refused_before_its_kind_and_anchor_are_read():
+    from braidbracket.moves import MoveSite, _fingerprint
+
+    d = parse_braid_word("B2 1")
+    for anchor in ((0, 1), [[0], 1]):
+        with pytest.raises(SiteInvalidError):
+            apply_move(d, MoveSite("IV", anchor, "stale"))
+        with pytest.raises(ValueError):
+            apply_move(d, MoveSite("IV", anchor, _fingerprint(d)))
+
+
 def test_random_pair_zero_moves_identity():
     d1, d2 = random_equivalent_pair(1, 0, BraidWord(2, (1, 1, 1)))
     assert d1.canonical_code() == d2.canonical_code()
@@ -269,11 +280,13 @@ def test_fingerprint_is_kept_and_content_based():
 
 
 # Anchors that are no list, or of the wrong length or type: float or bool ids,
-# non-bool flags, a side other than 0 or 1.  A script must fail on them with
-# SiteInvalidError, neither with another error nor by applying a move.
+# non-bool flags, a side other than 0 or 1, a list or a dict as a field, a
+# string.  A script must fail on them with SiteInvalidError, neither with
+# another error nor by applying a move.
 MALFORMED_ANCHORS = [
     [0.0, 6.0], [None, None, None], [0, 1], [0, 7, "x"], [1, 2, "t"],
     [0.0, 1.0, False], [True, 1, False], [0, True, False], [0, 1, 0], [], 5, None,
+    [[0], 1, False], [[0, 1], False], [{"0": 1}, 2], "01",
 ]
 
 
@@ -437,7 +450,7 @@ def _built(d, site):
 
     b = d.to_builder()
     b.from_braid = False
-    _MOVES[site.kind][1](d, b, site.anchor)
+    _MOVES[site.kind](d, b, site.anchor)
     b._one_component = None
     return b.build()
 
@@ -618,10 +631,34 @@ def _pinned_diagram(pin):
 def test_apply_move_accepts_exactly_the_listed_anchors(pin):
     # one definition of a site: apply_move accepts an anchor iff find_sites
     # lists it; the candidates hold every rotation of a triangle orbit and
-    # every reversed pair, and SiteInvalidError is the only rejection
+    # every reversed pair, and SiteInvalidError is the only rejection.  A
+    # listed anchor with one field of another type (an int flag, True for a
+    # 1, a float) is equal to it and still no site
     d = _pinned_diagram(pin)
     for kind in ALL_KINDS:
         listed = {s.anchor for s in find_sites(d, kind)}
         candidates = _candidate_anchors(d, kind)
         assert listed <= set(candidates), kind
         assert {a for a in candidates if _accepts(d, kind, a)} == listed, kind
+        retyped = [a[:i] + (other,) + a[i + 1:] for a in listed for i, x in enumerate(a)
+                   for other in ([int(x)] if type(x) is bool else [float(x)] + [True] * (x == 1))]
+        assert all(a in listed for a in retyped), kind
+        assert not any(_accepts(d, kind, a) for a in retyped), kind
+
+
+def test_applying_every_listed_site_lists_each_kind_once(monkeypatch):
+    # apply_move reads find_sites' listing, made once per diagram and kind
+    from braidbracket import moves
+
+    find, calls = moves.find_sites, []
+
+    def spy(diagram, kind):
+        calls.append(kind)
+        return find(diagram, kind)
+
+    monkeypatch.setattr(moves, "find_sites", spy)
+    d = parse_braid_word("B3 1 2 1")
+    sites = [site for kind in ALL_KINDS for site in find(d, kind)]
+    for site in sites:
+        apply_move(d, site)
+    assert calls == list(dict.fromkeys(site.kind for site in sites))

@@ -126,16 +126,16 @@ def test_one_diagram_constructor():
 def test_one_rewrite_path(monkeypatch):
     # a moved diagram is made in one place, moves._rewrite: the surgeries of
     # moves._MOVES are named only by that table and run only from _rewrite,
-    # which alone in moves makes a builder and builds it; apply_move calls
-    # _rewrite only after its checks, as its last step; and a walk applies
-    # each draw through _rewrite, without apply_move, a MoveSite, the
-    # fingerprint or the site checks, and ends where a walk of find_sites
-    # and apply_move ends
+    # which alone in moves makes a builder and builds it; apply_move checks
+    # a site against find_sites and calls _rewrite only after its checks, as
+    # its last step; and a walk applies each draw through _rewrite, without
+    # apply_move, a MoveSite, the fingerprint or find_sites, and ends where
+    # a walk of find_sites and apply_move ends
     from braidbracket import moves
     from braidbracket.diagram import BraidWord, parse_braid_word
     from helpers import WALK_PINS, reference_walk
 
-    surgeries = {surgery.__name__ for _, surgery in moves._MOVES.values()}
+    surgeries = {surgery.__name__ for surgery in moves._MOVES.values()}
     assert set(_scopes_where(lambda node: isinstance(node, ast.Name)
                              and node.id in surgeries)) == {"moves.py:"}
     for method in ("to_builder", "build"):
@@ -148,13 +148,15 @@ def test_one_rewrite_path(monkeypatch):
                     if isinstance(node, ast.FunctionDef) and node.name == "apply_move"]
     last = apply_def.body[-1]
     assert isinstance(last, ast.Return) and ast.unparse(last.value).startswith("_rewrite(")
+    assert "find_sites" in {ast.unparse(node.func) for node in ast.walk(apply_def)
+                            if isinstance(node, ast.Call)}
 
     callers = []
-    for kind, (shape, surgery) in list(moves._MOVES.items()):
+    for kind, surgery in list(moves._MOVES.items()):
         def spy(*args, surgery=surgery):
             callers.append(sys._getframe(1).f_code.co_name)
             return surgery(*args)
-        monkeypatch.setitem(moves._MOVES, kind, (shape, spy))
+        monkeypatch.setitem(moves._MOVES, kind, spy)
     rewrite = moves._rewrite
     reached = []
 
@@ -185,7 +187,7 @@ def test_one_rewrite_path(monkeypatch):
             raise AssertionError(f"{name} reached on a walk")
         return spy
 
-    for name in ("apply_move", "MoveSite", "_fingerprint", "_is_listed", "_anchor_ok"):
+    for name in ("apply_move", "MoveSite", "_fingerprint", "find_sites"):
         monkeypatch.setattr(moves, name, refuse(name))
     del reached[:], callers[:]
     _, got = moves.random_equivalent_pair(seed, 100, BraidWord(strands, letters),
