@@ -454,16 +454,20 @@ class DifferentialMatrix:
 
 
 class _Whole:
-    """A block of d kept whole, as ``differential_matrices`` reads it: no
-    column is gone, and ``take`` keeps every row it is given."""
+    """A block of d kept whole, as ``differential_matrices`` returns it: no
+    column is gone, and ``take`` writes every entry of the rows it is given
+    into ``entries``, ``{(row, col): entry}``, the rows in the order taken."""
 
     gone: FrozenSet[int] = frozenset()
 
     def __init__(self) -> None:
-        self.rows: Dict[int, Dict[int, int]] = {}
+        self.entries: Dict[Tuple[int, int], int] = {}
 
     def take(self, rows: Dict[int, Dict[int, int]]) -> None:
-        self.rows.update(rows)
+        entries = self.entries
+        for r, row in rows.items():
+            for c, val in row.items():
+                entries[r, c] = val
 
 
 def _layer(n: int, p: int) -> Iterator[int]:
@@ -538,7 +542,7 @@ class _Cube:
         and a method ``take(rows)`` that receives complete rows ``{row:
         {column: entry}}`` (rows are generators in degree i - 1).
         ``homology._Block`` pivots online as it takes rows, and its
-        ``gone`` grows as it does; ``_Whole`` keeps every row.
+        ``gone`` grows as it does; ``_Whole`` writes every entry.
 
         The walk is target-major.  For each smoothing ``bits2`` of layer
         ``p + 1``, ascending, and each of its A^-1-smoothed crossings v,
@@ -549,8 +553,11 @@ class _Cube:
         to the target, and the touched labels pick the new circles' bits.
         Every entry of a row of ``bits2`` comes from one of these sources,
         so its rows are then complete, and each block takes those that are
-        its own.  Rows follow smoothings and then canonical labelings, so a
-        block takes its rows in ascending order, smoothing by smoothing.
+        its own: the rows are grouped by the source tridegree g, whose
+        block ``blocks[g]`` maps into the one tridegree ``down[g]`` of the
+        layer (i is the layer's, so (j, k) names both ends).  Rows follow
+        smoothings and then canonical labelings, so a block takes its rows
+        in ascending order, smoothing by smoothing.
         Skipping a column the block pivoted on loses nothing: such a
         one-entry pivot changes no entry outside its row and column, so a
         complete row's entries in the block reduced so far are its entries
@@ -572,15 +579,11 @@ class _Cube:
         sources, targets = self.place(p), self.place(p + 1)
         down = [targets.get((i - 1, j, k), -1) for (i, j, k) in sources]
         sinks = [blocks.get(g) for g in sources]
-        up: List[Any] = [None] * len(targets)  # the block into each tridegree
-        for g, sink in enumerate(sinks):
-            if sink is not None and down[g] >= 0:
-                up[down[g]] = sink
         gones = [None if sink is None else sink.gone for sink in sinks]
         top = (1 << table.n) - 1
         for bits2 in _layer(table.n, p + 1):
             gtgt, ptgt = self._placed[bits2]
-            # the rows of bits2, by the tridegree id of their block
+            # the rows of bits2, by the source tridegree id of their block
             groups: Dict[int, Dict[int, Dict[int, int]]] = {}
             for v in range(table.n):
                 if not (bits2 >> v) & 1:
@@ -603,9 +606,9 @@ class _Cube:
                         continue
                     want = down[g]
                     common = (m & keep) | (m >> lo << hi)
-                    rows = groups.get(want)
+                    rows = groups.get(g)
                     if rows is None:
-                        rows = groups[want] = {}
+                        rows = groups[g] = {}
                     for e in terms:
                         t = common | e
                         if gtgt[t] != want:
@@ -620,7 +623,7 @@ class _Cube:
                 if v == (top ^ bits).bit_length() - 1:  # the last use of bits
                     del self._placed[bits], table._smoothings[bits]
             for g, group in groups.items():
-                up[g].take(group)
+                sinks[g].take(group)
 
 
 def differential_matrices(
@@ -628,18 +631,15 @@ def differential_matrices(
 ) -> DifferentialMatrix:
     """Assemble the full differential, one sparse block per tridegree, from
     every layer of the cube with nothing left out (``_Cube.blocks`` into
-    a ``_Whole`` per tridegree), each block's rows read out as ``{(row,
-    col): entry}``."""
+    a ``_Whole`` per tridegree), each block held once, as the ``{(row,
+    col): entry}`` its ``_Whole`` writes."""
     cube = _Cube(_get_table(diagram, cap))
     blocks: Dict[Grading, _Whole] = {}
     for p in range(cube.table.n + 1):
         layer = {g: _Whole() for g in cube.place(p)}
         cube.blocks(p, layer)
         blocks.update(layer)
-    matrices = {
-        g: {(r, c): val for r, row in block.rows.items() for c, val in row.items()}
-        for g, block in blocks.items() if block.rows
-    }
+    matrices = {g: block.entries for g, block in blocks.items() if block.entries}
     return DifferentialMatrix(diagram, cube.dims, matrices)
 
 

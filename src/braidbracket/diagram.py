@@ -257,15 +257,14 @@ class DiagramBuilder:
             port += range(len(port) - 4 * len(removed), n4)
             fused = {port[4 * c] >> 2: bit for c, bit in fused.items() if port[4 * c] >= 0}
 
-        holes: Optional[List[int]] = None  # removed edges, listed on the first reference
+        holes = [i for i, rec in enumerate(bedges) if rec is None]  # removed edges
 
         def ref(r: FaceRef) -> FaceRef:
-            nonlocal holes
             e = r[0]
-            if not 0 <= e < len(bedges) or bedges[e] is None:
+            if not 0 <= e < len(bedges):
+                raise DiagramError(f"face reference to edge {e}, not an edge")
+            if bedges[e] is None:
                 raise DiagramError(f"face reference to removed edge {e}")
-            if holes is None:
-                holes = [i for i, rec in enumerate(bedges) if rec is None]
             return (e - bisect_left(holes, e), r[1])
 
         try:

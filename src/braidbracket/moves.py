@@ -78,7 +78,6 @@ class GenerationError(Exception):
     """No applicable move was available while generating a pair."""
 
 
-BRAID_LIKE_KINDS = ("IIa_remove", "IIa_insert", "III")
 III_VARIANTS = ("IIIa", "IIIb", "IIIc", "IIId", "IIIe", "IIIf")
 
 
@@ -158,10 +157,8 @@ def _triangle_variant(diagram: OrientedDiagram, orbit) -> Optional[str]:
         return None
     if v0 in diagram.fused or v1 in diagram.fused or v2 in diagram.fused:
         return None
-    edge_of = diagram.edge_of
-    e0, e1, e2 = edge_of[u0], edge_of[u1], edge_of[u2]
-    if e0 == e1 or e1 == e2 or e0 == e2:
-        return None
+    # the three darts lie on three edges: no face holds both darts of one
+    # edge, which would be a bridge (``_census``)
     is_tail, over = diagram.is_tail, diagram.over_parity
     return _TRIANGLE_VARIANT[is_tail[u0], is_tail[u1], is_tail[u2],
                              u0 & 1 == over[v0], u1 & 1 == over[v1], u2 & 1 == over[v2]]
@@ -189,6 +186,9 @@ def _census(diagram: OrientedDiagram):
     crossings.  A global face of two darts may instead be two monogons of
     two components glued by a placement (the closure of ``B4 1 -3``), each
     edge a loop at its own crossing, and the check asks for the orbit.
+    Neither check compares the edges of a face's darts: a 2- or 3-face
+    holding both darts of one edge would have that edge on both of its
+    sides, a bridge, and the even degrees below rule bridges out.
 
     Pair insertions are counted, not listed.  A pair is two darts of one
     global face and one component on two edges: a head dart, then a tail
@@ -207,7 +207,7 @@ def _census(diagram: OrientedDiagram):
         return census
     n4 = 4 * diagram.n
     signs, fused = diagram.signs, diagram.fused
-    edge_of, is_tail = diagram.edge_of, diagram.is_tail
+    is_tail = diagram.is_tail
     face_next, outer = diagram._face_next, diagram.outer_face
     walk = bool(diagram.placements)
     removals, slides = [], []
@@ -216,11 +216,11 @@ def _census(diagram: OrientedDiagram):
             u0, u1 = darts
             v0, v1 = u0 >> 2, u1 >> 2
             # one orbit, not two monogons glued by a placement, on two
-            # crossings of opposite signs, strands on two edges running
-            # coherently (so one of them is over at both crossings)
+            # crossings of opposite signs, strands running coherently (so one
+            # of them is over at both crossings)
             if (face != outer and u1 < n4 and v0 != v1 and signs[v0] != signs[v1]
-                    and is_tail[u0] != is_tail[u1] and edge_of[u0] != edge_of[u1]
-                    and face_next[u0] == u1 and v0 not in fused and v1 not in fused):
+                    and is_tail[u0] != is_tail[u1] and face_next[u0] == u1
+                    and v0 not in fused and v1 not in fused):
                 removals.append(darts)
         elif len(darts) == 3 and face != outer:
             if walk:
@@ -290,18 +290,15 @@ def _side_ref_of_dart(diagram: OrientedDiagram, dart: int) -> FaceRef:
     return (diagram.edge_of[dart], SIDE_R if diagram.is_tail[dart] else SIDE_L)
 
 
-def _remap_dying_refs(
-    diagram: OrientedDiagram,
-    builder: DiagramBuilder,
-    dying_edges: set,
-    fallback: FaceRef,
-) -> None:
+def _remap_dying_refs(diagram: OrientedDiagram, builder: DiagramBuilder, dying_edges: set) -> None:
     """Re-express outer/placement refs that point at edges about to die.
 
-    A ref is renamed through a surviving edge of its own component's face,
-    or to ``fallback`` when every edge of that face dies.  The global face
-    would also offer edges of components placed in it, and a placement
-    renamed that way glues a component to itself.
+    A ref is renamed through a surviving edge of its own component's face
+    (the global face would also offer edges of components placed in it, and
+    a placement renamed that way glues a component to itself).  Only the
+    site's own bigon or triangle loses all its edges, and no ref names it:
+    removals and slides are no sites on the outer face, and a component
+    placed in it would give its global face more than 2 or 3 darts.
     """
     outer, placements = builder.outer, builder.placements
     if not placements and (outer is None or outer[0] not in dying_edges):
@@ -313,7 +310,7 @@ def _remap_dying_refs(
         for d in diagram.faces[diagram._ref_face(ref)]:
             if diagram.edge_of[d] not in dying_edges:
                 return _side_ref_of_dart(diagram, d)
-        return fallback
+        raise AssertionError(f"face reference {ref} names the face of the move site")
 
     if outer is not None:
         builder.outer = fix(outer)
@@ -330,13 +327,13 @@ def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> No
     corridor = _side_ref_of_dart(diagram, x0)
     # Each bigon edge carries one strand, in across its tail and out across
     # its head; the strands are coherent, so both tails share a crossing.
-    strands = []  # [incoming edge, outgoing edge, seam of the bigon edge]
+    strands = []  # (incoming edge, outgoing edge, seam of the bigon edge), port order
     bigon_edges = (diagram.edges[e0], diagram.edges[e1])
     for x, o, seam in sorted((t ^ 2, h ^ 2, seam) for t, h, seam in bigon_edges):
         if is_tail[x] or not is_tail[o]:
             raise AssertionError("strand orientation broken through bigon")
-        strands.append([edge_of[x], edge_of[o], seam])
-    _remap_dying_refs(diagram, b, {e0, e1}, corridor)
+        strands.append((edge_of[x], edge_of[o], seam))
+    _remap_dying_refs(diagram, b, {e0, e1})
     b.crossings[u0 >> 2] = b.crossings[u1 >> 2] = None
     edges[e0] = edges[e1] = None
     # Removing the bigon takes 2 vertices and 4 edges from its component, so
@@ -347,26 +344,24 @@ def _apply_iia_remove(diagram: OrientedDiagram, b: DiagramBuilder, anchor) -> No
         b.placements.append((corridor, _side_ref_of_dart(diagram, x1)))
     # Join each strand's two edges, the strand on the lower edge id first,
     # which fixes the ids of the joined edges.  A strand whose two edges are
-    # one has closed into a loop: only it keeps an anchor, in strand order.
-    for s in sorted(strands, key=lambda s: min(s[:2])):
-        e_in, e_out, seam = s
-        if e_in == e_out:
-            continue
-        tail, _, seam_in = edges[e_in]
-        _, head, seam_out = edges[e_out]
-        joined = b.add_edge(tail, head, seam_in + seam + seam_out)
-        edges[e_in] = edges[e_out] = None
-        b._remap_refs(e_in, joined)
-        b._remap_refs(e_out, joined)
-        strands.remove(s)
-        for t in strands:
-            if t[0] in (e_in, e_out):
-                t[0] = joined
-            if t[1] in (e_in, e_out):
-                t[1] = joined
-    for e, _, seam in strands:  # the loops
-        ai = b.add_anchor()
-        edges[e] = (anchor_port(ai, 1), anchor_port(ai, 0), edges[e][2] + seam)
+    # one has closed into a loop: only it keeps an anchor, in port order.
+    # No join renames the other strand's edges: an edge R from one strand's
+    # exit at Y to the other's entry at X would close, with the first bigon
+    # edge, a curve on adjacent darts at X and straight through Y; the second
+    # strand leaves Y on its far side, every dart at X and Y is used, and
+    # the component could not close.
+    for e_in, e_out, seam in sorted(strands, key=lambda s: min(s[:2])):
+        if e_in != e_out:
+            tail, _, seam_in = edges[e_in]
+            _, head, seam_out = edges[e_out]
+            joined = b.add_edge(tail, head, seam_in + seam + seam_out)
+            edges[e_in] = edges[e_out] = None
+            b._remap_refs(e_in, joined)
+            b._remap_refs(e_out, joined)
+    for e, e_out, seam in strands:
+        if e == e_out:  # a loop
+            ai = b.add_anchor()
+            edges[e] = (anchor_port(ai, 1), anchor_port(ai, 0), edges[e][2] + seam)
 
 
 # Pair insertion ports, keyed by (is_tail[u], is_tail[v]) of the anchor's
@@ -422,16 +417,12 @@ def _apply_iii(diagram: OrientedDiagram, b: DiagramBuilder, orbit) -> None:
             e = edge_of[dart]
             t, h, seam = edges[e]
             edges[e] = (target, h, seam) if is_tail[dart] else (t, target, seam)
-    new_edges = []
     for j in range(3):
         if dirs[j]:
-            eid = b.add_edge(4 * w[(j + 1) % 3], 4 * w[j] + 1, seams[j])
+            b.add_edge(4 * w[(j + 1) % 3], 4 * w[j] + 1, seams[j])
         else:
-            eid = b.add_edge(4 * w[j] + 1, 4 * w[(j + 1) % 3], seams[j])
-        new_edges.append(eid)
-    # only the triangle's own face has no surviving edge; it becomes the new one
-    new_tri_ref: FaceRef = (new_edges[0], SIDE_L if dirs[0] else SIDE_R)
-    _remap_dying_refs(diagram, b, set(es), new_tri_ref)
+            b.add_edge(4 * w[j] + 1, 4 * w[(j + 1) % 3], seams[j])
+    _remap_dying_refs(diagram, b, set(es))
     for v in vs:
         b.crossings[v] = None
     for e in es:

@@ -29,16 +29,20 @@ step's sites with ``find_sites`` and applying the drawn one with
 without the checks.
 """
 
+import json
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from braidbracket.diagram import (
     BraidWord,
+    DiagramError,
+    FormatError,
     NonPlanarError,
     OrientedDiagram,
     _uf_find,
     _uf_union,
     braid_closure,
+    parse_braid_word,
 )
 from braidbracket.chain_complex import (
     DifferentialMatrix,
@@ -62,6 +66,35 @@ WALK_PINS = [
     (15, 3, (1, 2, -1, 2, 1, 2), 12, 1, "97cb50f4f99194c8"),
     (16, 4, (2, -2, 3, -1), 14, 1, "38f0669a2621c440"),
     (861703, 4, (2, -2, 3, -1), 12, 2, "14ab6bc9de38687b"),
+]
+
+
+def pd_with(word, field, value):
+    """PD JSON of ``word`` with the value at the key path ``field`` replaced."""
+    obj = json.loads(parse_braid_word(word).to_pd_json())
+    node = obj
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    return obj
+
+
+# Face references that parse_pd refuses, as (word, field, value) for
+# ``pd_with``, and the error type and message: an edge id the PD never
+# declared, at the outer face and in a placement; a placement on one
+# component, and a cycle of placements, on the two free loops of ``B2``;
+# and outer-face edge ends on two faces of the trefoil.
+REJECTED_FACE_REFERENCES = [
+    ("B2 1 1 1", ("outer_face",), [[99, "tail"]],
+     DiagramError, "face reference to edge 99, not an edge"),
+    ("B2", ("placements", 0, 0, 0), 99,
+     DiagramError, "face reference to edge 99, not an edge"),
+    ("B2", ("placements",), [[[0, "L"], [0, "R"]]],
+     NonPlanarError, "placement glues two faces of one component"),
+    ("B2", ("placements",), [[[1, "L"], [0, "R"]], [[1, "R"], [0, "L"]]],
+     NonPlanarError, "placement cycle between components"),
+    ("B2 1 1 1", ("outer_face",), [[1, "tail"], [0, "tail"]],
+     FormatError, "outer_face edge ends do not bound a single face"),
 ]
 
 

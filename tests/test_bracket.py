@@ -86,6 +86,21 @@ def test_marked_h_circle_adds_nested_configuration():
     assert got == {"()()": {0: 1}}
 
 
+def test_the_oracle_identity_holds_on_skein_expansions_and_marked_circles(corpus_small):
+    # criterion 01 past closures: fused crossings are the only way into
+    # kauffman_oracle's fixed-smoothing unions, and marked circles carry
+    # break points; an expansion is taken at every crossing, and a
+    # d-circle and an h-circle are added to the first two
+    checked = 0
+    for d in corpus_small:
+        expanded = [half for v in d.active_crossings for half in skein_expand(d, v)]
+        marked = [add_marked_circle(x, bp) for x in [d] + expanded[:2] for bp in (0, 2)]
+        for x in expanded + marked:
+            assert specialize_chi_to_delta(lighten(bracket_br(x))) == kauffman_oracle(x)
+            checked += 1
+    assert checked == 752
+
+
 def test_skein_expand_bad_crossing():
     d = parse_braid_word("B2 1")
     with pytest.raises(ValueError):

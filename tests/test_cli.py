@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
@@ -12,6 +13,8 @@ import pytest
 from braidbracket.chain_complex import differential_matrices
 from braidbracket.cli import _build_parser, main
 from braidbracket.diagram import parse_braid_word
+
+from helpers import REJECTED_FACE_REFERENCES, pd_with
 
 
 def run(capsys, *argv):
@@ -42,6 +45,28 @@ def test_bracket_bad_file_exit_2(capsys):
 def test_bracket_malformed_word_exit_2(capsys):
     code, _, err = run(capsys, "bracket", "-w", "B2 7")
     assert code == 2
+
+
+def _csv_of_json(obj):
+    """The bracket csv lines that the json output of the same word implies."""
+    def terms(section):
+        return [f"{section},{t['config']},{e},{c}"
+                for t in sorted(obj[section]["terms"], key=lambda t: t["config"])
+                for e, c in sorted((int(e), c) for e, c in t["poly"].items())]
+
+    lightened = [f"lightened,chi^{r['chi']},{r['a']},{r['coeff']}"
+                 for r in sorted(obj["lightened"], key=lambda r: (r["a"], r["chi"]))]
+    return ["section,config,exponent,coefficient",
+            *terms("bracket"), *lightened, *terms("normalized")]
+
+
+@pytest.mark.parametrize("word", ["B0", "B1", "B2 1 1 1", "B3 1 -2 1 -2", "B3 1 2 -1 2 2"])
+def test_bracket_csv_matches_its_json(capsys, word):
+    code, out, _ = run(capsys, "bracket", "-w", word, "--format", "json")
+    assert code == 0
+    code, csv, _ = run(capsys, "bracket", "-w", word, "--format", "csv")
+    assert code == 0
+    assert csv.splitlines() == _csv_of_json(json.loads(out))
 
 
 def test_cap_exceeded_exit_3(capsys):
@@ -426,16 +451,6 @@ def test_pd_of_deeply_nested_loops_exit_0(tmp_path):
     assert terms == [{"config": "(" * 600 + ")" * 600, "poly": {"0": "1"}}]
 
 
-def _pd_with(word, field, value):
-    """PD JSON of ``word`` with the value at the key path ``field`` replaced."""
-    obj = json.loads(parse_braid_word(word).to_pd_json())
-    node = obj
-    for key in field[:-1]:
-        node = node[key]
-    node[field[-1]] = value
-    return obj
-
-
 @pytest.mark.parametrize(
     "word, field, value",
     [
@@ -456,7 +471,7 @@ def _pd_with(word, field, value):
 )
 def test_pd_non_integer_field_exit_2(tmp_path, capsys, word, field, value):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_pd_with(word, field, value)))
+    path.write_text(json.dumps(pd_with(word, field, value)))
     code, _, err = run(capsys, "bracket", str(path))
     assert code == 2 and "input error" in err
 
@@ -464,7 +479,7 @@ def test_pd_non_integer_field_exit_2(tmp_path, capsys, word, field, value):
 @pytest.mark.parametrize("side", ["", "RL"])
 def test_pd_placement_side_other_than_r_or_l_exit_2(tmp_path, capsys, side):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_pd_with("B2", ("placements", 0, 0, 1), side)))
+    path.write_text(json.dumps(pd_with("B2", ("placements", 0, 0, 1), side)))
     code, _, err = run(capsys, "bracket", str(path))
     assert code == 2 and err.startswith("input error:")
 
@@ -477,6 +492,14 @@ def test_pd_edge_to_undeclared_crossing_exit_2(tmp_path, capsys, end):
     path.write_text(json.dumps(obj))
     code, _, err = run(capsys, "bracket", str(path))
     assert code == 2 and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("word, field, value, error, message", REJECTED_FACE_REFERENCES)
+def test_pd_face_reference_errors_exit_2(monkeypatch, capsys, word, field, value, error, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(pd_with(word, field, value))))
+    code, out, err = run(capsys, "bracket", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and message in err
 
 
 def _readme_flags():

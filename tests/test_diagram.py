@@ -21,7 +21,8 @@ from braidbracket.diagram import (
 from braidbracket.moves import random_equivalent_pair
 
 import helpers
-from helpers import WALK_PINS, canonical_code_oracle, face_oracle, mirror
+from helpers import (
+    REJECTED_FACE_REFERENCES, WALK_PINS, canonical_code_oracle, face_oracle, mirror, pd_with)
 
 
 def test_empty_braid_closure_is_empty_diagram():
@@ -582,6 +583,23 @@ def test_build_rejects_references_to_removed_parts():
     b.edges[b.outer[0]] = None
     with pytest.raises(DiagramError, match="removed edge"):
         b.build()
+
+
+@pytest.mark.parametrize("word, field, value, error, message", REJECTED_FACE_REFERENCES)
+def test_parse_pd_names_what_is_wrong_with_a_face_reference(word, field, value, error, message):
+    # an edge id the PD never declared is no edge, not a removed one
+    with pytest.raises(DiagramError) as info:
+        parse_pd(json.dumps(pd_with(word, field, value)))
+    assert (info.type, str(info.value)) == (error, message)
+
+
+def test_build_names_a_reference_to_an_undeclared_edge():
+    for edge in (6, 99, -1):
+        b = parse_braid_word("B2 1 1 1").to_builder()
+        b.outer = (edge, 0)
+        with pytest.raises(DiagramError) as info:
+            b.build()
+        assert str(info.value) == f"face reference to edge {edge}, not an edge"
 
 
 def _trefoil_fields(**change):

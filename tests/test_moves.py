@@ -6,7 +6,7 @@ import pytest
 
 from braidbracket.diagram import (
     BraidWord, braid_closure, parse_braid_word, parse_pd, reverse_orientation)
-from braidbracket.bracket import bracket_br
+from braidbracket.bracket import bracket_br, skein_expand
 from braidbracket.homology import homology_groups
 from braidbracket.moves import (
     III_VARIANTS,
@@ -581,6 +581,73 @@ def test_a_brute_force_oracle_lists_the_sites_along_the_pinned_walks(seed, stran
 @pytest.mark.parametrize("name", sorted(SITE_PINS))
 def test_a_brute_force_oracle_lists_the_sites_of_the_site_pins(name):
     _assert_the_oracle_lists_the_sites(_site_pin_diagram(name))
+
+
+def _skein_expansions(d):
+    return [half for v in d.active_crossings for half in skein_expand(d, v)]
+
+
+def test_a_brute_force_oracle_lists_the_sites_of_the_site_pins_skein_expansions():
+    # a fused crossing is no site crossing, in a triangle as in a bigon, and
+    # the expansions hold inner triangles of three crossings, one fused
+    expansions = [x for name in sorted(SITE_PINS)
+                  for x in _skein_expansions(_site_pin_diagram(name))]
+    fused_triangles = 0
+    for d in expansions:
+        _assert_the_oracle_lists_the_sites(d)
+        for face, darts in d._global_faces.items():
+            crossings = {u >> 2 for u in darts}
+            fused_triangles += (len(darts) == len(crossings) == 3 and face != d.outer_face
+                                and max(darts) < 4 * d.n and bool(crossings & set(d.fused)))
+    assert fused_triangles
+
+
+def _assert_no_site_is_an_impossible_configuration(d):
+    # the configurations that the census and the surgeries of moves keep no
+    # code for: a 2- or 3-face holding both darts of one edge, a bigon whose
+    # two strands share an outside edge, a face reference naming the face
+    # of a removal or slide site
+    edge_of = d.edge_of
+    for darts in list(d.faces) + list(d._global_faces.values()):
+        if len(darts) in (2, 3):
+            assert len({edge_of[u] for u in darts}) == len(darts), darts
+    for site in find_sites(d, "IIa_remove"):
+        bigon_edges = [d.edges[edge_of[u]] for u in site.anchor]
+        ends = [{edge_of[t ^ 2], edge_of[h ^ 2]} for t, h, _ in bigon_edges]
+        assert not ends[0] & ends[1], site
+    refs = [r for pair in d.placements for r in pair]
+    named = {d._ref_face(r) for r in refs + [d.outer_ref] if r is not None}
+    for kind in ("IIa_remove", "III"):
+        for site in find_sites(d, kind):
+            assert d.face_of[site.anchor[0]] not in named, site
+
+
+@pytest.mark.parametrize("word, kind", [("B3 1 -2 2 -1", "IIa_remove"), ("B3 1 2 1", "III")])
+def test_a_surgery_refuses_a_reference_to_the_face_of_its_site(word, kind):
+    # no listed site has one (the tests below); a builder whose outer face
+    # is moved onto the site's own face raises instead of renaming it
+    from braidbracket.moves import _MOVES, _side_ref_of_dart
+
+    d = parse_braid_word(word)
+    site = find_sites(d, kind)[0]
+    b = d.to_builder()
+    b.outer = _side_ref_of_dart(d, site.anchor[0])
+    with pytest.raises(AssertionError, match="names the face of the move site"):
+        _MOVES[site.kind](d, b, site.anchor)
+
+
+@pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
+def test_no_site_is_an_impossible_configuration_along_the_pinned_walks(seed, strands, letters):
+    steps, end = reference_walk(seed, strands, letters)
+    for d in [d for d, _ in steps] + [end]:
+        _assert_no_site_is_an_impossible_configuration(d)
+
+
+@pytest.mark.parametrize("name", sorted(SITE_PINS))
+def test_no_site_is_an_impossible_configuration_on_the_site_pins(name):
+    d = _site_pin_diagram(name)
+    for x in [d] + _skein_expansions(d):
+        _assert_no_site_is_an_impossible_configuration(x)
 
 
 @pytest.mark.parametrize("seed, strands, letters, digest", [p[:3] + p[5:] for p in WALK_PINS])

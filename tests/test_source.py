@@ -76,10 +76,10 @@ def test_every_trace_target_resolves():
         tracer.uninstall()
 
 
-def test_every_helper_is_used():
-    # a function, method or property whose name occurs nowhere but in its
-    # own definition, across the library, the tests and the demos (the
-    # package's __all__ included), is dead code
+def _unused(defined):
+    """The names of ``defined(tree)`` over the library's modules that occur
+    nowhere but in their own definitions, across the library, the tests and
+    the demos (the package's __all__ included)."""
     texts = [
         path.read_text()
         for top in ("src", "tests", "demos")
@@ -89,13 +89,34 @@ def test_every_helper_is_used():
     defs = collections.Counter()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        defs.update(
-            node.name
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-        )
-    assert sorted(name for name, n in defs.items() if words[name] <= n) == []
+        defs.update(name for name in defined(tree)
+                    if not (name.startswith("__") and name.endswith("__")))
+    return sorted(name for name, n in defs.items() if words[name] <= n)
+
+
+def test_every_helper_is_used():
+    # a function, method or property used nowhere is dead code
+    assert _unused(lambda tree: [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]) == []
+
+
+def test_every_constant_and_class_attribute_is_used():
+    # so is a module-level name or a class attribute assigned and never read
+    def assigned(tree):
+        bodies = [tree.body] + [node.body for node in ast.walk(tree)
+                                if isinstance(node, ast.ClassDef)]
+        for node in (node for body in bodies for node in body):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            yield from (name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name))
+
+    assert _unused(assigned) == []
 
 
 def test_one_diagram_constructor():
