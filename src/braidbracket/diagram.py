@@ -191,7 +191,7 @@ class DiagramBuilder:
         self.placements: List[Tuple[FaceRef, FaceRef]] = []
         self.outer: Optional[FaceRef] = None
         self.from_braid = False
-        # set only by moves._rewrite: the anchor count of the parent, which
+        # set only by a moves._Map: the anchor count of its diagram, which
         # has one component; build then counts instead of searching components
         self._one_component: Optional[int] = None
 
@@ -326,10 +326,10 @@ class OrientedDiagram:
     A crossing is given by its sign alone: with the orientations, the sign
     fixes which strand is over, and ``over_parity`` is derived from it.
 
-    ``DiagramBuilder.build`` is the one caller.  For a builder that
-    ``moves._rewrite`` made from a diagram of one component, and that
-    gained no anchor or placement, it passes ``_one_component``: then the
-    component search is skipped while the count gives ``V - E + F == 2``.
+    ``DiagramBuilder.build`` is the one caller.  For a ``moves._Map`` made
+    from a diagram of one component, and that gained no anchor or
+    placement, it passes ``_one_component``: then the component search is
+    skipped while the count gives ``V - E + F == 2``.
 
     ``braid_word`` is the word a diagram was made from by ``braid_closure``
     and ``None`` otherwise.  ``to_builder`` does not carry it over, so a
@@ -876,11 +876,12 @@ def parse_pd(data) -> OrientedDiagram:
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed PD field ({type(exc).__name__}: {exc})") from exc
     diagram = b.build()
-    for ei, side in outer:
-        if not 0 <= ei < len(diagram.edges) or (
-            diagram.global_face_of_ref((ei, side)) != diagram.outer_face
-        ):
-            raise FormatError("outer_face edge ends do not bound a single face")
+    # every reference names an edge before any two are compared as faces
+    for ei, _ in outer:
+        if not 0 <= ei < len(diagram.edges):
+            raise DiagramError(f"face reference to edge {ei}, not an edge")
+    if any(diagram.global_face_of_ref(ref) != diagram.outer_face for ref in outer):
+        raise FormatError("outer_face edge ends do not bound a single face")
     return diagram
 
 

@@ -22,45 +22,53 @@ Move patterns are matched on faces of the combinatorial map:
 Removals and slides are never matched on the outer face: a bigon or
 triangle there bounds no disk in the plane.
 
-A site is defined once, by the census of the diagram (``_census``),
-computed at most once per diagram and kept on it: one pass over the
-global faces for bigons and triangles, and a count of tail darts per face
-for pair insertions, which are counted and never listed on a walk.
-``find_sites`` lists the sites, walks count them, and ``apply_move``
-accepts an anchor only as ``find_sites`` lists it: a rotated triangle
-orbit or a reversed pair is no site, so one move has one name.
+A site is defined once, by ``_face_site`` on one face, which the census
+of a diagram (``_census``, kept on it) and of a map read; pair insertions
+are counted per face by its tail darts.  ``find_sites`` lists the sites
+once per diagram and kind, and ``apply_move`` accepts a site only with
+the fingerprint of the diagram and an anchor equal, field by field in
+value and type, to one listed: so one move has one name.
 
-Each surgery rewires the builder of the diagram at its own site only, and
-one helper, ``_rewrite``, makes every moved diagram: ``to_builder``, the
-one-component mark, the surgery, then ``DiagramBuilder.build``, which
-makes and checks every diagram.  The one fact a move hands over is that
-its parent has one component: the builder's mark lets ``build`` take
-Euler's formula as one count instead of searching for components.  Face
-references (outer face, component placements) are carried across the
-surgery by naming faces through surviving edges.
-
-``apply_move`` checks a caller's site against ``find_sites`` itself: its
-fingerprint, then that the listing of its kind holds an equal anchor,
-field by field in value and in type, before it calls ``_rewrite``.  The
-listing is kept on the diagram beside the census.
-``random_equivalent_pair`` counts the sites of a step, draws one, and
-hands the drawn (kind, anchor) to ``_rewrite`` directly: the draw comes
-from the census of the very diagram it is applied to, so each of those
-checks holds by construction (``_braid_like_sites`` says why), and no
+Every surgery rewires a ``_Map``, a builder of the diagram that keeps its
+dart tables, faces (keyed by their least darts) and census.
+``_Map.apply`` runs the surgery, re-wires the edges it wrote or added,
+and re-traces and re-counts only the faces of their darts.  Removals
+leave ``None`` holes, insertions append, and ``DiagramBuilder.build``
+closes the holes by a monotone renumbering, so a map orders darts, faces
+and sites as its build does, and a walk on one map draws and ends as one
+that builds every step.  A step raises ``DiagramError`` unless each dart
+it wrote was free, each dart of a live crossing ends one edge, each new
+crossing's darts and sign make a crossing, and V - E + F = 2.  ``build``,
+the one constructor, checks the whole diagram where a walk ends and where
+it compacts, going on from a fresh map of the build: once the tables,
+sized for ``_MAP_STEPS`` steps, have no room for another, and after any
+step on a map with anchors or placements (an anchor's darts would come
+before a new crossing's, and a placement merges faces).  A map hands
+``build`` one fact: its diagram has one component, so Euler's formula is
+one count.  Face references are carried across a surgery by naming faces
+through surviving edges.  ``apply_move`` steps a map made for no further
+steps, which keeps no tables: its surgery reads the diagram.  A walk
+applies each draw from its map's census to that map, so each check of
+``apply_move`` holds by construction (``_braid_like_sites``), and no
 ``MoveSite`` or fingerprint is made on a walk.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
+from bisect import bisect_left
+from itertools import chain, product
 from operator import mul, sub
 from typing import List, NamedTuple, Optional, Tuple
 
 from .diagram import (
+    _PARITY_OF_PATTERN,
+    _rotation_table,
     BraidWord,
     DiagramBuilder,
+    DiagramError,
     FaceRef,
+    NonPlanarError,
     OrientedDiagram,
     SIDE_L,
     SIDE_R,
@@ -145,34 +153,40 @@ _TRIANGLE_VARIANT = {
 }
 
 
-def _triangle_variant(diagram: OrientedDiagram, orbit) -> Optional[str]:
-    """The variant letter of a braid-like triangle on the 3-face ``orbit``
-    (three darts in face order), or None."""
-    u0, u1, u2 = orbit
-    n4 = 4 * diagram.n
-    if u0 >= n4 or u1 >= n4 or u2 >= n4:
-        return None
+def _face_site(g, u0: int, size: int, n4: int) -> Optional[Tuple[str, tuple]]:
+    """The (kind, anchor) of the removal or slide on the face of ``size``
+    darts, the least ``u0``, of ``g`` (a diagram or a ``_Map``, anchor darts
+    from ``n4`` on), or None, but for the outer face.  The orbit of ``u0``
+    is walked: a global face may be two orbits glued by a placement."""
+    face_next, fused = g._face_next, g.fused
+    u1 = face_next[u0]
+    u2 = face_next[u1]
     v0, v1, v2 = u0 >> 2, u1 >> 2, u2 >> 2
-    if v0 == v1 or v1 == v2 or v0 == v2:
+    if size == 2:
+        # one orbit on two crossings of opposite signs, strands running
+        # coherently (so one of them is over at both crossings)
+        if (u1 < n4 and v0 != v1 and g.signs[v0] != g.signs[v1]
+                and g.is_tail[u0] != g.is_tail[u1] and v0 not in fused and v1 not in fused):
+            return "IIa_remove", (u0, u1)
         return None
-    if v0 in diagram.fused or v1 in diagram.fused or v2 in diagram.fused:
+    if (u1 >= n4 or u2 >= n4 or v0 == v1 or v1 == v2 or v0 == v2
+            or v0 in fused or v1 in fused or v2 in fused):
         return None
     # the three darts lie on three edges: no face holds both darts of one
-    # edge, which would be a bridge (``_census``)
-    is_tail, over = diagram.is_tail, diagram.over_parity
-    return _TRIANGLE_VARIANT[is_tail[u0], is_tail[u1], is_tail[u2],
-                             u0 & 1 == over[v0], u1 & 1 == over[v1], u2 & 1 == over[v2]]
+    # edge, which would be a bridge (``_census``); a crossing's over parity
+    # is read from its darts and sign, as ``OrientedDiagram`` derives it
+    is_tail, signs = g.is_tail, g.signs
+    over = [u & 1 == _PARITY_OF_PATTERN[(*is_tail[u & ~3:(u | 3) + 1], signs[u >> 2])]
+            for u in (u0, u1, u2)]
+    variant = _TRIANGLE_VARIANT[is_tail[u0], is_tail[u1], is_tail[u2], *over]
+    return None if variant is None else (variant, (u0, u1, u2))
 
 
 def _census(diagram: OrientedDiagram):
     """The braid-like sites of a diagram, computed once and kept on it.
 
-    One pass over the global faces takes the inner 2-faces that pass the
-    bigon check (the IIa_remove anchors, ascending) and the inner 3-faces
-    that pass the triangle check (the III sites as (variant, orbit),
-    ascending).  A face's darts run in orbit order from its least dart
-    when no placement merges faces, so a 3-face is its orbit; with
-    placements they are ascending and the orbit is walked.
+    One pass over the global faces but the outer one takes the IIa_remove
+    and III sites of ``_face_site``, each as (kind, anchor), ascending.
 
     The bigon check asks for opposite signs and not for one strand over at
     both crossings, because on the two coherent strands of a bigon each
@@ -205,31 +219,12 @@ def _census(diagram: OrientedDiagram):
     census = memo.get("census")
     if census is not None:
         return census
-    n4 = 4 * diagram.n
-    signs, fused = diagram.signs, diagram.fused
-    is_tail = diagram.is_tail
-    face_next, outer = diagram._face_next, diagram.outer_face
-    walk = bool(diagram.placements)
+    n4, outer = 4 * diagram.n, diagram.outer_face
     removals, slides = [], []
     for face, darts in diagram._global_faces.items():
-        if len(darts) == 2:
-            u0, u1 = darts
-            v0, v1 = u0 >> 2, u1 >> 2
-            # one orbit, not two monogons glued by a placement, on two
-            # crossings of opposite signs, strands running coherently (so one
-            # of them is over at both crossings)
-            if (face != outer and u1 < n4 and v0 != v1 and signs[v0] != signs[v1]
-                    and is_tail[u0] != is_tail[u1] and face_next[u0] == u1
-                    and v0 not in fused and v1 not in fused):
-                removals.append(darts)
-        elif len(darts) == 3 and face != outer:
-            if walk:
-                u0 = darts[0]
-                u1 = face_next[u0]
-                darts = (u0, u1, face_next[u1])
-            variant = _triangle_variant(diagram, darts)
-            if variant is not None:
-                slides.append((variant, darts))
+        if face != outer and len(darts) < 4 and (site := _face_site(diagram, darts[0],
+                                                                      len(darts), n4)):
+            (removals if len(darts) == 2 else slides).append(site)
     removals.sort()
     slides.sort()
     face_of, faces = diagram.face_of, diagram.faces
@@ -250,11 +245,19 @@ def find_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
     component (a band between split components would not have a canonical
     side to pass nested pieces on).  Removals and slides are never on the
     outer face: a bigon or triangle there is no disk in the plane.  This
-    listing is the one ``apply_move`` checks a site against.
+    listing, kept on the diagram, is the one ``apply_move`` checks against.
     """
+    listings = diagram._moves.setdefault("listings", {})
+    if kind not in listings:
+        listings[kind] = _list_sites(diagram, kind)
+    return list(listings[kind])
+
+
+def _list_sites(diagram: OrientedDiagram, kind: str) -> List[MoveSite]:
+    """The listing of ``find_sites``, made afresh."""
     fp = _fingerprint(diagram)
     if kind == "IIa_remove":
-        return [MoveSite(kind, darts, fp) for darts in _census(diagram)[0]]
+        return [MoveSite(kind, darts, fp) for _, darts in _census(diagram)[0]]
     if kind in ("IIa_insert", "IIb_insert"):
         is_tail = diagram.is_tail
         classes: dict = {}  # (face, is_tail) -> its darts, ascending
@@ -448,20 +451,170 @@ _MOVES = {
 }
 
 
-def _rewrite(diagram: OrientedDiagram, kind: str, anchor) -> OrientedDiagram:
-    """The diagram moved at a site of ``kind`` at ``anchor``, unchecked.
+_MAP_STEPS = 25  # a walk's map has room for the crossings of this many steps
 
-    The one path from a site to a moved diagram: the parent's builder, the
-    one-component mark, the kind's surgery, then ``build``.  The caller
-    vouches for the site: ``apply_move`` after its checks, a walk because
-    it drew the site from the diagram's own census.
-    """
-    b = diagram.to_builder()
-    b.from_braid = False
-    if diagram.ncomponents == 1:
-        b._one_component = diagram.nanchors
-    _MOVES[kind](diagram, b, anchor)
-    return b.build()
+
+class _Records(list):
+    """A map's edge records or signs, which keep in ``old`` the value each
+    index held before its first write since ``old`` was emptied."""
+
+    __slots__ = ("old",)
+
+    def __setitem__(self, i: int, value) -> None:
+        self.old.setdefault(i, self[i])
+        list.__setitem__(self, i, value)
+
+
+class _Map(DiagramBuilder):
+    """The builder of ``diagram`` that keeps its read interface (``edges``,
+    ``signs``, ``edge_of``, ``is_tail``, ``faces``, ``face_of``,
+    ``_ref_face``, ``sigma``) and its census up to date, surgery after
+    surgery: the module docstring says how."""
+
+    def __init__(self, diagram: OrientedDiagram, steps: int):
+        vars(self).update(vars(diagram.to_builder()))
+        self.edges = _Records(self.edges)
+        self.crossings = self.signs = _Records(self.crossings)
+        self.from_braid = False
+        if diagram.ncomponents == 1:
+            self._one_component = diagram.nanchors
+        # a map for no further steps keeps no tables: its surgery reads the
+        # diagram, and it is stale from the start
+        self.source = None if steps else diagram
+        self.stale = not steps
+        if not steps:
+            return
+        # live crossings and edges, and the first anchor dart
+        self.n, self.nedges, self.n4 = diagram.n, len(diagram.edges), 4 * diagram.n
+        # room for the crossings of ``steps`` steps; a spare dart reads as
+        # removed until its crossing is added
+        room = 12 * steps
+        self.alpha = list(diagram.alpha) + [-2] * room
+        self.is_tail = list(diagram.is_tail) + [None] * room
+        self.edge_of = list(diagram.edge_of) + [-1] * room
+        self._face_next = list(diagram._face_next) + [-1] * room
+        self._rot = _rotation_table(len(self.alpha) >> 2, 0)  # sigma of a crossing dart
+        faces = diagram.faces  # keyed by their least darts, as the census
+        self.faces = {orbit[0]: orbit for orbit in faces}
+        self.face_of = [faces[f][0] for f in diagram.face_of] + [-1] * room
+        removals, slides, tails, self.coherent = _census(diagram)
+        self.sites = {site[1][0]: site for site in removals + slides}
+        self.tails = {orbit[0]: t for orbit, t in zip(faces, tails)}
+
+    def sigma(self, d: int) -> int:
+        """Next dart counterclockwise around the vertex of ``d``."""
+        return (d & ~3) | ((d + 1) & 3) if d < self.n4 else d ^ 1
+
+    def _ref_face(self, ref: FaceRef) -> int:
+        t, h, _ = self.edges[ref[0]]
+        p = t if ref[1] == SIDE_R else h
+        return self.face_of[p if p >= 0 else self.n4 + ~p]
+
+    def compacted(self) -> "_Map":
+        """This map, or a fresh one from its build when it is stale or has
+        no room for the three crossings a step may add."""
+        if self.stale or 4 * (len(self.crossings) + 3) > len(self.alpha):
+            return _Map(self.build(), _MAP_STEPS)
+        return self
+
+    def apply(self, kind: str, anchor) -> None:
+        """Run the kind's surgery at ``anchor`` (the caller vouches for the
+        site), then re-read and check what it touched.  In ``alpha`` a free
+        dart is -1 and a removed one -2, with no ``is_tail``; a freed dart
+        keeps its ``is_tail``, as a surgery never turns an edge end."""
+        edges, signs = self.edges, self.crossings
+        edges.old, signs.old = {}, {}
+        ne, nc = len(edges), len(signs)
+        _MOVES[kind](self if self.source is None else self.source, self, anchor)
+        if self.stale or self.nanchors or self.placements:
+            self.stale = True
+            return
+        alpha, edge_of, is_tail, rot = self.alpha, self.edge_of, self.is_tail, self._rot
+        face_next, face_of, tails = self._face_next, self.face_of, self.tails
+        faces, sites, coherent = self.faces, self.sites, self.coherent
+        nv, old, freed, written = len(signs), edges.old, [], []
+        alpha[4 * nc:4 * nv] = [-1] * (4 * (nv - nc))
+        for e, rec in old.items():
+            if rec is not None and e < ne:
+                t, h, _ = rec
+                alpha[t] = alpha[h] = -1
+                freed += t, h
+        for key in set(map(face_of.__getitem__, freed)):  # the faces that lost a dart
+            t = tails[key]
+            coherent -= t * (len(faces.pop(key)) - t)
+            sites.pop(key, None)
+        try:
+            # an added edge written again is read once, as added; a written
+            # dart is on no face until it is traced
+            for e in chain(filter(ne.__gt__, old), range(ne, len(edges))):
+                if edges[e] is not None:
+                    t, h, _ = edges[e]
+                    if ((t | h) < 0 or t == h or alpha[t] != -1 or alpha[h] != -1
+                            or is_tail[t] is False or is_tail[h] is True):
+                        raise IndexError
+                    alpha[t], alpha[h] = h, t
+                    edge_of[t] = edge_of[h] = e
+                    is_tail[t], is_tail[h] = True, False
+                    face_next[t], face_next[h] = rot[h], rot[t]
+                    face_of[t] = face_of[h] = -1
+                    written += t, h
+        except IndexError:
+            raise DiagramError(f"edge {e} {edges[e]} ends at a dart that is no free "
+                               "crossing dart, or turns it") from None
+        # a removed crossing ends no edge; then the darts written, each free
+        # and so once, are all free darts of live crossings, or one ends none
+        signed, removed = [], 0
+        for v in chain(filter(nc.__gt__, signs.old), range(nc, nv)):
+            b = 4 * v
+            if signs[v] is not None:
+                signed.append(v)
+                continue
+            if alpha[b:b + 4] != [-1, -1, -1, -1]:
+                raise DiagramError(f"removed crossing {v} still ends an edge")
+            alpha[b:b + 4], is_tail[b:b + 4] = (-2, -2, -2, -2), (None, None, None, None)
+            removed += 1
+        if len(written) != len(freed) + 4 * (nv - nc - removed):
+            d = next(d for d in chain(freed, range(4 * nc, 4 * nv)) if alpha[d] == -1)
+            raise DiagramError(f"dart {d} ends no edge")
+        for v in signed:
+            if (*is_tail[4 * v:4 * v + 4], signs[v]) not in _PARITY_OF_PATTERN:
+                raise DiagramError(f"crossing {v}: darts and sign make no crossing")
+        n4 = self.n4 = len(alpha)
+        for d0 in written:
+            if face_of[d0] != -1:
+                continue
+            orbit, t = [d0], is_tail[d0]
+            d = face_next[d0]
+            while d != d0:
+                orbit.append(d)
+                t += is_tail[d]
+                d = face_next[d]
+            key = min(orbit)
+            if key != d0:
+                i = orbit.index(key)
+                orbit = orbit[i:] + orbit[:i]
+            faces[key], tails[key] = orbit, t
+            for d in orbit:
+                face_of[d] = key
+            coherent += t * (len(orbit) - t)
+            if len(orbit) < 4 and (site := _face_site(self, key, len(orbit), n4)):
+                sites[key] = site
+        if self.outer is not None:  # no removal or slide on the outer face
+            sites.pop(self._ref_face(self.outer), None)
+        n = self.n + nv - nc - removed
+        nedges = self.nedges + ((len(written) - len(freed)) >> 1)
+        if n - nedges + len(faces) != 2:
+            raise NonPlanarError(f"V-E+F = {n - nedges + len(faces)} != 2")
+        self.n, self.nedges, self.coherent = n, nedges, coherent
+
+
+def _rewrite(diagram: OrientedDiagram, kind: str, anchor) -> OrientedDiagram:
+    """The diagram moved at a site of ``kind`` at ``anchor``, unchecked:
+    the step of a map of the diagram made for no further steps, then its
+    build."""
+    m = _Map(diagram, 0)
+    m.apply(kind, anchor)
+    return m.build()
 
 
 def apply_move(diagram: OrientedDiagram, site: MoveSite) -> OrientedDiagram:
@@ -480,11 +633,11 @@ def apply_move(diagram: OrientedDiagram, site: MoveSite) -> OrientedDiagram:
     if site.fingerprint != _fingerprint(diagram):
         raise SiteInvalidError("site was found on a different diagram")
     kind, anchor = site.kind, site.anchor
-    listings = diagram._moves.setdefault("listings", {})  # kind -> [(anchor, types)]
-    if kind not in listings:
-        listings[kind] = [(a, tuple(map(type, a))) for _, a, _ in find_sites(diagram, kind)]
+    typed = diagram._moves.setdefault("anchors", {})  # kind -> [(anchor, types)]
+    if kind not in typed:
+        typed[kind] = [(a, tuple(map(type, a))) for _, a, _ in find_sites(diagram, kind)]
     if not (isinstance(anchor, (tuple, list))
-            and (tuple(anchor), tuple(map(type, anchor))) in listings[kind]):
+            and (tuple(anchor), tuple(map(type, anchor))) in typed[kind]):
         raise SiteInvalidError(f"no {kind} pattern at {anchor!r}")
     return _rewrite(diagram, kind, anchor)
 
@@ -529,60 +682,55 @@ def random_equivalent_pair(
 
     Moves are drawn uniformly from all applicable braid-like sites;
     insertions are withheld once the diagram reaches ``max_crossings``.
-    Each drawn (kind, anchor) goes straight to ``_rewrite``, without
-    ``apply_move``'s checks: ``_braid_like_sites`` draws it from the
-    census of the diagram it is applied to, which makes every check hold.
+    One map of the closure takes every drawn (kind, anchor), unchecked.
     """
     if n_moves < 0:
         raise GenerationError("move count must be nonnegative")
     start = braid_closure(base)
     rng = random.Random(seed)
-    current = start
+    m = _Map(start, _MAP_STEPS)
     for _ in range(n_moves):
-        total, nth = _braid_like_sites(current, current.n + 2 <= max_crossings)
+        m = m.compacted()
+        total, nth = _braid_like_sites(m, m.n + 2 <= max_crossings)
         if not total:
             raise GenerationError("no applicable braid-like move")
-        current = _rewrite(current, *nth(rng.randrange(total)))
-    return start, current
+        m.apply(*nth(rng.randrange(total)))
+    return start, m.build()
 
 
-def _braid_like_sites(diagram: OrientedDiagram, insertions: bool):
-    """The number of braid-like sites and a function giving the r-th as
-    (kind, anchor).
+def _braid_like_sites(m: _Map, insertions: bool):
+    """The number of braid-like sites of a map and a function giving the
+    r-th as (kind, anchor).
 
     The sites are those of ``find_sites`` for IIa_remove, III and, with
-    ``insertions``, IIa_insert, one kind after another, from the census.
-    Only the drawn site is made: a drawn pair is found by walking the head
-    darts in order, each with as many pairs as its face has tails.
-
-    A drawn site passes each check of ``apply_move`` by construction, so
-    the walk makes none of them.  It is not stale: it comes from the
-    census kept on ``diagram``, the object it is applied to, which no one
-    edits.  ``find_sites`` lists it, from the same census and at the same
-    index (``test_counted_sites_are_the_listed_sites`` checks every index),
-    with the same field types: census darts are ints, and the flag is a
-    bool.
+    ``insertions``, IIa_insert, one kind after another: a map orders them
+    as its build does, so the r-th is the r-th listed there
+    (``test_counted_sites_are_the_listed_sites``), with the same field
+    types.  Only the drawn site is made, a pair by walking the head darts,
+    each with as many pairs as its face has tails.  It comes from the
+    census of the map it is applied to, so it passes each check of
+    ``apply_move`` by construction.
     """
-    removals, slides, tails, coherent = _census(diagram)
+    sites = m.sites
 
     def nth(r: int) -> Tuple[str, tuple]:
-        if r < len(removals):
-            return "IIa_remove", removals[r]
-        r -= len(removals)
-        if r < len(slides):
-            return slides[r]
-        r -= len(slides)
+        if r < len(sites):
+            ordered = sorted(sites.values())
+            k = bisect_left(ordered, ("IIa_remove",))  # "III..." sorts before "IIa_remove"
+            return ordered[(k + r) % len(ordered)]
+        r -= len(sites)
         flag, r = bool(r & 1), r >> 1
-        is_tail = diagram.is_tail
-        for a, f in enumerate(diagram.face_of):
-            if not is_tail[a]:
-                if r < tails[f]:
-                    b = sorted(b for b in diagram.faces[f] if is_tail[b])[r]
-                    return "IIa_insert", (a, b, flag)
-                r -= tails[f]
-        raise IndexError("site index out of range")
+        is_tail, tails, face_of = m.is_tail, m.tails, m.face_of
+        a = -1
+        while True:
+            a = is_tail.index(False, a + 1)  # the next head dart
+            t = tails[face_of[a]]
+            if r < t:
+                b = sorted(b for b in m.faces[face_of[a]] if is_tail[b])[r]
+                return "IIa_insert", (a, b, flag)
+            r -= t
 
-    return len(removals) + len(slides) + 2 * coherent * insertions, nth
+    return len(sites) + 2 * m.coherent * insertions, nth
 
 
 def figure4_family(m: int) -> OrientedDiagram:

@@ -83,7 +83,9 @@ def pd_with(word, field, value):
 # ``pd_with``, and the error type and message: an edge id the PD never
 # declared, at the outer face and in a placement; a placement on one
 # component, and a cycle of placements, on the two free loops of ``B2``;
-# and outer-face edge ends on two faces of the trefoil.
+# outer-face edge ends on two faces of the trefoil; and an undeclared edge
+# id after a declared one at the outer face, which is named before any two
+# references are compared as faces.
 REJECTED_FACE_REFERENCES = [
     ("B2 1 1 1", ("outer_face",), [[99, "tail"]],
      DiagramError, "face reference to edge 99, not an edge"),
@@ -95,6 +97,8 @@ REJECTED_FACE_REFERENCES = [
      NonPlanarError, "placement cycle between components"),
     ("B2 1 1 1", ("outer_face",), [[1, "tail"], [0, "tail"]],
      FormatError, "outer_face edge ends do not bound a single face"),
+    ("B2 1 1 1", ("outer_face",), [[1, "tail"], [99, "tail"]],
+     DiagramError, "face reference to edge 99, not an edge"),
 ]
 
 
@@ -538,12 +542,13 @@ def _table_of_factors(dm: DifferentialMatrix, factors: dict) -> dict:
     return table
 
 
-def site_oracle(diagram: OrientedDiagram) -> Dict[str, list]:
+def site_oracle(diagram: OrientedDiagram, pairs: bool = True) -> Dict[str, list]:
     """The (kind, anchor) lists of ``find_sites`` for IIa_remove, III,
     IIa_insert and IIb_insert, by brute force from the definitions in the
     ``moves`` docstring: every global face but the outer one for removals
-    and slides, every ordered pair of darts for insertions.  It reads the
-    diagram's tables only, and calls nothing of ``moves``."""
+    and slides, every ordered pair of darts for insertions (without
+    ``pairs``, the removals and slides only).  It reads the diagram's
+    tables only, and calls nothing of ``moves``."""
     n4 = 4 * diagram.n
     gface = [diagram.global_face_of_dart(d) for d in range(diagram.ndarts)]
     comp = [diagram.comp_of_vertex[diagram.vertex_of(d)] for d in range(diagram.ndarts)]
@@ -591,7 +596,7 @@ def site_oracle(diagram: OrientedDiagram) -> Dict[str, list]:
             family = 0 if sum(tails) == 1 else 3
             slides.append(("III" + "abcdef"[family + (wins.index(2) - lone + 1) % 3], tuple(u)))
     coherent, antiparallel = [], []
-    for a in range(diagram.ndarts):
+    for a in range(diagram.ndarts if pairs else 0):
         for b in range(diagram.ndarts):
             if gface[a] != gface[b] or comp[a] != comp[b] or edge_of[a] == edge_of[b]:
                 continue

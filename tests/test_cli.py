@@ -345,6 +345,25 @@ def test_verify_negative_control_iib(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("control, kind", [("RI", "RI_insert"), ("IIb", "IIb_insert")])
+def test_verify_negative_control_lists_its_kind_once(monkeypatch, capsys, control, kind):
+    # cmd_verify picks its site from find_sites, and apply_move checks the
+    # site against the same listing, kept on the diagram
+    from braidbracket import moves
+
+    list_sites, calls = moves._list_sites, []
+
+    def spy(diagram, kind):
+        calls.append(kind)
+        return list_sites(diagram, kind)
+
+    monkeypatch.setattr(moves, "_list_sites", spy)
+    code, out, _ = run(capsys, "verify", "--negative-control", control, "-w", "B2 1 1 1",
+                       "--seed", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["control"] == control
+    assert calls == [kind]
+
+
 def test_verify_battery_csv(capsys):
     # one row per check of the battery, the same checks and verdicts as json
     argv = ("verify", "--seed", "7", "--moves", "6", "-w", "B2 1 1 1", "--format")

@@ -539,13 +539,13 @@ def test_no_move_edits_its_parent_along_the_pinned_walks(seed, strands, letters)
 
 
 def _assert_counted_sites_are_listed(d):
-    from braidbracket.moves import _braid_like_sites
+    from braidbracket.moves import _braid_like_sites, _Map
 
     for insertions in (False, True):
         listed = find_sites(d, "IIa_remove") + find_sites(d, "III")
         if insertions:
             listed += find_sites(d, "IIa_insert")
-        total, nth = _braid_like_sites(d, insertions)
+        total, nth = _braid_like_sites(_Map(d, 1), insertions)
         assert [nth(r) for r in range(total)] == [(s.kind, s.anchor) for s in listed]
 
 
@@ -729,3 +729,184 @@ def test_applying_every_listed_site_lists_each_kind_once(monkeypatch):
     for site in sites:
         apply_move(d, site)
     assert calls == list(dict.fromkeys(site.kind for site in sites))
+
+
+def _assert_map_matches_its_build(m, draw=None):
+    # a map's tables, faces and census, read through the monotone renumbering
+    # that build makes, against the oracles on the built diagram: faces,
+    # keys, face-next and the tables by face_oracle and the diagram, the
+    # census by site_oracle; with ``draw`` (moves._braid_like_sites), every
+    # site the map draws, in order.  Returns the build
+    d = m.build()
+    crossings = [v for v, sign in enumerate(m.crossings) if sign is not None]
+    darts = [4 * v + p for v in crossings for p in range(4)]
+    darts += range(m.n4, m.n4 + 2 * m.nanchors)  # a map with anchors is fresh
+    rank = {x: i for i, x in enumerate(darts)}
+    edge = {e: i for i, e in enumerate(e for e, rec in enumerate(m.edges) if rec is not None)}
+    faces, face_of, face_next = face_oracle(d)
+    keys = sorted(m.faces)
+    assert [rank[k] for k in keys] == [orbit[0] for orbit in faces]
+    assert [tuple(rank[x] for x in m.faces[k]) for k in keys] == faces
+    assert [rank[m.face_of[x]] for x in darts] == [faces[f][0] for f in face_of]
+    assert [rank[m._face_next[x]] for x in darts] == face_next
+    assert [rank[m.alpha[x]] for x in darts] == d.alpha
+    assert [edge[m.edge_of[x]] for x in darts] == d.edge_of
+    assert [m.is_tail[x] for x in darts] == d.is_tail
+    assert {m.is_tail[x] for x in range(len(m.is_tail)) if x not in rank} <= {None}
+    assert (m.n, m.nedges) == (d.n, len(d.edges))
+    tails = [sum(d.is_tail[x] for x in f) for f in faces]
+    assert [m.tails[k] for k in keys] == tails
+    oracle = site_oracle(d, pairs=draw is not None)
+    sites = sorted((kind, tuple(map(rank.get, anchor))) for kind, anchor in m.sites.values())
+    assert sites == sorted(oracle["IIa_remove"] + oracle["III"])
+    assert m.coherent == sum(t * (len(f) - t) for f, t in zip(faces, tails))
+    if draw is not None:
+        assert 2 * m.coherent == len(oracle["IIa_insert"])
+        total, nth = draw(m, True)
+        drawn = [nth(r) for r in range(total)]
+        assert [(kind, tuple(rank[x] for x in anchor[:3 - (kind == "IIa_insert")])
+                 + anchor[2:] * (kind == "IIa_insert")) for kind, anchor in drawn] == (
+            oracle["IIa_remove"] + oracle["III"] + oracle["IIa_insert"])
+    return d
+
+
+@pytest.mark.parametrize("seed, strands, letters", [p[:3] for p in WALK_PINS])
+def test_the_map_matches_its_build_on_every_step_of_the_pinned_walks(
+        monkeypatch, seed, strands, letters):
+    # before each draw and after the last step; the 2-component pin's map
+    # has a placement, so each of its steps compacts, and the knots' maps
+    # carry holes between compactions
+    from braidbracket import moves
+
+    draw, maps = moves._braid_like_sites, []
+
+    def spy(m, insertions):
+        _assert_map_matches_its_build(m, draw)
+        maps.append(m)
+        return draw(m, insertions)
+
+    monkeypatch.setattr(moves, "_braid_like_sites", spy)
+    _, end = random_equivalent_pair(seed, 100, BraidWord(strands, letters), max_crossings=14)
+    assert len(maps) == 100
+    if not maps[-1].stale:
+        _assert_map_matches_its_build(maps[-1], draw)
+    assert maps[-1].build().to_pd_json() == end.to_pd_json()
+    assert any(None in m.crossings for m in maps)
+    assert len({id(m) for m in maps}) > 1  # it compacted
+    assert any(m.stale for m in maps) == (end.ncomponents > 1)
+
+
+def _stepped_maps(d):
+    """(site, map of d after one step at the site) for every listed site."""
+    from braidbracket.moves import _Map
+
+    for kind in ("IIa_remove", "IIa_insert", "IIb_insert", "RI_insert", "III"):
+        for site in find_sites(d, kind):
+            m = _Map(d, 1)
+            m.apply(site.kind, site.anchor)
+            yield site, m
+
+
+@pytest.mark.parametrize("name", sorted(SITE_PINS))
+def test_the_map_matches_its_build_after_each_site_of_the_site_pins(name):
+    # every listed site of the diagram and of its skein expansions, whose
+    # fused crossings the map carries; a map with anchors or placements is
+    # compared once it has compacted, any other as the step left it.
+    # apply_move makes the same diagram
+    d = _site_pin_diagram(name)
+    stepped = 0
+    for x in [d] + _skein_expansions(d):
+        for site, m in _stepped_maps(x):
+            stepped += not m.stale
+            got = _assert_map_matches_its_build(m.compacted() if m.stale else m)
+            want = apply_move(x, site)
+            assert (got.signs, got.edges, got.placements) == (
+                want.signs, want.edges, want.placements)
+    assert bool(stepped) == (not d.nanchors and not d.placements)
+
+
+def test_a_step_lists_no_site_on_the_outer_face():
+    # the outer face of this B2 1 -1 is the bigon between its crossings; an
+    # RI or pair insertion on its sides leaves it a 2- or 3-face that passes
+    # the site check, and the map must not list it
+    from helpers import pd_with
+
+    d = parse_pd(pd_with("B2 1 -1", ("outer_face",), [[0, "tail"]]))
+    for _, m in _stepped_maps(d):
+        _assert_map_matches_its_build(m.compacted() if m.stale else m)
+
+
+def _break_the_third_insertion(monkeypatch, breakage):
+    from braidbracket import moves
+
+    surgery, calls = moves._MOVES["IIa_insert"], []
+
+    def broken(diagram, b, anchor):
+        surgery(diagram, b, anchor)
+        calls.append(anchor)
+        if len(calls) == 3:
+            breakage(b)
+
+    monkeypatch.setitem(moves._MOVES, "IIa_insert", broken)
+    return calls
+
+
+def _write_a_dart_twice(b):
+    e = next(e for e, rec in enumerate(b.edges) if rec is not None and e not in b.edges.old)
+    b.add_edge(*b.edges[e][:2])
+
+
+def _leave_a_new_dart_unmatched(b):
+    v = b.add_crossing(1)
+    b.add_edge(4 * v, 4 * v + 2)
+
+
+def _turn_a_band_edge(b):
+    # the last band edge runs backwards, so neither new crossing has its
+    # strand lines oriented through
+    t, h, seam = b.edges[-1]
+    b.edges[len(b.edges) - 1] = (h, t, seam)
+
+
+@pytest.mark.parametrize("breakage", [_write_a_dart_twice, _leave_a_new_dart_unmatched,
+                                      _turn_a_band_edge], ids=lambda f: f.__name__)
+def test_a_broken_step_raises_on_that_step(monkeypatch, breakage):
+    from braidbracket.diagram import DiagramError
+
+    calls = _break_the_third_insertion(monkeypatch, breakage)
+    with pytest.raises(DiagramError) as info:
+        random_equivalent_pair(11, 100, BraidWord(2, (1, 1, 1)), max_crossings=14)
+    assert len(calls) == 3
+    names = {entry.name for entry in info.traceback}
+    assert "apply" in names and "build" not in names
+
+
+def test_a_broken_step_raises_under_optimize():
+    # the step's checks raise DiagramError, which python -O keeps
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "import sys\n"
+        "from braidbracket import moves\n"
+        "from braidbracket.diagram import BraidWord, DiagramError\n"
+        "if __debug__:\n"
+        "    sys.exit('not optimized')\n"
+        "surgery = moves._MOVES['IIa_insert']\n"
+        "def broken(diagram, b, anchor):\n"
+        "    surgery(diagram, b, anchor)\n"
+        "    b.add_edge(4 * b.add_crossing(1), 4 * len(b.crossings) - 2)\n"
+        "moves._MOVES['IIa_insert'] = broken\n"
+        "try:\n"
+        "    moves.random_equivalent_pair(11, 100, BraidWord(2, (1, 1, 1)), max_crossings=14)\n"
+        "except DiagramError as exc:\n"
+        "    print('raised' if 'ends no edge' in str(exc) else exc)\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"

@@ -145,26 +145,31 @@ def test_one_diagram_constructor():
 
 
 def test_one_rewrite_path(monkeypatch):
-    # a moved diagram is made in one place, moves._rewrite: the surgeries of
-    # moves._MOVES are named only by that table and run only from _rewrite,
-    # which alone in moves makes a builder and builds it; apply_move checks
-    # a site against find_sites and calls _rewrite only after its checks, as
-    # its last step; and a walk applies each draw through _rewrite, without
-    # apply_move, a MoveSite, the fingerprint or find_sites, and ends where
-    # a walk of find_sites and apply_move ends
+    # a diagram is rewritten in one place, the step of moves._Map: the
+    # surgeries of moves._MOVES are named only by that table and run only
+    # from _Map.apply; in moves, a builder is made only by the map and built
+    # only at a walk's compactions and end and at the end of _rewrite, the
+    # one-step map of apply_move; apply_move checks a site against
+    # find_sites and calls _rewrite only after its checks, as its last
+    # step; and a walk steps one map without apply_move, _rewrite, a
+    # MoveSite, the fingerprint or find_sites, builds it only where it
+    # compacts or ends, and ends where a walk of find_sites and apply_move
+    # ends
     from braidbracket import moves
-    from braidbracket.diagram import BraidWord, parse_braid_word
+    from braidbracket.diagram import BraidWord, DiagramBuilder, parse_braid_word
     from helpers import WALK_PINS, reference_walk
 
     surgeries = {surgery.__name__ for surgery in moves._MOVES.values()}
     assert set(_scopes_where(lambda node: isinstance(node, ast.Name)
                              and node.id in surgeries)) == {"moves.py:"}
-    for method in ("to_builder", "build"):
-        assert [s for s in _callers_of(method) if s.startswith("moves.py:")] == [
-            "moves.py:_rewrite"], method
+    in_moves = lambda method: sorted(s for s in _callers_of(method) if s.startswith("moves.py:"))
+    assert in_moves("to_builder") == ["moves.py:_Map.__init__"]
+    assert in_moves("build") == ["moves.py:_Map.compacted", "moves.py:_rewrite",
+                                 "moves.py:random_equivalent_pair"]
+    assert in_moves("apply") == ["moves.py:_rewrite", "moves.py:random_equivalent_pair"]
     assert sorted(_scopes_where(lambda node: isinstance(node, ast.Call)
                                 and ast.unparse(node.func) == "_rewrite")) == [
-        "moves.py:apply_move", "moves.py:random_equivalent_pair"]
+        "moves.py:apply_move"]
     (apply_def,) = [node for node in ast.parse((SRC / "moves.py").read_text()).body
                     if isinstance(node, ast.FunctionDef) and node.name == "apply_move"]
     last = apply_def.body[-1]
@@ -198,7 +203,7 @@ def test_one_rewrite_path(monkeypatch):
     for kind in ("IIa_remove", "IIa_insert", "IIb_insert", "RI_insert", "III"):
         moves.apply_move(d, moves.find_sites(d, kind)[0])
     assert reached == ["IIa_remove", "IIa_insert", "IIb_insert", "RI_insert", "IIIa"]
-    assert set(callers) == {"_rewrite"} and len(callers) == 5
+    assert set(callers) == {"apply"} and len(callers) == 5
 
     seed, strands, letters = WALK_PINS[0][:3]
     _, want = reference_walk(seed, strands, letters)
@@ -208,12 +213,22 @@ def test_one_rewrite_path(monkeypatch):
             raise AssertionError(f"{name} reached on a walk")
         return spy
 
-    for name in ("apply_move", "MoveSite", "_fingerprint", "find_sites"):
+    for name in ("apply_move", "_rewrite", "MoveSite", "_fingerprint", "find_sites"):
         monkeypatch.setattr(moves, name, refuse(name))
-    del reached[:], callers[:]
+    build, builds = DiagramBuilder.build, []
+
+    def build_spy(builder):
+        builds.append(sys._getframe(1).f_code.co_name)
+        return build(builder)
+
+    monkeypatch.setattr(DiagramBuilder, "build", build_spy)
+    del callers[:]
     _, got = moves.random_equivalent_pair(seed, 100, BraidWord(strands, letters),
                                           max_crossings=14)
-    assert len(reached) == len(callers) == 100 and set(callers) == {"_rewrite"}
+    assert len(callers) == 100 and set(callers) == {"apply"}
+    # the closure, the compactions, the end
+    assert builds[0] == "braid_closure" and builds[-1] == "random_equivalent_pair"
+    assert set(builds[1:-1]) <= {"compacted"} and len(builds) < 10
     assert got.to_pd_json() == want.to_pd_json()
     assert got.canonical_code() == want.canonical_code()
 
